@@ -50,10 +50,10 @@ from .errors import (
 from .grassmann import Plane
 from .plmaps import PLMap
 from .transversality import (
+    DEFAULT_SAMPLE_DEPTH,
     Distribution,
-    TransversalityReport,
     general_position,
-    sample_points,
+    probe_points,
     simplex_transverse,
     stratified_transverse,
     transversality_report,
@@ -281,15 +281,6 @@ def complex_from_dict(obj: dict) -> SimplicialComplex:
     return build_complex(dim, verts, [tuple(s) for s in tops])
 
 
-def plmap_to_dict(f: PLMap) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "plmap",
-        "domain": complex_to_dict(f.domain),
-        "images": [list(map(float, row)) for row in f.images],
-    }
-
-
 def plmap_from_dict(obj: dict) -> PLMap:
     # outcome bundles carry their map as out_complex + images; accept them
     # directly so `jiggle` output feeds straight into `verify --map`
@@ -383,26 +374,6 @@ def outcome_to_dict(out: JigglingOutcome, mode: str) -> dict:
         "images": [list(map(float, row)) for row in out.plmap.images],
         "subdivision": subdivision_to_dict(out.subdivision),
         "report": out.report.to_json(),
-    }
-
-
-def outcome_from_dict(obj: dict) -> dict:
-    """Rehydrate the loadable parts of an outcome bundle.
-
-    Returns a dict with the output complex, the jiggled PLMap, and the raw
-    report payload; the engine-internal fields stay as plain numbers.
-    """
-    child = complex_from_dict(_expect(obj, "out_complex", dict))
-    images = np.asarray(_expect(obj, "images", list), dtype=float)
-    return {
-        "mode": _expect(obj, "mode", str),
-        "level": _expect(obj, "level", int),
-        "d_c0": float(obj["d_c0"]),
-        "d_c1": float(obj["d_c1"]),
-        "moved_count": _expect(obj, "moved_count", int),
-        "out_complex": child,
-        "plmap": PLMap(child, images),
-        "report": _expect(obj, "report", dict),
     }
 
 
@@ -567,14 +538,15 @@ def cmd_subdivide(args) -> int:
 
 def cmd_jiggle(args) -> int:
     scenario = load_scenario(load_json(args.scenario))
-    cfg = scenario["config"]
+    overrides = {}
     if args.gamma is not None:
-        cfg = JigglingConfig(**{**cfg.to_json(), "gamma": args.gamma})
-    if args.seed is not None:
-        cfg = JigglingConfig(**{**cfg.to_json(), "seed": args.seed})
+        overrides["gamma"] = args.gamma
     env_seed = os.environ.get("JIGGLEKIT_SEED")
-    if env_seed:
-        cfg = JigglingConfig(**{**cfg.to_json(), "seed": int(env_seed)})
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    elif env_seed:
+        overrides["seed"] = int(env_seed)
+    cfg = JigglingConfig(**{**scenario["config"].to_json(), **overrides})
     complex_ = scenario["complex"]
     dist = scenario["distribution"]
     if args.mode == "euclidean":
@@ -619,10 +591,7 @@ def cmd_verify(args) -> int:
         checks = []
         for top in f.domain.top_simplices:
             pts = images[list(top)]
-            if xi.kind == "constant":
-                probes = pts[:1]
-            else:
-                probes = sample_points(pts, xi_depth(args))
+            probes = probe_points(pts, xi, DEFAULT_SAMPLE_DEPTH)
             if args.notion == "transverse":
                 ok_top = all(simplex_transverse(pts, xi.plane_at(x))
                              for x in probes)
@@ -645,10 +614,6 @@ def cmd_verify(args) -> int:
     else:
         sys.stdout.write(canonical_json(payload))
     return 0 if ok else EXIT_FAIL
-
-
-def xi_depth(args) -> int:
-    return getattr(args, "sample_depth", None) or 3
 
 
 def cmd_render(args) -> int:

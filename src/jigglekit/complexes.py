@@ -373,13 +373,6 @@ def _sat_group(pa: np.ndarray, pb: np.ndarray, tol: float) -> np.ndarray:
     return ((strict | (extent & weak)) & keep).any(axis=1)
 
 
-def _sat_disjoint(pa: np.ndarray, pb: np.ndarray, tol: float) -> bool:
-    """Certify relint-disjointness of one simplex pair by separation."""
-    if pa.shape[1] not in (2, 3):
-        return False
-    return bool(_sat_group(pa[None], pb[None], tol)[0])
-
-
 _SAT_CHUNK = 4096
 
 
@@ -547,20 +540,6 @@ def vlink(complex_: SimplicialComplex, vertex: int) -> tuple[int, ...]:
     return tuple(sorted({s[0] for s in link(complex_, vertex) if len(s) == 1}))
 
 
-def adjacency(complex_: SimplicialComplex, query, kind: str, times: int = 1):
-    """String-dispatched adjacency query used by the CLI."""
-    kinds = {
-        "star": lambda: star(complex_, query, times),
-        "ring": lambda: ring(complex_, query),
-        "closure": lambda: closure(complex_, query),
-        "link": lambda: link(complex_, query),
-        "vlink": lambda: vlink(complex_, query),
-    }
-    if kind not in kinds:
-        raise ValueError(f"unknown adjacency kind {kind!r}")
-    return kinds[kind]()
-
-
 # ---------------------------------------------------------------------------
 # subdivision maps
 # ---------------------------------------------------------------------------
@@ -701,7 +680,6 @@ def crystalline_subdivide(complex_: SimplicialComplex, levels: int):
     scale = 2 ** levels
     interner = _VertexInterner(complex_)
     child_tops: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
     for top in sorted(complex_.top_simplices):
         m = len(top) - 1
         if m == 0:
@@ -727,10 +705,7 @@ def crystalline_subdivide(complex_: SimplicialComplex, levels: int):
                         if ns[j + 1] != ns[j]
                     )
                     ids.append(interner.intern(support))
-                cell = tuple(sorted(ids))
-                if cell not in seen:
-                    seen.add(cell)
-                    child_tops.append(cell)
+                child_tops.append(tuple(sorted(ids)))
     child, support = interner.build(child_tops)
     return child, SubdivisionMap(parent=complex_, child=child, vertex_support=support)
 

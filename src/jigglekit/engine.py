@@ -45,7 +45,7 @@ from .errors import (
     StarNotTransverse,
     VolumeMismatch,
 )
-from .grassmann import AffineFlat, affine_span, d_proj
+from .grassmann import affine_span, d_proj
 from .perturb import PerturbationRequest, perturb_vertex
 from .plmaps import (
     PLMap,
@@ -58,7 +58,7 @@ from .transversality import (
     Distribution,
     TransversalityReport,
     general_position,
-    sample_points,
+    probe_points,
     semitrans_margin,
     stratified_transverse,
     transversality_report,
@@ -151,12 +151,23 @@ def _same_complex(a: SimplicialComplex, b: SimplicialComplex) -> bool:
             and np.array_equal(a.vertices, b.vertices))
 
 
+def _is_native(fmap, complex_: SimplicialComplex) -> bool:
+    """A PLMap on the complex itself, whose stored images are exact."""
+    return isinstance(fmap, PLMap) and _same_complex(fmap.domain, complex_)
+
+
 def _as_input_map(f, complex_: SimplicialComplex):
     if isinstance(f, (PLMap, SampledMap)):
         return f
     if callable(f):
         return SampledMap(complex_, f, name=getattr(f, "__name__", "callable"))
     raise PreconditionViolated("f must be a PLMap, a SampledMap, or a callable")
+
+
+def _evaluate(fmap, points: np.ndarray) -> np.ndarray:
+    if isinstance(fmap, SampledMap):
+        return fmap.evaluate_batch(points)
+    return np.array([fmap.evaluate(p) for p in points])
 
 
 def _linearize_exactly(fmap, complex_: SimplicialComplex, level: int):
@@ -168,7 +179,7 @@ def _linearize_exactly(fmap, complex_: SimplicialComplex, level: int):
     every tolerance in play and the maps agree as functions).
     """
     child, smap = crystalline_subdivide(complex_, level)
-    if isinstance(fmap, PLMap) and _same_complex(fmap.domain, complex_):
+    if _is_native(fmap, complex_):
         images = np.zeros((child.num_vertices, fmap.images.shape[1]))
         for vid in range(child.num_vertices):
             acc = np.zeros(fmap.images.shape[1])
@@ -176,9 +187,7 @@ def _linearize_exactly(fmap, complex_: SimplicialComplex, level: int):
                 acc = acc + float(frac) * fmap.images[gid]
             images[vid] = acc
         return PLMap(child, images), child, smap, 0.0, 0.0
-    flin = PLMap(child, fmap.evaluate_batch(child.vertices)
-                 if isinstance(fmap, SampledMap)
-                 else np.array([fmap.evaluate(p) for p in child.vertices]))
+    flin = PLMap(child, _evaluate(fmap, child.vertices))
     e0 = distance(fmap, flin, order=0)
     e1 = distance(fmap, flin, order=1)
     return flin, child, smap, e0, e1
@@ -205,22 +214,17 @@ def _jacobian_amplification(child: SimplicialComplex) -> float:
     return worst
 
 
-def _image_rmin(child: SimplicialComplex, images: np.ndarray) -> float:
-    best = np.inf
+def _image_radii(child: SimplicialComplex,
+                 images: np.ndarray) -> tuple[float, float]:
+    """Smallest shape_stats rmin and largest rmax over the image cells."""
+    rmin, rmax = np.inf, 0.0
     for top in child.top_simplices:
         if len(top) < 2:
             continue
-        best = min(best, shape_stats(images[list(top)]).rmin)
-    return float(best)
-
-
-def _image_rmax(child: SimplicialComplex, images: np.ndarray) -> float:
-    worst = 0.0
-    for top in child.top_simplices:
-        if len(top) < 2:
-            continue
-        worst = max(worst, shape_stats(images[list(top)]).rmax)
-    return float(worst)
+        stats = shape_stats(images[list(top)])
+        rmin = min(rmin, stats.rmin)
+        rmax = max(rmax, stats.rmax)
+    return float(rmin), float(rmax)
 
 
 def _plane_drift(child: SimplicialComplex, planes_for, xi: Distribution) -> float:
@@ -287,18 +291,9 @@ def auto_level(f, complex_: SimplicialComplex, xi: Distribution, gamma: float,
     put, so the field looks locally constant at cell scale eventually).
     """
     fmap = _as_input_map(f, complex_)
-    if isinstance(fmap, PLMap) and _same_complex(fmap.domain, complex_):
-        images0 = fmap.images
-        exact = True
-    else:
-        images0 = (fmap.evaluate_batch(complex_.vertices)
-                   if isinstance(fmap, SampledMap)
-                   else np.array([fmap.evaluate(p) for p in complex_.vertices]))
-        exact = False
-    rmax0 = 0.0
-    for top in complex_.top_simplices:
-        if len(top) >= 2:
-            rmax0 = max(rmax0, shape_stats(images0[list(top)]).rmax)
+    exact = _is_native(fmap, complex_)
+    images0 = fmap.images if exact else _evaluate(fmap, complex_.vertices)
+    _, rmax0 = _image_radii(complex_, images0)
     if rmax0 == 0.0:
         return 0
     threshold = margin_floor / (4.0 * rmax0)
@@ -433,37 +428,83 @@ def _run_vertex_induction(child, images, unperturbed, frozen, order,
 
 
 # ---------------------------------------------------------------------------
-# Euclidean pipeline
+# Euclidean and relative pipelines
 # ---------------------------------------------------------------------------
 
-def jiggle_euclidean(f, complex_: SimplicialComplex, xi: Distribution,
-                     config: JigglingConfig) -> JigglingOutcome:
-    """Jiggle a map of a complex into R^n into general position w.r.t. xi.
+def _subcomplex_faces(complex_: SimplicialComplex, simplices) -> set:
+    faces: set = set()
+    for s in simplices:
+        t = tuple(sorted(int(v) for v in s))
+        if t not in complex_._membership:
+            raise QueryNotInComplex(f"{t} is not a simplex of the complex")
+        for r in range(1, len(t) + 1):
+            faces.update(itertools.combinations(t, r))
+    return faces
 
-    The map is linearized on the level-``level`` crystalline subdivision and
-    the vertices are then perturbed in global id order; each vertex's plane
-    is xi evaluated at its unperturbed image.  The outcome carries the
-    jiggled PLMap, the verification report, and the realized C0/C1 budgets.
-    """
-    cfg = config
+
+def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
+            cfg: JigglingConfig, a, b, v_radius: float) -> JigglingOutcome:
+    """The pipeline behind :func:`jiggle_relative`; with A and B empty it is
+    :func:`jiggle_euclidean`."""
     fmap = _as_input_map(f, complex_)
+    if fmap.target_dim != xi.ambient_dim:
+        raise AmbientMismatch(
+            f"map images live in R^{fmap.target_dim}, xi in "
+            f"R^{xi.ambient_dim}"
+        )
+    native = _is_native(fmap, complex_)
+    a_faces = _subcomplex_faces(complex_, a)
+    b_faces = _subcomplex_faces(complex_, b)
+
+    if a_faces:
+        images_k = fmap.images if native else _evaluate(fmap, complex_.vertices)
+        for s in star(complex_, list(a_faces)):
+            if len(s) < 2:
+                continue
+            coords = images_k[list(s)]
+            for x in probe_points(coords, xi, cfg.sample_depth):
+                if not stratified_transverse(coords, xi.plane_at(x)):
+                    raise PreconditionViolated(
+                        f"star simplex {s} of A is not stratified transverse"
+                    )
+
     if cfg.level == "auto":
         level = auto_level(fmap, complex_, xi, cfg.gamma, cfg.margin_floor,
                            cfg.level_max)
     else:
         level = cfg.level
-    flin, child, smap, e0, e1 = _linearize_exactly(fmap, complex_, level)
-    if flin.images.shape[1] != xi.ambient_dim:
-        raise AmbientMismatch(
-            f"map images live in R^{flin.images.shape[1]}, xi in "
-            f"R^{xi.ambient_dim}"
+
+    while True:
+        flin, child, smap, e0, e1 = _linearize_exactly(fmap, complex_, level)
+        carriers = [tuple(sorted(g for g, _ in smap.vertex_support[vid]))
+                    for vid in range(child.num_vertices)]
+        from_a = np.array([c in a_faces for c in carriers], dtype=bool)
+        from_b = np.array([c in b_faces for c in carriers], dtype=bool)
+        if not from_b.any():
+            break
+        b_pts = child.vertices[from_b]
+        near = np.array([
+            float(np.min(np.linalg.norm(b_pts - p, axis=1)))
+            for p in child.vertices
+        ])
+        if not any(max(near[v] for v in s) > v_radius
+                   for s in child.all_simplices() if any(from_b[v] for v in s)):
+            break
+        if cfg.level == "auto" and level < cfg.level_max:
+            level += 1
+            continue
+        raise CollarTooSmall(
+            f"str(B) at level {level} leaves the radius-{v_radius} "
+            "neighborhood of |B|"
         )
+
     if not is_piecewise_embedding(flin):
         raise PreconditionViolated(
             "the linearized input is not a piecewise embedding"
         )
+
     amp = _jacobian_amplification(child)
-    rmin_img = _image_rmin(child, flin.images)
+    rmin_img, rmax_img = _image_radii(child, flin.images)
     terms = [(cfg.gamma - e1) / (1.0 + amp),
              cfg.gamma * 2.0 ** -level - e0,
              rmin_img / 4.0]
@@ -471,9 +512,33 @@ def jiggle_euclidean(f, complex_: SimplicialComplex, xi: Distribution,
         terms.append(cfg.epsilon_vertex * 2.0 ** -level)
     eta = 0.9 * min(terms)
 
+    cap_a = np.inf
+    near_a = np.zeros(child.num_vertices, dtype=bool)
+    if from_a.any():
+        for top in child.top_simplices:
+            if any(from_a[v] for v in top):
+                img = flin.images[list(top)]
+                ok, margin = general_position(img, xi, cfg.sample_depth)
+                if ok and np.isfinite(margin):
+                    cap_a = min(cap_a, 0.5 * margin * shape_stats(img).rmin)
+        for vid in range(child.num_vertices):
+            near_a[vid] = any(
+                from_a[o] for s in child._incident(vid) for o in s
+            )
+
+    def epsilon_for(vid):
+        if near_a[vid] and np.isfinite(cap_a):
+            return min(eta, cap_a)
+        return eta
+
+    def touches_b(s):
+        return any(from_b[v] for v in s)
+
+    def in_region(top):
+        return any(from_a[v] or near[v] > v_radius for v in top)
+
     images = np.array(flin.images)
     unperturbed = images.copy()
-    frozen = np.zeros(child.num_vertices, dtype=bool)
     planes_cache: dict[int, list] = {}
 
     def planes_for(vid):
@@ -484,13 +549,14 @@ def jiggle_euclidean(f, complex_: SimplicialComplex, xi: Distribution,
     drift = _plane_drift(child, planes_for, xi)
     margin_target = max(
         cfg.margin_floor * 0.9 * cfg.gamma / (1.0 + amp),
-        DRIFT_MARGIN_FACTOR * drift * _image_rmax(child, flin.images),
+        DRIFT_MARGIN_FACTOR * drift * rmax_img,
     )
 
+    has_b = bool(from_b.any())
     achieved, certified, moved = _run_vertex_induction(
-        child, images, unperturbed, frozen, range(child.num_vertices),
-        planes_for, lambda vid, s: (0,), lambda vid: eta,
-        margin_target, lambda vid: None, None, cfg,
+        child, images, unperturbed, from_a | from_b, range(child.num_vertices),
+        planes_for, lambda vid, s: (0,), epsilon_for,
+        margin_target, lambda vid: None, touches_b if has_b else None, cfg,
     )
 
     g = PLMap(child, images)
@@ -499,18 +565,16 @@ def jiggle_euclidean(f, complex_: SimplicialComplex, xi: Distribution,
     report = transversality_report(child, images, xi,
                                    sample_depth=cfg.sample_depth,
                                    margin_tol=REPORT_MARGIN_TOL,
+                                   simplex_filter=in_region if has_b else None,
                                    certificates=certified)
     if not report.passed:
         raise PerturbationFailed(
             "post-run verification rejected the jiggled map "
             f"(min eps margin {report.min_eps_margin:.3g})"
         )
-    if isinstance(fmap, PLMap) and _same_complex(fmap.domain, complex_):
-        d0 = distance(flin, g, order=0)
-        d1 = distance(flin, g, order=1)
-    else:
-        d0 = distance(fmap, g, order=0)
-        d1 = distance(fmap, g, order=1)
+    ref = flin if native else fmap
+    d0 = distance(ref, g, order=0)
+    d1 = distance(ref, g, order=1)
     within = d1 < cfg.gamma and d0 < cfg.gamma * 2.0 ** -level
     if not within and not (moved == 0 and d0 == 0.0 and d1 == 0.0):
         raise BudgetViolation(
@@ -523,6 +587,37 @@ def jiggle_euclidean(f, complex_: SimplicialComplex, xi: Distribution,
         margin_target=float(margin_target), achieved=achieved,
         moved_count=moved, config=cfg,
     )
+
+
+def jiggle_euclidean(f, complex_: SimplicialComplex, xi: Distribution,
+                     config: JigglingConfig) -> JigglingOutcome:
+    """Jiggle a map of a complex into R^n into general position w.r.t. xi.
+
+    The map is linearized on the level-``level`` crystalline subdivision and
+    the vertices are then perturbed in global id order; each vertex's plane
+    is xi evaluated at its unperturbed image.  This is the relative pipeline
+    with A and B empty.  The outcome carries the jiggled PLMap, the
+    verification report, and the realized C0/C1 budgets.
+    """
+    return _jiggle(f, complex_, xi, config, a=(), b=(), v_radius=0.0)
+
+
+def jiggle_relative(f, complex_: SimplicialComplex, xi: Distribution,
+                    gamma: float, a, b=(), v_radius: float = 0.0,
+                    config: JigglingConfig | None = None) -> JigglingOutcome:
+    """Jiggle while fixing f on the subcomplexes A and B pointwise.
+
+    Vertices carried by A or B keep their exact linearized images; simplices
+    touching B are left unjiggled and excluded from the certified region,
+    which covers everything outside the radius-``v_radius`` neighborhood of
+    |B| plus the star of A.  Budgets near A are additionally capped so the
+    measured transversality margins of the fixed star survive.  ``gamma``
+    overrides ``config.gamma``; without a config every other knob keeps its
+    default.
+    """
+    cfg = dataclasses.replace(config, gamma=float(gamma)) if config else \
+        JigglingConfig(gamma=float(gamma))
+    return _jiggle(f, complex_, xi, cfg, a, b, v_radius)
 
 
 def jiggle_tower(f, complex_: SimplicialComplex, xi: Distribution,
@@ -587,9 +682,7 @@ def jiggle_subdivision(complex_: SimplicialComplex,
 
     for top, dist in per_top.items():
         coords = complex_.coords(top)
-        probes = (coords[:1] if dist.kind == "constant"
-                  else sample_points(coords, cfg.sample_depth))
-        for x in probes:
+        for x in probe_points(coords, dist, cfg.sample_depth):
             if not stratified_transverse(coords, dist.plane_at(x)):
                 raise PreconditionViolated(
                     f"top simplex {top} is not stratified transverse to its "
@@ -740,207 +833,6 @@ def jiggle_subdivision(complex_: SimplicialComplex,
         plmap=t_map, out_complex=out, subdivision=sub, report=report,
         level=level, d_c0=float(d0), d_c1=float(d1),
         eta=float(min(positive)) if positive else 0.0,
-        margin_target=float(margin_target), achieved=achieved,
-        moved_count=moved, config=cfg,
-    )
-
-
-# ---------------------------------------------------------------------------
-# relative pipeline
-# ---------------------------------------------------------------------------
-
-def _subcomplex_faces(complex_: SimplicialComplex, simplices) -> set:
-    faces: set = set()
-    for s in simplices:
-        t = tuple(sorted(int(v) for v in s))
-        if t not in complex_._membership:
-            raise QueryNotInComplex(f"{t} is not a simplex of the complex")
-        for r in range(1, len(t) + 1):
-            faces.update(itertools.combinations(t, r))
-    return faces
-
-
-def jiggle_relative(f, complex_: SimplicialComplex, xi: Distribution,
-                    gamma: float, a, b=(), v_radius: float = 0.0,
-                    config: JigglingConfig | None = None) -> JigglingOutcome:
-    """Jiggle while fixing f on the subcomplexes A and B pointwise.
-
-    Vertices carried by A or B keep their exact linearized images; simplices
-    touching B are left unjiggled and excluded from the certified region,
-    which covers everything outside the radius-``v_radius`` neighborhood of
-    |B| plus the star of A.  Budgets near A are additionally capped so the
-    measured transversality margins of the fixed star survive.
-    """
-    cfg = dataclasses.replace(config, gamma=float(gamma)) if config else \
-        JigglingConfig(gamma=float(gamma))
-    fmap = _as_input_map(f, complex_)
-    a_faces = _subcomplex_faces(complex_, a)
-    b_faces = _subcomplex_faces(complex_, b) if len(b) else set()
-
-    if a_faces:
-        images_k = (fmap.images if isinstance(fmap, PLMap)
-                    and _same_complex(fmap.domain, complex_)
-                    else np.array([fmap.evaluate(p) for p in complex_.vertices]))
-        for s in star(complex_, [t for t in a_faces]):
-            if len(s) < 2:
-                continue
-            coords = images_k[list(s)]
-            probes = (coords[:1] if xi.kind == "constant"
-                      else sample_points(coords, cfg.sample_depth))
-            for x in probes:
-                if not stratified_transverse(coords, xi.plane_at(x)):
-                    raise PreconditionViolated(
-                        f"star simplex {s} of A is not stratified transverse"
-                    )
-
-    if cfg.level == "auto":
-        level = auto_level(fmap, complex_, xi, cfg.gamma, cfg.margin_floor,
-                           cfg.level_max)
-    else:
-        level = cfg.level
-
-    while True:
-        flin, child, smap, e0, e1 = _linearize_exactly(fmap, complex_, level)
-        frozen = np.zeros(child.num_vertices, dtype=bool)
-        from_a = np.zeros(child.num_vertices, dtype=bool)
-        from_b = np.zeros(child.num_vertices, dtype=bool)
-        for vid in range(child.num_vertices):
-            carrier = tuple(sorted(g for g, _ in smap.vertex_support[vid]))
-            if carrier in a_faces:
-                frozen[vid] = True
-                from_a[vid] = True
-            if carrier in b_faces:
-                frozen[vid] = True
-                from_b[vid] = True
-        if not from_b.any():
-            break
-        b_pts = child.vertices[from_b]
-        near = np.array([
-            float(np.min(np.linalg.norm(b_pts - p, axis=1)))
-            for p in child.vertices
-        ])
-        collar_ok = True
-        for s in child.all_simplices():
-            if any(from_b[v] for v in s):
-                if max(near[v] for v in s) > v_radius:
-                    collar_ok = False
-                    break
-        if collar_ok:
-            break
-        if cfg.level == "auto" and level < cfg.level_max:
-            level += 1
-            continue
-        raise CollarTooSmall(
-            f"str(B) at level {level} leaves the radius-{v_radius} "
-            "neighborhood of |B|"
-        )
-
-    if flin.images.shape[1] != xi.ambient_dim:
-        raise AmbientMismatch("map image dimension does not match xi")
-    if not is_piecewise_embedding(flin):
-        raise PreconditionViolated(
-            "the linearized input is not a piecewise embedding"
-        )
-
-    amp = _jacobian_amplification(child)
-    rmin_img = _image_rmin(child, flin.images)
-    terms = [(cfg.gamma - e1) / (1.0 + amp),
-             cfg.gamma * 2.0 ** -level - e0,
-             rmin_img / 4.0]
-    if cfg.epsilon_vertex is not None:
-        terms.append(cfg.epsilon_vertex * 2.0 ** -level)
-    eta = 0.9 * min(terms)
-
-    cap_a = np.inf
-    if a_faces and from_a.any():
-        for top in child.top_simplices:
-            if any(from_a[v] for v in top):
-                img = flin.images[list(top)]
-                ok, margin = general_position(img, xi, cfg.sample_depth)
-                if ok and np.isfinite(margin):
-                    cap_a = min(cap_a, 0.5 * margin * shape_stats(img).rmin)
-
-    near_a = np.zeros(child.num_vertices, dtype=bool)
-    if from_a.any():
-        for vid in range(child.num_vertices):
-            near_a[vid] = any(
-                from_a[o] for s in child._incident(vid) for o in s
-            )
-
-    def epsilon_for(vid):
-        if near_a[vid] and np.isfinite(cap_a):
-            return min(eta, cap_a)
-        return eta
-
-    def exclude_simplex(s):
-        return any(from_b[v] for v in s)
-
-    images = np.array(flin.images)
-    unperturbed = images.copy()
-    planes_cache: dict[int, list] = {}
-
-    def planes_for(vid):
-        if vid not in planes_cache:
-            planes_cache[vid] = [xi.plane_at(unperturbed[vid])]
-        return planes_cache[vid]
-
-    drift = _plane_drift(child, planes_for, xi)
-    margin_target = max(
-        cfg.margin_floor * 0.9 * cfg.gamma / (1.0 + amp),
-        DRIFT_MARGIN_FACTOR * drift * _image_rmax(child, flin.images),
-    )
-
-    achieved, certified, moved = _run_vertex_induction(
-        child, images, unperturbed, frozen, range(child.num_vertices),
-        planes_for, lambda vid, s: (0,), epsilon_for,
-        margin_target, lambda vid: None,
-        exclude_simplex if from_b.any() else None, cfg,
-    )
-
-    g = PLMap(child, images)
-    if not is_piecewise_embedding(g):
-        raise EmbeddingLost("the jiggled map lost injectivity")
-
-    if from_b.any():
-        b_pts = child.vertices[from_b]
-        near = np.array([
-            float(np.min(np.linalg.norm(b_pts - p, axis=1)))
-            for p in child.vertices
-        ])
-        a_vertex_ids = {v for v in range(child.num_vertices) if from_a[v]}
-
-        def in_region(top):
-            if a_vertex_ids & set(top):
-                return True
-            return any(near[v] > v_radius for v in top)
-    else:
-        def in_region(top):
-            return True
-
-    report = transversality_report(child, images, xi,
-                                   sample_depth=cfg.sample_depth,
-                                   margin_tol=REPORT_MARGIN_TOL,
-                                   simplex_filter=in_region,
-                                   certificates=certified)
-    if not report.passed:
-        raise PerturbationFailed(
-            "post-run verification rejected the relative jiggling "
-            f"(min eps margin {report.min_eps_margin:.3g})"
-        )
-    if isinstance(fmap, PLMap) and _same_complex(fmap.domain, complex_):
-        d0 = distance(flin, g, order=0)
-        d1 = distance(flin, g, order=1)
-    else:
-        d0 = distance(fmap, g, order=0)
-        d1 = distance(fmap, g, order=1)
-    within = d1 < cfg.gamma and d0 < cfg.gamma * 2.0 ** -level
-    if not within and not (moved == 0 and d0 == 0.0 and d1 == 0.0):
-        raise BudgetViolation(
-            f"realized distances d0={d0:.3g}, d1={d1:.3g} exceed the budget"
-        )
-    return JigglingOutcome(
-        plmap=g, out_complex=child, subdivision=smap, report=report,
-        level=level, d_c0=float(d0), d_c1=float(d1), eta=float(eta),
         margin_target=float(margin_target), achieved=achieved,
         moved_count=moved, config=cfg,
     )

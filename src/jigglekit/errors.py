@@ -37,10 +37,6 @@ class DomainMismatch(JiggleKitError):
     """Two maps do not share a common refinement we know how to build."""
 
 
-class NotOpposingFaces(JiggleKitError):
-    """The two faces handed to a join operation are not disjoint faces."""
-
-
 class NotTransverse(JiggleKitError):
     """A transversality precondition failed."""
 

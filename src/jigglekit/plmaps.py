@@ -25,7 +25,6 @@ from .errors import (
     CollarTooSmall,
     DegenerateSimplex,
     DomainMismatch,
-    NotOpposingFaces,
     QueryNotInComplex,
 )
 from .transversality import barycentric_lattice
@@ -45,10 +44,6 @@ class PLMap:
             raise DomainMismatch("one image point per domain vertex required")
         self.target_dim = self.images.shape[1]
         self._jac_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    @classmethod
-    def from_function(cls, domain: SimplicialComplex, fn) -> "PLMap":
-        return cls(domain, np.array([fn(v) for v in domain.vertices]))
 
     @classmethod
     def identity(cls, domain: SimplicialComplex) -> "PLMap":
@@ -280,59 +275,6 @@ def distance(f, g, order: int = 0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# interpolation and joins over face decompositions
-# ---------------------------------------------------------------------------
-
-def _check_opposing(num_vertices: int, face_a, face_b):
-    sa, sb = set(face_a), set(face_b)
-    if not sa or not sb or (sa & sb) or (sa | sb) != set(range(num_vertices)):
-        raise NotOpposingFaces(
-            f"faces {sorted(sa)} and {sorted(sb)} do not decompose the simplex"
-        )
-
-
-def interpolate(coords: np.ndarray, face_a, face_b, s_a, s_b):
-    """Blend two maps along the join parameter of Delta = A * B.
-
-    The parameter t is the barycentric mass on A; the blend equals s_a on A
-    (t = 1 there) and s_b on B.  Returns a point-to-point callable.
-    """
-    pts = np.asarray(coords, dtype=float)
-    _check_opposing(pts.shape[0], face_a, face_b)
-    a_idx = list(face_a)
-
-    def blended(x):
-        b, _ = barycentric_coordinates(pts, np.asarray(x, dtype=float))
-        t = float(np.clip(np.sum(b[a_idx]), 0.0, 1.0))
-        return t * np.asarray(s_a(x), dtype=float) \
-            + (1.0 - t) * np.asarray(s_b(x), dtype=float)
-
-    return blended
-
-
-def join_map(coords: np.ndarray, face_a, face_b, s_a, s_b):
-    """The unique affine map on Delta restricting to s_a on A and s_b on B.
-
-    ``s_a`` and ``s_b`` are affine maps on their faces, given as callables;
-    they are read off at the face vertices only.
-    """
-    pts = np.asarray(coords, dtype=float)
-    _check_opposing(pts.shape[0], face_a, face_b)
-    values = [None] * pts.shape[0]
-    for i in face_a:
-        values[i] = np.atleast_1d(np.asarray(s_a(pts[i]), dtype=float))
-    for i in face_b:
-        values[i] = np.atleast_1d(np.asarray(s_b(pts[i]), dtype=float))
-    table = np.array(values, dtype=float)
-
-    def affine(x):
-        b, _ = barycentric_coordinates(pts, np.asarray(x, dtype=float))
-        return b @ table
-
-    return affine
-
-
-# ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
 
@@ -366,19 +308,6 @@ def complex_subdivides(parent: SimplicialComplex, child: SimplicialComplex,
         if vol > 0 and abs(sums[s] - vol) > 1e-6 * vol:
             return False
     return True
-
-
-def verify_jiggling(f, complex_: SimplicialComplex, g, out_complex: SimplicialComplex,
-                    epsilon: float):
-    """Is (g, out_complex) an epsilon-jiggling of (f, complex_)?
-
-    True iff out_complex subdivides complex_ and the C1 distance between the
-    maps is below epsilon.  Returns ``(ok, details)``.
-    """
-    subdivides = out_complex is complex_ or complex_subdivides(complex_, out_complex)
-    d1 = distance(f, g, order=1) if subdivides else np.inf
-    ok = bool(subdivides and d1 < epsilon)
-    return ok, {"subdivides": subdivides, "d_C1": float(d1), "epsilon": epsilon}
 
 
 def is_piecewise_embedding(f: PLMap, tol: float = 1e-9) -> bool:

@@ -100,6 +100,15 @@ def sample_points(coords: np.ndarray, depth: int) -> np.ndarray:
     return weights @ coords
 
 
+def probe_points(coords: np.ndarray, xi: Distribution, depth: int) -> np.ndarray:
+    """Where xi is probed over a simplex: one vertex for a constant field
+    (the plane is the same everywhere), the depth-``depth`` barycentric
+    lattice otherwise."""
+    if xi.kind == "constant":
+        return coords[:1]
+    return sample_points(coords, depth)
+
+
 # ---------------------------------------------------------------------------
 # plane of a simplex, basic predicates
 # ---------------------------------------------------------------------------
@@ -273,12 +282,8 @@ def general_position(coords: np.ndarray, xi: Distribution,
     """
     pts = np.asarray(coords, dtype=float)
     free = xi.ambient_dim - xi.rank
-    if xi.kind == "constant":
-        samples = pts[:1]
-    else:
-        samples = sample_points(pts, sample_depth)
     margin = np.inf
-    for x in samples:
+    for x in probe_points(pts, xi, sample_depth):
         plane = xi.plane_at(x)
         for d in range(1, pts.shape[0]):
             for face in _faces_of_dim(pts.shape[0], d):

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,3 +334,34 @@ def test_outcome_bundle_feeds_verify_and_render(tmp_path):
     assert main(["render", "unit_square_grid(2)", "--map", str(out),
                  "--svg", str(svg)]) == 0
     assert svg.read_text().startswith("<svg")
+
+
+def test_cmd_jiggle_ambient_mismatch_at_auto_level(tmp_path):
+    # a 3D field on a planar complex: auto level selection must not probe
+    # the field before the dimension check
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(scenario_dict(
+        complex="unit_square_grid(1)",
+        distribution={"type": "builtin", "name": "planar_rotor(0.0001)"},
+        config={"gamma": 0.2})))
+    for mode in ("euclidean", "relative"):
+        out = tmp_path / f"{mode}.json"
+        assert main(["jiggle", str(scen), "--mode", mode,
+                     str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
+
+def test_cmd_jiggle_seed_flag_beats_env(tmp_path, monkeypatch):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(scenario_dict()))
+    out = tmp_path / "out.json"
+    monkeypatch.setenv("JIGGLEKIT_SEED", "99")
+    assert main(["jiggle", str(scen), "--seed", "5", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == 5
+
+
+def test_readme_library_tour_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    exec(compile(tour, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("True ")
