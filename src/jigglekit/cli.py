@@ -55,7 +55,6 @@ from .transversality import (
     general_position,
     probe_points,
     simplex_transverse,
-    stratified_transverse,
     transversality_report,
 )
 
@@ -591,15 +590,13 @@ def cmd_verify(args) -> int:
         checks = []
         for top in f.domain.top_simplices:
             pts = images[list(top)]
-            probes = probe_points(pts, xi, DEFAULT_SAMPLE_DEPTH)
             if args.notion == "transverse":
+                probes = probe_points(pts, xi, DEFAULT_SAMPLE_DEPTH)
                 ok_top = all(simplex_transverse(pts, xi.plane_at(x))
                              for x in probes)
-            elif args.notion == "stratified":
-                ok_top = all(stratified_transverse(pts, xi.plane_at(x))
-                             for x in probes)
             else:
-                ok_top, _ = general_position(pts, xi)
+                # stratified transverse at every probe is general position
+                ok_top = general_position(pts, xi)[0]
             checks.append({"simplex": list(top), "ok": bool(ok_top)})
         ok = all(c["ok"] for c in checks)
         payload = {

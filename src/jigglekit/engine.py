@@ -37,7 +37,6 @@ from .errors import (
     DegenerateSimplex,
     EmbeddingLost,
     LevelExhausted,
-    NotTransverse,
     PerturbationFailed,
     PreconditionViolated,
     QueryNotInComplex,
@@ -46,7 +45,7 @@ from .errors import (
     VolumeMismatch,
 )
 from .grassmann import affine_span, d_proj
-from .perturb import PerturbationRequest, perturb_vertex
+from .perturb import PerturbationRequest, join_margins, perturb_vertex
 from .plmaps import (
     PLMap,
     SampledMap,
@@ -58,9 +57,6 @@ from .transversality import (
     Distribution,
     TransversalityReport,
     general_position,
-    probe_points,
-    semitrans_margin,
-    stratified_transverse,
     transversality_report,
 )
 
@@ -99,6 +95,10 @@ class JigglingConfig:
 
     def __post_init__(self):
         self.gamma = float(self.gamma)
+        for name in ("gamma", "margin_floor", "epsilon_vertex"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise PreconditionViolated(f"{name} must be finite, got {value}")
         if self.gamma < 0:
             raise PreconditionViolated("gamma must be nonnegative")
         if self.margin_floor <= 0:
@@ -156,12 +156,20 @@ def _is_native(fmap, complex_: SimplicialComplex) -> bool:
     return isinstance(fmap, PLMap) and _same_complex(fmap.domain, complex_)
 
 
-def _as_input_map(f, complex_: SimplicialComplex):
+def _as_input_map(f, complex_: SimplicialComplex, xi: Distribution):
+    """f as a PLMap or SampledMap whose images live where xi does."""
     if isinstance(f, (PLMap, SampledMap)):
-        return f
-    if callable(f):
-        return SampledMap(complex_, f, name=getattr(f, "__name__", "callable"))
-    raise PreconditionViolated("f must be a PLMap, a SampledMap, or a callable")
+        fmap = f
+    elif callable(f):
+        fmap = SampledMap(complex_, f, name=getattr(f, "__name__", "callable"))
+    else:
+        raise PreconditionViolated("f must be a PLMap, a SampledMap, or a callable")
+    if fmap.target_dim != xi.ambient_dim:
+        raise AmbientMismatch(
+            f"map images live in R^{fmap.target_dim}, xi in "
+            f"R^{xi.ambient_dim}"
+        )
+    return fmap
 
 
 def _evaluate(fmap, points: np.ndarray) -> np.ndarray:
@@ -290,7 +298,7 @@ def auto_level(f, complex_: SimplicialComplex, xi: Distribution, gamma: float,
     circumradius estimate (cells shrink with the level while the bound stays
     put, so the field looks locally constant at cell scale eventually).
     """
-    fmap = _as_input_map(f, complex_)
+    fmap = _as_input_map(f, complex_, xi)
     exact = _is_native(fmap, complex_)
     images0 = fmap.images if exact else _evaluate(fmap, complex_.vertices)
     _, rmax0 = _image_radii(complex_, images0)
@@ -322,32 +330,12 @@ def _join_ids(vid: int, others: list[int], combo: tuple[int, ...]) -> tuple[int,
     return tuple(sorted([vid] + [others[j] for j in combo]))
 
 
-def _incumbent_margins(p, images, entries, planes, fol_indices, vid):
-    """Semitransversality margins of every admissible join at the incumbent.
-
-    Returns a dict keyed by join simplex; a base face that is itself not
-    transverse scores the join zero (the search will then either fix it or
-    fail loudly through the perturbation preconditions).
-    """
+def _by_join(vid: int, entries, joins) -> dict[tuple[int, ...], float]:
+    """Fold ``join_margins`` tuples into the smallest margin per join simplex."""
     margins: dict[tuple[int, ...], float] = {}
-    seen: set = set()
-    for (s, others), fol in zip(entries, fol_indices):
-        for u in fol:
-            v = planes[u]
-            free = v.ambient_dim - v.rank
-            for r in range(1, min(free, len(others)) + 1):
-                for combo in itertools.combinations(range(len(others)), r):
-                    key = (u, _join_ids(vid, others, combo))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    face = images[[others[j] for j in combo]]
-                    try:
-                        m = float(semitrans_margin(p, face, v))
-                    except (NotTransverse, PreconditionViolated):
-                        m = 0.0
-                    join = key[1]
-                    margins[join] = min(m, margins.get(join, np.inf))
+    for _, si, combo, m in joins:
+        join = _join_ids(vid, entries[si][1], combo)
+        margins[join] = min(m, margins.get(join, np.inf))
     return margins
 
 
@@ -380,49 +368,46 @@ def _run_vertex_induction(child, images, unperturbed, frozen, order,
                 entries.append((s, others))
         planes = planes_for(vid)
         fol_indices = [fol_indices_for(vid, s) for s, _ in entries]
-        margins = _incumbent_margins(images[vid], images, entries, planes,
-                                     fol_indices, vid)
-        if not margins or min(margins.values()) >= threshold:
-            for join, m in margins.items():
-                certified[join] = min(m, certified.get(join, np.inf))
-            processed[vid] = True
-            continue
-        eps = epsilon_for(vid)
-        if eps <= 0:
-            raise BudgetViolation(
-                f"vertex {vid} needs a move but the per-vertex budget is "
-                f"exhausted (eta = {eps:.3g})"
+        stars = [images[others] for _, others in entries]
+        margins = _by_join(vid, entries,
+                           join_margins(images[vid], stars, fol_indices, planes))
+        if margins and min(margins.values()) < threshold:
+            eps = epsilon_for(vid)
+            if eps <= 0:
+                raise BudgetViolation(
+                    f"vertex {vid} needs a move but the per-vertex budget is "
+                    f"exhausted (eta = {eps:.3g})"
+                )
+            req = PerturbationRequest(
+                point=images[vid],
+                epsilon=eps,
+                star_simplices=stars,
+                foliations=planes,
+                star_foliations=fol_indices,
+                constraint_flat=constraint_for(vid),
+                seed=cfg.seed * SEED_STRIDE + vid,
+                samples=cfg.samples,
             )
-        req = PerturbationRequest(
-            point=images[vid],
-            epsilon=eps,
-            star_simplices=[images[others] for _, others in entries],
-            foliations=planes,
-            star_foliations=fol_indices,
-            constraint_flat=constraint_for(vid),
-            seed=cfg.seed * SEED_STRIDE + vid,
-            samples=cfg.samples,
-        )
-        try:
-            res = perturb_vertex(req)
-        except StarNotTransverse as exc:
-            raise PerturbationFailed(
-                f"vertex {vid}: a processed star simplex lost transversality "
-                "to the local plane; the field varies too fast for the "
-                "achieved margins (raise the level)"
-            ) from exc
-        if res.achieved_delta < margin_target:
-            raise PerturbationFailed(
-                f"vertex {vid}: best margin {res.achieved_delta:.3g} below "
-                f"target {margin_target:.3g}"
-            )
-        if res.moved > 0:
-            moved += 1
-            images[vid] = res.point
-        achieved[vid] = res.achieved_delta
-        for u, si, combo, m in res.certificate:
-            join = _join_ids(vid, entries[si][1], combo)
-            certified[join] = min(float(m), certified.get(join, np.inf))
+            try:
+                res = perturb_vertex(req)
+            except StarNotTransverse as exc:
+                raise PerturbationFailed(
+                    f"vertex {vid}: a processed star simplex lost transversality "
+                    "to the local plane; the field varies too fast for the "
+                    "achieved margins (raise the level)"
+                ) from exc
+            if res.achieved_delta < margin_target:
+                raise PerturbationFailed(
+                    f"vertex {vid}: best margin {res.achieved_delta:.3g} below "
+                    f"target {margin_target:.3g}"
+                )
+            if res.moved > 0:
+                moved += 1
+                images[vid] = res.point
+            achieved[vid] = res.achieved_delta
+            margins = _by_join(vid, entries, res.certificate)
+        for join, m in margins.items():
+            certified[join] = min(m, certified.get(join, np.inf))
         processed[vid] = True
     return achieved, certified, moved
 
@@ -446,12 +431,7 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
             cfg: JigglingConfig, a, b, v_radius: float) -> JigglingOutcome:
     """The pipeline behind :func:`jiggle_relative`; with A and B empty it is
     :func:`jiggle_euclidean`."""
-    fmap = _as_input_map(f, complex_)
-    if fmap.target_dim != xi.ambient_dim:
-        raise AmbientMismatch(
-            f"map images live in R^{fmap.target_dim}, xi in "
-            f"R^{xi.ambient_dim}"
-        )
+    fmap = _as_input_map(f, complex_, xi)
     native = _is_native(fmap, complex_)
     a_faces = _subcomplex_faces(complex_, a)
     b_faces = _subcomplex_faces(complex_, b)
@@ -461,12 +441,10 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
         for s in star(complex_, list(a_faces)):
             if len(s) < 2:
                 continue
-            coords = images_k[list(s)]
-            for x in probe_points(coords, xi, cfg.sample_depth):
-                if not stratified_transverse(coords, xi.plane_at(x)):
-                    raise PreconditionViolated(
-                        f"star simplex {s} of A is not stratified transverse"
-                    )
+            if not general_position(images_k[list(s)], xi, cfg.sample_depth)[0]:
+                raise PreconditionViolated(
+                    f"star simplex {s} of A is not stratified transverse"
+                )
 
     if cfg.level == "auto":
         level = auto_level(fmap, complex_, xi, cfg.gamma, cfg.margin_floor,
@@ -681,13 +659,11 @@ def jiggle_subdivision(complex_: SimplicialComplex,
         raise VolumeMismatch("refinement does not subdivide the complex")
 
     for top, dist in per_top.items():
-        coords = complex_.coords(top)
-        for x in probe_points(coords, dist, cfg.sample_depth):
-            if not stratified_transverse(coords, dist.plane_at(x)):
-                raise PreconditionViolated(
-                    f"top simplex {top} is not stratified transverse to its "
-                    "plane field"
-                )
+        if not general_position(complex_.coords(top), dist, cfg.sample_depth)[0]:
+            raise PreconditionViolated(
+                f"top simplex {top} is not stratified transverse to its "
+                "plane field"
+            )
 
     carrier_k = [_locate_in_parent(complex_, p) for p in refinement.vertices]
     level = 1 if cfg.level == "auto" else cfg.level
@@ -744,6 +720,7 @@ def jiggle_subdivision(complex_: SimplicialComplex,
         return affine_span(complex_.vertices[list(carrier)])
 
     eps_cache: dict[int, float] = {}
+    rmin_cache: dict[tuple[int, ...], float] = {}
     out_tops = set(out.top_simplices)
 
     def epsilon_for(vid):
@@ -758,7 +735,9 @@ def jiggle_subdivision(complex_: SimplicialComplex,
             room = np.inf
             for s in out._incident(vid):
                 if s in out_tops:
-                    room = min(room, shape_stats(out.coords(s)).rmin)
+                    if s not in rmin_cache:
+                        rmin_cache[s] = shape_stats(out.coords(s)).rmin
+                    room = min(room, rmin_cache[s])
             eps_cache[vid] = 0.9 * min(wall, 0.25 * room)
         return eps_cache[vid]
 

@@ -12,6 +12,7 @@ final ball is nested in all earlier ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -176,14 +177,33 @@ def avoid_flats(p, epsilon: float, flats, quotients=None,
 # the dimension induction
 # ---------------------------------------------------------------------------
 
-def _face_rows(simplex: np.ndarray, d: int):
-    """All d-dimensional faces of a simplex array, as (row indices, rows)."""
-    from itertools import combinations
-    n = simplex.shape[0]
-    if d + 1 > n:
-        return
-    for idx in combinations(range(n), d + 1):
-        yield idx, simplex[list(idx)]
+def join_margins(point, stars, star_folis, folis) -> list:
+    """Semitransversality margin of every join of ``point`` with a face of a
+    star simplex, as ``(u, si, idx, m)``.
+
+    ``u`` indexes ``folis``, ``si`` the star simplex, ``idx`` the face's rows
+    in it; only joins of dimension <= n-k of foliation ``u`` are listed.  A
+    base face that is not transverse scores zero.  Faces shared by several
+    star simplices are evaluated once per foliation.
+    """
+    cache: dict[tuple[int, bytes], float] = {}
+    out = []
+    for u, v in enumerate(folis):
+        cap = v.ambient_dim - v.rank
+        for si, (s, us) in enumerate(zip(stars, star_folis)):
+            if u not in us:
+                continue
+            for d in range(1, min(cap, s.shape[0]) + 1):
+                for idx in combinations(range(s.shape[0]), d):
+                    face = s[list(idx)]
+                    key = (u, face.tobytes())
+                    if key not in cache:
+                        try:
+                            cache[key] = float(semitrans_margin(point, face, v))
+                        except PreconditionViolated:
+                            cache[key] = 0.0
+                    out.append((u, si, idx, cache[key]))
+    return out
 
 
 def perturb_vertex(req: PerturbationRequest) -> PerturbationResult:
@@ -204,16 +224,9 @@ def perturb_vertex(req: PerturbationRequest) -> PerturbationResult:
     if len(star_folis) != len(stars):
         raise PreconditionViolated("star_foliations must parallel star_simplices")
 
-    by_foliation: dict[int, list[tuple[int, np.ndarray]]] = {
-        u: [] for u in range(len(folis))
-    }
-    for si, (s, us) in enumerate(zip(stars, star_folis)):
-        for u in us:
-            by_foliation[u].append((si, s))
-
     for u, v in enumerate(folis):
-        for _, s in by_foliation[u]:
-            if not simplex_transverse(s, v):
+        for s, us in zip(stars, star_folis):
+            if u in us and not simplex_transverse(s, v):
                 raise StarNotTransverse(
                     f"a star simplex of dim {s.shape[0] - 1} is not transverse "
                     f"to foliation {u}"
@@ -245,8 +258,11 @@ def perturb_vertex(req: PerturbationRequest) -> PerturbationResult:
         for u, v in enumerate(folis):
             if d > v.ambient_dim - v.rank:
                 continue
-            for _, s in by_foliation[u]:
-                for _, face in _face_rows(s, d - 1):
+            for s, us in zip(stars, star_folis):
+                if u not in us:
+                    continue
+                for idx in combinations(range(s.shape[0]), d):
+                    face = s[list(idx)]
                     rounded = np.round(face, 12)
                     ordered = rounded[np.lexsort(rounded.T[::-1])]
                     key = (u, ordered.tobytes())
@@ -270,21 +286,10 @@ def perturb_vertex(req: PerturbationRequest) -> PerturbationResult:
     delta = min(delta, req.epsilon - moved)
     delta = max(delta, 0.0)
 
-    certificate = []
-    for u, v in enumerate(folis):
-        cap = v.ambient_dim - v.rank
-        for si, s in by_foliation[u]:
-            for d in range(1, min(cap, s.shape[0]) + 1):
-                for idx, face in _face_rows(s, d - 1):
-                    try:
-                        m = float(semitrans_margin(current, face, v))
-                    except PreconditionViolated:
-                        m = 0.0
-                    certificate.append((u, si, idx, m))
     return PerturbationResult(
         point=current,
         achieved_delta=float(delta),
         moved=moved,
         per_dimension_margins=per_dim,
-        certificate=certificate,
+        certificate=join_margins(current, stars, star_folis, folis),
     )

@@ -93,21 +93,41 @@ class SampledMap:
     def __init__(self, domain: SimplicialComplex, evaluator, jacobian=None,
                  name: str = ""):
         self.domain = domain
-        self.target_dim = None
         self.name = name
         self._eval = evaluator
         self._jac = jacobian
-        probe = self.evaluate_batch(domain.vertices[:1])
-        self.target_dim = probe.shape[1]
+        corners = domain.coords(domain.top_simplices[0])
+        probes = np.vstack([corners, corners.mean(axis=0)])
+        self._vectorized = self._maps_rows(probes)
+        self.target_dim = self.evaluate_batch(probes[:1]).shape[1]
+
+    def _maps_rows(self, probes: np.ndarray) -> bool:
+        """Whether the evaluator maps a batch of points row by row.
+
+        Decided once, by one batch call against per-point calls on the same
+        probes: a point evaluator handed a batch may raise, or may return an
+        array of the batch's shape whose values are wrong (it indexes rows
+        where it means coordinates).  Per-point calls that raise or return
+        another shape mark an evaluator that only takes batches.
+        """
+        try:
+            batch = np.asarray(self._eval(probes), dtype=float)
+        except (TypeError, ValueError, IndexError):
+            return False
+        if batch.ndim != 2 or batch.shape[0] != probes.shape[0]:
+            return False
+        try:
+            rows = np.array([np.atleast_1d(self._eval(p)) for p in probes],
+                            dtype=float)
+        except (TypeError, ValueError, IndexError):
+            return True
+        return rows.shape != batch.shape or \
+            np.allclose(rows, batch, rtol=1e-9, atol=1e-12)
 
     def evaluate_batch(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        try:
-            out = np.asarray(self._eval(pts), dtype=float)
-            if out.shape[0] == pts.shape[0] and out.ndim == 2:
-                return out
-        except Exception:
-            pass
+        if self._vectorized:
+            return np.asarray(self._eval(pts), dtype=float)
         return np.array([np.atleast_1d(self._eval(p)) for p in pts], dtype=float)
 
     def evaluate(self, point, hint=None):

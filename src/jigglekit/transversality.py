@@ -23,6 +23,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .grassmann import (
+    RANK_REL_TOL,
     AffineFlat,
     Plane,
     affine_span,
@@ -149,6 +150,17 @@ def simplex_transverse(coords: np.ndarray, v: Plane, tol: float = 1e-9) -> bool:
     )
 
 
+def _face_margin(face: np.ndarray, v: Plane, tol: float) -> float | None:
+    """The eps margin of a simplex of dimension 1..n-k, or None if it is not
+    transverse to V; the simplex plane is built once for both answers."""
+    gr = simplex_plane(face)
+    if not is_transverse_planes(gr, v, tol):
+        return None
+    rejected = gr.basis - (gr.basis @ v.basis.T) @ v.basis
+    s = np.linalg.svd(rejected, compute_uv=False)
+    return float(s[-1])
+
+
 def eps_margin(coords: np.ndarray, v: Plane) -> float:
     """Certified radius of transversality in the d_proj metric.
 
@@ -166,12 +178,10 @@ def eps_margin(coords: np.ndarray, v: Plane) -> float:
         raise PreconditionViolated(
             "eps_margin expects dim <= n-k; use faces for larger simplices"
         )
-    gr = simplex_plane(pts)
-    if not is_transverse_planes(gr, v):
+    margin = _face_margin(pts, v, RANK_REL_TOL)
+    if margin is None:
         raise NotTransverse("simplex plane is not transverse to V")
-    rejected = gr.basis - (gr.basis @ v.basis.T) @ v.basis
-    s = np.linalg.svd(rejected, compute_uv=False)
-    return float(s[-1])
+    return margin
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +271,7 @@ def semitrans_margin(p, coords, v: Plane) -> float:
 
 def stratified_transverse(coords: np.ndarray, v: Plane, tol: float = 1e-9) -> bool:
     """All faces of the simplex are transverse to F(V)."""
-    pts = np.asarray(coords, dtype=float)
-    for d in range(1, pts.shape[0]):
-        for face in _faces_of_dim(pts.shape[0], d):
-            if not simplex_transverse(pts[list(face)], v, tol):
-                return False
-    return True
+    return general_position(coords, Distribution.constant(v), tol=tol)[0]
 
 
 def general_position(coords: np.ndarray, xi: Distribution,
@@ -274,24 +279,28 @@ def general_position(coords: np.ndarray, xi: Distribution,
                      tol: float = 1e-9):
     """Sampled check of general position of one simplex against xi.
 
-    Every face must be transverse to the frozen plane xi(x) for each sample
-    point x of the simplex (barycentric lattice of the given depth).  Returns
-    ``(ok, margin)`` where margin is the smallest certified eps_margin seen
-    over faces of dimension <= n-k; the check is exact for constant fields
-    and sampled otherwise.
+    Every face must be transverse to the frozen plane xi(x) for each probe
+    point x of the simplex (``probe_points``), that is, the simplex is
+    stratified transverse at every probe.  Only faces of dimension <= n-k are
+    tested: a larger face is transverse exactly when one of its (n-k)-faces
+    is, and for n-k = 0 every simplex of dimension >= 1 fails.  Returns
+    ``(ok, margin)`` where margin is the smallest certified eps_margin of
+    those faces; the check is exact for constant fields and sampled
+    otherwise.
     """
     pts = np.asarray(coords, dtype=float)
     free = xi.ambient_dim - xi.rank
+    if free == 0 and pts.shape[0] > 1:
+        return False, 0.0
     margin = np.inf
     for x in probe_points(pts, xi, sample_depth):
         plane = xi.plane_at(x)
-        for d in range(1, pts.shape[0]):
+        for d in range(1, min(pts.shape[0] - 1, free) + 1):
             for face in _faces_of_dim(pts.shape[0], d):
-                fpts = pts[list(face)]
-                if not simplex_transverse(fpts, plane, tol):
+                m = _face_margin(pts[list(face)], plane, tol)
+                if m is None:
                     return False, 0.0
-                if d <= free:
-                    margin = min(margin, eps_margin(fpts, plane))
+                margin = min(margin, m)
     return True, float(margin)
 
 

@@ -351,6 +351,20 @@ def test_cmd_jiggle_ambient_mismatch_at_auto_level(tmp_path):
         assert not out.exists()
 
 
+def test_cmd_jiggle_rejects_non_finite_config(tmp_path):
+    # a NaN margin floor used to disable the floor silently, and --gamma nan
+    # was blamed on the field
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(scenario_dict(
+        config={"gamma": 0.2, "margin_floor": math.nan})))
+    out = tmp_path / "out.json"
+    assert main(["jiggle", str(scen), str(out)]) == EXIT_VALIDATION
+    scen.write_text(json.dumps(scenario_dict()))
+    assert main(["jiggle", str(scen), "--gamma", "nan",
+                 str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+
+
 def test_cmd_jiggle_seed_flag_beats_env(tmp_path, monkeypatch):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(scenario_dict()))

@@ -14,6 +14,7 @@ from jigglekit.engine import (
     jiggle_tower,
 )
 from jigglekit.errors import (
+    AmbientMismatch,
     BudgetViolation,
     CollarTooSmall,
     LevelExhausted,
@@ -42,6 +43,20 @@ def test_config_validation():
     with pytest.raises(PreconditionViolated):
         JigglingConfig(gamma=0.2, level=-1)
     assert JigglingConfig(gamma=0.2, level="auto").level == "auto"
+
+
+@pytest.mark.parametrize("field", ["gamma", "margin_floor", "epsilon_vertex"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values(field, value):
+    kw = {"gamma": 0.2, field: value}
+    with pytest.raises(PreconditionViolated, match=field):
+        JigglingConfig(**kw)
+
+
+def test_auto_level_checks_the_ambient_dimension_first():
+    sq = unit_square_grid(1)
+    with pytest.raises(AmbientMismatch):
+        auto_level(PLMap.identity(sq), sq, planar_rotor(1e-4), 0.2)
 
 
 def test_grid_auto_run_frozen_outcome():

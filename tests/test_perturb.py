@@ -1,4 +1,4 @@
-import math
+import itertools
 
 import numpy as np
 import pytest
@@ -9,8 +9,10 @@ from jigglekit.perturb import (
     PerturbationRequest,
     PerturbationResult,
     avoid_flats,
+    join_margins,
     perturb_vertex,
 )
+from jigglekit.transversality import semitrans_margin
 
 HORIZONTAL = Plane(np.array([[1.0, 0.0]]))
 VERTICAL = Plane(np.array([[0.0, 1.0]]))
@@ -153,3 +155,35 @@ def test_two_foliations_are_cleared_simultaneously():
     assert abs(d[0]) > 1e-9 and abs(d[1]) > 1e-9
     assert all(m > 0 for *_, m in res.certificate)
     assert len(res.certificate) == 2  # one join edge against two foliations
+
+
+def test_join_margins_lists_every_join_with_its_direct_margin():
+    """Two triangles sharing an edge in R^3 against a rank-1 and a rank-2
+    field; one base edge runs along the rank-1 field and scores zero."""
+    line = Plane(np.array([[0.0, 0.0, 1.0]]))
+    sheet = Plane(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    folis = [line, sheet]
+    a, b = np.array([1.0, 0.2, 0.3]), np.array([0.1, 1.0, 0.7])
+    stars = [np.array([a, b, [0.4, 0.3, 1.2]]),
+             np.array([a, b, [0.9, 0.8, -0.5]]),
+             np.array([[2.0, 0.0, 0.1], [2.0, 0.0, 1.1]])]
+    star_folis = [(0, 1), (0,), (0, 1)]
+    point = np.array([-0.3, -0.2, 0.05])
+    joins = join_margins(point, stars, star_folis, folis)
+    expected = []
+    for u, v in enumerate(folis):
+        cap = v.ambient_dim - v.rank
+        for si, s in enumerate(stars):
+            if u in star_folis[si]:
+                for d in range(1, min(cap, len(s)) + 1):
+                    expected.extend((u, si, idx) for idx in
+                                    itertools.combinations(range(len(s)), d))
+    assert [j[:3] for j in joins] == expected
+    zeros = 0
+    for u, si, idx, m in joins:
+        try:
+            direct = float(semitrans_margin(point, stars[si][list(idx)], folis[u]))
+        except PreconditionViolated:
+            direct, zeros = 0.0, zeros + 1
+        assert m == direct
+    assert zeros == 1

@@ -122,6 +122,21 @@ def test_sampled_map_finite_difference_jacobian():
     np.testing.assert_allclose(jac, [[1.0, 0.0], [0.0, 1.0]], atol=1e-5)
 
 
+def test_sampled_map_batches_agree_with_point_evaluation():
+    """A point evaluator handed a batch of as many points as it has output
+    coordinates returns an array of the right shape and wrong values."""
+    sq = square()
+    point = SampledMap(sq, lambda p: np.array([p[0], p[1] + 0.5 * p[0] ** 2]))
+    rows = SampledMap(
+        sq, lambda P: np.stack([P[:, 0], P[:, 1] + 0.5 * P[:, 0] ** 2], axis=1))
+    pts = np.array([[0.5, 0.0], [0.5, 1.0], [0.2, 0.7]])
+    for m in (1, 2, 3):
+        want = np.array([[x, y + 0.5 * x ** 2] for x, y in pts[:m]])
+        np.testing.assert_allclose(point.evaluate_batch(pts[:m]), want, rtol=1e-12)
+        np.testing.assert_allclose(rows.evaluate_batch(pts[:m]), want, rtol=1e-12)
+    assert point.target_dim == rows.target_dim == 2
+
+
 def test_complex_subdivides_accepts_refinements_only():
     sq = square()
     child, _ = crystalline_subdivide(sq, 2)

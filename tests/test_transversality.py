@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from jigglekit.transversality import (
     general_position,
     join_transverse_by_projection,
     oscillation,
+    probe_points,
     semitrans_margin,
     simplex_transverse,
     stratified_transverse,
@@ -233,3 +235,67 @@ def test_eps_margin_rotation_invariance(theta, rot):
     seg_r = seg @ R.T
     v_r = Plane((v.basis @ R.T))
     assert eps_margin(seg_r, v_r) == pytest.approx(eps_margin(seg, v), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the n-k cutoff against the all-faces loop
+# ---------------------------------------------------------------------------
+
+def reference_stratified(pts, v, tol=1e-9):
+    """Every face of every dimension tested, as before the n-k cutoff."""
+    return all(simplex_transverse(pts[list(face)], v, tol)
+               for d in range(1, pts.shape[0])
+               for face in itertools.combinations(range(pts.shape[0]), d + 1))
+
+
+def reference_general_position(pts, xi, sample_depth=3, tol=1e-9):
+    """The all-faces loop of general position, margins over faces <= n-k."""
+    free = xi.ambient_dim - xi.rank
+    margin = np.inf
+    for x in probe_points(pts, xi, sample_depth):
+        plane = xi.plane_at(x)
+        for d in range(1, pts.shape[0]):
+            for face in itertools.combinations(range(pts.shape[0]), d + 1):
+                fpts = pts[list(face)]
+                if not simplex_transverse(fpts, plane, tol):
+                    return False, 0.0
+                if d <= free:
+                    margin = min(margin, eps_margin(fpts, plane))
+    return True, float(margin)
+
+
+def _random_field(rng, n, k, varying):
+    base = random_plane(rng, n, k)
+    if not varying:
+        return Distribution.constant(base)
+    tilt = 0.4 * rng.standard_normal((k, n))
+    return Distribution(
+        n, k, "builtin",
+        lambda p: plane_from_spanning(base.basis + np.sin(p.sum()) * tilt))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 3), st.data())
+def test_cutoff_at_n_minus_k_matches_all_faces(n, data):
+    k = data.draw(st.integers(1, n), label="rank")
+    m = data.draw(st.integers(1, n), label="simplex dim")
+    varying = data.draw(st.booleans(), label="varying")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    xi = _random_field(rng, n, k, varying)
+    pts = rng.standard_normal((m + 1, n))
+    if data.draw(st.booleans(), label="edge along the field"):
+        # an edge inside the plane at the first vertex: no longer transverse
+        v0 = xi.plane_at(pts[0])
+        pts[1] = pts[0] + v0.basis[0]
+    assert general_position(pts, xi) == reference_general_position(pts, xi)
+    v = xi.plane_at(pts[0])
+    assert stratified_transverse(pts, v) == reference_stratified(pts, v)
+
+
+def test_rank_n_field_fails_every_positive_dimension():
+    xi = Distribution.constant(Plane(np.eye(2)))
+    assert general_position(np.array([[0.0, 0.0]]), xi) == (True, np.inf)
+    for pts in (segment(0.5), np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 1.0]])):
+        assert general_position(pts, xi) == (False, 0.0)
+        assert not stratified_transverse(pts, xi.plane_at(pts[0]))
