@@ -11,12 +11,13 @@ failure, 3 validation failure, 4 perturbation failure, 5 budget violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import operator
 import os
 import re
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -226,10 +227,7 @@ def sampled_distribution(points, planes, name: str = "samples") -> Distribution:
     def at(p):
         return table[int(np.argmin(np.linalg.norm(pts - p, axis=1)))]
 
-    dist = Distribution(pts.shape[1], table[0].rank, "sampled", at, name=name)
-    dist.sample_sites = pts
-    dist.sample_planes = table
-    return dist
+    return Distribution(pts.shape[1], table[0].rank, "sampled", at, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +261,31 @@ def _expect(obj, key, kinds):
     return val
 
 
+@contextlib.contextmanager
+def _parsing(what: str):
+    """Report outside input that Python or numpy cannot convert as a
+    schema error."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise _Schema(f"bad {what}: {exc}") from exc
+
+
+def _floats(raw, what: str) -> np.ndarray:
+    """A list of rows of finite numbers, as a float matrix."""
+    with _parsing(what):
+        arr = np.asarray(raw, dtype=float)
+    if arr.ndim != 2 or not np.isfinite(arr).all():
+        raise _Schema(f"{what} must be a list of rows of finite numbers")
+    return arr
+
+
+def _id_tuples(raw, what: str) -> list[tuple[int, ...]]:
+    """A list of vertex-id lists, as tuples of ints."""
+    with _parsing(what):
+        return [tuple(operator.index(v) for v in s) for s in raw]
+
+
 def complex_to_dict(complex_: SimplicialComplex) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -275,51 +298,33 @@ def complex_to_dict(complex_: SimplicialComplex) -> dict:
 
 def complex_from_dict(obj: dict) -> SimplicialComplex:
     dim = _expect(obj, "ambient_dim", int)
-    verts = _expect(obj, "vertices", list)
-    tops = _expect(obj, "top_simplices", list)
-    return build_complex(dim, verts, [tuple(s) for s in tops])
+    verts = _floats(_expect(obj, "vertices", list), "vertices")
+    tops = _id_tuples(_expect(obj, "top_simplices", list), "top_simplices")
+    return build_complex(dim, verts, tops)
 
 
 def plmap_from_dict(obj: dict) -> PLMap:
+    images = _floats(_expect(obj, "images", list), "images")
     # outcome bundles carry their map as out_complex + images; accept them
     # directly so `jiggle` output feeds straight into `verify --map`
     if obj.get("kind") == "outcome":
         domain = complex_from_dict(_expect(obj, "out_complex", dict))
     else:
         domain = complex_from_dict(_expect(obj, "domain", dict))
-    images = np.asarray(_expect(obj, "images", list), dtype=float)
     return PLMap(domain, images)
-
-
-def distribution_to_dict(xi: Distribution) -> dict:
-    out = {"schema_version": SCHEMA_VERSION, "kind": "distribution"}
-    if xi.kind == "constant":
-        out["type"] = "constant"
-        out["basis"] = [list(map(float, row))
-                        for row in xi.plane_at(np.zeros(xi.ambient_dim)).basis]
-    elif xi.kind == "builtin":
-        out["type"] = "builtin"
-        out["name"] = xi.name
-    elif xi.kind == "sampled" and hasattr(xi, "sample_sites"):
-        out["type"] = "samples"
-        out["points"] = [list(map(float, p)) for p in xi.sample_sites]
-        out["planes"] = [[list(map(float, row)) for row in p.basis]
-                         for p in xi.sample_planes]
-    else:
-        raise PreconditionViolated(f"distribution {xi!r} is not serializable")
-    return out
 
 
 def distribution_from_dict(obj: dict) -> Distribution:
     typ = _expect(obj, "type", str)
     if typ == "constant":
-        basis = np.asarray(_expect(obj, "basis", list), dtype=float)
-        return Distribution.constant(Plane(basis))
+        return Distribution.constant(
+            Plane(_floats(_expect(obj, "basis", list), "basis")))
     if typ == "builtin":
         return builtin_distribution(_expect(obj, "name", str))
     if typ == "samples":
-        return sampled_distribution(_expect(obj, "points", list),
-                                    _expect(obj, "planes", list))
+        return sampled_distribution(
+            _floats(_expect(obj, "points", list), "points"),
+            [_floats(p, "planes") for p in _expect(obj, "planes", list)])
     raise _Schema(f"unknown distribution type {typ!r}")
 
 
@@ -335,17 +340,6 @@ def subdivision_to_dict(smap: SubdivisionMap) -> dict:
     }
 
 
-def subdivision_from_dict(obj: dict, parent: SimplicialComplex,
-                          child: SimplicialComplex) -> SubdivisionMap:
-    raw = _expect(obj, "vertex_support", dict)
-    support = {
-        int(vid): tuple((int(gid), Fraction(num, den))
-                        for gid, (num, den) in entries)
-        for vid, entries in raw.items()
-    }
-    return SubdivisionMap(parent=parent, child=child, vertex_support=support)
-
-
 def config_from_dict(obj: dict) -> JigglingConfig:
     allowed = {"gamma", "level", "seed", "margin_floor", "epsilon_vertex",
                "samples", "sample_depth", "level_max"}
@@ -354,7 +348,8 @@ def config_from_dict(obj: dict) -> JigglingConfig:
         raise _Schema(f"unknown config fields {sorted(unknown)}")
     if "gamma" not in obj:
         raise _Schema("config needs a gamma")
-    return JigglingConfig(**obj)
+    with _parsing("config"):
+        return JigglingConfig(**obj)
 
 
 def outcome_to_dict(out: JigglingOutcome, mode: str) -> dict:
@@ -399,18 +394,19 @@ def load_scenario(obj: dict) -> dict:
     dist = distribution_from_dict(_expect(obj, "distribution", dict))
     config = config_from_dict(_expect(obj, "config", dict))
     out = {"complex": complex_, "distribution": dist, "config": config}
-    out["map"] = (plmap_from_dict(obj["map"]) if "map" in obj
+    out["map"] = (plmap_from_dict(_expect(obj, "map", dict)) if "map" in obj
                   else PLMap.identity(complex_))
     if "refinement" in obj:
         out["refinement"] = resolve_complex_ref(obj["refinement"])
-    if "a" in obj:
-        out["a"] = [tuple(s) for s in obj["a"]]
-    if "b" in obj:
-        out["b"] = [tuple(s) for s in obj["b"]]
+    for key in ("a", "b"):
+        if key in obj:
+            out[key] = _id_tuples(obj[key], key)
     if "v_radius" in obj:
-        out["v_radius"] = float(obj["v_radius"])
+        with _parsing("v_radius"):
+            out["v_radius"] = float(obj["v_radius"])
     if "levels" in obj:
-        out["levels"] = [int(l) for l in obj["levels"]]
+        with _parsing("levels"):
+            out["levels"] = [operator.index(lv) for lv in obj["levels"]]
     return out
 
 
@@ -544,7 +540,8 @@ def cmd_jiggle(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     elif env_seed:
-        overrides["seed"] = int(env_seed)
+        with _parsing("JIGGLEKIT_SEED"):
+            overrides["seed"] = int(env_seed)
     cfg = JigglingConfig(**{**scenario["config"].to_json(), **overrides})
     complex_ = scenario["complex"]
     dist = scenario["distribution"]
@@ -623,12 +620,11 @@ def cmd_render(args) -> int:
     xi = _read_distribution_arg(args.distribution) if args.distribution else None
     failing = []
     if args.report:
-        payload = load_json(args.report)
-        for rec in payload.get("records", []):
-            bad = rec.get("transverse") is False or \
-                rec.get("general_position") is False
-            if bad:
-                failing.append(tuple(rec["simplex"]))
+        for rec in _expect(load_json(args.report), "records", list):
+            simplex = tuple(_expect(rec, "simplex", list))
+            if rec.get("transverse") is False or \
+                    rec.get("general_position") is False:
+                failing.append(simplex)
     elif xi is not None:
         pts = images if images is not None else complex_.vertices
         for top in complex_.top_simplices:
@@ -699,7 +695,7 @@ def main(argv=None) -> int:
         print(f"parse error: {exc.msg} at line {exc.lineno} column {exc.colno}",
               file=sys.stderr)
         return EXIT_PARSE
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetViolation as exc:
@@ -710,9 +706,6 @@ def main(argv=None) -> int:
         print(f"jiggling failed: {exc}", file=sys.stderr)
         return EXIT_PERTURBATION
     except JiggleKitError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (KeyError, TypeError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -26,6 +26,7 @@ from .errors import (
     DegenerateSimplex,
     DomainMismatch,
     FaceIntersectionViolation,
+    PreconditionViolated,
     QueryNotInComplex,
 )
 
@@ -512,16 +513,6 @@ def star(complex_: SimplicialComplex, query, times: int = 1) -> tuple[tuple[int,
     return tuple(sorted(current, key=lambda s: (len(s), s)))
 
 
-def ring(complex_: SimplicialComplex, query) -> tuple[tuple[int, ...], ...]:
-    """Closure of the star members that do not touch the query's vertices."""
-    st = star(complex_, query)
-    qverts = {v for s in _as_simplex_list(complex_, query) for v in s}
-    outer = [s for s in st if not qverts.intersection(s)]
-    if not outer:
-        return ()
-    return closure(complex_, outer)
-
-
 def link(complex_: SimplicialComplex, vertex: int) -> tuple[tuple[int, ...], ...]:
     """Simplices s with vertex not in s and s + vertex in the complex."""
     v = int(vertex)
@@ -559,42 +550,6 @@ class SubdivisionMap:
     parent: SimplicialComplex
     child: SimplicialComplex
     vertex_support: dict[int, Support]
-
-    def carrier_face(self, child_simplex) -> tuple[int, ...]:
-        gids: set[int] = set()
-        for v in child_simplex:
-            gids.update(g for g, _ in self.vertex_support[int(v)])
-        return tuple(sorted(gids))
-
-    def children_by_parent_top(self) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {
-            t: [] for t in self.parent.top_simplices
-        }
-        carrier_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for cell in self.child.top_simplices:
-            carrier = self.carrier_face(cell)
-            if carrier in groups:
-                groups[carrier].append(cell)
-                continue
-            # carrier is a proper face: attach to the first parent top holding it
-            if carrier not in carrier_cache:
-                for t in self.parent.top_simplices:
-                    if set(carrier) <= set(t):
-                        carrier_cache[carrier] = t
-                        break
-            groups[carrier_cache[carrier]].append(cell)
-        return groups
-
-    def volume_defect(self) -> float:
-        """Largest relative defect between a parent volume and the sum of its
-        children's volumes."""
-        worst = 0.0
-        for parent_top, cells in self.children_by_parent_top().items():
-            pv = simplex_volume(self.parent.coords(parent_top))
-            cv = sum(simplex_volume(self.child.coords(c)) for c in cells)
-            if pv > 0:
-                worst = max(worst, abs(pv - cv) / pv)
-        return worst
 
 
 class _VertexInterner:
@@ -674,7 +629,7 @@ def crystalline_subdivide(complex_: SimplicialComplex, levels: int):
     Returns ``(child_complex, SubdivisionMap)``.
     """
     if levels < 0:
-        raise ValueError("levels must be >= 0")
+        raise PreconditionViolated("levels must be >= 0")
     if levels == 0:
         return complex_, _identity_subdivision(complex_)
     scale = 2 ** levels
@@ -741,7 +696,7 @@ def barycentric_subdivide(complex_: SimplicialComplex):
 
 
 # ---------------------------------------------------------------------------
-# model classes, niceness, summaries
+# model classes and shape summaries
 # ---------------------------------------------------------------------------
 
 def model_classes(complex_: SimplicialComplex, levels: int,
@@ -770,23 +725,6 @@ def model_classes(complex_: SimplicialComplex, levels: int,
         )
         classes[key] = classes.get(key, 0) + 1
     return classes
-
-
-def is_nice(complex_: SimplicialComplex, subcomplex) -> bool:
-    """True when every star simplex meets the subcomplex in a single face.
-
-    ``subcomplex`` is a list of simplices of ``complex_`` (face closure is
-    taken automatically).
-    """
-    sub = set(closure(complex_, subcomplex))
-    sub_vertices = {s[0] for s in sub if len(s) == 1}
-    for s in star(complex_, sorted(sub)):
-        shared = tuple(sorted(set(s) & sub_vertices))
-        if not shared:
-            continue
-        if shared not in sub:
-            return False
-    return True
 
 
 def complex_shape_extremes(complex_: SimplicialComplex) -> dict[str, float]:

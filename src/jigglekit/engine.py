@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ from .complexes import (
     SubdivisionMap,
     barycentric_coordinates,
     barycentric_subdivide,
+    closure,
     compose_subdivisions,
     crystalline_subdivide,
     point_to_affine_span,
@@ -49,9 +51,12 @@ from .perturb import PerturbationRequest, join_margins, perturb_vertex
 from .plmaps import (
     PLMap,
     SampledMap,
+    _is_native,
+    _same_complex,
     complex_subdivides,
     distance,
     is_piecewise_embedding,
+    linearize,
 )
 from .transversality import (
     Distribution,
@@ -103,10 +108,15 @@ class JigglingConfig:
             raise PreconditionViolated("gamma must be nonnegative")
         if self.margin_floor <= 0:
             raise PreconditionViolated("margin_floor must be positive")
-        if self.level != "auto":
-            self.level = int(self.level)
-            if self.level < 0:
-                raise PreconditionViolated("level must be nonnegative")
+        counts = ("seed", "samples", "sample_depth", "level_max")
+        for name in counts if self.level == "auto" else ("level", *counts):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise PreconditionViolated(
+                    f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
+        if self.level != "auto" and self.level < 0:
+            raise PreconditionViolated("level must be nonnegative")
         if self.level_max < 0 or self.samples < 1 or self.sample_depth < 1:
             raise PreconditionViolated("bad search budget in config")
 
@@ -143,19 +153,6 @@ class JigglingOutcome:
 # input normalization and linearization
 # ---------------------------------------------------------------------------
 
-def _same_complex(a: SimplicialComplex, b: SimplicialComplex) -> bool:
-    if a is b:
-        return True
-    return (a.num_vertices == b.num_vertices
-            and a.top_simplices == b.top_simplices
-            and np.array_equal(a.vertices, b.vertices))
-
-
-def _is_native(fmap, complex_: SimplicialComplex) -> bool:
-    """A PLMap on the complex itself, whose stored images are exact."""
-    return isinstance(fmap, PLMap) and _same_complex(fmap.domain, complex_)
-
-
 def _as_input_map(f, complex_: SimplicialComplex, xi: Distribution):
     """f as a PLMap or SampledMap whose images live where xi does."""
     if isinstance(f, (PLMap, SampledMap)):
@@ -172,33 +169,18 @@ def _as_input_map(f, complex_: SimplicialComplex, xi: Distribution):
     return fmap
 
 
-def _evaluate(fmap, points: np.ndarray) -> np.ndarray:
-    if isinstance(fmap, SampledMap):
-        return fmap.evaluate_batch(points)
-    return np.array([fmap.evaluate(p) for p in points])
-
-
 def _linearize_exactly(fmap, complex_: SimplicialComplex, level: int):
     """The level-``level`` linearization plus its C0/C1 defect against f.
 
-    A PLMap input defined on the complex itself linearizes to itself: child
-    vertex images are the exact barycentric combinations of the stored
-    images, so both defects are reported as zero (vertex roundoff is below
-    every tolerance in play and the maps agree as functions).
+    Both defects are zero for a PLMap on the complex itself: ``linearize``
+    interpolates it by exact vertex supports, so the maps agree as functions
+    (vertex roundoff is below every tolerance in play).
     """
-    child, smap = crystalline_subdivide(complex_, level)
+    flin, child, smap = linearize(fmap, complex_, level)
     if _is_native(fmap, complex_):
-        images = np.zeros((child.num_vertices, fmap.images.shape[1]))
-        for vid in range(child.num_vertices):
-            acc = np.zeros(fmap.images.shape[1])
-            for gid, frac in smap.vertex_support[vid]:
-                acc = acc + float(frac) * fmap.images[gid]
-            images[vid] = acc
-        return PLMap(child, images), child, smap, 0.0, 0.0
-    flin = PLMap(child, _evaluate(fmap, child.vertices))
-    e0 = distance(fmap, flin, order=0)
-    e1 = distance(fmap, flin, order=1)
-    return flin, child, smap, e0, e1
+        return flin, child, smap, 0.0, 0.0
+    return (flin, child, smap, distance(fmap, flin, order=0),
+            distance(fmap, flin, order=1))
 
 
 def _jacobian_amplification(child: SimplicialComplex) -> float:
@@ -278,10 +260,7 @@ def _edge_oscillation(fmap, complex_: SimplicialComplex, images0: np.ndarray,
         steps = min(OSC_PROBE_CAP, max(1, math.ceil(length / radius)))
         ts = np.linspace(0.0, 1.0, steps + 1)
         pts = dom[i] + np.outer(ts, dom[j] - dom[i])
-        if isinstance(fmap, SampledMap):
-            ipts = fmap.evaluate_batch(pts)
-        else:
-            ipts = np.array([fmap.evaluate(p, hint=tuple(top)) for p in pts])
+        ipts = fmap.evaluate_batch(pts, hint=tuple(top))
         planes = [xi.plane_at(q) for q in ipts]
         for a, b in zip(planes, planes[1:]):
             worst = max(worst, d_proj(a, b))
@@ -300,7 +279,7 @@ def auto_level(f, complex_: SimplicialComplex, xi: Distribution, gamma: float,
     """
     fmap = _as_input_map(f, complex_, xi)
     exact = _is_native(fmap, complex_)
-    images0 = fmap.images if exact else _evaluate(fmap, complex_.vertices)
+    images0 = fmap.images if exact else fmap.evaluate_batch(complex_.vertices)
     _, rmax0 = _image_radii(complex_, images0)
     if rmax0 == 0.0:
         return 0
@@ -416,28 +395,17 @@ def _run_vertex_induction(child, images, unperturbed, frozen, order,
 # Euclidean and relative pipelines
 # ---------------------------------------------------------------------------
 
-def _subcomplex_faces(complex_: SimplicialComplex, simplices) -> set:
-    faces: set = set()
-    for s in simplices:
-        t = tuple(sorted(int(v) for v in s))
-        if t not in complex_._membership:
-            raise QueryNotInComplex(f"{t} is not a simplex of the complex")
-        for r in range(1, len(t) + 1):
-            faces.update(itertools.combinations(t, r))
-    return faces
-
-
 def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
             cfg: JigglingConfig, a, b, v_radius: float) -> JigglingOutcome:
     """The pipeline behind :func:`jiggle_relative`; with A and B empty it is
     :func:`jiggle_euclidean`."""
     fmap = _as_input_map(f, complex_, xi)
     native = _is_native(fmap, complex_)
-    a_faces = _subcomplex_faces(complex_, a)
-    b_faces = _subcomplex_faces(complex_, b)
+    a_faces = set(closure(complex_, a))
+    b_faces = set(closure(complex_, b))
 
     if a_faces:
-        images_k = fmap.images if native else _evaluate(fmap, complex_.vertices)
+        images_k = fmap.images if native else fmap.evaluate_batch(complex_.vertices)
         for s in star(complex_, list(a_faces)):
             if len(s) < 2:
                 continue
@@ -763,7 +731,7 @@ def jiggle_subdivision(complex_: SimplicialComplex,
         gids = set()
         for v in cell:
             gids.update(carriers[v])
-        matches = [t for t in complex_.top_simplices if gids <= set(t)]
+        matches = parent_tops(tuple(sorted(gids)))
         if not matches:
             raise VolumeMismatch(f"cell {cell} has no parent top simplex")
         cell_parent[cell] = matches[0]

@@ -29,10 +29,6 @@ class RankDeficient(JiggleKitError):
     """A spanning set was linearly dependent beyond tolerance."""
 
 
-class OutsideChart(JiggleKitError):
-    """A plane does not project bijectively onto the chart center."""
-
-
 class DomainMismatch(JiggleKitError):
     """Two maps do not share a common refinement we know how to build."""
 

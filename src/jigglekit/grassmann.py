@@ -1,16 +1,15 @@
-"""Linear planes in R^n, the projector metric, and graph charts.
+"""Linear planes in R^n and the projector metric.
 
 A :class:`Plane` is a linear subspace held as an orthonormal basis (rows).
 Distances between planes use the operator norm of the difference of the
-orthogonal projectors (``d_proj``); around a fixed center one can instead
-compare the graph matrices of nearby planes (``chart_metric``).
+orthogonal projectors (``d_proj``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import AmbientMismatch, OutsideChart, RankDeficient
+from .errors import AmbientMismatch, RankDeficient
 
 RANK_REL_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-10
@@ -139,34 +138,6 @@ def d_proj(v: Plane, w: Plane) -> float:
         )
     diff = v.projector - w.projector
     return float(np.linalg.norm(diff, 2))
-
-
-def chart_metric(v_center: Plane, w1: Plane, w2: Plane,
-                 tol: float = RANK_REL_TOL) -> float:
-    """Distance between two planes seen as graphs over ``v_center``.
-
-    A plane W in the chart of V is the graph of a linear map T : V -> V_perp;
-    the chart metric is the operator norm of T_1 - T_2.
-    """
-    _check_ambient(v_center, w1)
-    _check_ambient(v_center, w2)
-    return float(np.linalg.norm(_graph_matrix(v_center, w1, tol)
-                                - _graph_matrix(v_center, w2, tol), 2))
-
-
-def _graph_matrix(v: Plane, w: Plane, tol: float) -> np.ndarray:
-    """The matrix of T : V -> V_perp whose graph is W; OutsideChart if none."""
-    if w.rank != v.rank:
-        raise OutsideChart("plane rank differs from the chart center's")
-    comp = v.complement()
-    m = w.basis @ v.basis.T        # k x k, components along V
-    nmat = w.basis @ comp.T        # k x (n-k), components along V_perp
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0:
-        return np.zeros((comp.shape[0], v.rank))
-    if s[-1] <= tol * max(s[0], 1.0):
-        raise OutsideChart("plane does not project bijectively onto the center")
-    return np.linalg.solve(m, nmat).T
 
 
 def project_along(v: Plane, points) -> np.ndarray:

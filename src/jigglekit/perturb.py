@@ -25,6 +25,7 @@ from .grassmann import (
     AffineFlat,
     Plane,
     affine_span,
+    is_transverse_planes,
     plane_from_spanning,
     point_flat_distance,
     project_along,
@@ -65,11 +66,6 @@ class PerturbationResult:
     moved: float
     per_dimension_margins: dict
     certificate: list
-
-    def min_certificate_margin(self) -> float:
-        if not self.certificate:
-            return np.inf
-        return min(m for *_, m in self.certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +228,7 @@ def perturb_vertex(req: PerturbationRequest) -> PerturbationResult:
                     f"to foliation {u}"
                 )
         if req.constraint_flat is not None and req.constraint_flat.direction is not None:
-            h = req.constraint_flat.direction
-            stacked = np.vstack([h.basis, v.basis])
-            sv = np.linalg.svd(stacked, compute_uv=False)
-            rank = int(np.sum(sv > 1e-9 * sv[0]))
-            if rank != min(h.rank + v.rank, v.ambient_dim):
+            if not is_transverse_planes(req.constraint_flat.direction, v):
                 raise PreconditionViolated(
                     f"constraint flat is not transverse to foliation {u}"
                 )

@@ -9,8 +9,6 @@ zero, sup-distance plus Jacobian operator-norm distance for order one.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .complexes import (
@@ -21,12 +19,7 @@ from .complexes import (
     shape_stats,
     simplex_volume,
 )
-from .errors import (
-    CollarTooSmall,
-    DegenerateSimplex,
-    DomainMismatch,
-    QueryNotInComplex,
-)
+from .errors import DegenerateSimplex, DomainMismatch
 from .transversality import barycentric_lattice
 
 FD_STEP_FACTOR = 1e-6
@@ -77,9 +70,26 @@ class PLMap:
         b, _ = barycentric_coordinates(self.domain.coords(simplex), p)
         return b @ self.image_coords(simplex)
 
+    def evaluate_batch(self, points, hint=None) -> np.ndarray:
+        """Images of the rows of ``points``, trying top simplex ``hint`` first."""
+        return np.array([self.evaluate(p, hint) for p in np.atleast_2d(points)])
+
     def derivative_at(self, point, hint=None) -> np.ndarray:
         simplex = hint if hint is not None else self.domain.containing_top_simplex(point)
         return self.jacobian(simplex)
+
+
+def _same_complex(a: SimplicialComplex, b: SimplicialComplex) -> bool:
+    if a is b:
+        return True
+    return (a.num_vertices == b.num_vertices
+            and a.top_simplices == b.top_simplices
+            and np.array_equal(a.vertices, b.vertices))
+
+
+def _is_native(fmap, complex_: SimplicialComplex) -> bool:
+    """A PLMap on the complex itself, whose stored images are exact."""
+    return isinstance(fmap, PLMap) and _same_complex(fmap.domain, complex_)
 
 
 class SampledMap:
@@ -124,7 +134,8 @@ class SampledMap:
         return rows.shape != batch.shape or \
             np.allclose(rows, batch, rtol=1e-9, atol=1e-12)
 
-    def evaluate_batch(self, points) -> np.ndarray:
+    def evaluate_batch(self, points, hint=None) -> np.ndarray:
+        """Images of the rows of ``points``; ``hint`` is ignored."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self._vectorized:
             return np.asarray(self._eval(pts), dtype=float)
@@ -148,79 +159,26 @@ class SampledMap:
 # linearization
 # ---------------------------------------------------------------------------
 
-def _as_evaluator(f):
-    if isinstance(f, PLMap):
-        return lambda pts: np.array([f.evaluate(p) for p in np.atleast_2d(pts)])
-    return f.evaluate_batch
-
-
-def linearize(f, complex_: SimplicialComplex, levels: int,
-              restrict_to=None, collar: float | None = None):
+def linearize(f, complex_: SimplicialComplex, levels: int):
     """Replace f by its piecewise-linear interpolation on the level-``levels``
     crystalline subdivision.
 
-    With ``restrict_to`` (a list of simplices of the input complex) only the
-    region they carry is linearized; the map transitions back to f across one
-    shell of simplices, blended along the join parameter (the PL extension of
-    the inside-indicator on vertices).  ``collar`` bounds how far the
-    transition shell may extend from the linearized region; a violation
-    raises CollarTooSmall.
-
-    Returns ``(map, child_complex, subdivision_map)``; ``map`` is a PLMap for
-    the full linearization and a SampledMap hybrid for the restricted one.
+    A PLMap on the complex itself interpolates by the exact rational vertex
+    supports, so the result equals f as a function; any other map is
+    evaluated at the child vertices.  Returns ``(map, child_complex,
+    subdivision_map)`` with ``map`` a PLMap on ``child_complex``.
     """
     child, smap = crystalline_subdivide(complex_, levels)
-    evaluator = _as_evaluator(f)
-    images = evaluator(child.vertices)
-    full = PLMap(child, images)
-    if restrict_to is None:
-        return full, child, smap
-
-    inside_faces = set()
-    for s in restrict_to:
-        t = tuple(sorted(s))
-        if t not in complex_._membership:
-            raise QueryNotInComplex(f"restrict_to simplex {t} not in the complex")
-        for r in range(1, len(t) + 1):
-            inside_faces.update(itertools.combinations(t, r))
-    weights = np.zeros(child.num_vertices)
-    for vid in range(child.num_vertices):
-        carrier = tuple(sorted({g for g, _ in smap.vertex_support[vid]}))
-        if carrier in inside_faces:
-            weights[vid] = 1.0
-
-    if collar is not None:
-        region_pts = child.vertices[weights == 1.0]
-        for top in child.top_simplices:
-            w = weights[list(top)]
-            if w.max() == 1.0 and w.min() == 0.0:
-                far = max(
-                    float(np.min(np.linalg.norm(region_pts - v, axis=1)))
-                    for v in child.coords(top)
-                )
-                if far > collar:
-                    raise CollarTooSmall(
-                        f"transition simplex {top} reaches {far:.3g} from the "
-                        f"linearized region, collar is {collar:.3g}"
-                    )
-
-    def hybrid(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        fx = evaluator(pts)
-        out = np.array(fx, dtype=float)
-        for i, p in enumerate(pts):
-            simplex = child.containing_top_simplex(p)
-            b, _ = barycentric_coordinates(child.coords(simplex), p)
-            t = float(np.clip(b @ weights[list(simplex)], 0.0, 1.0))
-            if t > 0.0:
-                lin = b @ full.image_coords(simplex)
-                out[i] = t * lin + (1.0 - t) * fx[i]
-        return out
-
-    hyb = SampledMap(child, hybrid, name="partial-linearization")
-    hyb.blend_weights = weights
-    hyb.full_linearization = full
-    return hyb, child, smap
+    if _is_native(f, complex_):
+        images = np.zeros((child.num_vertices, f.target_dim))
+        for vid in range(child.num_vertices):
+            acc = np.zeros(f.target_dim)
+            for gid, frac in smap.vertex_support[vid]:
+                acc = acc + float(frac) * f.images[gid]
+            images[vid] = acc
+    else:
+        images = f.evaluate_batch(child.vertices)
+    return PLMap(child, images), child, smap
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +201,9 @@ def _common_refinement(f, g) -> SimplicialComplex:
 
 
 def _eval_on(m, pts: np.ndarray, simplex, own: bool) -> np.ndarray:
-    if isinstance(m, PLMap):
-        if own:
-            b = barycentric_lattice(len(simplex), SAMPLE_DEPTH)
-            return b @ m.image_coords(simplex)
-        return np.array([m.evaluate(p) for p in pts])
+    if own:
+        b = barycentric_lattice(len(simplex), SAMPLE_DEPTH)
+        return b @ m.image_coords(simplex)
     return m.evaluate_batch(pts)
 
 

@@ -27,7 +27,6 @@ from .grassmann import (
     AffineFlat,
     Plane,
     affine_span,
-    d_proj,
     is_transverse_planes,
     plane_from_spanning,
     point_flat_distance,
@@ -302,30 +301,6 @@ def general_position(coords: np.ndarray, xi: Distribution,
                     return False, 0.0
                 margin = min(margin, m)
     return True, float(margin)
-
-
-def oscillation(xi: Distribution, region, radius: float,
-                sample_depth: int = DEFAULT_SAMPLE_DEPTH) -> float:
-    """Largest d_proj(xi_x, xi_y) over sampled pairs at distance <= radius.
-
-    ``region`` is either an array of points or a simplex coordinate array
-    (then the barycentric lattice is used as the sample set).
-    """
-    if xi.kind == "constant":
-        return 0.0
-    pts = np.atleast_2d(np.asarray(region, dtype=float))
-    if pts.shape[0] >= 2 and pts.shape[1] == xi.ambient_dim:
-        samples = sample_points(pts, sample_depth) if pts.shape[0] <= xi.ambient_dim + 1 \
-            else pts
-    else:
-        samples = pts
-    planes = [xi.plane_at(x) for x in samples]
-    beta = 0.0
-    for i in range(len(samples)):
-        for j in range(i + 1, len(samples)):
-            if np.linalg.norm(samples[i] - samples[j]) <= radius:
-                beta = max(beta, d_proj(planes[i], planes[j]))
-    return beta
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,12 @@ from jigglekit.cli import (
     complex_from_dict,
     complex_to_dict,
     distribution_from_dict,
-    distribution_to_dict,
     main,
     planar_rotor,
     render_svg,
     sampled_distribution,
     standard_simplex,
     strip,
-    subdivision_from_dict,
     subdivision_to_dict,
     unit_square_grid,
 )
@@ -119,19 +117,24 @@ def test_complex_roundtrip():
 
 def test_distribution_roundtrips():
     const = Distribution.constant(Plane(np.array([[0.6, 0.8]])))
-    back = distribution_from_dict(distribution_to_dict(const))
+    back = distribution_from_dict({"type": "constant", "basis": [[0.6, 0.8]]})
     np.testing.assert_allclose(back.plane_at(np.zeros(2)).basis,
                                const.plane_at(np.zeros(2)).basis, atol=1e-12)
 
     rot = planar_rotor(0.125)
-    rot2 = distribution_from_dict(distribution_to_dict(rot))
+    rot2 = distribution_from_dict({"type": "builtin", "name": rot.name})
     p = np.array([0.0, 0.0, 3.0])
     np.testing.assert_allclose(rot2.plane_at(p).basis, rot.plane_at(p).basis,
                                atol=1e-12)
 
     samp = sampled_distribution([[0.0, 0.0], [1.0, 0.0]],
                                 [[[1.0, 0.0]], [[0.0, 1.0]]])
-    samp2 = distribution_from_dict(distribution_to_dict(samp))
+    samp2 = distribution_from_dict({"type": "samples",
+                                    "points": [[0.0, 0.0], [1.0, 0.0]],
+                                    "planes": [[[1.0, 0.0]], [[0.0, 1.0]]]})
+    for q in ([0.1, 0.0], [0.9, 0.0]):
+        np.testing.assert_allclose(samp2.plane_at(np.array(q)).basis,
+                                   samp.plane_at(np.array(q)).basis, atol=1e-12)
     np.testing.assert_allclose(samp2.plane_at(np.array([0.9, 0.0])).basis,
                                [[0.0, 1.0]], atol=1e-12)
 
@@ -140,10 +143,10 @@ def test_subdivision_roundtrip_keeps_exact_fractions():
     K = standard_simplex(2)
     child, smap = crystalline_subdivide(K, 2)
     payload = json.loads(canonical_json(subdivision_to_dict(smap)))
-    back = subdivision_from_dict(payload, K, child)
-    assert back.vertex_support == smap.vertex_support
-    assert all(isinstance(w, Fraction)
-               for sup in back.vertex_support.values() for _, w in sup)
+    back = {int(vid): tuple((gid, Fraction(num, den)) for gid, (num, den) in entries)
+            for vid, entries in payload["vertex_support"].items()}
+    assert back == smap.vertex_support
+    assert set(back) == set(range(child.num_vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +268,8 @@ def test_cmd_jiggle_parse_and_schema_failures(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["jiggle", str(bad), str(tmp_path / "x.json")]) == EXIT_PARSE
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["jiggle", str(bad), str(tmp_path / "x.json")]) == EXIT_PARSE
 
     unschema = tmp_path / "unschema.json"
     unschema.write_text(json.dumps({"complex": "unit_square_grid(2)"}))
@@ -363,6 +368,60 @@ def test_cmd_jiggle_rejects_non_finite_config(tmp_path):
     assert main(["jiggle", str(scen), "--gamma", "nan",
                  str(out)]) == EXIT_VALIDATION
     assert not out.exists()
+
+
+def test_cmd_jiggle_rejects_non_integer_counts(tmp_path):
+    scen = tmp_path / "scen.json"
+    out = tmp_path / "out.json"
+    for field in ("samples", "sample_depth", "level_max", "seed", "level"):
+        scen.write_text(json.dumps(scenario_dict(
+            config={"gamma": 0.2, "level": 0, "seed": 7, field: 2.5})))
+        assert main(["jiggle", str(scen), str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
+
+def test_malformed_input_still_exits_with_validation(tmp_path, monkeypatch):
+    scen = tmp_path / "scen.json"
+    out = tmp_path / "out.json"
+    ragged = {"ambient_dim": 2, "vertices": [[0.0, 0.0], [1.0], [0.0, 1.0]],
+              "top_simplices": [[0, 1, 2]]}
+    bad = [
+        scenario_dict(complex=ragged),
+        scenario_dict(complex=dict(ragged, vertices=[[0, 0], [1, 0], [0, 1]],
+                                   top_simplices=[[0, 1.5, 2]])),
+        scenario_dict(config={"gamma": "lots"}),
+        scenario_dict(levels=[1, 2.5]),
+        scenario_dict(levels=3),
+        scenario_dict(a=[[0, "x"]]),
+        scenario_dict(v_radius="wide"),
+        scenario_dict(distribution={"type": "constant", "basis": [[1.0], [0.0, 1.0]]}),
+        scenario_dict(map={"domain": {"ambient_dim": 2, "vertices": [[0, 0]],
+                                      "top_simplices": [[0]]},
+                           "images": [1.0]}),
+    ]
+    for obj in bad:
+        scen.write_text(json.dumps(obj))
+        assert main(["jiggle", str(scen), "--mode", "tower", str(out)]) == \
+            EXIT_VALIDATION, obj
+    scen.write_text(json.dumps(scenario_dict()))
+    monkeypatch.setenv("JIGGLEKIT_SEED", "abc")
+    assert main(["jiggle", str(scen), str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+
+
+def test_program_errors_are_not_reported_as_bad_input(tmp_path, monkeypatch):
+    # only outside input is turned into exit 3; a TypeError raised inside
+    # the pipeline is a bug and must surface as one
+    import jigglekit.cli as cli
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(cli, "jiggle_euclidean", broken)
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(scenario_dict()))
+    with pytest.raises(TypeError, match="bug"):
+        main(["jiggle", str(scen), str(tmp_path / "out.json")])
 
 
 def test_cmd_jiggle_seed_flag_beats_env(tmp_path, monkeypatch):

@@ -15,11 +15,9 @@ from jigglekit.complexes import (
     compose_subdivisions,
     crystalline_subdivide,
     find_interior_overlap,
-    is_nice,
     link,
     model_classes,
     relative_interiors_intersect,
-    ring,
     shape_stats,
     simplex_volume,
     star,
@@ -129,7 +127,10 @@ def test_barycentric_subdivide_counts():
     child, smap = barycentric_subdivide(standard_simplex(2))
     assert len(child.top_simplices) == 6
     assert child.num_vertices == 7
-    assert smap.volume_defect() < 1e-12
+    parent = standard_simplex(2)
+    total = sum(simplex_volume(child.coords(c)) for c in child.top_simplices)
+    assert total == pytest.approx(simplex_volume(parent.vertices), rel=1e-12)
+    assert set(smap.vertex_support) == set(range(7))
 
 
 def test_subdivision_supports_are_convex_weights():
@@ -138,6 +139,8 @@ def test_subdivision_supports_are_convex_weights():
         support = smap.vertex_support[vid]
         assert sum(w for _, w in support) == Fraction(1)
         assert all(w > 0 for _, w in support)
+        # carried by a vertex, an edge or the whole triangle
+        assert 1 <= len({g for g, _ in support}) <= 3
         # the support reconstructs the vertex exactly
         pt = sum(float(w) * child.vertices[0] * 0 + float(w) * standard_simplex(2).vertices[g]
                  for g, w in support)
@@ -156,16 +159,6 @@ def test_compose_subdivisions_matches_two_levels():
         np.testing.assert_allclose(pt, two_steps.vertices[vid], atol=1e-12)
 
 
-def test_carrier_face_of_interior_and_boundary_cells():
-    base = standard_simplex(2)
-    child, smap = crystalline_subdivide(base, 1)
-    carriers = {smap.carrier_face(c) for c in child.top_simplices}
-    assert (0, 1, 2) in carriers
-    for vid in range(child.num_vertices):
-        gids = tuple(sorted(g for g, _ in smap.vertex_support[vid]))
-        assert 1 <= len(gids) <= 3
-
-
 def test_star_link_ring_on_two_triangles():
     K = two_triangles()
     st_ = star(K, [(0,)])
@@ -174,33 +167,12 @@ def test_star_link_ring_on_two_triangles():
     assert link(K, 0) == ((1,), (2,), (3,), (1, 2), (2, 3))
     assert vlink(K, 0) == (1, 2, 3)
     assert vlink(K, 1) == (0, 2)
-    rg = ring(K, [(0,)])
-    assert all(0 not in s for s in rg)
-    assert (1, 2) in rg and (2, 3) in rg
-
-
-def test_ring_of_an_edge():
-    K = two_triangles()
-    rg = ring(K, [(0, 2)])
-    assert rg == ((1,), (3,))
 
 
 def test_closure_sorts_faces_by_dimension():
     K = two_triangles()
     cl = closure(K, [(0, 1, 2)])
     assert cl == ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
-
-
-def test_is_nice_subcomplex():
-    K = two_triangles()
-    assert is_nice(K, [(0, 2)])
-    assert is_nice(K, [(0, 1)])
-    # opposite corners are fine: each triangle touches only one of them
-    assert is_nice(K, [(1,), (3,)])
-    # the two endpoints of the shared diagonal without the edge between them
-    # are not: both triangles meet the pair {0, 2}, which is not a face of
-    # the subcomplex
-    assert not is_nice(K, [(0,), (2,)])
 
 
 def test_find_interior_overlap_reports_offending_pair():

@@ -1,10 +1,23 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from jigglekit.cli import box_grid, planar_rotor, strip, unit_square_grid
-from jigglekit.complexes import build_complex, point_to_affine_span, simplex_volume
+from jigglekit.cli import (
+    box_grid,
+    complex_from_dict,
+    complex_to_dict,
+    planar_rotor,
+    strip,
+    unit_square_grid,
+)
+from jigglekit.complexes import (
+    build_complex,
+    crystalline_subdivide,
+    point_to_affine_span,
+    simplex_volume,
+)
 from jigglekit.engine import (
     JigglingConfig,
     auto_level,
@@ -22,7 +35,7 @@ from jigglekit.errors import (
     PreconditionViolated,
 )
 from jigglekit.grassmann import Plane
-from jigglekit.plmaps import PLMap
+from jigglekit.plmaps import PLMap, SampledMap
 from jigglekit.transversality import Distribution, stratified_transverse
 
 HORIZONTAL = Distribution.constant(Plane(np.array([[1.0, 0.0]])))
@@ -51,6 +64,22 @@ def test_config_rejects_non_finite_values(field, value):
     kw = {"gamma": 0.2, field: value}
     with pytest.raises(PreconditionViolated, match=field):
         JigglingConfig(**kw)
+
+
+@pytest.mark.parametrize("field", ["samples", "sample_depth", "level_max", "seed",
+                                   "level"])
+@pytest.mark.parametrize("value", [2.5, True, "2"])
+def test_config_rejects_non_integer_counts(field, value):
+    # samples=2.5 used to die later with a bare TypeError in avoid_flats, and
+    # level=2.5 was truncated to 2
+    with pytest.raises(PreconditionViolated, match=f"{field} must be an integer"):
+        JigglingConfig(gamma=0.2, **{field: value})
+
+
+def test_config_keeps_integer_counts_as_ints():
+    cfg = JigglingConfig(gamma=0.2, level=np.int64(2), samples=np.int32(8))
+    assert (cfg.level, cfg.samples) == (2, 8)
+    assert type(cfg.level) is int and type(cfg.samples) is int
 
 
 def test_auto_level_checks_the_ambient_dimension_first():
@@ -175,6 +204,73 @@ def test_fast_turning_field_fails_honestly_at_low_level():
     with pytest.raises(PerturbationFailed):
         jiggle_euclidean(f, box, planar_rotor(0.5),
                          JigglingConfig(gamma=0.2, level=0, seed=2))
+
+
+# ---------------------------------------------------------------------------
+# input maps other than a PLMap on the complex itself
+# ---------------------------------------------------------------------------
+
+def _shear(P):
+    """(x + 0.1 sin 3y, y): keeps horizontal edges horizontal, so a
+    horizontal field makes the run move vertices."""
+    return np.stack([P[:, 0] + 0.1 * np.sin(3.0 * P[:, 1]), P[:, 1]], axis=1)
+
+
+def _bend(p):
+    return np.array([p[0] + 0.2 * p[1] ** 2, p[1]])
+
+
+def _cubic(P):
+    return np.stack([P[:, 0] + 0.1 * P[:, 1] ** 3, P[:, 1]], axis=1)
+
+
+def _input_maps(K):
+    fine, _ = crystalline_subdivide(K, 1)
+    return {
+        "sampled": SampledMap(K, _shear),
+        "callable": _bend,
+        "reloaded": PLMap(complex_from_dict(complex_to_dict(K)), _cubic(K.vertices)),
+        "finer": PLMap(fine, _cubic(fine.vertices)),
+    }
+
+
+# (moved_count, d_c0, d_c1, eta, sha256 of the jiggled images) at level 1
+INPUT_MAP_PINS = {
+    "sampled": (10, 0.006328263107130657, 0.11553781406746723,
+                0.003964695433569227,
+                "303f5971a4ff7ea83e11bdce724ecf5346743cd0afbd89f595b5341aa7fc68ee"),
+    "callable": (10, 0.005426496824703679, 0.06618278726336183,
+                 0.006863163817981906,
+                 "4222e8a37d84e3437707b74c0fd203624f06f0568ce3430fd5a623ae7347dcb4"),
+    "reloaded": (10, 0.0051020246920800115, 0.04676289325949903,
+                 0.00932354332062878,
+                 "25a3125bf5a91375fe15a6becc283ef97b48c30e88d638d13b6c08295a321db0"),
+    "finer": (10, 0.005102024692079882, 0.04676289325949866,
+              0.009323543320628737,
+              "585d3c88b2e6bd9ad48a0e4ae56e9fa0c04e053be78e4f3c682b8de5a3fb1acc"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INPUT_MAP_PINS))
+def test_input_map_kinds_frozen_outcomes(kind):
+    """A sampled map, a point-wise callable, a PLMap on an equal copy of K
+    and a PLMap on a finer complex each take the linearize-then-jiggle path
+    at level 1 against a horizontal field."""
+    K = unit_square_grid(2)
+    out = jiggle_euclidean(_input_maps(K)[kind], K, HORIZONTAL,
+                           JigglingConfig(gamma=0.2, level=1, seed=4))
+    moved, d0, d1, eta, digest = INPUT_MAP_PINS[kind]
+    assert out.report.passed
+    assert out.moved_count == moved
+    assert out.d_c0 == pytest.approx(d0, rel=1e-12)
+    assert out.d_c1 == pytest.approx(d1, rel=1e-12)
+    assert out.eta == pytest.approx(eta, rel=1e-12)
+    assert hashlib.sha256(out.plmap.images.tobytes()).hexdigest() == digest
+
+
+def test_auto_level_of_a_sampled_map_frozen():
+    K = unit_square_grid(2)
+    assert auto_level(SampledMap(K, _shear), K, HORIZONTAL, 0.2) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from jigglekit.grassmann import (
     AffineFlat,
     Plane,
     affine_span,
-    chart_metric,
     d_proj,
     is_transverse_planes,
     plane_from_spanning,
@@ -105,22 +104,3 @@ def test_point_flat_distance_to_a_point_flat():
 def test_point_flat_distance_to_a_line():
     flat = AffineFlat(np.zeros(2), line(0.0))
     assert point_flat_distance(np.array([10.0, 3.0]), flat) == pytest.approx(3.0)
-
-
-def test_chart_metric_zero_for_equal_planes():
-    assert chart_metric(line(0.5), line(0.9), line(0.9)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_chart_metric_comparable_to_d_proj_near_center():
-    """Graph distance and projector distance agree to first order."""
-    center = line(0.5)
-    w1, w2 = line(0.5 + 0.01), line(0.5 - 0.015)
-    g = chart_metric(center, w1, w2)
-    d = d_proj(w1, w2)
-    assert g == pytest.approx(d, rel=0.05)
-
-
-def test_chart_metric_rejects_orthogonal_planes():
-    from jigglekit.errors import OutsideChart
-    with pytest.raises(OutsideChart):
-        chart_metric(line(0.0), line(math.pi / 2), line(0.1))

@@ -85,7 +85,7 @@ def test_perturb_vertex_clears_a_join_through_the_apex():
     res = perturb_vertex(req)
     assert res.moved > 0.0
     assert res.achieved_delta > 0.0
-    assert res.min_certificate_margin() >= res.achieved_delta - 1e-9
+    assert min(m for *_, m in res.certificate) >= res.achieved_delta - 1e-9
     # the join edge is no longer horizontal
     assert abs(res.point[1] - 0.5) > 1e-9
 

@@ -5,7 +5,7 @@ import pytest
 
 from jigglekit.cli import unit_square_grid
 from jigglekit.complexes import build_complex, crystalline_subdivide
-from jigglekit.errors import CollarTooSmall, DomainMismatch
+from jigglekit.errors import DomainMismatch
 from jigglekit.plmaps import (
     PLMap,
     SampledMap,
@@ -52,6 +52,14 @@ def test_affine_maps_linearize_exactly():
     assert distance(aff, g, order=1) < 1e-6  # finite-difference Jacobian noise
 
 
+def test_linearize_of_a_plmap_on_the_complex_is_exact():
+    """Child images are the exact support combinations of the stored images,
+    the same arithmetic that places the child vertices."""
+    K = unit_square_grid(2)
+    g, child, _ = linearize(PLMap.identity(K), K, 3)
+    np.testing.assert_array_equal(g.images, child.vertices)
+
+
 def test_linearization_error_frozen_value():
     sq = square()
     f = wavy(sq)
@@ -80,22 +88,6 @@ def test_distance_between_identity_and_translate():
     assert distance(ident, shifted, order=0) == pytest.approx(0.5)
     # equal Jacobians: the derivative term adds nothing
     assert distance(ident, shifted, order=1) == pytest.approx(0.5)
-
-
-def test_restricted_linearize_needs_room_for_the_transition():
-    sq = square()
-    f = wavy(sq)
-    with pytest.raises(CollarTooSmall):
-        linearize(f, sq, 2, restrict_to=[sq.top_simplices[0]], collar=1e-6)
-
-
-def test_restricted_linearize_interpolates_at_child_vertices():
-    sq = square()
-    f = wavy(sq)
-    g, child, smap = linearize(f, sq, 2, restrict_to=[sq.top_simplices[0]])
-    assert isinstance(g, SampledMap)
-    probe = np.array([1.0, 0.0])
-    np.testing.assert_allclose(g.evaluate(probe), f.evaluate(probe), atol=1e-12)
 
 
 def test_is_piecewise_embedding_identity_and_fold():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jigglekit.cli import planar_rotor, unit_square_grid
+from jigglekit.cli import unit_square_grid
 from jigglekit.errors import NotTransverse, PreconditionViolated
 from jigglekit.grassmann import Plane, plane_from_spanning, project_along
 from jigglekit.transversality import (
@@ -14,7 +14,6 @@ from jigglekit.transversality import (
     eps_margin,
     general_position,
     join_transverse_by_projection,
-    oscillation,
     probe_points,
     semitrans_margin,
     simplex_transverse,
@@ -163,19 +162,6 @@ def test_general_position_samples_varying_fields():
     assert ok_ends
     ok, _ = general_position(seg, xi, sample_depth=2)
     assert not ok
-
-
-def test_oscillation_of_constant_fields_is_zero():
-    xi = Distribution.constant(HORIZONTAL)
-    assert oscillation(xi, np.array([[0.0, 0.0], [5.0, 5.0]]), 100.0) == 0.0
-
-
-def test_oscillation_of_rotor_matches_sine():
-    rot = planar_rotor(1e-3)
-    region = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
-                       [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
-    assert oscillation(rot, region, radius=10.0) == pytest.approx(
-        math.sin(2e-3), rel=1e-6)
 
 
 def test_transfer_margins_arithmetic():
