@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import operator
@@ -26,6 +27,7 @@ from .complexes import (
     SubdivisionMap,
     barycentric_subdivide,
     build_complex,
+    compose_subdivisions,
     crystalline_subdivide,
 )
 from .engine import (
@@ -37,6 +39,7 @@ from .engine import (
     jiggle_tower,
 )
 from .errors import (
+    AmbientMismatch,
     BudgetViolation,
     CollarTooSmall,
     EmbeddingLost,
@@ -130,7 +133,6 @@ def box_grid(n: int) -> SimplicialComplex:
                 idx[(x, y, z)] = len(verts)
                 verts.append((float(x), float(y), float(z)))
     tets = []
-    import itertools
     for cell in itertools.product(range(n), repeat=3):
         for perm in itertools.permutations(range(3)):
             chain = [cell]
@@ -504,10 +506,19 @@ def _read_complex_arg(ref: str) -> SimplicialComplex:
     return complex_from_dict(load_json(ref))
 
 
-def _read_distribution_arg(ref: str) -> Distribution:
+def _read_distribution_arg(ref: str, ambient_dim: int) -> Distribution:
+    """The field named by ``ref``; it must live in R^ambient_dim, where the
+    images it is checked against do."""
     if os.path.exists(ref):
-        return distribution_from_dict(load_json(ref))
-    return builtin_distribution(ref)
+        xi = distribution_from_dict(load_json(ref))
+    else:
+        xi = builtin_distribution(ref)
+    if xi.ambient_dim != ambient_dim:
+        raise AmbientMismatch(
+            f"images live in R^{ambient_dim}, the field {ref!r} in "
+            f"R^{xi.ambient_dim}"
+        )
+    return xi
 
 
 def cmd_subdivide(args) -> int:
@@ -518,7 +529,6 @@ def cmd_subdivide(args) -> int:
         child, smap = crystalline_subdivide(complex_, 0)
         for _ in range(args.levels):
             child, step = barycentric_subdivide(child)
-            from .complexes import compose_subdivisions
             smap = compose_subdivisions(smap, step)
     save_json(args.output, {
         "schema_version": SCHEMA_VERSION,
@@ -575,7 +585,7 @@ def cmd_verify(args) -> int:
     complex_ = _read_complex_arg(args.complex)
     f = (plmap_from_dict(load_json(args.map)) if args.map
          else PLMap.identity(complex_))
-    xi = _read_distribution_arg(args.distribution)
+    xi = _read_distribution_arg(args.distribution, f.target_dim)
     images = f.images
     if args.notion == "report":
         report = transversality_report(f.domain, images, xi)
@@ -617,7 +627,9 @@ def cmd_render(args) -> int:
         f = plmap_from_dict(load_json(args.map))
         complex_ = f.domain
         images = f.images
-    xi = _read_distribution_arg(args.distribution) if args.distribution else None
+    pts = images if images is not None else complex_.vertices
+    xi = (_read_distribution_arg(args.distribution, pts.shape[1])
+          if args.distribution else None)
     failing = []
     if args.report:
         for rec in _expect(load_json(args.report), "records", list):
@@ -626,7 +638,6 @@ def cmd_render(args) -> int:
                     rec.get("general_position") is False:
                 failing.append(simplex)
     elif xi is not None:
-        pts = images if images is not None else complex_.vertices
         for top in complex_.top_simplices:
             ok, _ = general_position(np.asarray(pts)[list(top)], xi)
             if not ok:

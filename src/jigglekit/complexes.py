@@ -419,9 +419,7 @@ def find_interior_overlap(simplices: list[tuple[int, ...]],
     candidates = []
     for i in range(len(sims)):
         overlap = np.all(lo[i] <= hi + pad, axis=1) & np.all(lo <= hi[i] + pad, axis=1)
-        for j in range(i + 1, len(sims)):
-            if not overlap[j]:
-                continue
+        for j in np.flatnonzero(overlap[i + 1:]) + i + 1:
             if sets[i] <= sets[j] or sets[j] <= sets[i]:
                 continue
             shared = sorted(sets[i] & sets[j])
@@ -678,7 +676,6 @@ def barycentric_subdivide(complex_: SimplicialComplex):
         return interner.intern(tuple((g, frac) for g in face))
 
     child_tops: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
     for top in sorted(complex_.top_simplices):
         if len(top) == 1:
             child_tops.append(top)
@@ -687,10 +684,7 @@ def barycentric_subdivide(complex_: SimplicialComplex):
             chain_ids = []
             for r in range(1, len(perm) + 1):
                 chain_ids.append(face_barycenter(tuple(sorted(perm[:r]))))
-            cell = tuple(sorted(chain_ids))
-            if cell not in seen:
-                seen.add(cell)
-                child_tops.append(cell)
+            child_tops.append(tuple(sorted(chain_ids)))
     child, support = interner.build(child_tops)
     return child, SubdivisionMap(parent=complex_, child=child, vertex_support=support)
 

@@ -391,6 +391,26 @@ def _run_vertex_induction(child, images, unperturbed, frozen, order,
     return achieved, certified, moved
 
 
+def _verify(child: SimplicialComplex, images: np.ndarray, fields, certified,
+            cfg: JigglingConfig, ref):
+    """The jiggled map, its transversality report and its C0/C1 distances
+    to ``ref``; ``fields`` is what :func:`transversality_report` examines.
+
+    Raises PerturbationFailed when the report does not pass.
+    """
+    g = PLMap(child, images)
+    report = transversality_report(child, images, fields,
+                                   sample_depth=cfg.sample_depth,
+                                   margin_tol=REPORT_MARGIN_TOL,
+                                   certificates=certified)
+    if not report.passed:
+        raise PerturbationFailed(
+            "post-run verification rejected the jiggled map "
+            f"(min eps margin {report.min_eps_margin:.3g})"
+        )
+    return g, report, distance(ref, g, order=0), distance(ref, g, order=1)
+
+
 # ---------------------------------------------------------------------------
 # Euclidean and relative pipelines
 # ---------------------------------------------------------------------------
@@ -480,9 +500,6 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
     def touches_b(s):
         return any(from_b[v] for v in s)
 
-    def in_region(top):
-        return any(from_a[v] or near[v] > v_radius for v in top)
-
     images = np.array(flin.images)
     unperturbed = images.copy()
     planes_cache: dict[int, list] = {}
@@ -505,22 +522,16 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
         margin_target, lambda vid: None, touches_b if has_b else None, cfg,
     )
 
-    g = PLMap(child, images)
-    if not is_piecewise_embedding(g):
+    if not is_piecewise_embedding(PLMap(child, images)):
         raise EmbeddingLost("the jiggled map lost injectivity")
-    report = transversality_report(child, images, xi,
-                                   sample_depth=cfg.sample_depth,
-                                   margin_tol=REPORT_MARGIN_TOL,
-                                   simplex_filter=in_region if has_b else None,
-                                   certificates=certified)
-    if not report.passed:
-        raise PerturbationFailed(
-            "post-run verification rejected the jiggled map "
-            f"(min eps margin {report.min_eps_margin:.3g})"
-        )
-    ref = flin if native else fmap
-    d0 = distance(ref, g, order=0)
-    d1 = distance(ref, g, order=1)
+    # the certified region: tops touching A or leaving the collar of B
+    fields = {top: xi for top in child.top_simplices
+              if any(from_a[v] or near[v] > v_radius for v in top)} \
+        if has_b else xi
+    g, report, d0, d1 = _verify(child, images, fields, certified, cfg,
+                                flin if native else fmap)
+    # a run that examines no top still reports whether its field varies
+    report.sampled = xi.kind != "constant"
     within = d1 < cfg.gamma and d0 < cfg.gamma * 2.0 ** -level
     if not within and not (moved == 0 and d0 == 0.0 and d1 == 0.0):
         raise BudgetViolation(
@@ -617,8 +628,9 @@ def jiggle_subdivision(complex_: SimplicialComplex,
     refinement is barycentrically subdivided once, then crystalline-subdivided
     ``level`` times, and every vertex is perturbed inside its minimal carrier
     face of ``complex_`` (vertices carried by original vertices stay put).
-    The returned map T sends |complex_| to itself; general position holds per
-    top simplex against its own field.
+    The returned map T sends |complex_| to itself; each cell is in general
+    position against the field of its parent top, and a face of cells in
+    several parent tops against each of their fields.
     """
     cfg = config
     per_top = _resolve_per_top(complex_, distributions)
@@ -661,15 +673,13 @@ def jiggle_subdivision(complex_: SimplicialComplex,
     images = np.array(out.vertices)
     unperturbed = images.copy()
 
-    vertex_tops: dict[int, list[tuple[int, ...]]] = {}
     planes_cache: dict[int, list] = {}
 
     def planes_for(vid):
         if vid not in planes_cache:
-            tops = parent_tops(carriers[vid])
-            vertex_tops[vid] = tops
             planes_cache[vid] = [
-                per_top[t].plane_at(unperturbed[vid]) for t in tops
+                per_top[t].plane_at(unperturbed[vid])
+                for t in parent_tops(carriers[vid])
             ]
         return planes_cache[vid]
 
@@ -677,7 +687,7 @@ def jiggle_subdivision(complex_: SimplicialComplex,
         gids: set[int] = set()
         for v in s:
             gids.update(carriers[v])
-        tops = vertex_tops[vid]
+        tops = parent_tops(carriers[vid])
         idx = tuple(i for i, t in enumerate(tops) if gids <= set(t))
         return idx if idx else tuple(range(len(tops)))
 
@@ -744,38 +754,9 @@ def jiggle_subdivision(complex_: SimplicialComplex,
                 f"images of {top} tile {total:.12g}, expected {target:.12g}"
             )
 
-    t_map = PLMap(out, images)
-    records = []
-    min_eps = np.inf
-    min_semi = None
-    passed = True
-    for top in complex_.top_simplices:
-        part = transversality_report(
-            out, images, per_top[top],
-            sample_depth=cfg.sample_depth, margin_tol=REPORT_MARGIN_TOL,
-            simplex_filter=lambda cell, t=top: cell_parent.get(cell) == t,
-            certificates=certified,
-        )
-        records.extend(part.records)
-        min_eps = min(min_eps, part.min_eps_margin)
-        if part.min_semitrans_margin is not None:
-            min_semi = (part.min_semitrans_margin if min_semi is None
-                        else min(min_semi, part.min_semitrans_margin))
-        passed = passed and part.passed
-    report = TransversalityReport(
-        records=records, min_eps_margin=float(min_eps),
-        min_semitrans_margin=min_semi, margin_tol=REPORT_MARGIN_TOL,
-        sampled=any(d.kind != "constant" for d in per_top.values()),
-        passed=bool(passed),
-    )
-    if not report.passed:
-        raise PerturbationFailed(
-            "post-run verification rejected the re-triangulation "
-            f"(min eps margin {report.min_eps_margin:.3g})"
-        )
-    ident = PLMap.identity(out)
-    d0 = distance(ident, t_map, order=0)
-    d1 = distance(ident, t_map, order=1)
+    t_map, report, d0, d1 = _verify(
+        out, images, {cell: per_top[t] for cell, t in cell_parent.items()},
+        certified, cfg, PLMap.identity(out))
     return JigglingOutcome(
         plmap=t_map, out_complex=out, subdivision=sub, report=report,
         level=level, d_c0=float(d0), d_c1=float(d1),

@@ -21,6 +21,7 @@ from .errors import (
     DegenerateSimplex,
     NotTransverse,
     PreconditionViolated,
+    QueryNotInComplex,
 )
 from .grassmann import (
     RANK_REL_TOL,
@@ -387,34 +388,43 @@ class TransversalityReport:
         }
 
 
-def transversality_report(complex_, vertex_images: np.ndarray, xi: Distribution,
+def transversality_report(complex_, vertex_images: np.ndarray,
+                          xi: Distribution | dict,
                           sample_depth: int = DEFAULT_SAMPLE_DEPTH,
                           margin_tol: float = 0.0,
-                          simplex_filter=None,
                           certificates: dict | None = None) -> TransversalityReport:
     """Assemble per-simplex transversality records for a mapped complex.
 
     ``vertex_images`` is the image of each complex vertex (a PL map's data).
-    ``simplex_filter`` restricts which top simplices are examined; faces of
-    the surviving tops are always included.  ``certificates`` optionally
-    carries semitransversality margins per simplex (from the perturbation
-    search); records holding one are marked certified.
+    ``xi`` is one Distribution for every top simplex, or a dict from the top
+    simplices to examine to their fields.  Each face of an examined top gets
+    one record, judged against every distinct field of the examined tops
+    that contain it: transverse when it is so against all of them, with the
+    smallest of their margins.  ``certificates`` optionally carries
+    semitransversality margins per simplex (from the perturbation search);
+    records holding one are marked certified.
     """
     certificates = certificates or {}
-    tops = [s for s in complex_.top_simplices
-            if simplex_filter is None or simplex_filter(s)]
-    wanted = set()
-    for top in tops:
+    fields = dict.fromkeys(complex_.top_simplices, xi) \
+        if isinstance(xi, Distribution) else xi
+    unknown = set(fields) - set(complex_.top_simplices)
+    if unknown:
+        raise QueryNotInComplex(f"{sorted(unknown)} are not top simplices")
+    face_fields: dict[tuple, dict] = {}
+    for top, dist in fields.items():
         for r in range(1, len(top) + 1):
-            wanted.update(itertools.combinations(top, r))
-    report = TransversalityReport(margin_tol=margin_tol,
-                                  sampled=xi.kind != "constant")
+            for face in itertools.combinations(top, r):
+                face_fields.setdefault(face, {})[dist] = None
+    report = TransversalityReport(
+        margin_tol=margin_tol,
+        sampled=any(d.kind != "constant" for d in fields.values()))
     min_eps = np.inf
     min_semi = None
     all_ok = True
-    for s in sorted(wanted, key=lambda t: (len(t), t)):
+    for s in sorted(face_fields, key=lambda t: (len(t), t)):
         pts = vertex_images[list(s)]
-        ok, margin = general_position(pts, xi, sample_depth)
+        verdicts = [general_position(pts, d, sample_depth) for d in face_fields[s]]
+        ok = all(v for v, _ in verdicts)
         cert = certificates.get(s)
         semi = None
         if cert is not None:
@@ -422,7 +432,7 @@ def transversality_report(complex_, vertex_images: np.ndarray, xi: Distribution,
             min_semi = semi if min_semi is None else min(min_semi, semi)
         rec = SimplexRecord(
             simplex=s, dim=len(s) - 1, transverse=ok,
-            eps_margin=margin if ok else 0.0,
+            eps_margin=min(m for _, m in verdicts) if ok else 0.0,
             semitrans_margin=semi,
             general_position=ok if len(s) - 1 >= 1 else None,
             certified=cert is not None,

@@ -325,6 +325,22 @@ def test_cmd_render_rejects_3d(tmp_path):
                  str(tmp_path / "x.svg")]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("notion", ["transverse", "stratified",
+                                    "general-position", "report"])
+def test_cmd_verify_rejects_a_field_of_another_dimension(notion, capsys):
+    assert main(["verify", "unit_square_grid(1)", "planar_rotor(0.1)",
+                 "--notion", notion]) == EXIT_VALIDATION
+    assert "R^3" in capsys.readouterr().err
+
+
+def test_cmd_render_rejects_a_field_of_another_dimension(tmp_path, capsys):
+    svg = tmp_path / "x.svg"
+    assert main(["render", "unit_square_grid(1)", "--distribution",
+                 "planar_rotor(0.1)", "--svg", str(svg)]) == EXIT_VALIDATION
+    assert "R^3" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_outcome_bundle_feeds_verify_and_render(tmp_path):
     scen = tmp_path / "s.json"
     scen.write_text(json.dumps(scenario_dict()))

@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from jigglekit import engine
 from jigglekit.cli import (
     box_grid,
     complex_from_dict,
@@ -19,6 +21,7 @@ from jigglekit.complexes import (
     simplex_volume,
 )
 from jigglekit.engine import (
+    REPORT_MARGIN_TOL,
     JigglingConfig,
     auto_level,
     jiggle_euclidean,
@@ -33,10 +36,15 @@ from jigglekit.errors import (
     LevelExhausted,
     PerturbationFailed,
     PreconditionViolated,
+    QueryNotInComplex,
 )
 from jigglekit.grassmann import Plane
 from jigglekit.plmaps import PLMap, SampledMap
-from jigglekit.transversality import Distribution, stratified_transverse
+from jigglekit.transversality import (
+    Distribution,
+    stratified_transverse,
+    transversality_report,
+)
 
 HORIZONTAL = Distribution.constant(Plane(np.array([[1.0, 0.0]])))
 DIAGONAL = Distribution.constant(Plane(np.array([[1.0, 1.0]]) / math.sqrt(2.0)))
@@ -341,6 +349,82 @@ def test_subdivision_trivial_refinement_is_identity():
                              JigglingConfig(gamma=0.2, seed=3))
     assert out.moved_count == 0
     np.testing.assert_array_equal(out.plmap.images, out.out_complex.vertices)
+
+
+def two_top_scene():
+    """A two-triangle square, refined by the 2 x 2 grid, with its own
+    constant line field on each triangle."""
+    def line(x, y):
+        return Distribution.constant(Plane(np.array([[x, y]]) / math.hypot(x, y)))
+
+    fields = {(0, 1, 3): line(2.0, 1.0), (0, 2, 3): line(1.0, 2.0)}
+    return unit_square_grid(1), unit_square_grid(2), fields
+
+
+def reference_subdivision_report(out, parent, fields, certificates):
+    """The report as one call per parent top, each restricted to that top's
+    cells, records concatenated: a face shared by two tops is listed once
+    per top."""
+    child = out.out_complex
+    parts = []
+    for top, xi in fields.items():
+        cells = {cell: xi for cell in child.top_simplices
+                 if parent.containing_top_simplex(child.coords(cell).mean(axis=0)) == top}
+        parts.append(transversality_report(
+            child, out.plmap.images, cells, sample_depth=out.config.sample_depth,
+            margin_tol=REPORT_MARGIN_TOL, certificates=certificates))
+    return parts
+
+
+def test_subdivision_reports_a_face_of_two_tops_once(monkeypatch):
+    parent, refinement, fields = two_top_scene()
+    certificates = []
+
+    def spy(*args, **kwargs):
+        certificates.append(kwargs["certificates"])
+        return transversality_report(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "transversality_report", spy)
+    out = jiggle_subdivision(parent, refinement, fields,
+                             JigglingConfig(gamma=0.2, level=1, seed=0))
+    assert len(certificates) == 1
+    assert out.moved_count == 44
+    assert hashlib.sha256(out.plmap.images.tobytes()).hexdigest() == \
+        "877d19790c343c3b0b617543e4448ef7b1d1f8f713b03286ea818cd14db51fe2"
+    assert out.d_c0 == pytest.approx(0.009765968115894847, rel=1e-12)
+    assert out.d_c1 == pytest.approx(0.2389866343152724, rel=1e-12)
+
+    parts = reference_subdivision_report(out, parent, fields, certificates[0])
+    assert sum(len(p.records) for p in parts) == 626
+    merged = {}
+    for rec in (r for p in parts for r in p.records):
+        seen = merged.get(rec.simplex)
+        if seen is not None:
+            rec = dataclasses.replace(
+                seen, transverse=seen.transverse and rec.transverse,
+                eps_margin=min(seen.eps_margin, rec.eps_margin),
+                general_position=None if rec.general_position is None
+                else seen.general_position and rec.general_position)
+        merged[rec.simplex] = rec
+    report = out.report
+    assert len(report.records) == 609
+    assert report.records == sorted(merged.values(),
+                                    key=lambda r: (len(r.simplex), r.simplex))
+    assert report.min_eps_margin == min(p.min_eps_margin for p in parts)
+    assert report.min_semitrans_margin == min(p.min_semitrans_margin for p in parts)
+    assert report.passed is all(p.passed for p in parts) is True
+    assert report.sampled is any(p.sampled for p in parts) is False
+
+
+def test_subdivision_fields_key_every_top_and_only_tops():
+    parent, refinement, fields = two_top_scene()
+    cfg = JigglingConfig(gamma=0.2, level=1)
+    with pytest.raises(QueryNotInComplex):
+        jiggle_subdivision(parent, refinement,
+                           {**fields, (0, 1, 2): HORIZONTAL}, cfg)
+    with pytest.raises(PreconditionViolated, match=r"\(0, 2, 3\)"):
+        jiggle_subdivision(parent, refinement,
+                           {(0, 1, 3): fields[(0, 1, 3)]}, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Every module imports only what it uses.
+"""Every module imports only what it uses, and the package imports only at
+module level.
 
-A stdlib ``ast`` pass: a name bound by an import must be read somewhere in
-the same module.  ``from __future__`` imports and the package ``__init__``
-(whose imports are its public re-exports) are exempt.
+Stdlib ``ast`` passes: a name bound by an import must be read somewhere in
+the same module (``from __future__`` imports and the package ``__init__``,
+whose imports are its public re-exports, are exempt), and no import under
+``src/jigglekit`` sits inside a function or class body.
 """
 
 import ast
@@ -13,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in [*ROOT.glob("src/jigglekit/*.py"), *ROOT.glob("tests/*.py")]
                  if p.name != "__init__.py")
+PACKAGE = sorted(ROOT.glob("src/jigglekit/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +43,30 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def nested_imports(source: str) -> list[str]:
+    """Imports inside a function, lambda or class body, as ``line N``."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+    lines = {node.lineno
+             for scope in ast.walk(ast.parse(source)) if isinstance(scope, scopes)
+             for node in ast.walk(scope)
+             if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_checker_flags_a_nested_import():
+    source = ("import os\n"
+              "def f():\n"
+              "    def g():\n"
+              "        from sys import path\n"
+              "    import json\n"
+              "class C:\n"
+              "    import re\n")
+    assert nested_imports(source) == ["line 4", "line 5", "line 7"]
+    assert nested_imports("import os\nif os.sep:\n    import json\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_package_imports_only_at_module_level(path):
+    assert nested_imports(path.read_text()) == []

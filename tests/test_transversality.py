@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jigglekit.cli import unit_square_grid
-from jigglekit.errors import NotTransverse, PreconditionViolated
+from jigglekit.errors import NotTransverse, PreconditionViolated, QueryNotInComplex
 from jigglekit.grassmann import Plane, plane_from_spanning, project_along
 from jigglekit.transversality import (
     Distribution,
@@ -208,6 +208,27 @@ def test_report_certificates_mark_records():
     assert rec.certified and rec.semitrans_margin == pytest.approx(0.123)
     assert report.min_semitrans_margin == pytest.approx(0.123)
     assert report.passed
+
+
+def test_report_judges_a_shared_face_against_each_field():
+    K = unit_square_grid(1)  # the tops (0, 1, 3) and (0, 2, 3) share (0, 3)
+    a, b = (Plane(np.array([[math.cos(t), math.sin(t)]])) for t in (0.3, 0.6))
+    fields = {(0, 1, 3): Distribution.constant(a),
+              (0, 2, 3): Distribution.constant(b)}
+    report = transversality_report(K, K.vertices, fields)
+    assert len(report.records) == 11 and report.passed
+    shared = next(r for r in report.records if r.simplex == (0, 3))
+    diagonal = K.vertices[[0, 3]]
+    assert shared.eps_margin == min(eps_margin(diagonal, a), eps_margin(diagonal, b))
+    # a field tangent to the diagonal fails it and its top, not the other top
+    tangent = Distribution.constant(Plane(np.array([[1.0, 1.0]]) / math.sqrt(2.0)))
+    report = transversality_report(K, K.vertices, {**fields, (0, 2, 3): tangent})
+    assert [r.simplex for r in report.records if not r.transverse] == \
+        [(0, 3), (0, 2, 3)]
+    # only the faces of the examined tops get records
+    assert len(transversality_report(K, K.vertices, {(0, 2, 3): tangent}).records) == 7
+    with pytest.raises(QueryNotInComplex):
+        transversality_report(K, K.vertices, {(0, 1, 2): tangent})
 
 
 @settings(max_examples=50, deadline=None)
