@@ -523,6 +523,8 @@ def _read_distribution_arg(ref: str, ambient_dim: int) -> Distribution:
 
 def cmd_subdivide(args) -> int:
     complex_ = _read_complex_arg(args.input)
+    if args.levels < 0:
+        raise PreconditionViolated("--levels must be >= 0")
     if args.scheme == "crystalline":
         child, smap = crystalline_subdivide(complex_, args.levels)
     else:

@@ -287,55 +287,23 @@ def _bboxes(coord_list):
     return lo, hi
 
 
-def _facet_pair_disjoint(shared: list[int], si: tuple, sj: tuple,
-                         coords_i: np.ndarray, coords_j: np.ndarray,
-                         tol: float):
-    """Decide relint-disjointness for two same-dim simplices sharing a facet.
-
-    Returns True (disjoint), False (overlap), or None (inconclusive, caller
-    falls back to the LP).  The decision: if the free apexes leave the shared
-    facet's span in independent directions the interiors cannot meet; if the
-    pair is coplanar the apexes must sit on opposite sides of the facet.
-    """
-    m = len(si) - 1
-    if len(sj) != len(si) or len(shared) != m:
-        return None
-    apex_i = coords_i[[k for k, v in enumerate(si) if v not in shared][0]]
-    apex_j = coords_j[[k for k, v in enumerate(sj) if v not in shared][0]]
-    facet = coords_i[[k for k, v in enumerate(si) if v in shared]]
-    base = facet[0]
-    scale = max(1.0, float(np.max(np.abs(facet - base))))
-    if facet.shape[0] > 1:
-        q, _ = np.linalg.qr((facet[1:] - base).T, mode="reduced")
-    else:
-        q = np.zeros((facet.shape[1], 0))
-    vi = (apex_i - base) - q @ (q.T @ (apex_i - base))
-    vj = (apex_j - base) - q @ (q.T @ (apex_j - base))
-    ni, nj = np.linalg.norm(vi), np.linalg.norm(vj)
-    if ni <= tol * scale or nj <= tol * scale:
-        return None
-    cosang = float(vi @ vj) / (ni * nj)
-    if cosang < -tol:
-        return True
-    if cosang > tol:
-        # same side only overlaps when the two simplices are coplanar
-        residual = np.linalg.norm(vj - (vj @ vi) / (ni * ni) * vi)
-        if residual > tol * scale:
-            return True
-        return False
-    return None
-
-
 def _sat_group(pa: np.ndarray, pb: np.ndarray, tol: float) -> np.ndarray:
     """Vectorized separating-axis test over a batch of simplex pairs.
 
-    ``pa`` has shape (m, ka, n) and ``pb`` shape (m, kb, n).  The candidate
-    axes per pair are the base-point difference, the combined edge
-    directions, and the edge normals (2D) or pairwise edge cross products
-    (3D); for full-dimensional pairs the latter are the facet normals of
-    the Minkowski difference, so the candidate set is complete, and the
-    extra directions cover the collinear and coplanar configurations a
-    structured mesh produces in bulk.
+    ``pa`` has shape (m, ka, n) and ``pb`` shape (m, kb, n).  The relative
+    interiors are disjoint exactly when a facet normal of the Minkowski
+    difference D = A - B, taken within the affine hull of D, separates D
+    from the origin.  Candidate axes per pair: the base-point difference,
+    the edge directions, and the edge normals (2D) or the cross products
+    of the edges (3D).  A pair with a tetrahedron has a solid D, whose
+    facet normals are those cross products.  Any other 3D pair crosses the
+    base difference too, and adds the cross of its widest normal with each
+    of those directions: when the origin lies in the plane of a flat D,
+    every nonzero cross is normal to that plane, so these are D's in-plane
+    facet normals (when it does not, the plane normal itself separates).
+    So the candidate set is complete in R^2 and R^3, and there the exact
+    test only confirms overlaps; for N > 3 ``_sat_disjoint_many`` certifies
+    nothing and every pair goes to the exact test.
 
     Strict separation along any axis keeps even the closures apart.  Weak
     separation certifies too, provided one simplex has positive extent
@@ -353,14 +321,21 @@ def _sat_group(pa: np.ndarray, pb: np.ndarray, tol: float) -> np.ndarray:
     gap = (tol * scale)[:, None]
     ra, sa = np.triu_indices(ka, 1)
     rb, sb = np.triu_indices(kb, 1)
+    base = pa[:, :1] - pb[:, :1]
     edges = np.concatenate([pa[:, sa] - pa[:, ra], pb[:, sb] - pb[:, rb]],
                            axis=1)
     if n == 2:
         normals = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
     else:
-        i, j = np.triu_indices(edges.shape[1], 1)
-        normals = np.cross(edges[:, i], edges[:, j])
-    axes = np.concatenate([pa[:, :1] - pb[:, :1], edges, normals], axis=1)
+        flat = max(ka, kb) <= n
+        dirs = np.concatenate([base, edges], axis=1) if flat else edges
+        i, j = np.triu_indices(dirs.shape[1], 1)
+        normals = np.cross(dirs[:, i], dirs[:, j])
+        if flat and i.size:
+            w = np.linalg.norm(normals, axis=2).argmax(axis=1)
+            widest = normals[np.arange(m), w][:, None]
+            normals = np.concatenate([normals, np.cross(widest, dirs)], axis=1)
+    axes = np.concatenate([base, edges, normals], axis=1)
     norms = np.linalg.norm(axes, axis=2)
     keep = norms > 1e-14 * scale[:, None]
     axes = axes / np.where(keep, norms, 1.0)[..., None]
@@ -406,8 +381,9 @@ def find_interior_overlap(simplices: list[tuple[int, ...]],
 
     ``simplices`` index into ``vertex_coords`` (which need not be the
     complex's own table: image coordinates reuse this for embedding checks).
-    Pairs in a face relation are skipped.  Returns the offending pair or
-    None.
+    Pairs in a face relation are skipped.  The rest go through bounding
+    boxes, then the separating-axis certificate, then the exact LP.
+    Returns the first overlapping pair in (i, j) order, or None.
     """
     sims = list(simplices)
     coords = [vertex_coords[list(s)] for s in sims]
@@ -422,20 +398,10 @@ def find_interior_overlap(simplices: list[tuple[int, ...]],
         for j in np.flatnonzero(overlap[i + 1:]) + i + 1:
             if sets[i] <= sets[j] or sets[j] <= sets[i]:
                 continue
-            shared = sorted(sets[i] & sets[j])
-            if len(shared) == len(sims[i]) - 1 and len(sims[i]) == len(sims[j]):
-                verdict = _facet_pair_disjoint(shared, sims[i], sims[j],
-                                               coords[i], coords[j], tol)
-                if verdict is True:
-                    continue
-                if verdict is False:
-                    return sims[i], sims[j]
             candidates.append((i, j))
     certified = _sat_disjoint_many(candidates, coords, tol)
     for (i, j), ok in zip(candidates, certified):
-        if ok:
-            continue
-        if relative_interiors_intersect(coords[i], coords[j], tol):
+        if not ok and relative_interiors_intersect(coords[i], coords[j], tol):
             return sims[i], sims[j]
     return None
 

@@ -318,15 +318,17 @@ def _by_join(vid: int, entries, joins) -> dict[tuple[int, ...], float]:
     return margins
 
 
-def _run_vertex_induction(child, images, unperturbed, frozen, order,
-                          planes_for, fol_indices_for, epsilon_for,
-                          margin_target, constraint_for, exclude_simplex, cfg):
+def _run_vertex_induction(child, images, *, frozen, order, planes_for,
+                          fol_indices_for, epsilon_for, margin_target,
+                          constraint_for, exclude_simplex, cfg):
     """Walk the vertices in order, perturbing each image point as needed.
 
     Every join of a vertex with the processed part of its star is checked at
     the incumbent position first; a vertex moves only when some margin falls
     below a quarter of the run's margin target.  Returns the per-vertex
     achieved deltas, the certified per-simplex margins, and the move count.
+    Arguments after ``images`` are keyword-only so that a tracer can read
+    ``frozen`` by name.
     """
     achieved: dict[int, float] = {}
     certified: dict[tuple, float] = {}
@@ -517,9 +519,11 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
 
     has_b = bool(from_b.any())
     achieved, certified, moved = _run_vertex_induction(
-        child, images, unperturbed, from_a | from_b, range(child.num_vertices),
-        planes_for, lambda vid, s: (0,), epsilon_for,
-        margin_target, lambda vid: None, touches_b if has_b else None, cfg,
+        child, images, frozen=from_a | from_b, order=range(child.num_vertices),
+        planes_for=planes_for, fol_indices_for=lambda vid, s: (0,),
+        epsilon_for=epsilon_for, margin_target=margin_target,
+        constraint_for=lambda vid: None,
+        exclude_simplex=touches_b if has_b else None, cfg=cfg,
     )
 
     if not is_piecewise_embedding(PLMap(child, images)):
@@ -723,8 +727,10 @@ def jiggle_subdivision(complex_: SimplicialComplex,
     margin_target = cfg.margin_floor * (min(positive) if positive else 0.0)
 
     achieved, certified, moved = _run_vertex_induction(
-        out, images, unperturbed, frozen, order, planes_for, fol_indices_for,
-        epsilon_for, margin_target, constraint_for, None, cfg,
+        out, images, frozen=frozen, order=order, planes_for=planes_for,
+        fol_indices_for=fol_indices_for, epsilon_for=epsilon_for,
+        margin_target=margin_target, constraint_for=constraint_for,
+        exclude_simplex=None, cfg=cfg,
     )
 
     for vid in range(out.num_vertices):

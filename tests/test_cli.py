@@ -214,6 +214,14 @@ def test_cmd_subdivide_barycentric_scheme(tmp_path):
     assert len(payload["complex"]["top_simplices"]) == 6
 
 
+@pytest.mark.parametrize("scheme", ["crystalline", "barycentric"])
+def test_cmd_subdivide_rejects_negative_levels(tmp_path, scheme):
+    out = tmp_path / "neg.json"
+    assert main(["subdivide", "unit_square_grid(1)", "--scheme", scheme,
+                 "--levels", "-1", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+
+
 def test_cmd_jiggle_is_byte_deterministic(tmp_path):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(scenario_dict()))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from jigglekit.cli import standard_simplex, unit_square_grid
 from jigglekit.complexes import (
+    _sat_group,
     barycentric_subdivide,
     build_complex,
     closure,
@@ -23,7 +25,7 @@ from jigglekit.complexes import (
     star,
     vlink,
 )
-from jigglekit.errors import FaceIntersectionViolation
+from jigglekit.errors import DegenerateSimplex, FaceIntersectionViolation
 
 # frozen counts for the cube-chain subdivision: (tops, vertices) by (m, level)
 CRYSTALLINE_COUNTS = {
@@ -238,6 +240,85 @@ def test_relative_interiors_shared_edge_is_not_an_overlap():
     # but a genuine crossing is
     c = np.array([[0.2, 0.1], [1.2, 0.4], [0.4, 1.3]])
     assert relative_interiors_intersect(a, c)
+
+
+def _random_pair(rng, dim):
+    """Two point sets of 1..dim+1 points: generic, coplanar (z = 0),
+    sharing leading vertices, or on the integer lattice {0, 1, 2}^dim."""
+    kind = rng.integers(4)
+    ka, kb = rng.integers(1, dim + 2, size=2)
+    if kind == 3:
+        pts = rng.integers(0, 3, size=(ka + kb, dim)).astype(float)
+    else:
+        pts = rng.standard_normal((ka + kb, dim))
+    if kind == 1:
+        pts[:, -1] = 0.0
+    a, b = pts[:ka], pts[ka:]
+    if kind == 2:
+        shared = rng.integers(1, min(ka, kb) + 1)
+        b[:shared] = a[:shared]
+    return a, b
+
+
+def _proper_pair(a, b):
+    """Neither simplex degenerate, and neither a face of the other."""
+    for c in (a, b):
+        try:
+            if len(c) > 1:
+                shape_stats(c)
+        except DegenerateSimplex:
+            return False
+    rows_a, rows_b = set(map(tuple, a)), set(map(tuple, b))
+    return not (rows_a <= rows_b or rows_b <= rows_a)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_separating_axes_certify_exactly_the_disjoint_pairs(dim):
+    rng = np.random.default_rng(2004 + dim)
+    checked = 0
+    while checked < 300:
+        a, b = _random_pair(rng, dim)
+        if not _proper_pair(a, b):
+            continue
+        checked += 1
+        certified = bool(_sat_group(a[None], b[None], 1e-9)[0])
+        assert certified == (not relative_interiors_intersect(a, b)), (a, b)
+
+
+@pytest.mark.parametrize("a, b", [
+    # coplanar triangles on either side of a shared edge, no edge along
+    # the in-plane normal of the shared one
+    ([(0, 0, 0), (1, 0, 0), (0.3, 1, 0)], [(0, 0, 0), (1, 0, 0), (0.6, -1, 0)]),
+    # two edges leaving one vertex at an acute angle
+    ([(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (1, 0.2, 0)]),
+    # two parallel edges, overlapping in x
+    ([(0, 0, 0), (1, 0, 0)], [(0.5, 0.1, 0), (2, 0.1, 0)]),
+    # a vertex beside an edge
+    ([(0, 0, 0), (1, 0, 0)], [(0.5, 0.1, 0)]),
+], ids=["coplanar-shared-edge", "acute-edges", "parallel-edges", "vertex-by-edge"])
+def test_separating_axes_cover_flat_pairs_in_3d(a, b):
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    assert not relative_interiors_intersect(a, b)
+    assert _sat_group(a[None], b[None], 1e-9).all()
+    assert _sat_group(b[None], a[None], 1e-9).all()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_find_interior_overlap_matches_an_all_pairs_scan(dim):
+    rng = np.random.default_rng(7 * dim)
+    lattice = np.array(list(itertools.product(range(3), repeat=dim)), dtype=float)
+    outcomes = set()
+    for _ in range(60):
+        verts = rng.permutation(lattice)[:7]
+        sims = sorted({tuple(sorted(rng.choice(7, size=k, replace=False).tolist()))
+                       for k in rng.integers(1, dim + 2, size=4)})
+        first = next(((s, t) for i, s in enumerate(sims) for t in sims[i + 1:]
+                      if not (set(s) <= set(t) or set(t) <= set(s))
+                      and relative_interiors_intersect(verts[list(s)], verts[list(t)])),
+                     None)
+        assert find_interior_overlap(sims, verts) == first, sims
+        outcomes.add(first is None)
+    assert outcomes == {True, False}
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,10 +1,13 @@
-"""Every module imports only what it uses, and the package imports only at
-module level.
+"""Every module imports only what it uses, the package imports only at
+module level, and its functions read every parameter they take.
 
 Stdlib ``ast`` passes: a name bound by an import must be read somewhere in
 the same module (``from __future__`` imports and the package ``__init__``,
-whose imports are its public re-exports, are exempt), and no import under
-``src/jigglekit`` sits inside a function or class body.
+whose imports are its public re-exports, are exempt), no import under
+``src/jigglekit`` sits inside a function or class body, and every function
+under ``src/jigglekit`` that is not a method reads each of its parameters.
+Methods are exempt because an override may ignore an argument to stay
+call-compatible: ``SampledMap`` takes the ``hint`` that ``PLMap`` uses.
 """
 
 import ast
@@ -70,3 +73,42 @@ def test_checker_flags_a_nested_import():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_package_imports_only_at_module_level(path):
     assert nested_imports(path.read_text()) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters that a function other than a method never reads, as
+    ``line N: name``; a read inside a nested function counts."""
+    tree = ast.parse(source)
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body}
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or id(fn) in methods:
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *([a.vararg] if a.vararg else []), *([a.kwarg] if a.kwarg else [])]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        out += [f"line {fn.lineno}: {p.arg}" for p in params if p.arg not in read]
+    return out
+
+
+def test_checker_flags_an_unread_parameter():
+    source = ("def f(a, b, *args, c=1, **kw):\n"
+              "    def g(d):\n"
+              "        return a + c\n"
+              "    b = 2\n"
+              "    return g\n"
+              "class C:\n"
+              "    def m(self, hint=None):\n"
+              "        return lambda x: 0\n")
+    assert unread_parameters(source) == [
+        "line 1: b", "line 1: args", "line 1: kw", "line 2: d"]
+    assert unread_parameters("def f(x, *, y):\n    return x(y=y)\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_package_functions_read_their_parameters(path):
+    assert unread_parameters(path.read_text()) == []
