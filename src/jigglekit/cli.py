@@ -194,7 +194,8 @@ def contact_like() -> Distribution:
     """Rank-2 field in R^3 spanned by (1, 0, y) and (0, 1, 0) at (x, y, z)."""
 
     def at(p):
-        return Plane(np.array([[1.0, 0.0, p[1]], [0.0, 1.0, 0.0]]))
+        norm = math.hypot(1.0, p[1])
+        return Plane(np.array([[1.0 / norm, 0.0, p[1] / norm], [0.0, 1.0, 0.0]]))
 
     return Distribution(3, 2, "builtin", at, name="contact_like")
 

@@ -12,6 +12,7 @@ F(V) or a varying plane distribution xi.  Margins come in two currencies:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -77,23 +78,28 @@ class Distribution:
 # sampling helpers
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def barycentric_lattice(num_vertices: int, depth: int) -> np.ndarray:
     """All barycentric weight vectors with denominators ``depth``.
 
     Includes the vertices themselves; ``depth=0`` gives the barycenter only.
+    Built once per argument pair; the array is read-only.
     """
     if depth <= 0:
-        return np.full((1, num_vertices), 1.0 / num_vertices)
-    combos = []
-    for cuts in itertools.combinations(range(depth + num_vertices - 1),
-                                       num_vertices - 1):
-        prev = -1
-        parts = []
-        for c in (*cuts, depth + num_vertices - 1):
-            parts.append(c - prev - 1)
-            prev = c
-        combos.append(parts)
-    return np.array(combos, dtype=float) / depth
+        weights = np.full((1, num_vertices), 1.0 / num_vertices)
+    else:
+        combos = []
+        for cuts in itertools.combinations(range(depth + num_vertices - 1),
+                                           num_vertices - 1):
+            prev = -1
+            parts = []
+            for c in (*cuts, depth + num_vertices - 1):
+                parts.append(c - prev - 1)
+                prev = c
+            combos.append(parts)
+        weights = np.array(combos, dtype=float) / depth
+    weights.setflags(write=False)
+    return weights
 
 
 def sample_points(coords: np.ndarray, depth: int) -> np.ndarray:
@@ -150,10 +156,9 @@ def simplex_transverse(coords: np.ndarray, v: Plane, tol: float = 1e-9) -> bool:
     )
 
 
-def _face_margin(face: np.ndarray, v: Plane, tol: float) -> float | None:
-    """The eps margin of a simplex of dimension 1..n-k, or None if it is not
-    transverse to V; the simplex plane is built once for both answers."""
-    gr = simplex_plane(face)
+def _face_margin(gr: Plane, v: Plane, tol: float) -> float | None:
+    """The eps margin of a simplex of dimension 1..n-k with direction plane
+    ``gr``, or None if it is not transverse to V."""
     if not is_transverse_planes(gr, v, tol):
         return None
     rejected = gr.basis - (gr.basis @ v.basis.T) @ v.basis
@@ -178,7 +183,7 @@ def eps_margin(coords: np.ndarray, v: Plane) -> float:
         raise PreconditionViolated(
             "eps_margin expects dim <= n-k; use faces for larger simplices"
         )
-    margin = _face_margin(pts, v, RANK_REL_TOL)
+    margin = _face_margin(simplex_plane(pts), v, RANK_REL_TOL)
     if margin is None:
         raise NotTransverse("simplex plane is not transverse to V")
     return margin
@@ -276,7 +281,7 @@ def stratified_transverse(coords: np.ndarray, v: Plane, tol: float = 1e-9) -> bo
 
 def general_position(coords: np.ndarray, xi: Distribution,
                      sample_depth: int = DEFAULT_SAMPLE_DEPTH,
-                     tol: float = 1e-9):
+                     tol: float = RANK_REL_TOL):
     """Sampled check of general position of one simplex against xi.
 
     Every face must be transverse to the frozen plane xi(x) for each probe
@@ -285,19 +290,50 @@ def general_position(coords: np.ndarray, xi: Distribution,
     tested: a larger face is transverse exactly when one of its (n-k)-faces
     is, and for n-k = 0 every simplex of dimension >= 1 fails.  Returns
     ``(ok, margin)`` where margin is the smallest certified eps_margin of
-    those faces; the check is exact for constant fields and sampled
-    otherwise.
+    those faces.  A face's verdict is one float SVD of its basis stacked
+    with xi(x)'s, where singular values at most ``tol`` times the largest
+    count as lost rank.  For a constant field that test runs at a single
+    probe, for a varying field at every sampled probe; neither is a proof
+    (ROADMAP item 7).
     """
-    pts = np.asarray(coords, dtype=float)
+    return _general_position(np.asarray(coords, dtype=float), xi,
+                             sample_depth, tol, {})
+
+
+_MISSING = object()
+
+
+def _memoized(memo: dict, key, compute, *args):
+    """``compute(*args)``, computed on the first request for ``key`` only."""
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = compute(*args)
+    return value
+
+
+def _general_position(pts: np.ndarray, xi: Distribution, sample_depth: int,
+                      tol: float, memo: dict):
+    """``general_position`` with every value it computes kept in ``memo``,
+    keyed by the exact bytes it is computed from: the field plane by the
+    field and the probe point, the face plane by the face coordinates, the
+    face margin by those and the field plane's basis (with its shape, since
+    fields of different rank and ambient dimension may share a memo).
+    Calls that share a memo must share ``tol``."""
     free = xi.ambient_dim - xi.rank
     if free == 0 and pts.shape[0] > 1:
         return False, 0.0
     margin = np.inf
     for x in probe_points(pts, xi, sample_depth):
-        plane = xi.plane_at(x)
+        plane = _memoized(memo, ("field", xi, x.tobytes()), xi.plane_at, x)
+        basis = (plane.basis.shape, plane.basis.tobytes())
         for d in range(1, min(pts.shape[0] - 1, free) + 1):
             for face in _faces_of_dim(pts.shape[0], d):
-                m = _face_margin(pts[list(face)], plane, tol)
+                f = pts[list(face)]
+                fkey = f.tobytes()
+                m = memo.get(("margin", fkey, basis), _MISSING)
+                if m is _MISSING:
+                    gr = _memoized(memo, ("face", fkey), simplex_plane, f)
+                    m = memo[("margin", fkey, basis)] = _face_margin(gr, plane, tol)
                 if m is None:
                     return False, 0.0
                 margin = min(margin, m)
@@ -403,6 +439,11 @@ def transversality_report(complex_, vertex_images: np.ndarray,
     smallest of their margins.  ``certificates`` optionally carries
     semitransversality margins per simplex (from the perturbation search);
     records holding one are marked certified.
+
+    Faces shared between records are judged once: within one call, each
+    field plane, face plane and face margin is computed once, keyed by the
+    exact bytes of its inputs, so every record equals what
+    ``general_position`` returns for it on its own.
     """
     certificates = certificates or {}
     fields = dict.fromkeys(complex_.top_simplices, xi) \
@@ -421,9 +462,11 @@ def transversality_report(complex_, vertex_images: np.ndarray,
     min_eps = np.inf
     min_semi = None
     all_ok = True
+    memo: dict = {}
     for s in sorted(face_fields, key=lambda t: (len(t), t)):
-        pts = vertex_images[list(s)]
-        verdicts = [general_position(pts, d, sample_depth) for d in face_fields[s]]
+        pts = np.asarray(vertex_images[list(s)], dtype=float)
+        verdicts = [_general_position(pts, d, sample_depth, RANK_REL_TOL, memo)
+                    for d in face_fields[s]]
         ok = all(v for v, _ in verdicts)
         cert = certificates.get(s)
         semi = None

@@ -30,7 +30,7 @@ from jigglekit.cli import (
 )
 from jigglekit.complexes import crystalline_subdivide
 from jigglekit.errors import PreconditionViolated, UnsupportedDimension
-from jigglekit.grassmann import Plane
+from jigglekit.grassmann import Plane, plane_from_spanning
 from jigglekit.transversality import Distribution
 
 
@@ -339,6 +339,14 @@ def test_cmd_verify_rejects_a_field_of_another_dimension(notion, capsys):
     assert main(["verify", "unit_square_grid(1)", "planar_rotor(0.1)",
                  "--notion", notion]) == EXIT_VALIDATION
     assert "R^3" in capsys.readouterr().err
+
+
+def test_contact_like_is_a_field_off_the_plane_y_zero(tmp_path):
+    plane = builtin_distribution("contact_like").plane_at((0.0, 0.5, 0.0))
+    spanned = plane_from_spanning([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    assert np.allclose(plane.projector, spanned.projector, atol=1e-12)
+    assert main(["verify", "box_grid(1)", "contact_like",
+                 "--output", str(tmp_path / "v.json")]) in (0, EXIT_FAIL)
 
 
 def test_cmd_render_rejects_a_field_of_another_dimension(tmp_path, capsys):

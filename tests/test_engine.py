@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from jigglekit.cli import (
     box_grid,
     complex_from_dict,
     complex_to_dict,
+    main,
     planar_rotor,
     strip,
     unit_square_grid,
@@ -472,3 +474,45 @@ def test_relative_collar_auto_raises_level_and_freezes_b():
               if abs(child.vertices[v][0] - 3.0) < 1e-12]
     assert len(frozen) == 5
     assert all(np.array_equal(img[v], child.vertices[v]) for v in frozen)
+
+
+# The small scenes of the benchmark at seed 0, and the sha256 of the bundle
+# each writes through ``jigglekit jiggle``: a speedup must keep them byte for
+# byte.
+_FAN_PARENT = {"ambient_dim": 2, "vertices": [[0, 0], [2, 3], [4, 1]],
+               "top_simplices": [[0, 1, 2]]}
+_FAN = {"ambient_dim": 2,
+        "vertices": [[0, 0], [2, 3], [4, 1], [1, 1.5], [2, 1.5]],
+        "top_simplices": [[0, 3, 4], [1, 3, 4], [1, 2, 4], [0, 2, 4]]}
+_HORIZONTAL = {"type": "constant", "basis": [[1.0, 0.0]]}
+BUNDLE_PINS = [
+    ("euclidean",
+     {"complex": "box_grid(1)",
+      "distribution": {"type": "builtin", "name": "planar_rotor(0.0001)"},
+      "config": {"gamma": 0.2, "level": 0, "seed": 0}},
+     "fe03849d57d5e33da676021cfd0b8bcd1957e5db8482ea7b7859d54e43678669"),
+    ("tower",
+     {"complex": "unit_square_grid(2)", "distribution": _HORIZONTAL,
+      "config": {"gamma": 0.2, "seed": 0}, "levels": [1, 2]},
+     "af9f64f3ed3787d9105127c1cb318d838a99679ca4b654fc8368357164a03e42"),
+    ("subdivision",
+     {"complex": _FAN_PARENT, "distribution": _HORIZONTAL,
+      "config": {"gamma": 0.2, "level": 1, "seed": 0}, "refinement": _FAN},
+     "29b224cc0c43d6545286b47e5e18ea369fa60090a97d5d94411ebae8270a5a9d"),
+    ("relative",
+     {"complex": "strip(3)",
+      "distribution": {"type": "constant", "basis": [[1.0 / math.sqrt(2.0),
+                                                      1.0 / math.sqrt(2.0)]]},
+      "config": {"gamma": 0.2, "level": 1, "seed": 0}, "a": [[0, 4]]},
+     "c5fc6c06e6645ac57b682199ba7f3c69d42b1e2342e515ee3191ed5fcf99563b"),
+]
+
+
+def test_small_benchmark_bundles_are_pinned_byte_for_byte(tmp_path):
+    got = []
+    for i, (mode, scenario, _) in enumerate(BUNDLE_PINS):
+        path, out = tmp_path / f"scenario-{i}.json", tmp_path / f"bundle-{i}.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["jiggle", str(path), "--mode", mode, str(out)]) == 0
+        got.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert got == [pin for _, _, pin in BUNDLE_PINS]

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jigglekit.cli import unit_square_grid
+from jigglekit import transversality
+from jigglekit.cli import box_grid, planar_rotor, unit_square_grid
 from jigglekit.errors import NotTransverse, PreconditionViolated, QueryNotInComplex
 from jigglekit.grassmann import Plane, plane_from_spanning, project_along
 from jigglekit.transversality import (
@@ -16,6 +17,7 @@ from jigglekit.transversality import (
     join_transverse_by_projection,
     probe_points,
     semitrans_margin,
+    simplex_plane,
     simplex_transverse,
     stratified_transverse,
     transfer_margins,
@@ -306,3 +308,76 @@ def test_rank_n_field_fails_every_positive_dimension():
     for pts in (segment(0.5), np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 1.0]])):
         assert general_position(pts, xi) == (False, 0.0)
         assert not stratified_transverse(pts, xi.plane_at(pts[0]))
+
+
+# ---------------------------------------------------------------------------
+# the report computes each shared value once
+# ---------------------------------------------------------------------------
+
+def reference_report_records(complex_, images, fields, sample_depth):
+    """(simplex, transverse, eps_margin) per record, calling the public
+    ``general_position`` once per record and field."""
+    face_fields: dict = {}
+    for top, dist in fields.items():
+        for r in range(1, len(top) + 1):
+            for face in itertools.combinations(top, r):
+                face_fields.setdefault(face, {})[dist] = None
+    out = []
+    for s in sorted(face_fields, key=lambda t: (len(t), t)):
+        verdicts = [general_position(images[list(s)], d, sample_depth)
+                    for d in face_fields[s]]
+        ok = all(v for v, _ in verdicts)
+        out.append((s, ok, min(m for _, m in verdicts) if ok else 0.0))
+    return out
+
+
+def _report_field(rng, n, k, kind):
+    if kind == "axis":
+        # along the lattice axes: the axis edges of lattice images fail it
+        return Distribution.constant(Plane(np.eye(n)[:k]))
+    return _random_field(rng, n, k, varying=kind == "builtin")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["square", "box"]), st.data())
+def test_report_records_equal_one_general_position_call_each(shape, data):
+    complex_ = unit_square_grid(1) if shape == "square" else box_grid(1)
+    n = complex_.ambient_dim
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    noise = data.draw(st.sampled_from([0.0, 0.0, 1e-3, 0.2]), label="noise")
+    images = complex_.vertices + noise * rng.standard_normal(complex_.vertices.shape)
+    ranks = st.integers(1, n - 1)
+    kinds = st.sampled_from(["constant", "axis", "builtin"])
+    if data.draw(st.booleans(), label="per-top fields"):
+        # each of the two fields has its own rank: they share one memo
+        two = [_report_field(rng, n, data.draw(ranks), data.draw(kinds))
+               for _ in range(2)]
+        xi = {top: two[i % 2] for i, top in enumerate(complex_.top_simplices)}
+        fields = xi
+    else:
+        xi = _report_field(rng, n, data.draw(ranks), data.draw(kinds))
+        fields = dict.fromkeys(complex_.top_simplices, xi)
+    depth = data.draw(st.integers(0, 3), label="depth")
+    report = transversality_report(complex_, images, xi, sample_depth=depth)
+    got = [(r.simplex, r.transverse, r.eps_margin) for r in report.records]
+    assert got == reference_report_records(complex_, images, fields, depth)
+
+
+def test_report_evaluates_each_probe_and_face_plane_once(monkeypatch):
+    complex_ = box_grid(1)
+    rotor = planar_rotor(0.3)
+    points, faces = [], []
+
+    def evaluate(p):
+        points.append(p.tobytes())
+        return rotor.plane_at(p)
+
+    def face_plane(coords):
+        faces.append(coords.tobytes())
+        return simplex_plane(coords)
+
+    xi = Distribution(3, 1, "builtin", evaluate, name="counted rotor")
+    monkeypatch.setattr(transversality, "simplex_plane", face_plane)
+    transversality_report(complex_, complex_.vertices, xi)
+    assert len(points) == len(set(points)) == 53
+    assert len(faces) == len(set(faces)) == 37
