@@ -28,6 +28,7 @@ from .errors import (
     FaceIntersectionViolation,
     PreconditionViolated,
     QueryNotInComplex,
+    SolverFailed,
 )
 
 DEGENERACY_REL_TOL = 1e-12
@@ -70,9 +71,11 @@ def point_to_affine_span(point: np.ndarray, coords: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ShapeStats:
-    """Shape numbers of a single simplex: rmin, rmax and the coefficient
-    amplification factor lam (how large barycentric-direction coefficients can
-    get for a unit displacement)."""
+    """Shape numbers of a single simplex: rmin, the smallest distance from a
+    vertex to the affine span of its opposite facet (the smallest altitude);
+    rmax, the longest edge; and the coefficient amplification factor lam (how
+    large barycentric-direction coefficients can get for a unit
+    displacement)."""
 
     rmin: float
     rmax: float
@@ -243,7 +246,10 @@ def relative_interiors_intersect(a: np.ndarray, b: np.ndarray,
 
     Solved as a small LP: find barycentric weights for both simplices that
     meet in one point while keeping every weight at least ``t``; the interiors
-    intersect iff the optimal ``t`` is positive.
+    intersect iff the optimal ``t`` is positive.  An infeasible LP means the
+    closed simplices are disjoint; any other solver failure (an iteration
+    limit, numerical trouble) raises :class:`SolverFailed` rather than
+    passing for a verdict.
     """
     pa = np.asarray(a, dtype=float)
     pb = np.asarray(b, dtype=float)
@@ -276,14 +282,35 @@ def relative_interiors_intersect(a: np.ndarray, b: np.ndarray,
     bounds = [(0.0, 1.0)] * (na + nb) + [(None, 1.0)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
-    if not res.success:
+    if res.status == 2:  # infeasible: the closed simplices are disjoint
         return False
+    if not res.success:
+        raise SolverFailed(
+            f"interior-intersection LP stopped undecided "
+            f"(status {res.status}: {res.message})"
+        )
     return float(res.x[-1]) > tol
 
 
-def _bboxes(coord_list):
-    lo = np.array([np.min(c, axis=0) for c in coord_list])
-    hi = np.array([np.max(c, axis=0) for c in coord_list])
+def _id_table(sims) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex ids of each simplex as one row, padded with -1, and the row
+    sizes."""
+    sizes = np.fromiter(map(len, sims), dtype=np.intp, count=len(sims))
+    width = int(sizes.max(initial=0))
+    ids = np.array([tuple(s) + (-1,) * (width - len(s)) for s in sims],
+                   dtype=np.intp).reshape(len(sims), width)
+    return ids, sizes
+
+
+def _bboxes(ids: np.ndarray, sizes: np.ndarray, vertex_coords: np.ndarray):
+    """Per-simplex bounding boxes, one min/max pass per simplex size."""
+    lo = np.empty((len(sizes), vertex_coords.shape[1]), dtype=vertex_coords.dtype)
+    hi = np.empty_like(lo)
+    for k in np.unique(sizes):
+        rows = np.flatnonzero(sizes == k)
+        pts = vertex_coords[ids[rows, :k]]
+        lo[rows] = pts.min(axis=1)
+        hi[rows] = pts.max(axis=1)
     return lo, hi
 
 
@@ -350,26 +377,82 @@ def _sat_group(pa: np.ndarray, pb: np.ndarray, tol: float) -> np.ndarray:
 
 
 _SAT_CHUNK = 4096
+_SWEEP_BLOCK = 65536
 
 
-def _sat_disjoint_many(pairs, coords, tol: float) -> np.ndarray:
+def _candidate_pairs(ids: np.ndarray, sizes: np.ndarray,
+                     vertex_coords: np.ndarray,
+                     tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j, in (i, j) order, of simplices (rows of the id
+    table ``ids``) whose bounding boxes meet within a pad of ``tol`` times
+    the largest box extent on every axis, and where neither simplex is a
+    face of the other.
+
+    Sort and sweep (Ericson, Real-Time Collision Detection, 2004, ch. 7):
+    boxes are sorted by their low end on the axis where the box centres
+    spread most, so each box's partners are the run of later boxes that
+    start before its padded high end.  The runs are emitted in blocks of
+    about ``_SWEEP_BLOCK`` pairs to bound memory, and each block is filtered
+    with the same ``lo <= hi + pad`` rule on every axis.
+    """
+    none = np.empty(0, dtype=np.intp)
+    if not len(ids):
+        return none, none
+    lo, hi = _bboxes(ids, sizes, vertex_coords)
+    pad = tol * max(1.0, float(np.max(hi - lo)))
+    axis = int(np.argmax(np.var(lo + hi, axis=0)))
+    order = np.argsort(lo[:, axis], kind="stable")
+    start = lo[order, axis]
+    stop = np.searchsorted(start, hi[order, axis] + pad, side="right")
+    count = np.maximum(stop - np.arange(1, len(order) + 1), 0)
+    ends = np.cumsum(count)
+    firsts, seconds = [none], [none]
+    row = 0
+    while row < len(order):
+        base = ends[row] - count[row]
+        last = max(int(np.searchsorted(ends, base + _SWEEP_BLOCK, side="right")),
+                   row + 1)
+        c = count[row:last]
+        p = np.repeat(np.arange(row, last), c)
+        row_start = np.repeat(ends[row:last] - c - base, c)
+        q = p + 1 + np.arange(ends[last - 1] - base) - row_start
+        a, b = order[p], order[q]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        near = (np.all(lo[i] <= hi[j] + pad, axis=1)
+                & np.all(lo[j] <= hi[i] + pad, axis=1))
+        i, j = i[near], j[near]
+        vi, vj = ids[i], ids[j]
+        same = vi[:, :, None] == vj[:, None, :]
+        i_in_j = np.all(same.any(axis=2) | (vi < 0), axis=1)
+        j_in_i = np.all(same.any(axis=1) | (vj < 0), axis=1)
+        proper = ~(i_in_j | j_in_i)
+        firsts.append(i[proper])
+        seconds.append(j[proper])
+        row = last
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    by_pair = np.lexsort((second, first))
+    return first[by_pair], second[by_pair]
+
+
+def _sat_disjoint_many(first: np.ndarray, second: np.ndarray, ids: np.ndarray,
+                       sizes: np.ndarray, vertex_coords: np.ndarray,
+                       tol: float) -> np.ndarray:
     """Run the separating-axis certificate over indexed candidate pairs.
 
-    ``pairs`` holds (i, j) indices into ``coords``; pairs are grouped by
-    their vertex-count signature so each group runs as one batch.
+    Pair t joins simplex ``first[t]`` to simplex ``second[t]`` (rows of the
+    id table ``ids``); pairs are grouped by their vertex-count signature so
+    each group runs as one batch, gathered straight from ``vertex_coords``.
     """
-    out = np.zeros(len(pairs), dtype=bool)
-    if not pairs or coords[pairs[0][0]].shape[1] not in (2, 3):
+    out = np.zeros(len(first), dtype=bool)
+    if not len(first) or vertex_coords.shape[1] not in (2, 3):
         return out
-    groups: dict[tuple[int, int], list[int]] = {}
-    for t, (i, j) in enumerate(pairs):
-        key = (coords[i].shape[0], coords[j].shape[0])
-        groups.setdefault(key, []).append(t)
-    for ts in groups.values():
+    ka, kb = sizes[first], sizes[second]
+    for a, b in np.unique(np.stack([ka, kb], axis=1), axis=0):
+        ts = np.flatnonzero((ka == a) & (kb == b))
         for lo_t in range(0, len(ts), _SAT_CHUNK):
             chunk = ts[lo_t:lo_t + _SAT_CHUNK]
-            pa = np.stack([coords[pairs[t][0]] for t in chunk])
-            pb = np.stack([coords[pairs[t][1]] for t in chunk])
+            pa = vertex_coords[ids[first[chunk], :a]]
+            pb = vertex_coords[ids[second[chunk], :b]]
             out[chunk] = _sat_group(pa, pb, tol)
     return out
 
@@ -381,27 +464,18 @@ def find_interior_overlap(simplices: list[tuple[int, ...]],
 
     ``simplices`` index into ``vertex_coords`` (which need not be the
     complex's own table: image coordinates reuse this for embedding checks).
-    Pairs in a face relation are skipped.  The rest go through bounding
-    boxes, then the separating-axis certificate, then the exact LP.
-    Returns the first overlapping pair in (i, j) order, or None.
+    Pairs in a face relation are skipped.  The rest are decided in three
+    tiers: a sweep-and-prune pass over bounding boxes, then the batched
+    separating-axis certificate (SAT), then the exact LP.  Returns the
+    first overlapping pair in (i, j) order, or None.
     """
     sims = list(simplices)
-    coords = [vertex_coords[list(s)] for s in sims]
-    if not sims:
-        return None
-    lo, hi = _bboxes(coords)
-    pad = tol * max(1.0, float(np.max(hi - lo)))
-    sets = [set(s) for s in sims]
-    candidates = []
-    for i in range(len(sims)):
-        overlap = np.all(lo[i] <= hi + pad, axis=1) & np.all(lo <= hi[i] + pad, axis=1)
-        for j in np.flatnonzero(overlap[i + 1:]) + i + 1:
-            if sets[i] <= sets[j] or sets[j] <= sets[i]:
-                continue
-            candidates.append((i, j))
-    certified = _sat_disjoint_many(candidates, coords, tol)
-    for (i, j), ok in zip(candidates, certified):
-        if not ok and relative_interiors_intersect(coords[i], coords[j], tol):
+    ids, sizes = _id_table(sims)
+    first, second = _candidate_pairs(ids, sizes, vertex_coords, tol)
+    certified = _sat_disjoint_many(first, second, ids, sizes, vertex_coords, tol)
+    for i, j in zip(first[~certified].tolist(), second[~certified].tolist()):
+        if relative_interiors_intersect(vertex_coords[list(sims[i])],
+                                        vertex_coords[list(sims[j])], tol):
             return sims[i], sims[j]
     return None
 

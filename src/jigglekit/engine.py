@@ -273,9 +273,10 @@ def auto_level(f, complex_: SimplicialComplex, xi: Distribution, gamma: float,
 
     Two conditions must hold: the C1 linearization defect fits in half the
     budget, and the oscillation of xi over image-simplex-sized balls stays
-    below margin_floor / (4 * rmax), where rmax is the level-zero image
-    circumradius estimate (cells shrink with the level while the bound stays
-    put, so the field looks locally constant at cell scale eventually).
+    below margin_floor / (4 * rmax), where rmax is the longest edge of the
+    level-zero image cells (shape_stats' rmax; cells shrink with the level
+    while the bound stays put, so the field looks locally constant at cell
+    scale eventually).
     """
     fmap = _as_input_map(f, complex_, xi)
     exact = _is_native(fmap, complex_)

@@ -41,6 +41,10 @@ class PreconditionViolated(JiggleKitError):
     """A documented operation precondition failed."""
 
 
+class SolverFailed(JiggleKitError):
+    """A numerical solver stopped without deciding its problem."""
+
+
 class InfeasibleDimensions(JiggleKitError):
     """A flat to avoid fills the whole search domain; no margin can exist."""
 

@@ -292,6 +292,9 @@ def is_piecewise_embedding(f: PLMap, tol: float = 1e-9) -> bool:
     Injectivity is checked pairwise: the images of two simplices may only
     meet along the image of their shared face, i.e. no two distinct
     simplices have intersecting relative interiors in the image.
+    ``find_interior_overlap`` decides this in three tiers: sweep-and-prune
+    over bounding boxes, the separating-axis certificate (SAT), then the
+    exact LP.
     """
     for s in f.domain.top_simplices:
         if len(s) < 2:

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
+from jigglekit import complexes
 from jigglekit.cli import standard_simplex, unit_square_grid
 from jigglekit.complexes import (
+    _candidate_pairs,
+    _id_table,
     _sat_group,
     barycentric_subdivide,
     build_complex,
@@ -25,7 +29,7 @@ from jigglekit.complexes import (
     star,
     vlink,
 )
-from jigglekit.errors import DegenerateSimplex, FaceIntersectionViolation
+from jigglekit.errors import DegenerateSimplex, FaceIntersectionViolation, SolverFailed
 
 # frozen counts for the cube-chain subdivision: (tops, vertices) by (m, level)
 CRYSTALLINE_COUNTS = {
@@ -319,6 +323,98 @@ def test_find_interior_overlap_matches_an_all_pairs_scan(dim):
         assert find_interior_overlap(sims, verts) == first, sims
         outcomes.add(first is None)
     assert outcomes == {True, False}
+
+
+def reference_candidates(sims, verts, tol=1e-9):
+    """The quadratic box loop the sweep replaced: pairs i < j, in (i, j)
+    order, whose padded boxes meet on every axis and neither of which is a
+    face of the other."""
+    if not sims:
+        return []
+    coords = [verts[list(s)] for s in sims]
+    lo = np.array([np.min(c, axis=0) for c in coords])
+    hi = np.array([np.max(c, axis=0) for c in coords])
+    pad = tol * max(1.0, float(np.max(hi - lo)))
+    sets = [set(s) for s in sims]
+    pairs = []
+    for i in range(len(sims)):
+        overlap = np.all(lo[i] <= hi + pad, axis=1) & np.all(lo <= hi[i] + pad, axis=1)
+        for j in np.flatnonzero(overlap[i + 1:]) + i + 1:
+            if not (sets[i] <= sets[j] or sets[j] <= sets[i]):
+                pairs.append((i, int(j)))
+    return pairs
+
+
+def _random_simplices(rng, dim, lattice):
+    """Up to 40 simplices of 1..dim+1 vertices on 12 random vertices; on
+    the lattice {0, 1, 2}^dim many boxes tie or coincide, and some simplices
+    are listed twice."""
+    if lattice:
+        verts = rng.integers(0, 3, size=(12, dim)).astype(float)
+    else:
+        verts = rng.standard_normal((12, dim))
+    sims = [tuple(sorted(rng.choice(12, size=k, replace=False).tolist()))
+            for k in rng.integers(1, dim + 2, size=rng.integers(2, 41))]
+    if lattice:
+        sims += sims[:3]
+    return sims, verts
+
+
+def _broad_phase_cases():
+    rng = np.random.default_rng(1311)
+    cases = [("empty", [], np.zeros((0, 2))),
+             ("one-simplex", [(0, 1, 2)], np.eye(3)[:, :2])]
+    for dim in (2, 3):
+        for lattice in (False, True):
+            for n in range(15):
+                sims, verts = _random_simplices(rng, dim, lattice)
+                cases.append((f"{dim}d-{'lattice' if lattice else 'random'}-{n}",
+                              sims, verts))
+    grid, _ = crystalline_subdivide(unit_square_grid(2), 3)
+    cases.append(("unit-square-grid-2-level-3", grid.all_simplices(), grid.vertices))
+    fine, _ = crystalline_subdivide(unit_square_grid(2), 2)
+    cases.append(("thin-vertical-strip", fine.all_simplices(),
+                  fine.vertices * np.array([1e-3, 1.0])))
+    return cases
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
+def test_sweep_returns_the_reference_candidates(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(complexes, "_SWEEP_BLOCK", block)
+    for name, sims, verts in _broad_phase_cases():
+        first, second = _candidate_pairs(*_id_table(sims), verts, 1e-9)
+        got = list(zip(first.tolist(), second.tolist()))
+        assert got == reference_candidates(sims, verts), name
+
+
+def test_disjoint_simplices_make_an_infeasible_lp(monkeypatch):
+    statuses = []
+    solve = complexes.linprog
+
+    def recording(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(complexes, "linprog", recording)
+    a = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert not relative_interiors_intersect(a, a + 5.0)
+    assert statuses == [2]
+
+
+@pytest.mark.parametrize("status", [1, 2, 4])
+def test_only_an_infeasible_lp_counts_as_disjoint(monkeypatch, status):
+    stopped = OptimizeResult(status=status, success=False, x=None,
+                             message=f"stub status {status}")
+    monkeypatch.setattr(complexes, "linprog", lambda *args, **kwargs: stopped)
+    a = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    b = np.array([[0.2, 0.1], [1.2, 0.4], [0.4, 1.3]])
+    if status == 2:
+        assert relative_interiors_intersect(a, b) is False
+    else:
+        with pytest.raises(SolverFailed, match=f"status {status}"):
+            relative_interiors_intersect(a, b)
 
 
 @settings(max_examples=40, deadline=None)
