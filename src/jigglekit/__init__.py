@@ -16,6 +16,7 @@ from .complexes import (
     compose_subdivisions,
     crystalline_subdivide,
     find_interior_overlap,
+    shape_stats,
 )
 from .engine import (
     JigglingConfig,
@@ -94,6 +95,7 @@ __all__ = [
     "jiggle_tower",
     "linearize",
     "semitrans_margin",
+    "shape_stats",
     "simplex_transverse",
     "stratified_transverse",
     "transversality_report",

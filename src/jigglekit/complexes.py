@@ -82,34 +82,94 @@ class ShapeStats:
     lam: float
 
 
+def cell_radii(stack) -> tuple[np.ndarray, np.ndarray]:
+    """rmin and rmax (see :class:`ShapeStats`) of every simplex in a stack.
+
+    ``stack`` has shape (S, k, N): S simplices of k >= 2 vertices in R^N.
+    One stacked pass per vertex: rmax takes the norm of each edge
+    difference as ``np.linalg.norm`` of a vector does (``vecdot``), and
+    rmin projects the vertex onto its opposite facet through a QR of the
+    facet directions, the arithmetic of :func:`point_to_affine_span`.  So a
+    simplex gets the same bits alone or in a stack of any size.
+    """
+    pts = np.asarray(stack, dtype=float)
+    k = pts.shape[1]
+    i, j = np.triu_indices(k, 1)
+    d = pts[:, i] - pts[:, j]
+    rmax = np.sqrt(np.vecdot(d, d)).max(axis=1)
+    rmin = np.full(len(pts), np.inf)
+    for v in range(k):
+        others = [u for u in range(k) if u != v]
+        rel = pts[:, v] - pts[:, others[0]]
+        if k > 2:
+            dirs = pts[:, others[1:]] - pts[:, others[:1]]
+            q, _ = np.linalg.qr(np.swapaxes(dirs, 1, 2), mode="reduced")
+            rel = rel - (q @ (np.swapaxes(q, 1, 2) @ rel[..., None]))[..., 0]
+        rmin = np.minimum(rmin, np.sqrt(np.vecdot(rel, rel)))
+    return rmin, rmax
+
+
+def _first_flat(rmin: np.ndarray, rmax: np.ndarray) -> None:
+    """Raise :class:`DegenerateSimplex` for the first flat simplex."""
+    flat = np.flatnonzero(~(rmin > DEGENERACY_REL_TOL * rmax) | (rmax == 0.0))
+    if flat.size:
+        t = flat[0]
+        raise DegenerateSimplex(
+            f"simplex is degenerate (rmin={rmin[t]:.3e}, rmax={rmax[t]:.3e})"
+        )
+
+
+def _lam(stack: np.ndarray) -> np.ndarray:
+    """Largest row norm of the pseudo-inverse of each edge matrix."""
+    edges = np.swapaxes(stack[:, 1:] - stack[:, :1], 1, 2)  # S x N x m
+    return np.linalg.norm(np.linalg.pinv(edges), axis=2).max(axis=1)
+
+
 def shape_stats(coords: np.ndarray) -> ShapeStats:
     """Compute :class:`ShapeStats` for a simplex of dimension >= 1.
 
-    ``lam`` is the maximum over coefficient vectors lambda with
-    ``|sum_i lambda_i (v_i - v_0)| = 1`` of ``max_i |lambda_i|``; for a
-    non-degenerate simplex this equals the largest Euclidean row norm of the
-    pseudo-inverse of the edge matrix.
+    A stack of one for :func:`cell_radii`.  ``lam`` is the maximum over
+    coefficient vectors lambda with ``|sum_i lambda_i (v_i - v_0)| = 1`` of
+    ``max_i |lambda_i|``; for a non-degenerate simplex this equals the
+    largest Euclidean row norm of the pseudo-inverse of the edge matrix.
     """
-    pts = np.asarray(coords, dtype=float)
-    m = pts.shape[0] - 1
-    if m < 1:
+    pts = np.asarray(coords, dtype=float)[None]
+    if pts.shape[1] < 2:
         raise DegenerateSimplex("shape_stats needs a simplex of dimension >= 1")
-    rmax = 0.0
-    for i in range(m + 1):
-        for j in range(i + 1, m + 1):
-            rmax = max(rmax, float(np.linalg.norm(pts[i] - pts[j])))
-    rmin = np.inf
-    for i in range(m + 1):
-        others = np.delete(pts, i, axis=0)
-        rmin = min(rmin, point_to_affine_span(pts[i], others))
-    if not (rmin > DEGENERACY_REL_TOL * rmax) or rmax == 0.0:
-        raise DegenerateSimplex(
-            f"simplex is degenerate (rmin={rmin:.3e}, rmax={rmax:.3e})"
-        )
-    edges = (pts[1:] - pts[0]).T  # N x m
-    pinv = np.linalg.pinv(edges)
-    lam = float(np.max(np.linalg.norm(pinv, axis=1)))
-    return ShapeStats(rmin=float(rmin), rmax=rmax, lam=lam)
+    rmin, rmax = cell_radii(pts)
+    _first_flat(rmin, rmax)
+    return ShapeStats(rmin=float(rmin[0]), rmax=float(rmax[0]),
+                      lam=float(_lam(pts)[0]))
+
+
+def size_groups(simplices):
+    """The simplices grouped by vertex count, in order of first appearance.
+
+    Yields ``(k, rows, ids)``: the positions ``rows`` in ``simplices`` of
+    the simplices with k vertices, and their vertex ids as an (S, k) array,
+    ready to gather a coordinate stack as ``coords[ids]``.
+    """
+    sims = list(simplices)
+    sizes = np.fromiter(map(len, sims), dtype=np.intp, count=len(sims))
+    for k in dict.fromkeys(sizes.tolist()):
+        rows = np.flatnonzero(sizes == k)
+        yield k, rows, np.array([sims[r] for r in rows], dtype=np.intp)
+
+
+def top_radii(complex_: SimplicialComplex, coords: np.ndarray):
+    """rmin and rmax of each top simplex of at least two vertices, placed at
+    ``coords`` (the complex's own vertices or a map's images).
+
+    One :func:`cell_radii` pass per simplex size.  Returns ``(tops, rmin,
+    rmax)`` with the arrays aligned to ``tops`` (in ``top_simplices``
+    order); raises :class:`DegenerateSimplex` for the first flat one.
+    """
+    tops = [t for t in complex_.top_simplices if len(t) >= 2]
+    rmin, rmax = np.empty(len(tops)), np.empty(len(tops))
+    for _, rows, ids in size_groups(tops):
+        rmin[rows], rmax[rows] = cell_radii(coords[ids])
+    _first_flat(rmin, rmax)
+    return tops, rmin, rmax
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +548,7 @@ def validate_complex(complex_: SimplicialComplex, tol: float = _INTERIOR_TOL):
     is not a common face (equivalently: their relative interiors intersect
     although they are not the same simplex).
     """
-    for s in complex_.top_simplices:
-        if len(s) >= 2:
-            shape_stats(complex_.coords(s))  # raises DegenerateSimplex
+    top_radii(complex_, complex_.vertices)  # raises DegenerateSimplex
     bad = find_interior_overlap(complex_.all_simplices(), complex_.vertices, tol)
     if bad is not None:
         raise FaceIntersectionViolation(
@@ -763,21 +821,13 @@ def model_classes(complex_: SimplicialComplex, levels: int,
 
 def complex_shape_extremes(complex_: SimplicialComplex) -> dict[str, float]:
     """Shape summary over the top simplices (used for the scaling laws)."""
-    max_rmax = 0.0
-    min_rmin = np.inf
-    max_lam = 0.0
-    max_product = 0.0
-    for s in complex_.top_simplices:
-        if len(s) < 2:
-            continue
-        st = shape_stats(complex_.coords(s))
-        max_rmax = max(max_rmax, st.rmax)
-        min_rmin = min(min_rmin, st.rmin)
-        max_lam = max(max_lam, st.lam)
-        max_product = max(max_product, st.rmax * st.lam)
+    tops, rmin, rmax = top_radii(complex_, complex_.vertices)
+    lam = np.empty(len(tops))
+    for _, rows, ids in size_groups(tops):
+        lam[rows] = _lam(complex_.vertices[ids])
     return {
-        "max_rmax": max_rmax,
-        "min_rmin": float(min_rmin),
-        "max_lam": max_lam,
-        "max_rmax_lam": max_product,
+        "max_rmax": float(rmax.max(initial=0.0)),
+        "min_rmin": float(rmin.min(initial=np.inf)),
+        "max_lam": float(lam.max(initial=0.0)),
+        "max_rmax_lam": float((rmax * lam).max(initial=0.0)),
     }

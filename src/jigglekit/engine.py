@@ -28,9 +28,10 @@ from .complexes import (
     compose_subdivisions,
     crystalline_subdivide,
     point_to_affine_span,
-    shape_stats,
     simplex_volume,
+    size_groups,
     star,
+    top_radii,
 )
 from .errors import (
     AmbientMismatch,
@@ -169,14 +170,27 @@ def _as_input_map(f, complex_: SimplicialComplex, xi: Distribution):
     return fmap
 
 
+def _vertex_images(fmap, complex_: SimplicialComplex) -> np.ndarray:
+    """f at the vertices of the complex, which must all be finite."""
+    images = fmap.images if _is_native(fmap, complex_) else \
+        fmap.evaluate_batch(complex_.vertices)
+    bad = np.flatnonzero(~np.isfinite(images).all(axis=1))
+    if bad.size:
+        raise PreconditionViolated(
+            f"the map takes a non-finite value at vertex {bad[0]}")
+    return images
+
+
 def _linearize_exactly(fmap, complex_: SimplicialComplex, level: int):
     """The level-``level`` linearization plus its C0/C1 defect against f.
 
     Both defects are zero for a PLMap on the complex itself: ``linearize``
     interpolates it by exact vertex supports, so the maps agree as functions
-    (vertex roundoff is below every tolerance in play).
+    (vertex roundoff is below every tolerance in play).  Non-finite vertex
+    images are rejected before any distance is taken.
     """
     flin, child, smap = linearize(fmap, complex_, level)
+    _vertex_images(flin, child)
     if _is_native(fmap, complex_):
         return flin, child, smap, 0.0, 0.0
     return (flin, child, smap, distance(fmap, flin, order=0),
@@ -189,32 +203,28 @@ def _jacobian_amplification(child: SimplicialComplex) -> float:
     For a cell with edge matrix E, perturbing every vertex image by at most
     eta changes the differential by at most eta * 2*sqrt(m)/sigma_min(E);
     the maximum of that factor over top cells converts per-vertex budgets
-    into C1 budgets.
+    into C1 budgets.  One stacked SVD per cell size.
     """
     worst = 0.0
-    for top in child.top_simplices:
-        if len(top) < 2:
+    for k, rows, ids in size_groups(child.top_simplices):
+        if k < 2:
             continue
-        pts = child.coords(top)
-        edges = pts[1:] - pts[0]
-        smin = np.linalg.svd(edges, compute_uv=False)[-1]
-        if smin <= 0:
+        pts = child.vertices[ids]
+        smin = np.linalg.svd(pts[:, 1:] - pts[:, :1], compute_uv=False)[:, -1]
+        flat = np.flatnonzero(smin <= 0)
+        if flat.size:
+            top = child.top_simplices[rows[flat[0]]]
             raise DegenerateSimplex(f"degenerate domain cell {top}")
-        worst = max(worst, 2.0 * math.sqrt(len(top) - 1) / float(smin))
+        worst = max(worst, float((2.0 * math.sqrt(k - 1) / smin).max()))
     return worst
 
 
 def _image_radii(child: SimplicialComplex,
                  images: np.ndarray) -> tuple[float, float]:
-    """Smallest shape_stats rmin and largest rmax over the image cells."""
-    rmin, rmax = np.inf, 0.0
-    for top in child.top_simplices:
-        if len(top) < 2:
-            continue
-        stats = shape_stats(images[list(top)])
-        rmin = min(rmin, stats.rmin)
-        rmax = max(rmax, stats.rmax)
-    return float(rmin), float(rmax)
+    """Smallest rmin and largest rmax over the image cells, from one
+    stacked ``top_radii`` pass; raises DegenerateSimplex on a flat cell."""
+    _, rmin, rmax = top_radii(child, images)
+    return float(rmin.min(initial=np.inf)), float(rmax.max(initial=0.0))
 
 
 def _plane_drift(child: SimplicialComplex, planes_for, xi: Distribution) -> float:
@@ -274,13 +284,13 @@ def auto_level(f, complex_: SimplicialComplex, xi: Distribution, gamma: float,
     Two conditions must hold: the C1 linearization defect fits in half the
     budget, and the oscillation of xi over image-simplex-sized balls stays
     below margin_floor / (4 * rmax), where rmax is the longest edge of the
-    level-zero image cells (shape_stats' rmax; cells shrink with the level
-    while the bound stays put, so the field looks locally constant at cell
-    scale eventually).
+    level-zero image cells (the rmax of ``_image_radii``; cells shrink with
+    the level while the bound stays put, so the field looks locally constant
+    at cell scale eventually).
     """
     fmap = _as_input_map(f, complex_, xi)
     exact = _is_native(fmap, complex_)
-    images0 = fmap.images if exact else fmap.evaluate_batch(complex_.vertices)
+    images0 = _vertex_images(fmap, complex_)
     _, rmax0 = _image_radii(complex_, images0)
     if rmax0 == 0.0:
         return 0
@@ -428,7 +438,7 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
     b_faces = set(closure(complex_, b))
 
     if a_faces:
-        images_k = fmap.images if native else fmap.evaluate_batch(complex_.vertices)
+        images_k = _vertex_images(fmap, complex_)
         for s in star(complex_, list(a_faces)):
             if len(s) < 2:
                 continue
@@ -484,12 +494,14 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
     cap_a = np.inf
     near_a = np.zeros(child.num_vertices, dtype=bool)
     if from_a.any():
+        tops, rmins, _ = top_radii(child, flin.images)
+        rmin_of = dict(zip(tops, rmins.tolist()))
         for top in child.top_simplices:
             if any(from_a[v] for v in top):
                 img = flin.images[list(top)]
                 ok, margin = general_position(img, xi, cfg.sample_depth)
                 if ok and np.isfinite(margin):
-                    cap_a = min(cap_a, 0.5 * margin * shape_stats(img).rmin)
+                    cap_a = min(cap_a, 0.5 * margin * rmin_of[top])
         for vid in range(child.num_vertices):
             near_a[vid] = any(
                 from_a[o] for s in child._incident(vid) for o in s
@@ -703,8 +715,8 @@ def jiggle_subdivision(complex_: SimplicialComplex,
         return affine_span(complex_.vertices[list(carrier)])
 
     eps_cache: dict[int, float] = {}
-    rmin_cache: dict[tuple[int, ...], float] = {}
-    out_tops = set(out.top_simplices)
+    tops, rmins, _ = top_radii(out, out.vertices)
+    rmin_of = dict(zip(tops, rmins.tolist()))
 
     def epsilon_for(vid):
         if vid not in eps_cache:
@@ -715,12 +727,8 @@ def jiggle_subdivision(complex_: SimplicialComplex,
                 for drop in range(len(carrier)):
                     facet = np.delete(cpts, drop, axis=0)
                     wall = min(wall, point_to_affine_span(unperturbed[vid], facet))
-            room = np.inf
-            for s in out._incident(vid):
-                if s in out_tops:
-                    if s not in rmin_cache:
-                        rmin_cache[s] = shape_stats(out.coords(s)).rmin
-                    room = min(room, rmin_cache[s])
+            room = min((rmin_of[s] for s in out._incident(vid) if s in rmin_of),
+                       default=np.inf)
             eps_cache[vid] = 0.9 * min(wall, 0.25 * room)
         return eps_cache[vid]
 

@@ -16,8 +16,9 @@ from .complexes import (
     barycentric_coordinates,
     crystalline_subdivide,
     find_interior_overlap,
-    shape_stats,
     simplex_volume,
+    size_groups,
+    top_radii,
 )
 from .errors import DegenerateSimplex, DomainMismatch
 from .transversality import barycentric_lattice
@@ -200,21 +201,29 @@ def _common_refinement(f, g) -> SimplicialComplex:
     return fine
 
 
-def _eval_on(m, pts: np.ndarray, simplex, own: bool) -> np.ndarray:
+def _values(m, own: bool, ids: np.ndarray, b: np.ndarray,
+            pts: np.ndarray) -> np.ndarray:
+    """m at the lattice points ``pts`` (S, L, N) of one size group."""
     if own:
-        b = barycentric_lattice(len(simplex), SAMPLE_DEPTH)
-        return b @ m.image_coords(simplex)
-    return m.evaluate_batch(pts)
+        return b @ m.images[ids]
+    return np.array([m.evaluate_batch(p) for p in pts])
 
 
-def _derivative_on(m, pts: np.ndarray, simplex, own: bool, scale: float):
+def _jacobians(m, own: bool, ids: np.ndarray, pinv_a: np.ndarray,
+               dom: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Derivatives of m on one size group, shape (S, P, n, N): one matrix
+    per cell for a PLMap, one per lattice point for a SampledMap."""
+    if own:
+        img = m.images[ids]
+        return (np.swapaxes(img[:, 1:] - img[:, :1], 1, 2) @ pinv_a)[:, None]
     if isinstance(m, PLMap):
-        if own:
-            return [m.jacobian(simplex)]
-        center = pts.mean(axis=0)
-        parent = m.domain.containing_top_simplex(center)
-        return [m.jacobian(parent)]
-    return [m.derivative_at(p, scale=scale) for p in pts]
+        return np.array([
+            [m.jacobian(m.domain.containing_top_simplex(p.mean(axis=0)))]
+            for p in pts
+        ])
+    scales = np.max(np.linalg.norm(dom - dom[:, :1], axis=2), axis=1)
+    return np.array([[m.derivative_at(q, scale=float(s)) for q in p]
+                     for p, s in zip(pts, scales)])
 
 
 def distance(f, g, order: int = 0) -> float:
@@ -222,32 +231,27 @@ def distance(f, g, order: int = 0) -> float:
 
     Order one returns the per-simplex maximum of (sup-distance + Jacobian
     operator-norm distance), maximized over simplices, per the sup-plus-
-    derivative convention.
+    derivative convention.  The cells are taken one size group at a time:
+    a PLMap on the refinement itself is read off its vertex images as
+    stacked arrays, any other map is evaluated cell by cell.
     """
     fine = _common_refinement(f, g)
+    f_own = isinstance(f, PLMap) and f.domain is fine
+    g_own = isinstance(g, PLMap) and g.domain is fine
     worst = 0.0
-    for simplex in fine.top_simplices:
-        dom = fine.coords(simplex)
-        b = barycentric_lattice(len(simplex), SAMPLE_DEPTH)
+    for k, _, ids in size_groups(fine.top_simplices):
+        dom = fine.vertices[ids]
+        b = barycentric_lattice(k, SAMPLE_DEPTH)
         pts = b @ dom
-        f_own = isinstance(f, PLMap) and f.domain is fine
-        g_own = isinstance(g, PLMap) and g.domain is fine
-        fv = _eval_on(f, pts, simplex, f_own)
-        gv = _eval_on(g, pts, simplex, g_own)
-        d0 = float(np.max(np.linalg.norm(fv - gv, axis=1)))
-        val = d0
+        diff = _values(f, f_own, ids, b, pts) - _values(g, g_own, ids, b, pts)
+        val = np.sqrt(np.add.reduce(diff * diff, axis=2)).max(axis=1)
         if order >= 1:
-            scale = float(np.max(np.linalg.norm(dom - dom[0], axis=1)))
-            fj = _derivative_on(f, pts, simplex, f_own, scale)
-            gj = _derivative_on(g, pts, simplex, g_own, scale)
-            if len(fj) == 1 and len(gj) > 1:
-                fj = fj * len(gj)
-            if len(gj) == 1 and len(fj) > 1:
-                gj = gj * len(fj)
-            d1 = max(float(np.linalg.norm(a - c, 2)) for a, c in zip(fj, gj))
-            val = d0 + d1
-        worst = max(worst, val)
-    return worst
+            pinv_a = np.linalg.pinv(np.swapaxes(dom[:, 1:] - dom[:, :1], 1, 2))
+            gap = (_jacobians(f, f_own, ids, pinv_a, dom, pts)
+                   - _jacobians(g, g_own, ids, pinv_a, dom, pts))
+            val = val + np.linalg.svd(gap, compute_uv=False).max(axis=(1, 2))
+        worst = np.maximum(worst, val.max())
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +298,16 @@ def is_piecewise_embedding(f: PLMap, tol: float = 1e-9) -> bool:
     simplices have intersecting relative interiors in the image.
     ``find_interior_overlap`` decides this in three tiers: sweep-and-prune
     over bounding boxes, the separating-axis certificate (SAT), then the
-    exact LP.
+    exact LP.  A non-finite image point, a flat image cell or one with
+    rmin <= tol * rmax (one stacked ``top_radii`` pass) fails at once.
     """
-    for s in f.domain.top_simplices:
-        if len(s) < 2:
-            continue
-        img = f.image_coords(s)
-        try:
-            stats = shape_stats(img)
-        except DegenerateSimplex:
-            return False
-        if stats.rmin <= tol * stats.rmax:
-            return False
+    if not np.isfinite(f.images).all():
+        return False
+    try:
+        _, rmin, rmax = top_radii(f.domain, f.images)
+    except DegenerateSimplex:
+        return False
+    if np.any(rmin <= tol * rmax):
+        return False
     overlap = find_interior_overlap(f.domain.all_simplices(), f.images, tol)
     return overlap is None

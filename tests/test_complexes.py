@@ -16,6 +16,7 @@ from jigglekit.complexes import (
     _sat_group,
     barycentric_subdivide,
     build_complex,
+    cell_radii,
     closure,
     complex_shape_extremes,
     compose_subdivisions,
@@ -23,10 +24,12 @@ from jigglekit.complexes import (
     find_interior_overlap,
     link,
     model_classes,
+    point_to_affine_span,
     relative_interiors_intersect,
     shape_stats,
     simplex_volume,
     star,
+    top_radii,
     vlink,
 )
 from jigglekit.errors import DegenerateSimplex, FaceIntersectionViolation, SolverFailed
@@ -433,3 +436,82 @@ def test_coords_roundtrip():
     K = unit_square_grid(2)
     s = K.top_simplices[0]
     np.testing.assert_array_equal(K.coords(s), K.vertices[list(s)])
+
+
+def reference_radii(coords):
+    """rmin and rmax the way shape_stats measured one cell before the
+    stacked pass: np.linalg.norm of each edge, and point_to_affine_span
+    from each vertex to its opposite facet."""
+    pts = np.asarray(coords, dtype=float)
+    rmax = 0.0
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        rmax = max(rmax, float(np.linalg.norm(pts[i] - pts[j])))
+    rmin = np.inf
+    for i in range(len(pts)):
+        rmin = min(rmin, point_to_affine_span(pts[i], np.delete(pts, i, axis=0)))
+    return rmin, rmax
+
+
+def random_stacks(seed):
+    """Stacks of simplices of dimension m = 1..N in R^N, N = 2, 3, at
+    scales 1e-4..1e2 and off the origin, each also in a nearly flat
+    variant whose last vertex sits 1e-9 (relative) off an edge."""
+    rng = np.random.default_rng(seed)
+    for n in (2, 3):
+        for k in range(2, n + 2):
+            for scale in (1e-4, 1e-2, 1.0, 1e2):
+                stack = scale * (rng.standard_normal((25, k, n))
+                                 + 10.0 * rng.standard_normal(n))
+                flat = stack.copy()
+                flat[:, -1] = (flat[:, 0] + 0.3 * (flat[:, 1] - flat[:, 0])
+                               + 1e-9 * scale * rng.standard_normal((25, n)))
+                yield stack
+                yield flat
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_radii_equal_the_per_cell_loops(seed):
+    """Bit for bit, with ==, cell by cell: a numpy whose stacked QR,
+    products or vecdot stop matching the per-cell idioms fails here rather
+    than moving eta, margin targets and so the jiggled images."""
+    for stack in random_stacks(seed):
+        rmin, rmax = cell_radii(stack)
+        for t, cell in enumerate(stack):
+            assert (rmin[t], rmax[t]) == reference_radii(cell)
+        one_min, one_max = cell_radii(stack[:1])
+        assert (one_min[0], one_max[0]) == (rmin[0], rmax[0])
+
+
+def test_shape_stats_is_a_stack_of_one():
+    for stack in random_stacks(3):
+        for cell in stack[:3]:
+            try:
+                stats = shape_stats(cell)
+            except DegenerateSimplex:
+                rmin, rmax = reference_radii(cell)
+                assert not rmin > 1e-12 * rmax
+                continue
+            assert (stats.rmin, stats.rmax) == reference_radii(cell)
+
+
+@pytest.mark.parametrize("name", ["tower-4", "box-2"])
+def test_top_radii_of_jiggled_meshes_equal_the_per_cell_loops(jiggled_meshes, name):
+    child, images = jiggled_meshes[name]
+    for coords in (child.vertices, images):
+        tops, rmin, rmax = top_radii(child, coords)
+        assert tops == list(child.top_simplices)
+        for t, top in enumerate(tops):
+            assert (rmin[t], rmax[t]) == reference_radii(coords[list(top)])
+
+
+def test_top_radii_name_the_first_flat_cell():
+    K = build_complex(2, [(0, 0), (1, 0), (0, 1), (2, 1), (3, 3)],
+                      [(0, 1, 2), (1, 3), (4,)])
+    tops, rmin, rmax = top_radii(K, K.vertices)
+    assert tops == [(0, 1, 2), (1, 3)]
+    flat = K.vertices.copy()
+    flat[3] = flat[1]
+    with pytest.raises(DegenerateSimplex, match=r"rmin=0\.000e\+00"):
+        top_radii(K, flat)
+    with pytest.raises(DegenerateSimplex):
+        build_complex(2, [(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])

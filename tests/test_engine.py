@@ -283,6 +283,23 @@ def test_auto_level_of_a_sampled_map_frozen():
     assert auto_level(SampledMap(K, _shear), K, HORIZONTAL, 0.2) == 2
 
 
+@pytest.mark.parametrize("evaluator", [
+    lambda P: np.full(np.shape(P), np.nan),
+    lambda P: np.where(P[:, :1] > 0.9, np.nan, P),
+    lambda P: np.where(P[:, :1] > 0.9, np.inf, P),
+], ids=["all-nan", "nan-at-x-1", "inf-at-x-1"])
+def test_a_map_with_non_finite_values_is_a_typed_error(evaluator):
+    """Rejected before any distance or SVD sees the values (a fixed level
+    died with a bare LinAlgError from the distance's SVD)."""
+    K = unit_square_grid(1)
+    f = SampledMap(K, evaluator)
+    for cfg in (JigglingConfig(gamma=0.2, level=1), JigglingConfig(gamma=0.2)):
+        with pytest.raises(PreconditionViolated, match="non-finite"):
+            jiggle_euclidean(f, K, HORIZONTAL, cfg)
+    with pytest.raises(PreconditionViolated, match="non-finite"):
+        jiggle_relative(f, K, HORIZONTAL, 0.2, a=[(0,)])
+
+
 # ---------------------------------------------------------------------------
 # subdivision pipeline
 # ---------------------------------------------------------------------------

@@ -1,19 +1,24 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from jigglekit.cli import unit_square_grid
-from jigglekit.complexes import build_complex, crystalline_subdivide
-from jigglekit.errors import DomainMismatch
+from jigglekit.cli import box_grid, unit_square_grid
+from jigglekit.complexes import build_complex, crystalline_subdivide, point_to_affine_span
+from jigglekit.engine import _image_radii, _jacobian_amplification
+from jigglekit.errors import DegenerateSimplex, DomainMismatch
 from jigglekit.plmaps import (
+    SAMPLE_DEPTH,
     PLMap,
     SampledMap,
+    _common_refinement,
     complex_subdivides,
     distance,
     is_piecewise_embedding,
     linearize,
 )
+from jigglekit.transversality import barycentric_lattice
 
 
 def square():
@@ -135,3 +140,148 @@ def test_complex_subdivides_accepts_refinements_only():
     assert complex_subdivides(sq, child)
     other = build_complex(2, [(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     assert not complex_subdivides(sq, other)
+
+
+# ---------------------------------------------------------------------------
+# the stacked passes against the per-cell loops they replaced
+# ---------------------------------------------------------------------------
+
+def reference_distance(f, g, order=0):
+    """``distance`` as it ran before the size groups: one top at a time,
+    own PLMaps through their per-simplex ``jacobian`` (a pinv each)."""
+    fine = _common_refinement(f, g)
+
+    def values(m, pts, simplex, own):
+        if own:
+            return barycentric_lattice(len(simplex), SAMPLE_DEPTH) @ m.image_coords(simplex)
+        return m.evaluate_batch(pts)
+
+    def derivatives(m, pts, simplex, own, scale):
+        if isinstance(m, PLMap):
+            if own:
+                return [m.jacobian(simplex)]
+            return [m.jacobian(m.domain.containing_top_simplex(pts.mean(axis=0)))]
+        return [m.derivative_at(p, scale=scale) for p in pts]
+
+    worst = 0.0
+    for simplex in fine.top_simplices:
+        dom = fine.coords(simplex)
+        pts = barycentric_lattice(len(simplex), SAMPLE_DEPTH) @ dom
+        f_own = isinstance(f, PLMap) and f.domain is fine
+        g_own = isinstance(g, PLMap) and g.domain is fine
+        d0 = float(np.max(np.linalg.norm(
+            values(f, pts, simplex, f_own) - values(g, pts, simplex, g_own), axis=1)))
+        val = d0
+        if order >= 1:
+            scale = float(np.max(np.linalg.norm(dom - dom[0], axis=1)))
+            fj = derivatives(f, pts, simplex, f_own, scale)
+            gj = derivatives(g, pts, simplex, g_own, scale)
+            if len(fj) == 1 and len(gj) > 1:
+                fj = fj * len(gj)
+            if len(gj) == 1 and len(fj) > 1:
+                gj = gj * len(fj)
+            val = d0 + max(float(np.linalg.norm(a - c, 2)) for a, c in zip(fj, gj))
+        worst = max(worst, val)
+    return worst
+
+
+def reference_amplification(child):
+    """``engine._jacobian_amplification`` as one SVD per top."""
+    worst = 0.0
+    for top in child.top_simplices:
+        if len(top) < 2:
+            continue
+        pts = child.coords(top)
+        smin = np.linalg.svd(pts[1:] - pts[0], compute_uv=False)[-1]
+        worst = max(worst, 2.0 * math.sqrt(len(top) - 1) / float(smin))
+    return worst
+
+
+def reference_image_radii(child, images):
+    """Smallest rmin and largest rmax, one cell at a time."""
+    rmin, rmax = np.inf, 0.0
+    for top in child.top_simplices:
+        if len(top) < 2:
+            continue
+        pts = images[list(top)]
+        for i, j in itertools.combinations(range(len(pts)), 2):
+            rmax = max(rmax, float(np.linalg.norm(pts[i] - pts[j])))
+        for i in range(len(pts)):
+            rmin = min(rmin, point_to_affine_span(pts[i], np.delete(pts, i, axis=0)))
+    return float(rmin), float(rmax)
+
+
+def assert_distances_match(f, g):
+    for order in (0, 1):
+        assert distance(f, g, order) == reference_distance(f, g, order)
+        assert distance(g, f, order) == reference_distance(g, f, order)
+
+
+@pytest.mark.parametrize("name", ["tower-4", "box-2"])
+def test_stacked_passes_on_jiggled_meshes_equal_the_per_cell_loops(jiggled_meshes, name):
+    """Bit for bit, with ==: a numpy whose stacked pinv, SVD or products
+    stop matching the per-cell calls fails here rather than moving the
+    pinned d_c0/d_c1, eta and margin target of a bundle."""
+    child, images = jiggled_meshes[name]
+    jiggled, ident = PLMap(child, images), PLMap.identity(child)
+    assert_distances_match(ident, jiggled)
+    assert _jacobian_amplification(child) == reference_amplification(child)
+    assert _image_radii(child, images) == reference_image_radii(child, images)
+    assert is_piecewise_embedding(jiggled)
+
+
+@pytest.mark.parametrize("grid, level", [(unit_square_grid(1), 2), (box_grid(1), 1)],
+                         ids=["square-2", "box-1"])
+@pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e2])
+def test_stacked_distances_equal_the_per_cell_loop(grid, level, scale):
+    """Random PLMaps on the refinement, a PLMap on the coarse complex and a
+    sampled map with a finite-difference Jacobian, in every pairing the
+    engine makes."""
+    rng = np.random.default_rng(int(-math.log10(scale)) + 7 * level)
+    child, _ = crystalline_subdivide(grid, level)
+    n = grid.ambient_dim
+
+    def noisy(K):
+        return scale * (K.vertices + 0.05 * rng.standard_normal(K.vertices.shape))
+
+    own = PLMap(child, noisy(child))
+    other = PLMap(child, noisy(child))
+    coarse = PLMap(grid, noisy(grid))
+    sampled = SampledMap(grid, lambda P: scale * (P + 0.1 * np.sin(3.0 * P[:, ::-1])))
+    assert sampled.target_dim == coarse.target_dim == n
+    for f in (other, coarse, sampled):
+        assert_distances_match(f, own)
+    assert _jacobian_amplification(child) == reference_amplification(child)
+
+
+def triangle_edge_vertex():
+    """Tops of three sizes: a triangle, a dangling edge, an isolated vertex."""
+    return build_complex(2, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2.0, 1.0), (3.0, 3.0)],
+                         [(0, 1, 2), (1, 3), (4,)])
+
+
+def test_tops_of_mixed_sizes_are_grouped_by_size():
+    K = triangle_edge_vertex()
+    assert [len(t) for t in K.top_simplices] == [3, 2, 1]
+    rng = np.random.default_rng(5)
+    g = PLMap(K, K.vertices + 0.01 * rng.standard_normal(K.vertices.shape))
+    assert is_piecewise_embedding(g)
+    assert _image_radii(K, g.images) == reference_image_radii(K, g.images)
+    assert _jacobian_amplification(K) == reference_amplification(K)
+    sampled = SampledMap(K, lambda P: P + 0.01 * np.sin(P))
+    for f in (PLMap.identity(K), sampled):
+        assert_distances_match(f, g)
+
+
+def test_tops_of_mixed_sizes_reject_flat_and_non_finite_images():
+    K = triangle_edge_vertex()
+    collinear = K.vertices.copy()
+    collinear[2] = (2.0, 0.0)  # the triangle lies on the x axis
+    assert not is_piecewise_embedding(PLMap(K, collinear))
+    with pytest.raises(DegenerateSimplex):
+        _image_radii(K, collinear)
+    for vid in (0, 3, 4):  # in the triangle, the edge, the lone vertex
+        for bad in (np.nan, np.inf):
+            images = K.vertices.copy()
+            images[vid, 0] = bad
+            assert is_piecewise_embedding(PLMap(K, images)) is False
