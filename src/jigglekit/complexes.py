@@ -69,6 +69,18 @@ def point_to_affine_span(point: np.ndarray, coords: np.ndarray) -> float:
     return float(np.linalg.norm(rel - proj))
 
 
+def _span_distances(points: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """:func:`point_to_affine_span` of each row of an (S, N) stack, bit for
+    bit: one QR of the span's directions, then the stacked products
+    ``q @ (q.T @ rel[..., None])`` and ``sqrt(vecdot)`` per point."""
+    pts = np.asarray(coords, dtype=float)
+    rel = points - pts[0]
+    if pts.shape[0] > 1:
+        q, _ = np.linalg.qr((pts[1:] - pts[0]).T, mode="reduced")
+        rel = rel - (q @ (q.T @ rel[..., None]))[..., 0]
+    return np.sqrt(np.vecdot(rel, rel))
+
+
 @dataclass(frozen=True)
 class ShapeStats:
     """Shape numbers of a single simplex: rmin, the smallest distance from a

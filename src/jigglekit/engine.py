@@ -22,12 +22,12 @@ import numpy as np
 from .complexes import (
     SimplicialComplex,
     SubdivisionMap,
+    _span_distances,
     barycentric_coordinates,
     barycentric_subdivide,
     closure,
     compose_subdivisions,
     crystalline_subdivide,
-    point_to_affine_span,
     simplex_volume,
     size_groups,
     star,
@@ -717,19 +717,26 @@ def jiggle_subdivision(complex_: SimplicialComplex,
     eps_cache: dict[int, float] = {}
     tops, rmins, _ = top_radii(out, out.vertices)
     rmin_of = dict(zip(tops, rmins.tolist()))
+    # each vertex's distance to the nearest facet wall of its carrier face,
+    # one stack per carrier facet
+    wall = np.full(out.num_vertices, np.inf)
+    by_carrier: dict[tuple[int, ...], list[int]] = {}
+    for vid, carrier in enumerate(carriers):
+        if len(carrier) >= 2:
+            by_carrier.setdefault(carrier, []).append(vid)
+    for carrier, vids in by_carrier.items():
+        cpts = complex_.vertices[list(carrier)]
+        for drop in range(len(carrier)):
+            facet = np.delete(cpts, drop, axis=0)
+            wall[vids] = np.minimum(wall[vids],
+                                    _span_distances(unperturbed[vids], facet))
+    wall = wall.tolist()
 
     def epsilon_for(vid):
         if vid not in eps_cache:
-            carrier = carriers[vid]
-            cpts = complex_.vertices[list(carrier)]
-            wall = np.inf
-            if len(carrier) >= 2:
-                for drop in range(len(carrier)):
-                    facet = np.delete(cpts, drop, axis=0)
-                    wall = min(wall, point_to_affine_span(unperturbed[vid], facet))
             room = min((rmin_of[s] for s in out._incident(vid) if s in rmin_of),
                        default=np.inf)
-            eps_cache[vid] = 0.9 * min(wall, 0.25 * room)
+            eps_cache[vid] = 0.9 * min(wall[vid], 0.25 * room)
         return eps_cache[vid]
 
     positive = [epsilon_for(v) for v in range(out.num_vertices) if not frozen[v]]

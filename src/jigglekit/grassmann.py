@@ -156,3 +156,20 @@ def point_flat_distance(p, flat: AffineFlat) -> float:
         return float(np.linalg.norm(rel))
     proj = flat.direction.basis.T @ (flat.direction.basis @ rel)
     return float(np.linalg.norm(rel - proj))
+
+
+def _flat_distances(points: np.ndarray, bases: np.ndarray,
+                    dirs: np.ndarray | None) -> np.ndarray:
+    """(S, T) distances from S points to T affine flats of one dimension.
+
+    ``points`` is (S, n), ``bases`` (T, n) and ``dirs`` the (T, k, n)
+    orthonormal direction bases, or None for points.  Entry (i, j) has the
+    bits of :func:`point_flat_distance` of point i and flat j: each pair
+    goes through the products of that call, as the stacked
+    ``B @ rel[..., None]``, and its norm is ``sqrt(vecdot)``.  The plain
+    2-D product ``rel @ B.T`` would round differently in the last bits.
+    """
+    rel = points[:, None, :] - bases
+    if dirs is not None:
+        rel = rel - (np.swapaxes(dirs, 1, 2) @ (dirs @ rel[..., None]))[..., 0]
+    return np.sqrt(np.vecdot(rel, rel))

@@ -11,12 +11,15 @@ final ball is nested in all earlier ones.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from .errors import (
+    DegenerateSimplex,
     InfeasibleDimensions,
     PreconditionViolated,
     StarNotTransverse,
@@ -24,13 +27,13 @@ from .errors import (
 from .grassmann import (
     AffineFlat,
     Plane,
+    _flat_distances,
     affine_span,
     is_transverse_planes,
     plane_from_spanning,
-    point_flat_distance,
     project_along,
 )
-from .transversality import semitrans_margin, simplex_transverse
+from .transversality import _transverse_stack, semitrans_margin, simplex_transverse
 
 REFINE_ROUNDS = 3
 REFINE_STEPS = (0.25, 0.08, 0.02)
@@ -55,7 +58,8 @@ class PerturbationRequest:
         self.point = np.asarray(self.point, dtype=float)
         self.star_simplices = [np.atleast_2d(np.asarray(s, dtype=float))
                                for s in self.star_simplices]
-        if self.epsilon <= 0:
+        _check_search(self.point, self.epsilon, self.samples)
+        if self.epsilon == 0:
             raise PreconditionViolated("perturbation budget must be positive")
 
 
@@ -87,9 +91,25 @@ def _project_flat(v: Plane | None, flat: AffineFlat) -> AffineFlat:
 
 
 def _search_basis(ambient: int, constraint: AffineFlat | None) -> np.ndarray:
-    if constraint is None or constraint.direction is None:
+    if constraint is None:
         return np.eye(ambient)
+    if constraint.direction is None:
+        return np.zeros((0, ambient))
     return constraint.direction.basis
+
+
+def _check_search(point: np.ndarray, epsilon, samples) -> None:
+    """Reject a point or budget that is not finite, a negative budget and a
+    sample count that is not a nonnegative integer."""
+    if not np.isfinite(point).all():
+        raise PreconditionViolated(f"point must be finite, got {point}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise PreconditionViolated(
+            f"budget must be finite and nonnegative, got {epsilon!r}")
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) \
+            or samples < 0:
+        raise PreconditionViolated(
+            f"samples must be a nonnegative integer, got {samples!r}")
 
 
 def avoid_flats(p, epsilon: float, flats, quotients=None,
@@ -102,8 +122,15 @@ def avoid_flats(p, epsilon: float, flats, quotients=None,
     satisfies the nested-ball contract: |p'-p| + delta <= epsilon, and the
     open ball of radius delta around each projection of p' misses its flat.
     delta is the best clearance the seeded search found, not a supremum.
+
+    The search scores ``samples`` seeded points of the ball and keeps the
+    first strictly better one, then refines along the search axes with
+    shrinking steps, accepting the first improving move of each sweep.
+    Candidates are scored in stacks, each with the bits of a point-by-point
+    evaluation, so the result is that of the sequential search.
     """
     point = np.asarray(p, dtype=float)
+    _check_search(point, epsilon, samples)
     flats = list(flats)
     if quotients is None:
         quotients = [None] * len(flats)
@@ -112,58 +139,75 @@ def avoid_flats(p, epsilon: float, flats, quotients=None,
 
     basis = _search_basis(point.shape[0], constraint_flat)
     ndof = basis.shape[0]
-    tasks = []
+    # projected flats stacked by quotient and dimension, so that a stack of
+    # candidates is projected and measured once per group
+    search_dims: dict[Plane | None, int] = {}
+    tasks: dict[tuple, list[AffineFlat]] = {}
     for flat, quot in zip(flats, quotients):
         proj_flat = _project_flat(quot, flat)
-        proj_basis = basis if quot is None else project_along(quot, basis)
-        s = np.linalg.svd(proj_basis, compute_uv=False)
-        search_dim = int(np.sum(s > 1e-9 * max(s[0], 1.0))) if s.size else 0
-        if proj_flat.dim >= search_dim:
+        if quot not in search_dims:
+            proj_basis = basis if quot is None else project_along(quot, basis)
+            s = np.linalg.svd(proj_basis, compute_uv=False)
+            search_dims[quot] = int(np.sum(s > 1e-9 * max(s[0], 1.0))) if s.size else 0
+        if proj_flat.dim >= search_dims[quot]:
             raise InfeasibleDimensions(
                 f"flat of dimension {proj_flat.dim} fills the "
-                f"{search_dim}-dimensional projected search domain"
+                f"{search_dims[quot]}-dimensional projected search domain"
             )
-        tasks.append((quot, proj_flat))
+        tasks.setdefault((quot, proj_flat.dim), []).append(proj_flat)
+    groups = [(None if quot is None else quot.complement(),
+               np.stack([f.base for f in group]),
+               np.stack([f.direction.basis for f in group]) if dim else None)
+              for (quot, dim), group in tasks.items()]
 
-    def clearance(q: np.ndarray) -> float:
-        worst = np.inf
-        for quot, proj_flat in tasks:
-            qq = q if quot is None else project_along(quot, q)
-            worst = min(worst, point_flat_distance(qq, proj_flat))
-        return worst
-
-    def objective(q: np.ndarray) -> float:
-        return min(epsilon - float(np.linalg.norm(q - point)), clearance(q))
+    def objective(qs: np.ndarray):
+        """|q - p| and min(epsilon - |q - p|, clearance of q) per row of qs."""
+        rel = qs - point
+        dist = np.sqrt(np.vecdot(rel, rel))
+        val = epsilon - dist
+        for comp, bases, dirs in groups:
+            proj = qs if comp is None else (qs[:, None, :] @ comp.T)[:, 0, :]
+            val = np.minimum(val, _flat_distances(proj, bases, dirs).min(axis=1))
+        return dist, val
 
     best_q = point
-    best_val = objective(point)
+    best_val = float(objective(point[None])[1][0])
     if tasks:
-        rng = np.random.default_rng([seed, 2026])
-        dirs = rng.normal(size=(samples, ndof))
-        norms = np.linalg.norm(dirs, axis=1)
-        norms[norms == 0] = 1.0
-        radii = epsilon * rng.uniform(0.0, 1.0, size=samples) ** (1.0 / max(ndof, 1))
-        offsets = (dirs / norms[:, None]) * radii[:, None]
-        for off in offsets:
-            q = point + off @ basis
-            val = objective(q)
-            if val > best_val:
-                best_q, best_val = q, val
+        if samples:
+            rng = np.random.default_rng([seed, 2026])
+            dirs = rng.normal(size=(samples, ndof))
+            norms = np.linalg.norm(dirs, axis=1)
+            norms[norms == 0] = 1.0
+            radii = epsilon * rng.uniform(0.0, 1.0, size=samples) \
+                ** (1.0 / max(ndof, 1))
+            offsets = (dirs / norms[:, None]) * radii[:, None]
+            qs = point + (offsets[:, None, :] @ basis)[:, 0, :]
+            vals = objective(qs)[1]
+            i = int(np.argmax(vals))
+            if vals[i] > best_val:
+                best_q, best_val = qs[i], float(vals[i])
+        # the moves of one sweep in order: +axis, -axis for each search axis
+        axes = np.repeat(basis, 2, axis=0)
+        signs = np.tile([1.0, -1.0], ndof)
         for step in REFINE_STEPS:
-            improved = True
-            rounds = 0
-            while improved and rounds < REFINE_ROUNDS:
+            moves = (signs * step * epsilon)[:, None] * axes
+            for _ in range(REFINE_ROUNDS):
                 improved = False
-                rounds += 1
-                for axis in basis:
-                    for sign in (1.0, -1.0):
-                        q = best_q + sign * step * epsilon * axis
-                        if np.linalg.norm(q - point) > epsilon:
-                            continue
-                        val = objective(q)
-                        if val > best_val:
-                            best_q, best_val = q, val
-                            improved = True
+                start = 0
+                while start < len(moves):
+                    # every move starts at the latest best point, so after
+                    # an accepted move only the later ones are scored again
+                    qs = best_q + moves[start:]
+                    dist, vals = objective(qs)
+                    better = np.flatnonzero(~(dist > epsilon) & (vals > best_val))
+                    if not better.size:
+                        break
+                    i = better[0]
+                    best_q, best_val = qs[i], float(vals[i])
+                    improved = True
+                    start += i + 1
+                if not improved:
+                    break
     delta = max(best_val, 0.0)
     delta = min(delta, epsilon - float(np.linalg.norm(best_q - point)))
     return best_q, max(delta, 0.0)
@@ -202,6 +246,32 @@ def join_margins(point, stars, star_folis, folis) -> list:
     return out
 
 
+def _check_star(stars: list, v: Plane, u: int) -> None:
+    """Raise for the first star simplex that fails ``simplex_transverse``
+    against foliation ``u``: :class:`StarNotTransverse`, or the
+    :class:`DegenerateSimplex` that the test raises.  Simplices of dimension
+    1 to n-k are tested as one stack per size."""
+    free = v.ambient_dim - v.rank
+    verdicts = {}
+    for size in {len(s) for s in stars if 2 <= len(s) <= free + 1}:
+        idx = [i for i, s in enumerate(stars) if len(s) == size]
+        transverse, degenerate = _transverse_stack(
+            np.stack([stars[i] for i in idx]), v)
+        verdicts.update(zip(idx, zip(transverse, degenerate)))
+    for i, s in enumerate(stars):
+        if i in verdicts:
+            ok, flat = verdicts[i]
+            if flat:
+                raise DegenerateSimplex("simplex directions are dependent")
+        else:
+            ok = simplex_transverse(s, v)
+        if not ok:
+            raise StarNotTransverse(
+                f"a star simplex of dim {s.shape[0] - 1} is not transverse "
+                f"to foliation {u}"
+            )
+
+
 def perturb_vertex(req: PerturbationRequest) -> PerturbationResult:
     """Perturb one point so all joins with the star become semitransverse.
 
@@ -221,12 +291,7 @@ def perturb_vertex(req: PerturbationRequest) -> PerturbationResult:
         raise PreconditionViolated("star_foliations must parallel star_simplices")
 
     for u, v in enumerate(folis):
-        for s, us in zip(stars, star_folis):
-            if u in us and not simplex_transverse(s, v):
-                raise StarNotTransverse(
-                    f"a star simplex of dim {s.shape[0] - 1} is not transverse "
-                    f"to foliation {u}"
-                )
+        _check_star([s for s, us in zip(stars, star_folis) if u in us], v, u)
         if req.constraint_flat is not None and req.constraint_flat.direction is not None:
             if not is_transverse_planes(req.constraint_flat.direction, v):
                 raise PreconditionViolated(

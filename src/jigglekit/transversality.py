@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    AmbientMismatch,
     DegenerateSimplex,
     NotTransverse,
     PreconditionViolated,
@@ -147,13 +148,46 @@ def simplex_transverse(coords: np.ndarray, v: Plane, tol: float = 1e-9) -> bool:
     if dim == 0:
         return True
     if dim <= free:
-        return is_transverse_planes(simplex_plane(pts), v, tol)
+        transverse, degenerate = _transverse_stack(pts[None], v, tol)
+        if degenerate[0]:
+            raise DegenerateSimplex("simplex directions are dependent")
+        return bool(transverse[0])
     if free == 0:
         return False
     return any(
         is_transverse_planes(simplex_plane(pts[list(face)]), v, tol)
         for face in _faces_of_dim(pts.shape[0], free)
     )
+
+
+def _transverse_stack(stack: np.ndarray, v: Plane, tol: float = RANK_REL_TOL):
+    """``simplex_transverse`` of each simplex in an (S, d+1, n) stack with
+    1 <= d <= n-k, as boolean arrays ``(transverse, degenerate)``.
+
+    A simplex is degenerate where :func:`simplex_plane` raises
+    :class:`DegenerateSimplex`, and otherwise transverse where
+    :func:`is_transverse_planes` holds for its plane.  Both SVDs run
+    stacked, which gives every matrix the bits of its own call, so each
+    verdict is the scalar one.
+    """
+    if stack.shape[2] != v.ambient_dim:
+        raise AmbientMismatch(
+            f"simplices live in R^{stack.shape[2]}, the plane in R^{v.ambient_dim}"
+        )
+    edges = np.swapaxes(stack[:, 1:] - stack[:, :1], 1, 2)
+    # simplex_plane reports the failed SVD of a non-finite simplex as a
+    # degenerate simplex; zero edges are degenerate as well
+    edges[~np.isfinite(edges).all(axis=(1, 2))] = 0.0
+    u, s, _ = np.linalg.svd(edges, full_matrices=False)
+    degenerate = (s[:, 0] == 0.0) | (s.min(axis=1) <= RANK_REL_TOL * s[:, 0])
+    d, k = s.shape[1], v.rank
+    both = np.empty((len(stack), d + k, v.ambient_dim))
+    both[:, :d] = np.swapaxes(u, 1, 2)
+    both[:, d:] = v.basis
+    sv = np.linalg.svd(both, compute_uv=False)
+    rank = np.where(sv[:, 0] > 0, (sv > tol * sv[:, :1]).sum(axis=1), 0)
+    transverse = ~degenerate & (rank == min(d + k, v.ambient_dim))
+    return transverse, degenerate
 
 
 def _face_margin(gr: Plane, v: Plane, tol: float) -> float | None:

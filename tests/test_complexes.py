@@ -12,6 +12,7 @@ from jigglekit import complexes
 from jigglekit.cli import standard_simplex, unit_square_grid
 from jigglekit.complexes import (
     _candidate_pairs,
+    _span_distances,
     _id_table,
     _sat_group,
     barycentric_subdivide,
@@ -515,3 +516,14 @@ def test_top_radii_name_the_first_flat_cell():
         top_radii(K, flat)
     with pytest.raises(DegenerateSimplex):
         build_complex(2, [(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
+
+
+def test_span_distances_match_point_to_affine_span_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        coords = rng.normal(size=(int(rng.integers(1, n + 2)), n))
+        scale = 10.0 ** rng.uniform(-4, 2)
+        points = rng.normal(size=(int(rng.integers(1, 40)), n)) * scale
+        got = _span_distances(points, coords)
+        assert got.tolist() == [point_to_affine_span(p, coords) for p in points]

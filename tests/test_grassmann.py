@@ -9,6 +9,7 @@ from jigglekit.errors import RankDeficient
 from jigglekit.grassmann import (
     AffineFlat,
     Plane,
+    _flat_distances,
     affine_span,
     d_proj,
     is_transverse_planes,
@@ -104,3 +105,22 @@ def test_point_flat_distance_to_a_point_flat():
 def test_point_flat_distance_to_a_line():
     flat = AffineFlat(np.zeros(2), line(0.0))
     assert point_flat_distance(np.array([10.0, 3.0]), flat) == pytest.approx(3.0)
+
+
+def test_stacked_flat_distances_match_the_scalar_call_bit_for_bit():
+    """The vertex search relies on this: if a numpy upgrade changes how the
+    stacked products round, this fails instead of bundles changing."""
+    rng = np.random.default_rng(15)
+    for _ in range(400):
+        n = int(rng.integers(1, 5))
+        k = int(rng.integers(0, n))
+        s, t = int(rng.integers(1, 70)), int(rng.integers(1, 5))
+        scale = 10.0 ** rng.uniform(-6, 2)
+        points = rng.normal(size=(s, n)) * scale
+        flats = [AffineFlat(rng.normal(size=n) * scale,
+                            plane_from_spanning(rng.normal(size=(k, n))) if k else None)
+                 for _ in range(t)]
+        dirs = np.stack([f.direction.basis for f in flats]) if k else None
+        got = _flat_distances(points, np.stack([f.base for f in flats]), dirs)
+        want = [[point_flat_distance(p, f) for f in flats] for p in points]
+        assert got.tolist() == want

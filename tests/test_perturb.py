@@ -1,13 +1,29 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from jigglekit.errors import PreconditionViolated, StarNotTransverse
-from jigglekit.grassmann import AffineFlat, Plane, affine_span
+from jigglekit.errors import (
+    DegenerateSimplex,
+    InfeasibleDimensions,
+    PreconditionViolated,
+    StarNotTransverse,
+)
+from jigglekit.grassmann import (
+    AffineFlat,
+    Plane,
+    affine_span,
+    plane_from_spanning,
+    point_flat_distance,
+    project_along,
+)
 from jigglekit.perturb import (
+    REFINE_ROUNDS,
+    REFINE_STEPS,
     PerturbationRequest,
     PerturbationResult,
+    _project_flat,
     avoid_flats,
     join_margins,
     perturb_vertex,
@@ -123,6 +139,20 @@ def test_perturb_vertex_rejects_nontransverse_star():
         perturb_vertex(req)
 
 
+def test_perturb_vertex_reports_the_first_bad_star_simplex():
+    """Star simplices are checked in order: edges as one stack, a triangle
+    (above n-k) on its own, and the first failure decides the error."""
+    triangle = np.array([[1.0, 0.0], [2.0, 1.0], [1.0, 2.0]])
+    along = np.array([[0.0, 0.0], [1.0, 0.0]])      # inside the foliation
+    collapsed = np.array([[1.0, 1.0], [1.0, 1.0]])
+    for stars, error in (([triangle, along, collapsed], StarNotTransverse),
+                         ([triangle, collapsed, along], DegenerateSimplex)):
+        req = PerturbationRequest(point=np.array([0.5, 1.0]), epsilon=0.1,
+                                  star_simplices=stars, foliations=[HORIZONTAL])
+        with pytest.raises(error):
+            perturb_vertex(req)
+
+
 def test_perturb_vertex_constraint_flat_pins_the_search():
     wall = AffineFlat(np.array([0.0, 0.0]), VERTICAL)  # the y axis
     star = [np.array([[1.0, 0.5]])]
@@ -187,3 +217,161 @@ def test_join_margins_lists_every_join_with_its_direct_margin():
             direct, zeros = 0.0, zeros + 1
         assert m == direct
     assert zeros == 1
+
+
+# ---------------------------------------------------------------------------
+# the batched search against the point-by-point one
+# ---------------------------------------------------------------------------
+
+def reference_avoid_flats(p, epsilon, flats, quotients=None,
+                          constraint_flat=None, seed=0, samples=64):
+    """The search evaluated one candidate at a time: scalar distances, the
+    samples in order keeping the first strictly better one, and a greedy
+    sweep that moves as soon as a step improves."""
+    point = np.asarray(p, dtype=float)
+    if quotients is None:
+        quotients = [None] * len(flats)
+    basis = (np.eye(point.shape[0]) if constraint_flat is None
+             else constraint_flat.direction.basis)
+    ndof = basis.shape[0]
+    tasks = [(quot, _project_flat(quot, flat))
+             for flat, quot in zip(flats, quotients)]
+
+    def objective(q):
+        worst = np.inf
+        for quot, proj_flat in tasks:
+            qq = q if quot is None else project_along(quot, q)
+            worst = min(worst, point_flat_distance(qq, proj_flat))
+        return min(epsilon - float(np.linalg.norm(q - point)), worst)
+
+    best_q = point
+    best_val = objective(point)
+    rng = np.random.default_rng([seed, 2026])
+    dirs = rng.normal(size=(samples, ndof))
+    norms = np.linalg.norm(dirs, axis=1)
+    norms[norms == 0] = 1.0
+    radii = epsilon * rng.uniform(0.0, 1.0, size=samples) ** (1.0 / max(ndof, 1))
+    for off in (dirs / norms[:, None]) * radii[:, None]:
+        q = point + off @ basis
+        val = objective(q)
+        if val > best_val:
+            best_q, best_val = q, val
+    for step in REFINE_STEPS:
+        improved = True
+        rounds = 0
+        while improved and rounds < REFINE_ROUNDS:
+            improved = False
+            rounds += 1
+            for axis in basis:
+                for sign in (1.0, -1.0):
+                    q = best_q + sign * step * epsilon * axis
+                    if np.linalg.norm(q - point) > epsilon:
+                        continue
+                    val = objective(q)
+                    if val > best_val:
+                        best_q, best_val = q, val
+                        improved = True
+    delta = max(best_val, 0.0)
+    delta = min(delta, epsilon - float(np.linalg.norm(best_q - point)))
+    return best_q, max(delta, 0.0)
+
+
+def _random_plane(rng, n, k):
+    return plane_from_spanning(rng.normal(size=(k, n)))
+
+
+def _search_case(n, quotient, constraint_dim, seed):
+    """A point, flats through or near it that the search can clear, and an
+    optional quotient plane and constraint flat, all drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    point = rng.normal(size=n)
+    quot = _random_plane(rng, n, 1) if quotient else None
+    free = n - 1 if quotient else n
+    ndof = n if constraint_dim is None else constraint_dim
+    constraint = (None if constraint_dim is None else
+                  AffineFlat(point, _random_plane(rng, n, constraint_dim)))
+    flats = []
+    for _ in range(int(rng.integers(1, 5))):
+        dim = int(rng.integers(0, min(free, ndof)))
+        base = point + rng.normal(size=n) * 10.0 ** rng.uniform(-7, -1)
+        flats.append(AffineFlat(base, _random_plane(rng, n, dim) if dim else None))
+    return point, flats, None if quot is None else [quot] * len(flats), constraint
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+@pytest.mark.parametrize("n,constraint_dim",
+                         [(2, None), (2, 1), (3, None), (3, 1), (3, 2)])
+def test_avoid_flats_matches_the_point_by_point_search(n, constraint_dim, quotient):
+    cases = itertools.product(range(4), [0, 1, 7, 64], [1e-6, 1e-3, 1.0])
+    for seed, samples, epsilon in cases:
+        point, flats, quots, constraint = _search_case(n, quotient, constraint_dim,
+                                                       seed)
+        kw = dict(quotients=quots, constraint_flat=constraint, seed=seed,
+                  samples=samples)
+        got_q, got_delta = avoid_flats(point, epsilon, flats, **kw)
+        want_q, want_delta = reference_avoid_flats(point, epsilon, flats, **kw)
+        assert got_q.tobytes() == want_q.tobytes(), (seed, samples, epsilon)
+        assert got_delta == want_delta, (seed, samples, epsilon)
+
+
+@pytest.mark.parametrize("samples", [7, 64])
+def test_avoid_flats_keeps_the_first_of_tied_candidates(samples):
+    """A vertical line through a point far from the origin and two
+    horizontal lines mirrored about it: candidate coordinates fall on a
+    grid of doubles coarse next to the budget, so several distinct samples
+    tie on the best value."""
+    point = np.array([1e9, -1e9])
+    flats = [AffineFlat(point, VERTICAL),
+             AffineFlat(point + [0.0, 3e-7], HORIZONTAL),
+             AffineFlat(point - [0.0, 3e-7], HORIZONTAL)]
+    got = avoid_flats(point, 1e-6, flats, seed=3, samples=samples)
+    want = reference_avoid_flats(point, 1e-6, flats, seed=3, samples=samples)
+    assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+    # the case does tie
+    rng = np.random.default_rng([3, 2026])
+    dirs = rng.normal(size=(samples, 2))
+    radii = 1e-6 * rng.uniform(0.0, 1.0, size=samples) ** 0.5
+    qs = point + dirs / np.linalg.norm(dirs, axis=1)[:, None] * radii[:, None]
+    vals = [min(1e-6 - float(np.linalg.norm(q - point)),
+                *(point_flat_distance(q, f) for f in flats)) for q in qs]
+    assert len({q.tobytes() for q, v in zip(qs, vals) if v == max(vals)}) > 1
+
+
+def test_a_point_constraint_leaves_no_room():
+    """A 0-dimensional constraint flat pins the point: any flat fills the
+    zero-dimensional search domain."""
+    line = affine_span(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    pin = AffineFlat(np.array([0.5, 0.0]), None)
+    with pytest.raises(InfeasibleDimensions):
+        avoid_flats(np.array([0.5, 0.0]), 0.1, [line], constraint_flat=pin)
+    p, delta = avoid_flats(np.array([0.5, 0.0]), 0.1, [], constraint_flat=pin)
+    np.testing.assert_array_equal(p, [0.5, 0.0])
+    assert delta == 0.1
+
+
+@pytest.mark.parametrize("kw", [
+    dict(samples=-1), dict(samples=2.5), dict(samples=True),
+    dict(epsilon=-0.1), dict(epsilon=math.nan), dict(epsilon=math.inf),
+    dict(point=[math.nan, 0.0]), dict(point=[0.0, math.inf]),
+])
+def test_search_inputs_are_checked(kw):
+    line = affine_span(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    args = dict(point=[0.5, 0.0], epsilon=0.1, samples=8) | kw
+    with pytest.raises(PreconditionViolated):
+        avoid_flats(args["point"], args["epsilon"], [line],
+                    samples=args["samples"])
+    with pytest.raises(PreconditionViolated):
+        PerturbationRequest(point=args["point"], epsilon=args["epsilon"],
+                            samples=args["samples"])
+
+
+def test_zero_budget_and_zero_samples_are_legal():
+    line = affine_span(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    p, delta = avoid_flats(np.array([0.5, 0.0]), 0.0, [line])
+    np.testing.assert_array_equal(p, [0.5, 0.0])
+    assert delta == 0.0
+    got = avoid_flats(np.array([0.5, 0.0]), 0.1, [line], seed=4, samples=0)
+    want = reference_avoid_flats(np.array([0.5, 0.0]), 0.1, [line], seed=4,
+                                 samples=0)
+    assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+    assert got[1] > 0.0

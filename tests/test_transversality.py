@@ -8,10 +8,21 @@ from hypothesis import strategies as st
 
 from jigglekit import transversality
 from jigglekit.cli import box_grid, planar_rotor, unit_square_grid
-from jigglekit.errors import NotTransverse, PreconditionViolated, QueryNotInComplex
-from jigglekit.grassmann import Plane, plane_from_spanning, project_along
+from jigglekit.errors import (
+    DegenerateSimplex,
+    NotTransverse,
+    PreconditionViolated,
+    QueryNotInComplex,
+)
+from jigglekit.grassmann import (
+    Plane,
+    is_transverse_planes,
+    plane_from_spanning,
+    project_along,
+)
 from jigglekit.transversality import (
     Distribution,
+    _transverse_stack,
     eps_margin,
     general_position,
     join_transverse_by_projection,
@@ -381,3 +392,31 @@ def test_report_evaluates_each_probe_and_face_plane_once(monkeypatch):
     transversality_report(complex_, complex_.vertices, xi)
     assert len(points) == len(set(points)) == 53
     assert len(faces) == len(set(faces)) == 37
+
+
+def test_stacked_rank_test_gives_the_scalar_verdicts():
+    """One stack per simplex size decides as simplex_plane followed by
+    is_transverse_planes does, one simplex at a time, on generic,
+    non-transverse, flat and non-finite simplices."""
+    rng = np.random.default_rng(15)
+    for _ in range(150):
+        n = int(rng.integers(2, 4))
+        k = int(rng.integers(1, n))
+        v = random_plane(rng, n, k)
+        d = int(rng.integers(1, n - k + 1))
+        stack = rng.normal(size=(int(rng.integers(1, 9)), d + 1, n))
+        for s in stack[1::3]:        # edges inside V: not transverse
+            s[1:] = s[0] + rng.normal(size=(d, k)) @ v.basis
+        for s in stack[2::4]:        # repeated vertex: flat
+            s[-1] = s[0]
+        if rng.uniform() < 0.2:
+            stack[0, 0, 0] = np.nan
+        tol = 10.0 ** rng.uniform(-12, -3)
+        transverse, degenerate = _transverse_stack(stack, v, tol)
+        for s, ok, flat in zip(stack, transverse, degenerate):
+            try:
+                want = is_transverse_planes(simplex_plane(s), v, tol)
+            except DegenerateSimplex:
+                assert flat and not ok
+                continue
+            assert not flat and ok == want
