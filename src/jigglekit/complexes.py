@@ -46,11 +46,12 @@ def simplex_volume(coords: np.ndarray) -> float:
     if m == 0:
         return 0.0
     edges = pts[1:] - pts[0]
-    gram = edges @ edges.T
-    det = float(np.linalg.det(gram))
-    if det < 0.0:
-        det = 0.0
-    vol = np.sqrt(det)
+    if m == pts.shape[1]:
+        # |det(edges)| directly: the Gram determinant squares the condition
+        # number and loses half the digits of a thin simplex's volume.
+        vol = abs(float(np.linalg.det(edges)))
+    else:
+        vol = np.sqrt(max(float(np.linalg.det(edges @ edges.T)), 0.0))
     for i in range(2, m + 1):
         vol /= i
     return float(vol)
@@ -58,26 +59,24 @@ def simplex_volume(coords: np.ndarray) -> float:
 
 def point_to_affine_span(point: np.ndarray, coords: np.ndarray) -> float:
     """Distance from ``point`` to the affine span of the rows of ``coords``."""
-    pts = np.asarray(coords, dtype=float)
-    base = pts[0]
-    rel = np.asarray(point, dtype=float) - base
-    if pts.shape[0] == 1:
-        return float(np.linalg.norm(rel))
-    dirs = pts[1:] - base
-    q, _ = np.linalg.qr(dirs.T, mode="reduced")
-    proj = q @ (q.T @ rel)
-    return float(np.linalg.norm(rel - proj))
+    return float(_span_distances(np.asarray(point, dtype=float)[None],
+                                 np.asarray(coords, dtype=float))[0])
 
 
 def _span_distances(points: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """:func:`point_to_affine_span` of each row of an (S, N) stack, bit for
-    bit: one QR of the span's directions, then the stacked products
-    ``q @ (q.T @ rel[..., None])`` and ``sqrt(vecdot)`` per point."""
-    pts = np.asarray(coords, dtype=float)
-    rel = points - pts[0]
-    if pts.shape[0] > 1:
-        q, _ = np.linalg.qr((pts[1:] - pts[0]).T, mode="reduced")
-        rel = rel - (q @ (q.T @ rel[..., None]))[..., 0]
+    """Distances from each row of an (S, N) stack of points to an affine
+    span: one span for all points, given as its (m, N) rows, or one per
+    point, given as an (S, m, N) stack.
+
+    A QR of each span's directions, then the stacked products
+    ``q @ (q.T @ rel[..., None])`` and ``sqrt(vecdot)`` per point, so a
+    point gets the same bits alone as in a stack of any size.
+    """
+    rel = points - coords[..., 0, :]
+    if coords.shape[-2] > 1:
+        dirs = coords[..., 1:, :] - coords[..., :1, :]
+        q, _ = np.linalg.qr(dirs.swapaxes(-1, -2), mode="reduced")
+        rel = rel - (q @ (q.swapaxes(-1, -2) @ rel[..., None]))[..., 0]
     return np.sqrt(np.vecdot(rel, rel))
 
 
@@ -100,9 +99,8 @@ def cell_radii(stack) -> tuple[np.ndarray, np.ndarray]:
     ``stack`` has shape (S, k, N): S simplices of k >= 2 vertices in R^N.
     One stacked pass per vertex: rmax takes the norm of each edge
     difference as ``np.linalg.norm`` of a vector does (``vecdot``), and
-    rmin projects the vertex onto its opposite facet through a QR of the
-    facet directions, the arithmetic of :func:`point_to_affine_span`.  So a
-    simplex gets the same bits alone or in a stack of any size.
+    rmin is the :func:`_span_distances` of each vertex to its opposite
+    facet.  So a simplex gets the same bits alone or in a stack of any size.
     """
     pts = np.asarray(stack, dtype=float)
     k = pts.shape[1]
@@ -112,12 +110,7 @@ def cell_radii(stack) -> tuple[np.ndarray, np.ndarray]:
     rmin = np.full(len(pts), np.inf)
     for v in range(k):
         others = [u for u in range(k) if u != v]
-        rel = pts[:, v] - pts[:, others[0]]
-        if k > 2:
-            dirs = pts[:, others[1:]] - pts[:, others[:1]]
-            q, _ = np.linalg.qr(np.swapaxes(dirs, 1, 2), mode="reduced")
-            rel = rel - (q @ (np.swapaxes(q, 1, 2) @ rel[..., None]))[..., 0]
-        rmin = np.minimum(rmin, np.sqrt(np.vecdot(rel, rel)))
+        rmin = np.minimum(rmin, _span_distances(pts[:, v], pts[:, others]))
     return rmin, rmax
 
 

@@ -109,6 +109,8 @@ class JigglingConfig:
             raise PreconditionViolated("gamma must be nonnegative")
         if self.margin_floor <= 0:
             raise PreconditionViolated("margin_floor must be positive")
+        if self.epsilon_vertex is not None and self.epsilon_vertex < 0:
+            raise PreconditionViolated("epsilon_vertex must be nonnegative")
         counts = ("seed", "samples", "sample_depth", "level_max")
         for name in counts if self.level == "auto" else ("level", *counts):
             value = getattr(self, name)

@@ -60,6 +60,22 @@ class Plane:
         return f"Plane(n={self.ambient_dim}, k={self.rank})"
 
 
+def _rank(s: np.ndarray, tol: float = RANK_REL_TOL) -> np.ndarray:
+    """The relative rank rule, per row of (S, r) singular values in
+    descending order: how many exceed ``tol`` times the largest.  A zero
+    matrix has rank 0."""
+    return (s > tol * s[:, :1]).sum(1)
+
+
+def _row_spaces(vectors: np.ndarray, tol: float = RANK_REL_TOL):
+    """Orthonormal bases (S, min(r, n), n) and :func:`_rank` of an (S, r, n)
+    stack of finite spanning sets: the left singular vectors as rows, so the
+    first ``rank`` rows span the set, from one stacked SVD that gives each
+    set the bits of its own call."""
+    u, s, _ = np.linalg.svd(vectors.swapaxes(1, 2), full_matrices=False)
+    return u.swapaxes(1, 2), _rank(s, tol)
+
+
 def plane_from_spanning(vectors, tol: float = RANK_REL_TOL) -> Plane:
     """Orthonormalize a spanning set into a Plane.
 
@@ -69,12 +85,12 @@ def plane_from_spanning(vectors, tol: float = RANK_REL_TOL) -> Plane:
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     if v.size == 0:
         raise RankDeficient("empty spanning set")
-    u, s, _ = np.linalg.svd(v.T, full_matrices=False)
-    if s[0] == 0.0 or np.min(s) <= tol * s[0]:
+    bases, ranks = _row_spaces(v[None], tol)
+    if ranks[0] < bases.shape[1]:
         raise RankDeficient(
-            f"spanning set is rank deficient (singular values {s.tolist()})"
+            f"spanning set is rank deficient (rank {ranks[0]} of {bases.shape[1]})"
         )
-    return Plane(u[:, : len(s)].T)
+    return Plane(bases[0])
 
 
 class AffineFlat:
@@ -103,35 +119,45 @@ def affine_span(points) -> AffineFlat:
     base = pts[0]
     if pts.shape[0] == 1:
         return AffineFlat(base, None)
-    dirs = pts[1:] - base
-    u, s, _ = np.linalg.svd(dirs.T, full_matrices=False)
-    keep = s > RANK_REL_TOL * s[0] if s[0] > 0 else s > 0
-    if not np.any(keep):
+    bases, ranks = _row_spaces((pts[1:] - base)[None])
+    if ranks[0] == 0:
         return AffineFlat(base, None)
-    return AffineFlat(base, Plane(u[:, keep].T))
+    return AffineFlat(base, Plane(bases[0, :ranks[0]]))
 
 
-def _check_ambient(v: Plane, w: Plane):
-    if v.ambient_dim != w.ambient_dim:
-        raise AmbientMismatch(
-            f"planes live in R^{v.ambient_dim} and R^{w.ambient_dim}"
-        )
+def _transverse(bases: np.ndarray, v: Plane, tol: float = RANK_REL_TOL,
+                margins: bool = False):
+    """Whether each plane W of an (S, d, n) stack of orthonormal bases has
+    dim(W + V) = min(d + k, n), by the :func:`_rank` of W's basis stacked
+    over V's.  With ``margins``, also sigma_min of W's basis with its V
+    component removed: the sine of the smallest principal angle, a
+    transverse face's eps margin.  The SVDs run stacked, each matrix with
+    the bits of a stack of one."""
+    s, d, n = bases.shape
+    if n != v.ambient_dim:
+        raise AmbientMismatch(f"planes live in R^{n} and R^{v.ambient_dim}")
+    both = np.empty((s, d + v.rank, n))
+    both[:, :d] = bases
+    both[:, d:] = v.basis
+    sv = np.linalg.svd(both, compute_uv=False)
+    transverse = _rank(sv, tol) == min(d + v.rank, n)
+    if not margins:
+        return transverse
+    rejected = bases - (bases @ v.basis.T) @ v.basis
+    return transverse, np.linalg.svd(rejected, compute_uv=False)[:, -1]
 
 
 def is_transverse_planes(v: Plane, w: Plane, tol: float = RANK_REL_TOL) -> bool:
     """dim(V + W) equals min(v + w, n), decided by the rank of stacked bases."""
-    _check_ambient(v, w)
-    n = v.ambient_dim
-    target = min(v.rank + w.rank, n)
-    stacked = np.vstack([v.basis, w.basis])
-    s = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-    return rank == target
+    return bool(_transverse(v.basis[None], w, tol)[0])
 
 
 def d_proj(v: Plane, w: Plane) -> float:
     """Operator norm of the difference of the orthogonal projectors."""
-    _check_ambient(v, w)
+    if v.ambient_dim != w.ambient_dim:
+        raise AmbientMismatch(
+            f"planes live in R^{v.ambient_dim} and R^{w.ambient_dim}"
+        )
     if v.rank != w.rank:
         raise AmbientMismatch(
             f"d_proj compares planes of equal rank, got {v.rank} and {w.rank}"
@@ -149,13 +175,28 @@ def project_along(v: Plane, points) -> np.ndarray:
     return pts @ comp.T
 
 
+def _project_flat(v: Plane | None, flat: AffineFlat,
+                  floor: float = 1e-12) -> AffineFlat:
+    """The image of ``flat`` in the quotient by V (``flat`` itself for
+    None), written as :func:`project_along` writes points.  A projected
+    direction of norm at most ``floor`` is dropped as lost in V."""
+    if v is None:
+        return flat
+    base = project_along(v, flat.base)
+    if flat.direction is None:
+        return AffineFlat(base, None)
+    dirs = project_along(v, flat.direction.basis)
+    keep = dirs[np.linalg.norm(dirs, axis=1) > floor]
+    if len(keep) == 0:
+        return AffineFlat(base, None)
+    return AffineFlat(base, plane_from_spanning(keep))
+
+
 def point_flat_distance(p, flat: AffineFlat) -> float:
     """Euclidean distance from a point to an affine flat."""
-    rel = np.asarray(p, dtype=float) - flat.base
-    if flat.direction is None:
-        return float(np.linalg.norm(rel))
-    proj = flat.direction.basis.T @ (flat.direction.basis @ rel)
-    return float(np.linalg.norm(rel - proj))
+    dirs = None if flat.direction is None else flat.direction.basis[None]
+    return float(_flat_distances(np.asarray(p, dtype=float)[None],
+                                 flat.base[None], dirs)[0, 0])
 
 
 def _flat_distances(points: np.ndarray, bases: np.ndarray,
@@ -163,11 +204,11 @@ def _flat_distances(points: np.ndarray, bases: np.ndarray,
     """(S, T) distances from S points to T affine flats of one dimension.
 
     ``points`` is (S, n), ``bases`` (T, n) and ``dirs`` the (T, k, n)
-    orthonormal direction bases, or None for points.  Entry (i, j) has the
-    bits of :func:`point_flat_distance` of point i and flat j: each pair
-    goes through the products of that call, as the stacked
-    ``B @ rel[..., None]``, and its norm is ``sqrt(vecdot)``.  The plain
-    2-D product ``rel @ B.T`` would round differently in the last bits.
+    orthonormal direction bases, or None for points.  Each pair goes
+    through its own stacked products ``B @ rel[..., None]`` and its norm is
+    ``sqrt(vecdot)``, so a pair gets the same bits in a stack of any size;
+    :func:`point_flat_distance` is a stack of one.  The plain 2-D product
+    ``rel @ B.T`` would round differently in the last bits.
     """
     rel = points[:, None, :] - bases
     if dirs is not None:

@@ -28,9 +28,9 @@ from .grassmann import (
     AffineFlat,
     Plane,
     _flat_distances,
+    _project_flat,
     affine_span,
     is_transverse_planes,
-    plane_from_spanning,
     project_along,
 )
 from .transversality import _transverse_stack, semitrans_margin, simplex_transverse
@@ -75,20 +75,6 @@ class PerturbationResult:
 # ---------------------------------------------------------------------------
 # the ball search
 # ---------------------------------------------------------------------------
-
-def _project_flat(v: Plane | None, flat: AffineFlat) -> AffineFlat:
-    if v is None:
-        return flat
-    base = project_along(v, flat.base)
-    if flat.direction is None:
-        return AffineFlat(base, None)
-    dirs = project_along(v, flat.direction.basis)
-    norms = np.linalg.norm(dirs, axis=1)
-    keep = dirs[norms > 1e-12]
-    if len(keep) == 0:
-        return AffineFlat(base, None)
-    return AffineFlat(base, plane_from_spanning(keep))
-
 
 def _search_basis(ambient: int, constraint: AffineFlat | None) -> np.ndarray:
     if constraint is None:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    AmbientMismatch,
     DegenerateSimplex,
     NotTransverse,
     PreconditionViolated,
@@ -29,9 +28,10 @@ from .grassmann import (
     RANK_REL_TOL,
     AffineFlat,
     Plane,
+    _project_flat,
+    _row_spaces,
+    _transverse,
     affine_span,
-    is_transverse_planes,
-    plane_from_spanning,
     point_flat_distance,
     project_along,
 )
@@ -121,15 +121,27 @@ def probe_points(coords: np.ndarray, xi: Distribution, depth: int) -> np.ndarray
 # plane of a simplex, basic predicates
 # ---------------------------------------------------------------------------
 
-def simplex_plane(coords: np.ndarray) -> Plane:
-    """The direction plane Gr of a simplex of dimension >= 1."""
+def _face_basis(coords: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (rows) of the direction plane of a simplex of
+    dimension >= 1.  Raises :class:`DegenerateSimplex` for a simplex that
+    is not finite or whose edges are dependent."""
     pts = np.asarray(coords, dtype=float)
     if pts.shape[0] < 2:
         raise DegenerateSimplex("a 0-simplex has no direction plane")
-    try:
-        return plane_from_spanning(pts[1:] - pts[0])
-    except Exception as exc:
-        raise DegenerateSimplex(f"simplex directions are dependent: {exc}") from exc
+    edges = pts[1:] - pts[0]
+    if not np.isfinite(edges).all():
+        raise DegenerateSimplex("simplex coordinates are not finite")
+    bases, ranks = _row_spaces(edges[None])
+    if ranks[0] < bases.shape[1]:
+        raise DegenerateSimplex(
+            f"simplex directions are dependent (rank {ranks[0]} of {bases.shape[1]})"
+        )
+    return bases[0]
+
+
+def simplex_plane(coords: np.ndarray) -> Plane:
+    """The direction plane Gr of a simplex of dimension >= 1."""
+    return Plane(_face_basis(coords))
 
 
 def _faces_of_dim(num_vertices: int, d: int):
@@ -140,24 +152,26 @@ def simplex_transverse(coords: np.ndarray, v: Plane, tol: float = 1e-9) -> bool:
     """Transversality of a simplex to the constant foliation F(V).
 
     Dimension at most n-k: the direction planes must be transverse.  Above
-    n-k it suffices that one (n-k)-dimensional face is transverse.
+    n-k it suffices that one (n-k)-dimensional face is transverse; the
+    faces are tested in order, and a degenerate one met before a transverse
+    one raises :class:`DegenerateSimplex`.
     """
     pts = np.asarray(coords, dtype=float)
     dim = pts.shape[0] - 1
     free = v.ambient_dim - v.rank
     if dim == 0:
         return True
-    if dim <= free:
-        transverse, degenerate = _transverse_stack(pts[None], v, tol)
-        if degenerate[0]:
-            raise DegenerateSimplex("simplex directions are dependent")
-        return bool(transverse[0])
     if free == 0:
         return False
-    return any(
-        is_transverse_planes(simplex_plane(pts[list(face)]), v, tol)
-        for face in _faces_of_dim(pts.shape[0], free)
-    )
+    faces = pts[None] if dim <= free else np.stack(
+        [pts[list(face)] for face in _faces_of_dim(pts.shape[0], free)])
+    transverse, degenerate = _transverse_stack(faces, v, tol)
+    for ok, flat in zip(transverse.tolist(), degenerate.tolist()):
+        if flat:
+            raise DegenerateSimplex("simplex directions are dependent")
+        if ok:
+            return True
+    return False
 
 
 def _transverse_stack(stack: np.ndarray, v: Plane, tol: float = RANK_REL_TOL):
@@ -165,39 +179,16 @@ def _transverse_stack(stack: np.ndarray, v: Plane, tol: float = RANK_REL_TOL):
     1 <= d <= n-k, as boolean arrays ``(transverse, degenerate)``.
 
     A simplex is degenerate where :func:`simplex_plane` raises
-    :class:`DegenerateSimplex`, and otherwise transverse where
-    :func:`is_transverse_planes` holds for its plane.  Both SVDs run
-    stacked, which gives every matrix the bits of its own call, so each
-    verdict is the scalar one.
+    :class:`DegenerateSimplex` (its edges are not finite or are dependent
+    at ``RANK_REL_TOL``), and otherwise transverse where its plane passes
+    the rank test at ``tol``.  Both SVDs run stacked, which gives every
+    matrix the bits of its own call, so each verdict is the scalar one.
     """
-    if stack.shape[2] != v.ambient_dim:
-        raise AmbientMismatch(
-            f"simplices live in R^{stack.shape[2]}, the plane in R^{v.ambient_dim}"
-        )
-    edges = np.swapaxes(stack[:, 1:] - stack[:, :1], 1, 2)
-    # simplex_plane reports the failed SVD of a non-finite simplex as a
-    # degenerate simplex; zero edges are degenerate as well
+    edges = stack[:, 1:] - stack[:, :1]
     edges[~np.isfinite(edges).all(axis=(1, 2))] = 0.0
-    u, s, _ = np.linalg.svd(edges, full_matrices=False)
-    degenerate = (s[:, 0] == 0.0) | (s.min(axis=1) <= RANK_REL_TOL * s[:, 0])
-    d, k = s.shape[1], v.rank
-    both = np.empty((len(stack), d + k, v.ambient_dim))
-    both[:, :d] = np.swapaxes(u, 1, 2)
-    both[:, d:] = v.basis
-    sv = np.linalg.svd(both, compute_uv=False)
-    rank = np.where(sv[:, 0] > 0, (sv > tol * sv[:, :1]).sum(axis=1), 0)
-    transverse = ~degenerate & (rank == min(d + k, v.ambient_dim))
-    return transverse, degenerate
-
-
-def _face_margin(gr: Plane, v: Plane, tol: float) -> float | None:
-    """The eps margin of a simplex of dimension 1..n-k with direction plane
-    ``gr``, or None if it is not transverse to V."""
-    if not is_transverse_planes(gr, v, tol):
-        return None
-    rejected = gr.basis - (gr.basis @ v.basis.T) @ v.basis
-    s = np.linalg.svd(rejected, compute_uv=False)
-    return float(s[-1])
+    bases, ranks = _row_spaces(edges)
+    degenerate = ranks < bases.shape[1]
+    return ~degenerate & _transverse(bases, v, tol), degenerate
 
 
 def eps_margin(coords: np.ndarray, v: Plane) -> float:
@@ -217,10 +208,10 @@ def eps_margin(coords: np.ndarray, v: Plane) -> float:
         raise PreconditionViolated(
             "eps_margin expects dim <= n-k; use faces for larger simplices"
         )
-    margin = _face_margin(simplex_plane(pts), v, RANK_REL_TOL)
-    if margin is None:
+    transverse, margin = _transverse(_face_basis(pts)[None], v, margins=True)
+    if not transverse[0]:
         raise NotTransverse("simplex plane is not transverse to V")
-    return margin
+    return float(margin[0])
 
 
 # ---------------------------------------------------------------------------
@@ -249,41 +240,21 @@ def join_transverse_by_projection(p, coords, v: Plane, tol: float = 1e-9) -> boo
     must avoid the projected V (anchored at a vertex of Delta).
     """
     point, pts = _check_join_preconditions(p, coords, v)
+    bar = tol * _scale(point, pts)
+    crit_v = semitrans_margin(point, pts, v) > bar
 
-    proj_p = project_along(v, point)
-    proj_span = project_along(v, pts)
-    flat_v = affine_span(proj_span) if pts.shape[0] > 1 else AffineFlat(proj_span[0], None)
-    crit_v = point_flat_distance(proj_p, flat_v) > tol * _scale(point, pts)
-
-    if pts.shape[0] == 1:
-        # quotient by a 0-dimensional span: nothing to quotient, compare
-        # p against V anchored at the single vertex
-        crit_d = point_flat_distance(point, AffineFlat(pts[0], v)) > tol * _scale(point, pts)
-    else:
-        gr = simplex_plane(pts)
-        qp = project_along(gr, point)
-        base = project_along(gr, pts[0])
-        vbasis_q = project_along(gr, v.basis)
-        nz = np.linalg.norm(vbasis_q, axis=1)
-        keep = vbasis_q[nz > tol]
-        if len(keep) == 0:
-            flat_d = AffineFlat(base, None)
-        else:
-            flat_d = AffineFlat(base, plane_from_spanning(keep))
-        crit_d = point_flat_distance(qp, flat_d) > tol * _scale(point, pts)
-
-    direct = simplex_transverse(np.vstack([point[None, :], pts]), v, tol) \
-        if not _apex_degenerate(point, pts, tol) else False
+    # quotient by Delta's directions; a single vertex has none, and p is
+    # compared against V anchored at it
+    gr = simplex_plane(pts) if pts.shape[0] > 1 else None
+    qp = point if gr is None else project_along(gr, point)
+    crit_d = point_flat_distance(qp, _project_flat(gr, AffineFlat(pts[0], v), tol)) > bar
     if crit_v != crit_d:
         # the two criteria agree mathematically; numerical disagreement is a
-        # borderline configuration, resolved by the direct rank test
-        return direct
+        # borderline configuration, resolved by the direct rank test of a
+        # join whose apex is off Delta's span
+        return point_flat_distance(point, affine_span(pts)) > bar \
+            and simplex_transverse(np.vstack([point[None, :], pts]), v, tol)
     return crit_v
-
-
-def _apex_degenerate(point, pts, tol) -> bool:
-    flat = affine_span(pts)
-    return point_flat_distance(point, flat) <= tol * _scale(point, pts)
 
 
 def _scale(point, pts) -> float:
@@ -349,9 +320,10 @@ def _general_position(pts: np.ndarray, xi: Distribution, sample_depth: int,
                       tol: float, memo: dict):
     """``general_position`` with every value it computes kept in ``memo``,
     keyed by the exact bytes it is computed from: the field plane by the
-    field and the probe point, the face plane by the face coordinates, the
-    face margin by those and the field plane's basis (with its shape, since
-    fields of different rank and ambient dimension may share a memo).
+    field and the probe point, the face basis (:func:`_face_basis`, no
+    :class:`Plane`) by the face coordinates, the face margin by those and
+    the field plane's basis (with its shape, since fields of different rank
+    and ambient dimension may share a memo).
     Calls that share a memo must share ``tol``."""
     free = xi.ambient_dim - xi.rank
     if free == 0 and pts.shape[0] > 1:
@@ -366,8 +338,10 @@ def _general_position(pts: np.ndarray, xi: Distribution, sample_depth: int,
                 fkey = f.tobytes()
                 m = memo.get(("margin", fkey, basis), _MISSING)
                 if m is _MISSING:
-                    gr = _memoized(memo, ("face", fkey), simplex_plane, f)
-                    m = memo[("margin", fkey, basis)] = _face_margin(gr, plane, tol)
+                    gr = _memoized(memo, ("face", fkey), _face_basis, f)
+                    ok, sigma = _transverse(gr[None], plane, tol, margins=True)
+                    m = memo[("margin", fkey, basis)] = \
+                        float(sigma[0]) if ok[0] else None
                 if m is None:
                     return False, 0.0
                 margin = min(margin, m)
@@ -400,15 +374,15 @@ def transfer_margins(kind: str, gamma: float = 0.0, beta: float = 0.0,
         out = gamma - 2.0 * beta * r
     elif kind == "zeta":
         if shape is None:
-            raise ValueError("zeta transfer needs shape stats")
+            raise PreconditionViolated("zeta transfer needs shape stats")
         out = c * min(delta, shape.rmin,
                       delta / (shape.lam * shape.rmax))
     elif kind == "eps_from_zeta":
         if shape is None:
-            raise ValueError("eps_from_zeta transfer needs shape stats")
+            raise PreconditionViolated("eps_from_zeta transfer needs shape stats")
         out = c * delta / shape.rmax
     else:
-        raise ValueError(f"unknown transfer kind {kind!r}")
+        raise PreconditionViolated(f"unknown transfer kind {kind!r}")
     return max(out, 0.0)
 
 

@@ -472,9 +472,12 @@ def random_stacks(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_stacked_radii_equal_the_per_cell_loops(seed):
-    """Bit for bit, with ==, cell by cell: a numpy whose stacked QR,
-    products or vecdot stop matching the per-cell idioms fails here rather
-    than moving eta, margin targets and so the jiggled images."""
+    """Bit for bit, with ==, cell by cell.  point_to_affine_span is a stack
+    of one of the same _span_distances kernel, so this checks that a cell
+    gets the same bits alone as in a stack of 25: what keeps eta, margin
+    targets and so the jiggled images independent of a workload's size.  A
+    numpy whose stacked QR, products or vecdot round differently per stack
+    size fails here."""
     for stack in random_stacks(seed):
         rmin, rmax = cell_radii(stack)
         for t, cell in enumerate(stack):
@@ -519,6 +522,8 @@ def test_top_radii_name_the_first_flat_cell():
 
 
 def test_span_distances_match_point_to_affine_span_bit_for_bit():
+    """point_to_affine_span is _span_distances of a stack of one, so each
+    point must get the same bits alone as in a stack of up to 40."""
     rng = np.random.default_rng(15)
     for _ in range(300):
         n = int(rng.integers(1, 4))

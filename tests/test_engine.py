@@ -76,6 +76,18 @@ def test_config_rejects_non_finite_values(field, value):
         JigglingConfig(**kw)
 
 
+def test_config_rejects_a_negative_vertex_budget():
+    # epsilon_vertex=-1 used to give eta = -0.9 at level 0, and a misleading
+    # BudgetViolation at level 1
+    with pytest.raises(PreconditionViolated, match="epsilon_vertex"):
+        JigglingConfig(gamma=0.2, epsilon_vertex=-1.0)
+    sq = unit_square_grid(1)
+    field = Distribution.constant(Plane(np.array([[0.6, 0.8]])))
+    out = jiggle_euclidean(SampledMap(sq, lambda P: P), sq, field,
+                           JigglingConfig(gamma=0.2, level=0, epsilon_vertex=0.0))
+    assert out.eta == 0.0 and out.moved_count == 0 and out.report.passed
+
+
 @pytest.mark.parametrize("field", ["samples", "sample_depth", "level_max", "seed",
                                    "level"])
 @pytest.mark.parametrize("value", [2.5, True, "2"])

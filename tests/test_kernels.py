@@ -1,0 +1,220 @@
+"""The geometry kernels: one home each, checked against an exact oracle.
+
+Each span distance, flat distance, plane basis, rank test and face margin
+is computed by one private routine that works on stacks; the public scalar
+functions call it with a stack of one.  A stdlib ``ast`` pass keeps it that
+way: ``np.linalg.qr`` and ``np.linalg.svd`` may be called only where
+``ALLOWED`` says.  The kernels themselves are compared with the same
+quantities computed in 50-digit ``mpmath`` arithmetic, on random and on
+nearly degenerate inputs.
+"""
+
+import ast
+from pathlib import Path
+
+import mpmath
+import numpy as np
+import pytest
+
+from jigglekit.complexes import _span_distances
+from jigglekit.grassmann import (
+    _flat_distances,
+    _row_spaces,
+    _transverse,
+    plane_from_spanning,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted(ROOT.glob("src/jigglekit/*.py"))
+
+# (module, function) -> the factorizations it may call: "qr", "svd" (with
+# the singular vectors) and "svdvals" (compute_uv=False)
+ALLOWED = {
+    ("complexes", "_span_distances"): {"qr"},
+    ("grassmann", "Plane.complement"): {"qr"},
+    ("grassmann", "_row_spaces"): {"svd"},
+    ("grassmann", "_transverse"): {"svdvals"},
+    ("engine", "_jacobian_amplification"): {"svdvals"},
+    ("plmaps", "distance"): {"svdvals"},
+    ("perturb", "avoid_flats"): {"svdvals"},
+}
+
+
+def factorizations(source: str):
+    """``(function, kind, line)`` of every ``*.linalg.qr`` and
+    ``*.linalg.svd`` call; ``function`` is the enclosing top-level function
+    or ``Class.method``, or None at module level."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if owner is None and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = child.name
+            elif isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef):
+                name = f"{node.name}.{child.name}"
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr in ("qr", "svd") \
+                    and isinstance(child.func.value, ast.Attribute) \
+                    and child.func.value.attr == "linalg":
+                kind = child.func.attr
+                if kind == "svd" and any(
+                        k.arg == "compute_uv" and isinstance(k.value, ast.Constant)
+                        and k.value.value is False for k in child.keywords):
+                    kind = "svdvals"
+                out.append((name, kind, child.lineno))
+            visit(child, name)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def stray_factorizations(module: str, source: str, allowed=ALLOWED) -> list[str]:
+    return [f"line {line}: {kind} in {fn}" for fn, kind, line in factorizations(source)
+            if kind not in allowed.get((module, fn), ())]
+
+
+def test_checker_flags_a_factorization_outside_its_home():
+    source = ("import numpy as np\n"
+              "class Plane:\n"
+              "    def complement(self):\n"
+              "        return np.linalg.qr(self.basis)\n"
+              "def _row_spaces(v):\n"
+              "    def inner():\n"
+              "        return np.linalg.svd(v)\n"
+              "    return inner()\n"
+              "def twin(v):\n"
+              "    u, s, _ = np.linalg.svd(v, full_matrices=False)\n"
+              "    return np.linalg.svd(v, compute_uv=False), np.linalg.qr(v)\n"
+              "R = np.linalg.qr(np.eye(2))\n")
+    assert factorizations(source) == [
+        ("Plane.complement", "qr", 4), ("_row_spaces", "svd", 7),
+        ("twin", "svd", 10), ("twin", "svdvals", 11), ("twin", "qr", 11),
+        (None, "qr", 12)]
+    assert stray_factorizations("grassmann", source) == [
+        "line 10: svd in twin", "line 11: svdvals in twin", "line 11: qr in twin",
+        "line 12: qr in None"]
+    assert stray_factorizations("complexes", source)[:2] == [
+        "line 4: qr in Plane.complement", "line 7: svd in _row_spaces"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_factorizations_stay_in_their_kernels(path):
+    assert stray_factorizations(path.stem, path.read_text()) == []
+
+
+def test_every_allowed_home_still_factorizes():
+    found = {(path.stem, fn, kind) for path in PACKAGE
+             for fn, kind, _ in factorizations(path.read_text())}
+    assert {(m, fn, kind) for (m, fn), kinds in ALLOWED.items()
+            for kind in kinds} <= found
+
+
+# ---------------------------------------------------------------------------
+# the mpmath oracle
+# ---------------------------------------------------------------------------
+
+mp = mpmath.mp
+
+
+def mp_matrix(a) -> mpmath.matrix:
+    return mpmath.matrix(np.atleast_2d(a).tolist())
+
+
+def exact_span_distance(p, base, dirs) -> float:
+    """Distance from p to base + span(rows of dirs), by the normal equations
+    in 50 digits; ``dirs`` need not be orthonormal."""
+    with mp.workdps(50):
+        rel = mp_matrix(np.asarray(p) - np.asarray(base)).T
+        if len(dirs):
+            d = mp_matrix(dirs)
+            rel = rel - d.T * mpmath.lu_solve(d * d.T, d * rel)
+        return float(mpmath.norm(rel))
+
+
+def exact_principal_sines(basis, v_basis) -> list[float]:
+    """The sines of the principal angles between the row spans of ``basis``
+    and ``v_basis``, in 50 digits: the singular values of an orthonormal
+    basis of the first span with its projection onto the second removed."""
+    with mp.workdps(50):
+        q, _ = mpmath.qr(mp_matrix(basis).T)
+        q = q[:, :len(basis)]
+        v = mp_matrix(v_basis)
+        rejected = q.T - (q.T * v.T) * mpmath.inverse(v * v.T) * v
+        return sorted(float(s) for s in mpmath.svd_r(rejected, compute_uv=False))
+
+
+def nearly_flat(rng, m, n, gap):
+    """m + 1 points in R^n whose last edge lies ``gap`` (relative) off the
+    span of the others."""
+    pts = rng.normal(size=(m + 1, n))
+    if m >= 2:
+        mix = rng.normal(size=m - 1)
+        pts[-1] = pts[0] + mix @ (pts[1:-1] - pts[0]) + gap * rng.normal(size=n)
+    return pts
+
+
+@pytest.mark.parametrize("gap", [1.0, 1e-6])
+def test_span_distances_match_the_exact_distance(gap):
+    rng = np.random.default_rng(16)
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(0, n))
+        coords = nearly_flat(rng, m, n, gap) * 10.0 ** rng.uniform(-3, 3)
+        scale = float(np.abs(coords).max())
+        # points off the span, and points 1e-9 (relative) from it
+        points = coords[0] + rng.normal(size=(8, n)) * scale
+        points[4:] = coords[0] + (rng.normal(size=(4, m)) @ (coords[1:] - coords[0])
+                                  + 1e-9 * scale * rng.normal(size=(4, n)))
+        got = _span_distances(points, coords)
+        per_point = _span_distances(points, np.broadcast_to(coords, (8, *coords.shape)))
+        assert per_point.tolist() == got.tolist()
+        for p, d in zip(points, got):
+            want = exact_span_distance(p, coords[0], coords[1:] - coords[0])
+            size = max(scale, float(np.abs(p).max()))
+            assert abs(d - want) <= 1e-14 * size / gap
+
+
+def test_flat_distances_match_the_exact_distance():
+    rng = np.random.default_rng(17)
+    for _ in range(80):
+        n = int(rng.integers(1, 5))
+        k = int(rng.integers(0, n))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        bases = rng.normal(size=(3, n)) * scale
+        dirs = np.stack([plane_from_spanning(rng.normal(size=(k, n))).basis
+                         for _ in range(3)]) if k else None
+        points = rng.normal(size=(5, n)) * scale
+        if k:   # a point 1e-9 (relative) from the first flat
+            points[0] = bases[0] + scale * (rng.normal(size=k) @ dirs[0]
+                                            + 1e-9 * rng.normal(size=n))
+        got = _flat_distances(points, bases, dirs)
+        for i, p in enumerate(points):
+            for j in range(3):
+                want = exact_span_distance(p, bases[j], dirs[j] if k else [])
+                assert abs(got[i, j] - want) <= 1e-14 * 4 * scale
+
+
+@pytest.mark.parametrize("tilt", [1.0, 1e-7])
+def test_face_margin_is_the_smallest_principal_sine(tilt):
+    """A face of dimension d >= 2 has d principal angles against V, and at
+    tilt 1e-7 one of them is that small, so a margin that took the largest
+    sine fails here."""
+    rng = np.random.default_rng(18)
+    for _ in range(60):
+        n = int(rng.integers(3, 6))
+        k = int(rng.integers(1, n - 1))
+        d = int(rng.integers(2, n - k + 1))
+        v = plane_from_spanning(rng.normal(size=(k, n)))
+        edges = rng.normal(size=(d, n))
+        # tilt the first edge out of V along a normal of V and the others
+        normal = np.linalg.svd(np.vstack([v.basis, edges[1:]]))[2][-1]
+        edges[0] = rng.normal(size=k) @ v.basis + tilt * normal
+        bases, ranks = _row_spaces(edges[None])
+        assert ranks[0] == d
+        transverse, margin = _transverse(bases, v, margins=True)
+        sines = exact_principal_sines(bases[0], v.basis)
+        assert transverse[0]
+        assert abs(margin[0] - sines[0]) <= 1e-13
+        if tilt < 1.0:
+            assert sines[0] < 1e-3 * sines[-1]

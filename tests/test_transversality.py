@@ -57,6 +57,22 @@ def test_simplex_transverse_segments():
     assert simplex_transverse(segment(math.pi / 2), HORIZONTAL)
 
 
+def test_simplex_plane_reports_only_degeneracy_as_degenerate(monkeypatch):
+    for flat in (np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),
+                 np.array([[0.0, 0.0], [np.nan, 1.0]]),
+                 np.array([[0.0, 0.0], [np.inf, 1.0]])):
+        with pytest.raises(DegenerateSimplex):
+            simplex_plane(flat)
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    # an error inside the rank computation is a bug, not a degenerate simplex
+    monkeypatch.setattr(transversality, "_row_spaces", broken)
+    with pytest.raises(TypeError, match="bug"):
+        simplex_plane(segment(0.4))
+
+
 def test_vertices_are_always_transverse():
     assert simplex_transverse(np.array([[3.0, 7.0]]), HORIZONTAL)
 
@@ -190,9 +206,9 @@ def test_transfer_margins_shape_kinds():
     assert zeta == pytest.approx(min(0.4, stats.rmin, 0.4 / (stats.lam * stats.rmax)))
     eps = transfer_margins("eps_from_zeta", delta=0.4, shape=stats, c=1.0)
     assert eps == pytest.approx(0.4 / stats.rmax)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated):
         transfer_margins("zeta", delta=0.4)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated):
         transfer_margins("nonsense")
 
 
@@ -383,20 +399,23 @@ def test_report_evaluates_each_probe_and_face_plane_once(monkeypatch):
         points.append(p.tobytes())
         return rotor.plane_at(p)
 
-    def face_plane(coords):
+    face_basis = transversality._face_basis
+
+    def counted_face_basis(coords):
         faces.append(coords.tobytes())
-        return simplex_plane(coords)
+        return face_basis(coords)
 
     xi = Distribution(3, 1, "builtin", evaluate, name="counted rotor")
-    monkeypatch.setattr(transversality, "simplex_plane", face_plane)
+    monkeypatch.setattr(transversality, "_face_basis", counted_face_basis)
     transversality_report(complex_, complex_.vertices, xi)
     assert len(points) == len(set(points)) == 53
     assert len(faces) == len(set(faces)) == 37
 
 
 def test_stacked_rank_test_gives_the_scalar_verdicts():
-    """One stack per simplex size decides as simplex_plane followed by
-    is_transverse_planes does, one simplex at a time, on generic,
+    """simplex_plane and is_transverse_planes are stacks of one of the
+    _row_spaces and _transverse kernels, so this checks that a simplex gets
+    the same verdict alone as in a stack of up to 8, on generic,
     non-transverse, flat and non-finite simplices."""
     rng = np.random.default_rng(15)
     for _ in range(150):
