@@ -17,9 +17,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     AmbientMismatch,
@@ -33,6 +36,9 @@ from .errors import (
 
 DEGENERACY_REL_TOL = 1e-12
 _INTERIOR_TOL = 1e-9
+# |float det - det| of an n x n edge matrix, n <= 3, stays below this times
+# the larger Hadamard product of its row and of its column norms
+_ORIENT_ERR = 2.0 ** -40
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +61,48 @@ def simplex_volume(coords: np.ndarray) -> float:
     for i in range(2, m + 1):
         vol /= i
     return float(vol)
+
+
+def _orientations(stack) -> np.ndarray:
+    """Exact orientation signs (+1, -1 or 0) of an (S, n + 1, n) stack of
+    full-dimensional simplices: the signs of det(p_1 - p_0, ..., p_n - p_0).
+
+    One stacked float determinant.  Its sign is taken only where |det|
+    exceeds ``_ORIENT_ERR`` times the Hadamard bound of the rounded edge
+    matrix (the product of its row norms or of its column norms, the larger
+    one); the static-filter idea of Shewchuk, "Adaptive precision
+    floating-point arithmetic and fast robust geometric predicates" (DCG 18,
+    1997).  For n <= 3 the rounding of the edges, LAPACK's LU with partial
+    pivoting (column-scale invariant, growth at most 2**(n-1)) and numpy's
+    sign * exp(logdet) stay orders of magnitude inside that bound.  Every
+    other simplex gets its determinant in ``Fraction``s (the coordinates
+    must be finite): floats are exact rationals, so that sign is a proof.
+    """
+    pts = np.asarray(stack, dtype=float)
+    edges = pts[:, 1:] - pts[:, :1]
+    det = np.linalg.det(edges)
+    hadamard = np.maximum(np.linalg.norm(edges, axis=2).prod(axis=1),
+                          np.linalg.norm(edges, axis=1).prod(axis=1))
+    signs = np.sign(det).astype(np.intp)
+    for s in np.flatnonzero(~(np.abs(det) > _ORIENT_ERR * hadamard)):
+        signs[s] = _exact_orientation(pts[s])
+    return signs
+
+
+def _exact_orientation(pts: np.ndarray) -> int:
+    """The sign of one simplex's orientation determinant, in ``Fraction``s."""
+    p = [[Fraction(x) for x in row] for row in pts.tolist()]
+    det = _fraction_det([[a - b for a, b in zip(row, p[0])] for row in p[1:]])
+    return (det > 0) - (det < 0)
+
+
+def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
+    """Laplace expansion along the first row (n <= 3 here)."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j]
+               * _fraction_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
 
 
 def point_to_affine_span(point: np.ndarray, coords: np.ndarray) -> float:
@@ -114,13 +162,15 @@ def cell_radii(stack) -> tuple[np.ndarray, np.ndarray]:
     return rmin, rmax
 
 
-def _first_flat(rmin: np.ndarray, rmax: np.ndarray) -> None:
-    """Raise :class:`DegenerateSimplex` for the first flat simplex."""
+def _first_flat(rmin: np.ndarray, rmax: np.ndarray, simplices=None) -> None:
+    """Raise :class:`DegenerateSimplex` for the first flat simplex, named by
+    its vertex ids when ``simplices`` is given."""
     flat = np.flatnonzero(~(rmin > DEGENERACY_REL_TOL * rmax) | (rmax == 0.0))
     if flat.size:
         t = flat[0]
+        name = "" if simplices is None else f" {simplices[t]}"
         raise DegenerateSimplex(
-            f"simplex is degenerate (rmin={rmin[t]:.3e}, rmax={rmax[t]:.3e})"
+            f"simplex{name} is degenerate (rmin={rmin[t]:.3e}, rmax={rmax[t]:.3e})"
         )
 
 
@@ -173,7 +223,7 @@ def top_radii(complex_: SimplicialComplex, coords: np.ndarray):
     rmin, rmax = np.empty(len(tops)), np.empty(len(tops))
     for _, rows, ids in size_groups(tops):
         rmin[rows], rmax[rows] = cell_radii(coords[ids])
-    _first_flat(rmin, rmax)
+    _first_flat(rmin, rmax, tops)
     return tops, rmin, rmax
 
 
@@ -262,6 +312,12 @@ class SimplicialComplex:
                     table.setdefault(v, []).append(s)
             self._vertex_to_simplices = {v: tuple(ss) for v, ss in table.items()}
         return self._vertex_to_simplices.get(vid, ())
+
+    @cached_property
+    def _ball(self) -> "_Ball | None":
+        """The data of the degree test when |K| is a PL n-ball, else None;
+        see :func:`_ball_of`.  Computed on first use."""
+        return _ball_of(self)
 
     def containing_top_simplex(self, point, tol: float = 1e-9):
         """Locate a top simplex containing ``point`` (barycentric test)."""
@@ -529,10 +585,20 @@ def find_interior_overlap(simplices: list[tuple[int, ...]],
 
     ``simplices`` index into ``vertex_coords`` (which need not be the
     complex's own table: image coordinates reuse this for embedding checks).
-    Pairs in a face relation are skipped.  The rest are decided in three
-    tiers: a sweep-and-prune pass over bounding boxes, then the batched
+    Pairs in a face relation are skipped.  The rest are decided by a
+    sweep-and-prune pass over bounding boxes, then the batched
     separating-axis certificate (SAT), then the exact LP.  Returns the
     first overlapping pair in (i, j) order, or None.
+
+    This is the pairwise test.  ``validate_complex`` runs it on every
+    simplex.  ``plmaps.is_piecewise_embedding`` runs it on every simplex
+    only when the domain is not a PL n-ball in R^n (n = 2, 3) or the image
+    lies in another dimension; for a ball it runs it on the closure of the
+    boundary, after the orientation signs, since an orientation-keeping
+    map that is injective on the boundary embeds the ball (the degree
+    argument stated there).  Both keep ``tol`` (the box pads and the
+    separation gaps), so the two may disagree only on a map within about
+    ``tol`` (1e-9 relative) of losing injectivity.
     """
     sims = list(simplices)
     ids, sizes = _id_table(sims)
@@ -569,6 +635,81 @@ def build_complex(ambient_dim: int, vertices, simplices,
     if validate:
         validate_complex(cx)
     return cx
+
+
+# ---------------------------------------------------------------------------
+# the ball test of the degree certificate
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Ball:
+    """What the degree test of an embedding needs from a PL n-ball K: the
+    tops as an (T, n + 1) id array, their orientation signs in K's own
+    coordinates, and the closure of the boundary facets."""
+
+    tops: np.ndarray
+    signs: np.ndarray
+    boundary: tuple[tuple[int, ...], ...]
+
+
+def _ridges(facets: np.ndarray):
+    """The codimension-one faces of an (F, k) id array, how many facets
+    hold each, and the facets holding them, grouped face by face."""
+    f, k = facets.shape
+    rows = np.concatenate([np.delete(facets, i, axis=1) for i in range(k)])
+    faces, inverse, counts = np.unique(rows, axis=0, return_inverse=True,
+                                       return_counts=True)
+    owner = np.tile(np.arange(f), k)[np.argsort(inverse.ravel(), kind="stable")]
+    return faces, counts, owner
+
+
+def _is_sphere(facets: np.ndarray) -> bool:
+    """Whether an (F, d + 1) id array of d-simplices, d = 1 or 2, is a
+    triangulated d-sphere: each (d - 1)-face in exactly two facets, the
+    facets connected through those faces, and for d = 2 the Euler
+    characteristic V - E + F equal to 2.  That leaves no pinched vertex:
+    splitting a vertex whose link is k cycles into k vertices adds k - 1 to
+    the Euler characteristic, and a connected closed surface has at most 2.
+    """
+    if not len(facets):
+        return False
+    faces, counts, owner = _ridges(facets)
+    if (counts != 2).any():
+        return False
+    graph = coo_matrix((np.ones(len(faces)), (owner[0::2], owner[1::2])),
+                       shape=(len(facets), len(facets)))
+    if connected_components(graph, directed=False)[0] != 1:
+        return False
+    return facets.shape[1] == 2 or \
+        len(np.unique(facets)) - len(faces) + len(facets) == 2
+
+
+def _ball_of(complex_: SimplicialComplex) -> _Ball | None:
+    """The :class:`_Ball` of K when |K| is a PL n-ball, n = 2 or 3, else None.
+
+    K must be pure of dimension n in R^n, each (n - 1)-face must lie in one
+    or two tops, and the boundary (the (n - 1)-faces in one top) must pass
+    :func:`_is_sphere`: one cycle for n = 2, one connected closed surface
+    with Euler characteristic 2 for n = 3.  For an embedded K (what a
+    :class:`SimplicialComplex` is) that makes |K| a ball: every point is a
+    manifold point, the boundary is a circle or a 2-sphere, and by
+    Schoenflies (n = 2) or Alexander's PL theorem (n = 3) it bounds a ball,
+    which is |K|.  The Euler characteristic alone would not do: the
+    boundary of an annulus, two cycles, has it 0 like one cycle.
+    """
+    n = complex_.ambient_dim
+    tops = complex_.top_simplices
+    if n not in (2, 3) or not tops or any(len(t) != n + 1 for t in tops):
+        return None
+    ids = np.array(tops, dtype=np.intp)
+    faces, counts, _ = _ridges(ids)
+    outer = faces[counts == 1]
+    if counts.max() > 2 or not _is_sphere(outer):
+        return None
+    signs = _orientations(complex_.vertices[ids])
+    if not signs.all():
+        return None
+    return _Ball(ids, signs, closure(complex_, [tuple(f) for f in outer.tolist()]))
 
 
 # ---------------------------------------------------------------------------

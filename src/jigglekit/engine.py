@@ -52,6 +52,7 @@ from .perturb import PerturbationRequest, join_margins, perturb_vertex
 from .plmaps import (
     PLMap,
     SampledMap,
+    _embedding_failure,
     _is_native,
     _same_complex,
     complex_subdivides,
@@ -481,7 +482,8 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
 
     if not is_piecewise_embedding(flin):
         raise PreconditionViolated(
-            "the linearized input is not a piecewise embedding"
+            "the linearized input is not a piecewise embedding: "
+            f"{_embedding_failure(flin)}"
         )
 
     amp = _jacobian_amplification(child)
@@ -541,8 +543,10 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
         exclude_simplex=touches_b if has_b else None, cfg=cfg,
     )
 
-    if not is_piecewise_embedding(PLMap(child, images)):
-        raise EmbeddingLost("the jiggled map lost injectivity")
+    jiggled = PLMap(child, images)
+    if not is_piecewise_embedding(jiggled):
+        raise EmbeddingLost(
+            f"the jiggled map lost injectivity: {_embedding_failure(jiggled)}")
     # the certified region: tops touching A or leaving the collar of B
     fields = {top: xi for top in child.top_simplices
               if any(from_a[v] or near[v] > v_radius for v in top)} \

@@ -24,8 +24,9 @@ class Plane:
         b = np.atleast_2d(np.asarray(basis, dtype=float))
         if b.size == 0:
             raise RankDeficient("a plane needs at least one basis vector")
-        gram = b @ b.T
-        if not np.allclose(gram, np.eye(b.shape[0]), atol=ORTHONORMAL_TOL):
+        # np.allclose's own rule, without its overhead: NaN and inf fail
+        eye = np.eye(b.shape[0])
+        if not (np.abs(b @ b.T - eye) <= ORTHONORMAL_TOL + 1e-5 * eye).all():
             raise RankDeficient("basis rows are not orthonormal; use plane_from_spanning")
         self.ambient_dim = b.shape[1]
         self.basis = b

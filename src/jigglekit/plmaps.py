@@ -13,6 +13,7 @@ import numpy as np
 
 from .complexes import (
     SimplicialComplex,
+    _orientations,
     barycentric_coordinates,
     crystalline_subdivide,
     find_interior_overlap,
@@ -291,23 +292,68 @@ def complex_subdivides(parent: SimplicialComplex, child: SimplicialComplex,
 
 
 def is_piecewise_embedding(f: PLMap, tol: float = 1e-9) -> bool:
-    """Non-degenerate image simplices plus global injectivity on |K|.
+    """Whether f is an embedding of |K|: non-degenerate image simplices, and
+    no two distinct simplices whose images meet outside the image of a
+    shared face.
 
-    Injectivity is checked pairwise: the images of two simplices may only
-    meet along the image of their shared face, i.e. no two distinct
-    simplices have intersecting relative interiors in the image.
-    ``find_interior_overlap`` decides this in three tiers: sweep-and-prune
-    over bounding boxes, the separating-axis certificate (SAT), then the
-    exact LP.  A non-finite image point, a flat image cell or one with
+    A non-finite image point, a flat image cell, or one with
     rmin <= tol * rmax (one stacked ``top_radii`` pass) fails at once.
+    What follows depends on the domain K:
+
+    - **K a PL n-ball in R^n, n = 2 or 3, f into R^n: the degree test.**
+      Theorem: if every top keeps its orientation sign under f (or every
+      top reverses it) and f is injective on the boundary dK, then f is an
+      embedding.  Every local degree is then +1 (or -1), so a generic point
+      y has |deg(f, y)| = |wind(f(dK), y)| <= 1 preimages by Jordan-Brouwer,
+      while two cells whose images met in their relative interiors would
+      give an open set of points with two.  This is the disk/ball case of
+      Lipman, "Bijective mappings of meshes with boundary and the degree in
+      mesh processing" (SIAM J. Imaging Sci. 7(2), 2014).  So the test is
+      one stacked exact sign per top (``_orientations``) against the signs
+      of K's own coordinates, then ``find_interior_overlap`` on the closure
+      of dK only: O(cells) plus the boundary's pairs.  Whether K is a ball
+      is decided once per complex (``SimplicialComplex._ball``).
+    - **Any other input: the pairwise test.**  A complex that is not a
+      ball (an annulus, two triangles sharing one vertex, a surface in R^3,
+      mixed dimensions), an image of another dimension, or n > 3 runs
+      ``find_interior_overlap`` on all simplices.
+
+    The signs are exact, but the boundary test keeps ``tol``, and the two
+    tests treat an interior overlap of size ``tol`` differently, so they
+    may disagree on maps within about 1e-9 (relative) of losing injectivity.
+    ``_embedding_failure`` says why a map fails.
     """
-    if not np.isfinite(f.images).all():
-        return False
+    return _embedding_failure(f, tol) is None
+
+
+def _embedding_failure(f: PLMap, tol: float = 1e-9) -> str | None:
+    """Why f is not a piecewise embedding (see :func:`is_piecewise_embedding`),
+    or None when it is one: the first non-finite image point, flat image
+    cell, flipped top or overlapping pair, named by domain vertex ids."""
+    bad = np.flatnonzero(~np.isfinite(f.images).all(axis=1))
+    if bad.size:
+        return f"the image of vertex {bad[0]} is not finite"
     try:
-        _, rmin, rmax = top_radii(f.domain, f.images)
-    except DegenerateSimplex:
-        return False
-    if np.any(rmin <= tol * rmax):
-        return False
-    overlap = find_interior_overlap(f.domain.all_simplices(), f.images, tol)
-    return overlap is None
+        tops, rmin, rmax = top_radii(f.domain, f.images)
+    except DegenerateSimplex as exc:
+        return f"an image cell is flat: {exc}"
+    flat = np.flatnonzero(rmin <= tol * rmax)
+    if flat.size:
+        t = flat[0]
+        return (f"the image of simplex {tops[t]} is flat "
+                f"(rmin={rmin[t]:.3e}, rmax={rmax[t]:.3e})")
+    ball = f.domain._ball
+    if ball is None or f.target_dim != f.domain.ambient_dim:
+        pair = find_interior_overlap(f.domain.all_simplices(), f.images, tol)
+        what = "simplices"
+    else:
+        relative = _orientations(f.images[ball.tops]) * ball.signs
+        kept = 1 if (relative > 0).sum() >= (relative < 0).sum() else -1
+        flipped = np.flatnonzero(relative != kept)
+        if flipped.size:
+            return f"top {tuple(ball.tops[flipped[0]].tolist())} flipped its orientation"
+        pair = find_interior_overlap(ball.boundary, f.images, tol)
+        what = "boundary simplices"
+    if pair is not None:
+        return f"the images of {what} {pair[0]} and {pair[1]} overlap"
+    return None

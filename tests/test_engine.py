@@ -35,6 +35,7 @@ from jigglekit.errors import (
     AmbientMismatch,
     BudgetViolation,
     CollarTooSmall,
+    EmbeddingLost,
     LevelExhausted,
     PerturbationFailed,
     PreconditionViolated,
@@ -123,6 +124,33 @@ def test_grid_auto_run_frozen_outcome():
     assert out.eta == pytest.approx(0.017728780776841913, rel=1e-12)
     assert out.report.min_eps_margin == pytest.approx(0.017118104447469546, rel=1e-12)
     assert out.report.min_semitrans_margin == pytest.approx(0.008605703810482979, rel=1e-12)
+
+
+def test_a_folded_input_names_the_flipped_top():
+    grid = unit_square_grid(2)
+    images = grid.vertices.copy()
+    images[4] = (1.2, 0.5)  # the centre vertex pushed past the right edge
+    with pytest.raises(PreconditionViolated,
+                       match=r"not a piecewise embedding: top \(1, 4, 5\) flipped"):
+        jiggle_euclidean(PLMap(grid, images), grid, HORIZONTAL,
+                         JigglingConfig(gamma=0.2, level=0))
+
+
+def test_a_lost_embedding_names_the_reason(monkeypatch):
+    """Induction that folds the map (here forced after the fact) fails the
+    post-check, whose message says why."""
+    real = engine._run_vertex_induction
+
+    def folding(child, images, **kwargs):
+        result = real(child, images, **kwargs)
+        images[4] = (1.2, 0.5)
+        return result
+
+    monkeypatch.setattr(engine, "_run_vertex_induction", folding)
+    grid, f = grid_setup()
+    with pytest.raises(EmbeddingLost,
+                       match=r"lost injectivity: top \(1, 4, 5\) flipped"):
+        jiggle_euclidean(f, grid, HORIZONTAL, JigglingConfig(gamma=0.2, level=0))
 
 
 def test_grid_run_obeys_budgets_and_kills_horizontal_edges():

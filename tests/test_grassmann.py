@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from jigglekit.errors import RankDeficient
 from jigglekit.grassmann import (
+    ORTHONORMAL_TOL,
     AffineFlat,
     Plane,
     _flat_distances,
@@ -28,6 +29,33 @@ def test_plane_requires_orthonormal_rows():
         Plane(np.array([[1.0, 1.0]]))
     with pytest.raises(RankDeficient):
         Plane(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+
+def test_plane_accepts_exactly_the_bases_allclose_accepts():
+    """Plane's orthonormality check is np.allclose(gram, I, atol=1e-10)
+    written out: the same verdict on Gram matrices 1e-10 and 1e-5 off the
+    identity, and on bases holding NaN or +-inf."""
+    rng = np.random.default_rng(21)
+    scales = [0.0, 3e-11, 1e-10, 3e-10, 1e-6, 5e-6, 1e-5, 2e-5, 1.0]
+    accepted = rejected = 0
+    for _ in range(3000):
+        n = int(rng.integers(1, 5))
+        k = int(rng.integers(1, n + 1))
+        b = np.linalg.qr(rng.normal(size=(n, n)))[0][:k]
+        b = b + rng.choice(scales) * rng.uniform(-1, 1, size=b.shape)
+        if rng.random() < 0.2:
+            b[rng.integers(k), rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+        want = np.allclose(b @ b.T, np.eye(k), atol=ORTHONORMAL_TOL)
+        try:
+            Plane(b)
+        except RankDeficient as exc:
+            assert str(exc) == "basis rows are not orthonormal; use plane_from_spanning"
+            assert not want
+            rejected += 1
+        else:
+            assert want
+            accepted += 1
+    assert accepted > 500 and rejected > 500
 
 
 def test_plane_from_spanning_orthonormalizes():

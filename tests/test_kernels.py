@@ -3,8 +3,8 @@
 Each span distance, flat distance, plane basis, rank test and face margin
 is computed by one private routine that works on stacks; the public scalar
 functions call it with a stack of one.  A stdlib ``ast`` pass keeps it that
-way: ``np.linalg.qr`` and ``np.linalg.svd`` may be called only where
-``ALLOWED`` says.  The kernels themselves are compared with the same
+way: ``np.linalg.qr``, ``np.linalg.svd`` and ``np.linalg.det`` may be
+called only where ``ALLOWED`` says.  The kernels themselves are compared with the same
 quantities computed in 50-digit ``mpmath`` arithmetic, on random and on
 nearly degenerate inputs.
 """
@@ -28,8 +28,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted(ROOT.glob("src/jigglekit/*.py"))
 
 # (module, function) -> the factorizations it may call: "qr", "svd" (with
-# the singular vectors) and "svdvals" (compute_uv=False)
+# the singular vectors), "svdvals" (compute_uv=False) and "det"
 ALLOWED = {
+    ("complexes", "simplex_volume"): {"det"},
+    ("complexes", "_orientations"): {"det"},
     ("complexes", "_span_distances"): {"qr"},
     ("grassmann", "Plane.complement"): {"qr"},
     ("grassmann", "_row_spaces"): {"svd"},
@@ -41,8 +43,8 @@ ALLOWED = {
 
 
 def factorizations(source: str):
-    """``(function, kind, line)`` of every ``*.linalg.qr`` and
-    ``*.linalg.svd`` call; ``function`` is the enclosing top-level function
+    """``(function, kind, line)`` of every ``*.linalg.qr``, ``*.linalg.svd``
+    and ``*.linalg.det`` call; ``function`` is the enclosing top-level function
     or ``Class.method``, or None at module level."""
     out = []
 
@@ -54,7 +56,7 @@ def factorizations(source: str):
             elif isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef):
                 name = f"{node.name}.{child.name}"
             if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
-                    and child.func.attr in ("qr", "svd") \
+                    and child.func.attr in ("qr", "svd", "det") \
                     and isinstance(child.func.value, ast.Attribute) \
                     and child.func.value.attr == "linalg":
                 kind = child.func.attr
@@ -96,6 +98,23 @@ def test_checker_flags_a_factorization_outside_its_home():
         "line 12: qr in None"]
     assert stray_factorizations("complexes", source)[:2] == [
         "line 4: qr in Plane.complement", "line 7: svd in _row_spaces"]
+
+
+def test_checker_flags_a_determinant_outside_its_home():
+    source = ("import numpy as np\n"
+              "def simplex_volume(e):\n"
+              "    return np.linalg.det(e)\n"
+              "def _orientations(e):\n"
+              "    return np.sign(np.linalg.det(e))\n"
+              "def volume(e):\n"
+              "    return abs(np.linalg.det(e @ e.T)) ** 0.5\n")
+    assert factorizations(source) == [
+        ("simplex_volume", "det", 3), ("_orientations", "det", 5),
+        ("volume", "det", 7)]
+    assert stray_factorizations("complexes", source) == ["line 7: det in volume"]
+    assert stray_factorizations("plmaps", source) == [
+        "line 3: det in simplex_volume", "line 5: det in _orientations",
+        "line 7: det in volume"]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
