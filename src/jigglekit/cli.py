@@ -332,10 +332,11 @@ def distribution_from_dict(obj: dict) -> Distribution:
 
 
 def subdivision_to_dict(smap: SubdivisionMap) -> dict:
-    support = {
-        str(vid): [[gid, [w.numerator, w.denominator]] for gid, w in entries]
-        for vid, entries in smap.vertex_support.items()
-    }
+    common = np.gcd(smap.weights, smap.denominator)
+    rows = zip(smap.ids.tolist(), (smap.weights // common).tolist(),
+               (smap.denominator // common).tolist())
+    support = {str(vid): [[gid, [num, den]] for gid, num, den in zip(*row) if gid >= 0]
+               for vid, row in enumerate(rows)}
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "subdivision",

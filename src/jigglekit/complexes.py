@@ -5,23 +5,24 @@ simplex is stored as a strictly increasing tuple of vertex ids.  Complexes are
 face closed: storing a top simplex stores all of its faces.
 
 The two subdivision operators, crystalline and barycentric, both return the
-child complex together with a :class:`SubdivisionMap` that remembers exact
-rational barycentric supports for every child vertex.  Exactness is what makes
+child complex together with a :class:`SubdivisionMap`, an integer table of
+exact barycentric weights for every child vertex.  Exactness is what makes
 subdivision well defined on shared faces: a child vertex produced from two
-different parent simplices gets the same support key and therefore the same
+different parent simplices gets the same table row and therefore the same
 id and the same floating point coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -36,6 +37,10 @@ from .errors import (
 
 DEGENERACY_REL_TOL = 1e-12
 _INTERIOR_TOL = 1e-9
+# point location: the prefilter's margin over its bounds, and the
+# (point, top) pairs it takes per pass
+_LOCATE_SLACK = 1e-3
+_LOCATE_BLOCK = 65536
 # |float det - det| of an n x n edge matrix, n <= 3, stays below this times
 # the larger Hadamard product of its row and of its column norms
 _ORIENT_ERR = 2.0 ** -40
@@ -321,19 +326,76 @@ class SimplicialComplex:
 
     def containing_top_simplex(self, point, tol: float = 1e-9):
         """Locate a top simplex containing ``point`` (barycentric test)."""
-        p = np.asarray(point, dtype=float)
-        best = None
-        best_defect = np.inf
-        for s in self._tops:
-            b, defect = barycentric_coordinates(self.coords(s), p)
-            worst = max(defect, -min(float(np.min(b)), 0.0))
-            if worst < best_defect:
-                best, best_defect = s, worst
-            if worst <= tol:
-                return s
-        if best is not None and best_defect <= 1e-6:
-            return best
-        raise QueryNotInComplex(f"point {p.tolist()} is not in the complex")
+        return self._locate(np.asarray(point, dtype=float)[None], tol)[0]
+
+    def _locate(self, points, tol: float = 1e-9) -> list[tuple[int, ...]]:
+        """:meth:`containing_top_simplex` of each row of ``points``.
+
+        The rule is the scalar one: in top order, the first top where the
+        worse of the :func:`barycentric_coordinates` defect and the most
+        negative coordinate is at most ``tol``, else the best top if that
+        is at most 1e-6.  Only the tops that pass a stacked prefilter are
+        tried; it drops a top only when its stacked coordinates miss the
+        larger of those bounds by ``_LOCATE_SLACK``, far above float error,
+        and never drops a top whose ``rmin <= 1e-6 * rmax``.  So the chosen
+        top, and its bits, are the scan's over every top.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        bound = max(tol, 1e-6) + _LOCATE_SLACK
+        step = max(1, _LOCATE_BLOCK // max(1, len(self._tops)))
+        out = []
+        for lo in range(0, len(pts), step):
+            chunk = pts[lo:lo + step]
+            for p, near in zip(chunk, self._near_tops(chunk, bound)):
+                found, best, best_defect = None, None, np.inf
+                for t in np.flatnonzero(near).tolist():
+                    s = self._tops[t]
+                    b, defect = barycentric_coordinates(self.coords(s), p)
+                    worst = max(defect, -min(float(np.min(b)), 0.0))
+                    if worst < best_defect:
+                        best, best_defect = s, worst
+                    if worst <= tol:
+                        found = s
+                        break
+                if found is None and best_defect <= 1e-6:
+                    found = best
+                if found is None:
+                    raise QueryNotInComplex(f"point {p.tolist()} is not in the complex")
+                out.append(found)
+        return out
+
+    @cached_property
+    def _top_frames(self):
+        """Per size group of the tops: their positions in ``top_simplices``,
+        first vertices, edge matrices (S, N, k - 1) and pseudo-inverses, and
+        whether the prefilter may drop them (``rmin > 1e-6 * rmax``)."""
+        frames = []
+        for k, rows, ids in size_groups(self._tops):
+            pts = self.vertices[ids]
+            edges = np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2)
+            if k >= 2:
+                rmin, rmax = cell_radii(pts)
+                prunable = rmin > 1e-6 * rmax
+            else:
+                rmax, prunable = np.zeros(len(rows)), np.ones(len(rows), dtype=bool)
+            frames.append((rows, pts[:, 0], edges, np.linalg.pinv(edges),
+                           rmax, prunable))
+        return frames
+
+    def _near_tops(self, pts: np.ndarray, bound: float) -> np.ndarray:
+        """(P, T) mask of the tops each point may lie in: the stacked
+        barycentric coordinates are all >= -bound and the defect is at most
+        ``bound * (1 + |p - v_0| + rmax)``."""
+        near = np.ones((len(pts), len(self._tops)), dtype=bool)
+        for rows, base, edges, pinv, rmax, prunable in self._top_frames:
+            rel = pts.T[None] - base[..., None]  # (S, N, P)
+            sol = pinv @ rel
+            defect = np.linalg.norm(edges @ sol - rel, axis=1)
+            low = np.minimum(1.0 - sol.sum(axis=1), sol.min(axis=1, initial=np.inf))
+            scale = 1.0 + np.linalg.norm(rel, axis=1) + rmax[:, None]
+            near[:, rows] = (~prunable[:, None]
+                             | ((low >= -bound) & (defect <= bound * scale))).T
+        return near
 
 
 def barycentric_coordinates(coords: np.ndarray, point: np.ndarray):
@@ -578,6 +640,24 @@ def _sat_disjoint_many(first: np.ndarray, second: np.ndarray, ids: np.ndarray,
     return out
 
 
+def _in_one_simplex(first: np.ndarray, second: np.ndarray, sims,
+                    vertex_coords: np.ndarray, tol: float) -> np.ndarray:
+    """Whether the vertices of each indexed pair of ``sims`` together are a
+    simplex of ``sims`` with ``rmin > tol * rmax`` at ``vertex_coords``.
+    Such a simplex's vertices are affinely independent, so two of its faces
+    meet exactly in their common face: the pair's relative interiors are
+    disjoint."""
+    index = {frozenset(s): t for t, s in enumerate(sims)}
+    hit = np.array([index.get(frozenset(sims[i]).union(sims[j]), -1)
+                    for i, j in zip(first.tolist(), second.tolist())], dtype=np.intp)
+    sound = np.zeros(len(sims) + 1, dtype=bool)  # the last entry answers -1
+    targets = np.unique(hit[hit >= 0])
+    for _, rows, ids in size_groups([sims[t] for t in targets.tolist()]):
+        rmin, rmax = cell_radii(vertex_coords[ids])
+        sound[targets[rows]] = rmin > tol * rmax
+    return sound[hit]
+
+
 def find_interior_overlap(simplices: list[tuple[int, ...]],
                           vertex_coords: np.ndarray,
                           tol: float = _INTERIOR_TOL):
@@ -587,8 +667,12 @@ def find_interior_overlap(simplices: list[tuple[int, ...]],
     complex's own table: image coordinates reuse this for embedding checks).
     Pairs in a face relation are skipped.  The rest are decided by a
     sweep-and-prune pass over bounding boxes, then the batched
-    separating-axis certificate (SAT), then the exact LP.  Returns the
-    first overlapping pair in (i, j) order, or None.
+    separating-axis certificate (SAT), then the exact LP.  Before the LP a
+    pair whose vertices together are a listed simplex with ``rmin > tol *
+    rmax`` is dropped, since two faces of one nondegenerate simplex meet
+    exactly in their common face; SAT already certifies such pairs in R^2
+    and R^3, so this spares the LP in R^N, N > 3.  Returns the first
+    overlapping pair in (i, j) order, or None.
 
     This is the pairwise test.  ``validate_complex`` runs it on every
     simplex.  ``plmaps.is_piecewise_embedding`` runs it on every simplex
@@ -604,7 +688,9 @@ def find_interior_overlap(simplices: list[tuple[int, ...]],
     ids, sizes = _id_table(sims)
     first, second = _candidate_pairs(ids, sizes, vertex_coords, tol)
     certified = _sat_disjoint_many(first, second, ids, sizes, vertex_coords, tol)
-    for i, j in zip(first[~certified].tolist(), second[~certified].tolist()):
+    first, second = first[~certified], second[~certified]
+    apart = _in_one_simplex(first, second, sims, vertex_coords, tol)
+    for i, j in zip(first[~apart].tolist(), second[~apart].tolist()):
         if relative_interiors_intersect(vertex_coords[list(sims[i])],
                                         vertex_coords[list(sims[j])], tol):
             return sims[i], sims[j]
@@ -777,82 +863,119 @@ def vlink(complex_: SimplicialComplex, vertex: int) -> tuple[int, ...]:
 # subdivision maps
 # ---------------------------------------------------------------------------
 
-Support = tuple[tuple[int, Fraction], ...]
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SubdivisionMap:
-    """Exact bookkeeping for a subdivision step.
+    """Exact bookkeeping for a subdivision step: one integer support table.
 
-    ``vertex_support`` maps every child vertex id onto its barycentric support
-    in parent vertices; the support determines the minimal parent carrier face
-    of any child simplex (the union of its vertices' supports).
+    Child vertex v is the sum over c of ``weights[v, c] / denominator`` times
+    parent vertex ``ids[v, c]``: the vertices of its minimal parent carrier
+    face, in increasing order, padded on the right with id -1 and weight 0.
     """
 
     parent: SimplicialComplex
     child: SimplicialComplex
-    vertex_support: dict[int, Support]
+    ids: np.ndarray
+    weights: np.ndarray
+    denominator: int
+
+    @cached_property
+    def vertex_support(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
+        """The table in ``Fraction``s: child id -> ((parent id, weight), ...)."""
+        return {v: tuple((g, Fraction(w, self.denominator)) for g, w in zip(gs, ws) if g >= 0)
+                for v, (gs, ws) in enumerate(zip(self.ids.tolist(), self.weights.tolist()))}
 
 
-class _VertexInterner:
-    """Dedup table for subdivision vertices keyed by exact rational support."""
-
-    def __init__(self, parent: SimplicialComplex):
-        self.parent = parent
-        self.coords: list[np.ndarray] = [parent.vertices[i] for i in range(parent.num_vertices)]
-        self.support: dict[int, Support] = {
-            i: ((i, Fraction(1)),) for i in range(parent.num_vertices)
-        }
-        self._table: dict[Support, int] = {
-            ((i, Fraction(1)),): i for i in range(parent.num_vertices)
-        }
-
-    def intern(self, support: Support) -> int:
-        vid = self._table.get(support)
-        if vid is not None:
-            return vid
-        point = np.zeros(self.parent.ambient_dim)
-        for gid, frac in support:
-            point = point + float(frac) * self.parent.vertices[gid]
-        vid = len(self.coords)
-        self.coords.append(point)
-        self.support[vid] = support
-        self._table[support] = vid
-        return vid
-
-    def build(self, child_tops: list[tuple[int, ...]]) -> tuple[SimplicialComplex, dict[int, Support]]:
-        child = SimplicialComplex(self.parent.ambient_dim,
-                                  np.array(self.coords), child_tops)
-        return child, dict(self.support)
+def _interpolate(ids, weights, denominator: int, values: np.ndarray) -> np.ndarray:
+    """Each table row's combination of the rows of ``values``, added term by
+    term in support order onto zeros.  Pads read an appended zero row: they
+    add exactly nothing, also beside an infinite value."""
+    rows = np.vstack([values, np.zeros((1, values.shape[1]))])
+    out = np.zeros((len(ids), rows.shape[1]))
+    for c in range(ids.shape[1]):
+        out = out + weights[:, c, None] / denominator * rows[ids[:, c]]
+    return out
 
 
-# ---------------------------------------------------------------------------
-# crystalline subdivision
-# ---------------------------------------------------------------------------
-
-def _identity_subdivision(complex_: SimplicialComplex) -> SubdivisionMap:
-    support = {i: ((i, Fraction(1)),) for i in range(complex_.num_vertices)}
-    return SubdivisionMap(parent=complex_, child=complex_, vertex_support=support)
+def _refine(complex_: SimplicialComplex, cells, denominator: int):
+    """Replace each top of k >= 2 vertices by the cells ``cells(k)``, k rows
+    of weights over ``denominator`` on its vertices each.  ``np.unique``
+    interns the rows of the parent vertices, then of the cell vertices in
+    sorted top order: numbered by first appearance, as interned one by one."""
+    if denominator > 2 ** 62:  # so that int64 weight products stay exact
+        raise PreconditionViolated(f"subdivision denominator {denominator} passes 2**62")
+    n = complex_.num_vertices
+    tops = sorted(complex_.top_simplices)
+    templates = {k: cells(k) for k in set(map(len, tops)) if k >= 2}
+    height = np.array([len(templates.get(len(t), ())) for t in tops], dtype=np.intp)
+    start = n + np.cumsum(height) - height
+    ids = np.full((n + height.sum(), max(templates, default=1)), -1, dtype=np.int64)
+    weights = np.zeros_like(ids)
+    ids[:n, 0], weights[:n, 0] = np.arange(n), denominator
+    blocks = []
+    for k, pos, top_ids in size_groups(tops):
+        if k >= 2:
+            left = np.argsort(templates[k] == 0, axis=1, kind="stable")  # support first
+            at = start[pos, None] + np.arange(len(left))
+            weights[at, :k] = np.take_along_axis(templates[k], left, axis=1)
+            ids[at, :k] = np.where(weights[at, :k] > 0, top_ids[:, left], -1)
+            blocks.append(at.reshape(-1, k))
+    _, first, inverse = np.unique(np.hstack([ids, weights]), axis=0,
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    vid = np.argsort(order)[inverse.ravel()]
+    ids, weights = ids[first[order]], weights[first[order]]
+    child_tops = [t for t in tops if len(t) < 2]
+    for at in blocks:
+        child_tops += map(tuple, np.sort(vid[at], axis=1).tolist())
+    coords = _interpolate(ids, weights, denominator, complex_.vertices)
+    coords[:n] = complex_.vertices  # parent vertices keep their bits
+    child = SimplicialComplex(complex_.ambient_dim, coords, child_tops)
+    return child, SubdivisionMap(complex_, child, ids, weights, denominator)
 
 
 def compose_subdivisions(first: SubdivisionMap, second: SubdivisionMap) -> SubdivisionMap:
     """Chain two subdivision steps into one exact map.
 
     ``second`` must subdivide ``first.child``; the result maps
-    ``second.child`` vertices onto supports over ``first.parent`` with exact
-    rational weights.
+    ``second.child`` vertices onto supports over ``first.parent``: the
+    integer sparse product of the tables, over the product of denominators.
     """
     if second.parent is not first.child:
         raise DomainMismatch("subdivision maps do not chain")
-    support: dict[int, Support] = {}
-    for vid, outer in second.vertex_support.items():
-        acc: dict[int, Fraction] = {}
-        for mid, w in outer:
-            for gid, inner_w in first.vertex_support[mid]:
-                acc[gid] = acc.get(gid, Fraction(0)) + w * inner_w
-        support[vid] = tuple(sorted(acc.items()))
-    return SubdivisionMap(parent=first.parent, child=second.child,
-                          vertex_support=support)
+    denominator = first.denominator * second.denominator
+    if denominator > 2 ** 62:
+        raise PreconditionViolated(f"subdivision denominator {denominator} passes 2**62")
+    a, b = (csr_matrix((m.weights[m.ids >= 0], (np.nonzero(m.ids >= 0)[0], m.ids[m.ids >= 0])),
+                       shape=(len(m.ids), m.parent.num_vertices)) for m in (second, first))
+    product = a @ b
+    product.sum_duplicates()  # sorts each row's ids
+    rows = np.repeat(np.arange(product.shape[0]), np.diff(product.indptr))
+    slot = np.arange(product.nnz) - product.indptr[rows]
+    ids = np.full((product.shape[0], slot.max(initial=-1) + 1), -1, dtype=np.int64)
+    weights = np.zeros_like(ids)
+    ids[rows, slot], weights[rows, slot] = product.indices, product.data
+    return SubdivisionMap(first.parent, second.child, ids, weights, denominator)
+
+
+# ---------------------------------------------------------------------------
+# crystalline and barycentric subdivision
+# ---------------------------------------------------------------------------
+
+@cache
+def _kuhn_cells(k: int, scale: int) -> np.ndarray:
+    """The crystalline cells of a (k - 1)-simplex for :func:`_refine`, read-only:
+    Edelsbrunner and Grayson's edgewise subdivision (DCG 24, 2000).  Cell
+    (z, chain) has vertices u_0 = z, u_{t+1} = u_t + e_{chain[m-1-t]}, weights
+    ``diff((0, *u, scale))`` and coordinate sums (m + 1) z_i + c_i (c: inverse
+    chain + 1), which increase iff z rises, or c rises where z repeats."""
+    m = k - 1
+    z = np.array(list(itertools.combinations_with_replacement(range(scale), m)))
+    c = np.argsort(np.array(list(itertools.permutations(range(m)))), axis=1) + 1
+    zi, ci = np.nonzero(((z[:, None, 1:] > z[:, None, :-1]) | (c[:, 1:] > c[:, :-1])).all(axis=2))
+    u = z[zi, None] + (c[ci, None] + np.arange(k)[:, None] > m)
+    out = np.diff(u, prepend=0, append=scale, axis=2).reshape(-1, k)
+    out.setflags(write=False)
+    return out
 
 
 def crystalline_subdivide(complex_: SimplicialComplex, levels: int):
@@ -873,64 +996,24 @@ def crystalline_subdivide(complex_: SimplicialComplex, levels: int):
     if levels < 0:
         raise PreconditionViolated("levels must be >= 0")
     if levels == 0:
-        return complex_, _identity_subdivision(complex_)
-    scale = 2 ** levels
-    interner = _VertexInterner(complex_)
-    child_tops: list[tuple[int, ...]] = []
-    for top in sorted(complex_.top_simplices):
-        m = len(top) - 1
-        if m == 0:
-            child_tops.append(top)
-            continue
-        for z in itertools.product(range(scale), repeat=m):
-            for chain in itertools.permutations(range(m)):
-                # staircase vertices of the permutation cell, integer coords
-                cube_vertices = [list(z)]
-                for t in range(m):
-                    nxt = list(cube_vertices[-1])
-                    nxt[chain[m - 1 - t]] += 1
-                    cube_vertices.append(nxt)
-                csum = [sum(v[i] for v in cube_vertices) for i in range(m)]
-                if any(csum[i] >= csum[i + 1] for i in range(m - 1)):
-                    continue
-                ids = []
-                for u in cube_vertices:
-                    ns = (0, *u, scale)
-                    support = tuple(
-                        (top[j], Fraction(ns[j + 1] - ns[j], scale))
-                        for j in range(m + 1)
-                        if ns[j + 1] != ns[j]
-                    )
-                    ids.append(interner.intern(support))
-                child_tops.append(tuple(sorted(ids)))
-    child, support = interner.build(child_tops)
-    return child, SubdivisionMap(parent=complex_, child=child, vertex_support=support)
+        n = complex_.num_vertices
+        return complex_, SubdivisionMap(complex_, complex_, np.arange(n)[:, None],
+                                        np.ones((n, 1), dtype=np.int64), 1)
+    return _refine(complex_, lambda k: _kuhn_cells(k, 2 ** levels), 2 ** levels)
 
-
-# ---------------------------------------------------------------------------
-# barycentric subdivision
-# ---------------------------------------------------------------------------
 
 def barycentric_subdivide(complex_: SimplicialComplex):
-    """One barycentric subdivision; every m-simplex becomes (m+1)! children."""
-    interner = _VertexInterner(complex_)
+    """One barycentric subdivision; every m-simplex becomes (m+1)! children,
+    one per vertex permutation: vertex i is its first i + 1 vertices' barycenter."""
+    widest = max(map(len, complex_.top_simplices), default=1)
+    denominator = math.lcm(*range(1, widest + 1))
 
-    def face_barycenter(face: tuple[int, ...]) -> int:
-        frac = Fraction(1, len(face))
-        return interner.intern(tuple((g, frac) for g in face))
+    def cells(k):
+        rank = np.argsort(np.array(list(itertools.permutations(range(k)))), axis=1)
+        face = rank[:, None, :] <= np.arange(k)[:, None]
+        return (face * (denominator // np.arange(1, k + 1))[:, None]).reshape(-1, k)
 
-    child_tops: list[tuple[int, ...]] = []
-    for top in sorted(complex_.top_simplices):
-        if len(top) == 1:
-            child_tops.append(top)
-            continue
-        for perm in itertools.permutations(top):
-            chain_ids = []
-            for r in range(1, len(perm) + 1):
-                chain_ids.append(face_barycenter(tuple(sorted(perm[:r]))))
-            child_tops.append(tuple(sorted(chain_ids)))
-    child, support = interner.build(child_tops)
-    return child, SubdivisionMap(parent=complex_, child=child, vertex_support=support)
+    return _refine(complex_, cells, denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -458,8 +458,7 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
 
     while True:
         flin, child, smap, e0, e1 = _linearize_exactly(fmap, complex_, level)
-        carriers = [tuple(sorted(g for g, _ in smap.vertex_support[vid]))
-                    for vid in range(child.num_vertices)]
+        carriers = [tuple(g for g in row if g >= 0) for row in smap.ids.tolist()]
         from_a = np.array([c in a_faces for c in carriers], dtype=bool)
         from_b = np.array([c in b_faces for c in carriers], dtype=bool)
         if not from_b.any():
@@ -631,13 +630,15 @@ def _resolve_per_top(complex_: SimplicialComplex, distributions):
     return resolved
 
 
-def _locate_in_parent(complex_: SimplicialComplex, point) -> tuple[int, ...]:
-    """Minimal face of the complex whose relative interior holds the point."""
-    top = complex_.containing_top_simplex(point)
-    b, defect = barycentric_coordinates(complex_.coords(top), point)
-    if defect > 1e-9:
-        raise QueryNotInComplex(f"point {point} lies outside the complex")
-    return tuple(v for v, w in zip(top, b) if w > SKELETON_TOL)
+def _locate_in_parent(complex_: SimplicialComplex, points) -> list[tuple[int, ...]]:
+    """Minimal face of the complex whose relative interior holds each point."""
+    faces = []
+    for point, top in zip(points, complex_._locate(points)):
+        b, defect = barycentric_coordinates(complex_.coords(top), point)
+        if defect > 1e-9:
+            raise QueryNotInComplex(f"point {point} lies outside the complex")
+        faces.append(tuple(v for v, w in zip(top, b) if w > SKELETON_TOL))
+    return faces
 
 
 def jiggle_subdivision(complex_: SimplicialComplex,
@@ -668,18 +669,14 @@ def jiggle_subdivision(complex_: SimplicialComplex,
                 "plane field"
             )
 
-    carrier_k = [_locate_in_parent(complex_, p) for p in refinement.vertices]
+    carrier_k = _locate_in_parent(complex_, refinement.vertices)
     level = 1 if cfg.level == "auto" else cfg.level
     mid, bmap = barycentric_subdivide(refinement)
     out, cmap = crystalline_subdivide(mid, level)
     sub = compose_subdivisions(bmap, cmap)
 
-    carriers: list[tuple[int, ...]] = []
-    for vid in range(out.num_vertices):
-        gids: set[int] = set()
-        for g, _ in sub.vertex_support[vid]:
-            gids.update(carrier_k[g])
-        carriers.append(tuple(sorted(gids)))
+    carriers = [tuple(sorted({g for mid in row if mid >= 0 for g in carrier_k[mid]}))
+                for row in sub.ids.tolist()]
     frozen = np.array([len(c) == 1 for c in carriers])
     order = sorted(range(out.num_vertices), key=lambda v: (len(carriers[v]), v))
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .complexes import (
     SimplicialComplex,
+    _interpolate,
     _orientations,
     barycentric_coordinates,
     crystalline_subdivide,
@@ -60,21 +61,22 @@ class PLMap:
             self._jac_cache[key] = jac
         return jac
 
-    def evaluate(self, point, hint=None):
-        p = np.asarray(point, dtype=float)
-        simplex = None
-        if hint is not None:
-            b, defect = barycentric_coordinates(self.domain.coords(hint), p)
-            if defect <= 1e-9 and float(np.min(b)) >= -1e-9:
-                simplex = hint
-        if simplex is None:
-            simplex = self.domain.containing_top_simplex(p)
-        b, _ = barycentric_coordinates(self.domain.coords(simplex), p)
-        return b @ self.image_coords(simplex)
-
     def evaluate_batch(self, points, hint=None) -> np.ndarray:
-        """Images of the rows of ``points``, trying top simplex ``hint`` first."""
-        return np.array([self.evaluate(p, hint) for p in np.atleast_2d(points)])
+        """Images of the rows of ``points``, trying top simplex ``hint``
+        first; the other points are located in one batch."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        cells = [None] * len(pts)
+        if hint is not None:
+            for i, p in enumerate(pts):
+                b, defect = barycentric_coordinates(self.domain.coords(hint), p)
+                if defect <= 1e-9 and float(np.min(b)) >= -1e-9:
+                    cells[i] = hint
+        todo = [i for i, s in enumerate(cells) if s is None]
+        for i, s in zip(todo, self.domain._locate(pts[todo])):
+            cells[i] = s
+        return np.array([
+            barycentric_coordinates(self.domain.coords(s), p)[0] @ self.image_coords(s)
+            for s, p in zip(cells, pts)])
 
     def derivative_at(self, point, hint=None) -> np.ndarray:
         simplex = hint if hint is not None else self.domain.containing_top_simplex(point)
@@ -143,9 +145,6 @@ class SampledMap:
             return np.asarray(self._eval(pts), dtype=float)
         return np.array([np.atleast_1d(self._eval(p)) for p in pts], dtype=float)
 
-    def evaluate(self, point, hint=None):
-        return self.evaluate_batch(np.asarray(point)[None, :])[0]
-
     def derivative_at(self, point, hint=None, scale: float = 1.0) -> np.ndarray:
         p = np.asarray(point, dtype=float)
         if self._jac is not None:
@@ -165,19 +164,14 @@ def linearize(f, complex_: SimplicialComplex, levels: int):
     """Replace f by its piecewise-linear interpolation on the level-``levels``
     crystalline subdivision.
 
-    A PLMap on the complex itself interpolates by the exact rational vertex
-    supports, so the result equals f as a function; any other map is
+    A PLMap on the complex itself interpolates by the exact support table,
+    so the result equals f as a function; any other map is
     evaluated at the child vertices.  Returns ``(map, child_complex,
     subdivision_map)`` with ``map`` a PLMap on ``child_complex``.
     """
     child, smap = crystalline_subdivide(complex_, levels)
     if _is_native(f, complex_):
-        images = np.zeros((child.num_vertices, f.target_dim))
-        for vid in range(child.num_vertices):
-            acc = np.zeros(f.target_dim)
-            for gid, frac in smap.vertex_support[vid]:
-                acc = acc + float(frac) * f.images[gid]
-            images[vid] = acc
+        images = _interpolate(smap.ids, smap.weights, smap.denominator, f.images)
     else:
         images = f.evaluate_batch(child.vertices)
     return PLMap(child, images), child, smap
@@ -218,10 +212,8 @@ def _jacobians(m, own: bool, ids: np.ndarray, pinv_a: np.ndarray,
         img = m.images[ids]
         return (np.swapaxes(img[:, 1:] - img[:, :1], 1, 2) @ pinv_a)[:, None]
     if isinstance(m, PLMap):
-        return np.array([
-            [m.jacobian(m.domain.containing_top_simplex(p.mean(axis=0)))]
-            for p in pts
-        ])
+        tops = m.domain._locate(np.array([p.mean(axis=0) for p in pts]))
+        return np.array([[m.jacobian(t)] for t in tops])
     scales = np.max(np.linalg.norm(dom - dom[:, :1], axis=2), axis=1)
     return np.array([[m.derivative_at(q, scale=float(s)) for q in p]
                      for p, s in zip(pts, scales)])

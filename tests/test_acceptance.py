@@ -100,9 +100,13 @@ def test_criterion_01_crystalline_counts():
             got = len(child.top_simplices)
             if got != want:
                 problems.append(f"cube m={m} l={lv}: {got} cells, expected {want}")
-    fig, _ = crystalline_subdivide(unit_square_grid(1), 2)
+    fig, smap = crystalline_subdivide(unit_square_grid(1), 2)
     if len(fig.top_simplices) != 32:
         problems.append(f"square at l=2: {len(fig.top_simplices)} cells, expected 32")
+    # each child vertex is a point of its carrier's level-2 lattice, exactly
+    for vid, support in smap.vertex_support.items():
+        if sum(w for _, w in support) != 1 or any(4 % w.denominator for _, w in support):
+            problems.append(f"vertex {vid}: support {support} is off the lattice")
     _within(1.0, perf_counter() - t0, problems)
     _verdict(1, "crystalline counts", not problems, "; ".join(problems))
 

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 from jigglekit import complexes
-from jigglekit.cli import standard_simplex, unit_square_grid
+from jigglekit.cli import box_grid, standard_simplex, unit_square_grid
 from jigglekit.complexes import (
     _candidate_pairs,
     _span_distances,
     _id_table,
     _sat_group,
+    barycentric_coordinates,
     barycentric_subdivide,
     build_complex,
     cell_radii,
@@ -33,7 +34,12 @@ from jigglekit.complexes import (
     top_radii,
     vlink,
 )
-from jigglekit.errors import DegenerateSimplex, FaceIntersectionViolation, SolverFailed
+from jigglekit.errors import (
+    DegenerateSimplex,
+    FaceIntersectionViolation,
+    QueryNotInComplex,
+    SolverFailed,
+)
 
 # frozen counts for the cube-chain subdivision: (tops, vertices) by (m, level)
 CRYSTALLINE_COUNTS = {
@@ -532,3 +538,73 @@ def test_span_distances_match_point_to_affine_span_bit_for_bit():
         points = rng.normal(size=(int(rng.integers(1, 40)), n)) * scale
         got = _span_distances(points, coords)
         assert got.tolist() == [point_to_affine_span(p, coords) for p in points]
+
+
+# ---------------------------------------------------------------------------
+# point location against the scan it replaced
+# ---------------------------------------------------------------------------
+
+def reference_containing_top_simplex(K, point, tol=1e-9):
+    """The scan before ``_locate``: every top in order, one lstsq each; None
+    where the scan raised."""
+    p = np.asarray(point, dtype=float)
+    best, best_defect = None, np.inf
+    for s in K.top_simplices:
+        b, defect = barycentric_coordinates(K.coords(s), p)
+        worst = max(defect, -min(float(np.min(b)), 0.0))
+        if worst < best_defect:
+            best, best_defect = s, worst
+        if worst <= tol:
+            return s
+    if best is not None and best_defect <= 1e-6:
+        return best
+    return None
+
+
+def _location_cases():
+    rng = np.random.default_rng(23)
+    square, _ = crystalline_subdivide(unit_square_grid(2), 2)
+    box, _ = crystalline_subdivide(box_grid(1), 1)
+    mixed = build_complex(2, [(0, 0), (1, 0), (0, 1), (2, 1), (3, 3)],
+                          [(0, 1, 2), (1, 3), (4,)])
+    surface = build_complex(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0.5)],
+                            [(0, 1, 2), (1, 2, 3)])
+    # a sliver (rmin below 1e-6 rmax) beside a plain triangle
+    sliver = build_complex(2, [(0, 0), (1, 0), (0.5, 1e-7), (0.5, -1.0)],
+                           [(0, 1, 2), (0, 1, 3)])
+    for name, K in (("square-level-2", square), ("box-level-1", box),
+                    ("mixed", mixed), ("surface", surface), ("sliver", sliver)):
+        n = K.ambient_dim
+        lo, hi = K.vertices.min(axis=0), K.vertices.max(axis=0)
+        cells = [K.coords(t) for t in K.top_simplices]
+        inside = np.array([rng.dirichlet(np.ones(len(c))) @ c
+                           for c in (cells[i] for i in rng.integers(len(cells), size=60))])
+        nudge = rng.standard_normal((len(K.vertices), n))
+        nudge /= np.linalg.norm(nudge, axis=1, keepdims=True)
+        points = np.vstack([
+            K.vertices,                             # on many tops at once
+            (K.vertices[:-1] + K.vertices[1:]) / 2,
+            inside,
+            K.vertices + 5e-7 * nudge,              # between tol and 1e-6 off
+            K.vertices + 1e-4 * nudge,
+            rng.uniform(lo - 0.5, hi + 0.5, size=(60, n)),
+        ])
+        yield name, K, points
+
+
+LOCATION_CASES = list(_location_cases())
+
+
+@pytest.mark.parametrize("name, K, points", LOCATION_CASES,
+                         ids=[name for name, _, _ in LOCATION_CASES])
+def test_locate_picks_the_scans_top(name, K, points):
+    want = [reference_containing_top_simplex(K, p) for p in points]
+    assert None in want and len(set(want) - {None}) > 1
+    found = [i for i, w in enumerate(want) if w is not None]
+    assert K._locate(points[found]) == [want[i] for i in found], name
+    for i, w in enumerate(want):
+        if w is None:
+            with pytest.raises(QueryNotInComplex, match="is not in the complex"):
+                K.containing_top_simplex(points[i])
+        else:
+            assert K.containing_top_simplex(points[i]) == w

@@ -111,26 +111,36 @@ def test_ball_test_finds_the_balls_and_their_boundary(grid, level):
     assert set(ball.signs.tolist()) <= {-1, 1}
 
 
+def mesh_images(mesh, jiggled_tower_level):
+    if mesh == "tower-2":
+        return jiggled_tower_level
+    if mesh == "box-1":
+        return lattice(box_grid(1), 1, noise=0.02, seed=1)
+    return lattice(u_shape(), 1)
+
+
+def seeded_moves(K, images, moves, seed=17):
+    """Single-vertex moves from 0.03 to 5 typical edge lengths: ``(vertex,
+    moved images)``."""
+    rng = np.random.default_rng(seed)
+    edges = np.array([images[t[1]] - images[t[0]] for t in K.top_simplices])
+    h = float(np.median(np.linalg.norm(edges, axis=1)))
+    for _ in range(moves):
+        moved = images.copy()
+        v = int(rng.integers(K.num_vertices))
+        moved[v] += h * 10 ** rng.uniform(-1.5, 0.7) * rng.standard_normal(K.ambient_dim)
+        yield v, moved
+
+
 @pytest.mark.parametrize("mesh, moves", [("tower-2", 120), ("box-1", 16), ("u-1", 80)])
 def test_degree_test_agrees_with_the_pairwise_test(jiggled_tower_level, mesh, moves):
     """Seeded single-vertex moves from 0.03 to 5 typical edge lengths: a
     verdict that differs from the pairwise test's fails here.  On these
     seeds (and on 1,500 further moves of each mesh) none does."""
-    if mesh == "tower-2":
-        K, images = jiggled_tower_level
-    elif mesh == "box-1":
-        K, images = lattice(box_grid(1), 1, noise=0.02, seed=1)
-    else:
-        K, images = lattice(u_shape(), 1)
+    K, images = mesh_images(mesh, jiggled_tower_level)
     assert K._ball is not None
-    rng = np.random.default_rng(17)
-    edges = np.array([images[t[1]] - images[t[0]] for t in K.top_simplices])
-    h = float(np.median(np.linalg.norm(edges, axis=1)))
     kinds = Counter()
-    for _ in range(moves):
-        moved = images.copy()
-        v = int(rng.integers(K.num_vertices))
-        moved[v] += h * 10 ** rng.uniform(-1.5, 0.7) * rng.standard_normal(K.ambient_dim)
+    for v, moved in seeded_moves(K, images, moves):
         f = PLMap(K, moved)
         verdict = is_piecewise_embedding(f)
         assert verdict == pairwise_embedding(f), (mesh, v, moved[v])
@@ -138,6 +148,52 @@ def test_degree_test_agrees_with_the_pairwise_test(jiggled_tower_level, mesh, mo
         assert (reason is None) == verdict
         kinds[reason.split()[0] if reason else "embeds"] += 1
     assert kinds["embeds"] and kinds["top"]  # kept maps and interior folds
+
+
+def count_lp_calls(monkeypatch):
+    calls = []
+    real = complexes.relative_interiors_intersect
+    monkeypatch.setattr(complexes, "relative_interiors_intersect",
+                        lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_faces_of_one_simplex_need_no_lp(monkeypatch, m):
+    """Every pair of faces of one nondegenerate simplex meets in their
+    common face, so neither validating an m-simplex in R^m nor checking its
+    identity map reaches an LP (the SAT certificate covers only R^2, R^3)."""
+    calls = count_lp_calls(monkeypatch)
+    K = standard_simplex(m)
+    assert is_piecewise_embedding(PLMap.identity(K))
+    assert not calls
+
+
+@pytest.mark.parametrize("mesh, moves", [("tower-2", 40), ("box-1", 6), ("u-1", 40),
+                                         ("simplex-in-r4", 8)])
+def test_dropping_faces_of_one_simplex_keeps_the_pairwise_verdicts(
+        monkeypatch, jiggled_tower_level, mesh, moves):
+    """The pairwise test with and without the drop of pairs inside one
+    nondegenerate listed simplex, on all simplices of the seeded moves
+    above (and a 4-simplex squashed flat, whose faces overlap): the same
+    first overlapping pair, or None, every time."""
+    extra = []
+    if mesh == "simplex-in-r4":
+        K = standard_simplex(4)
+        images = K.vertices
+        extra.append((None, images * np.r_[1.0, 1.0, 1.0, 0.0]))  # squashed flat
+    else:
+        K, images = mesh_images(mesh, jiggled_tower_level)
+    sims = K.all_simplices()
+    verdicts = set()
+    for v, moved in [*seeded_moves(K, images, moves), *extra]:
+        got = find_interior_overlap(sims, moved)
+        with monkeypatch.context() as patch:
+            patch.setattr(complexes, "_in_one_simplex",
+                          lambda first, *a: np.zeros(len(first), dtype=bool))
+            assert got == find_interior_overlap(sims, moved), (mesh, v, moved[v])
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("grid", [unit_square_grid(2), box_grid(1)], ids=["square", "box"])

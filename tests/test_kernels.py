@@ -4,7 +4,8 @@ Each span distance, flat distance, plane basis, rank test and face margin
 is computed by one private routine that works on stacks; the public scalar
 functions call it with a stack of one.  A stdlib ``ast`` pass keeps it that
 way: ``np.linalg.qr``, ``np.linalg.svd`` and ``np.linalg.det`` may be
-called only where ``ALLOWED`` says.  The kernels themselves are compared with the same
+called only where ``ALLOWED`` says, and a ``Fraction`` may be built only
+where ``FRACTION_HOMES`` says.  The kernels themselves are compared with the same
 quantities computed in 50-digit ``mpmath`` arithmetic, on random and on
 nearly degenerate inputs.
 """
@@ -42,10 +43,10 @@ ALLOWED = {
 }
 
 
-def factorizations(source: str):
-    """``(function, kind, line)`` of every ``*.linalg.qr``, ``*.linalg.svd``
-    and ``*.linalg.det`` call; ``function`` is the enclosing top-level function
-    or ``Class.method``, or None at module level."""
+def calls(source: str, kind_of):
+    """``(function, kind, line)`` of every call that ``kind_of`` names (it
+    returns a kind or None); ``function`` is the enclosing top-level
+    function or ``Class.method``, or None at module level."""
     out = []
 
     def visit(node, owner):
@@ -55,20 +56,32 @@ def factorizations(source: str):
                 name = child.name
             elif isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef):
                 name = f"{node.name}.{child.name}"
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
-                    and child.func.attr in ("qr", "svd", "det") \
-                    and isinstance(child.func.value, ast.Attribute) \
-                    and child.func.value.attr == "linalg":
-                kind = child.func.attr
-                if kind == "svd" and any(
-                        k.arg == "compute_uv" and isinstance(k.value, ast.Constant)
-                        and k.value.value is False for k in child.keywords):
-                    kind = "svdvals"
-                out.append((name, kind, child.lineno))
+            if isinstance(child, ast.Call):
+                kind = kind_of(child)
+                if kind is not None:
+                    out.append((name, kind, child.lineno))
             visit(child, name)
 
     visit(ast.parse(source), None)
     return out
+
+
+def _factorization(call: ast.Call):
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr in ("qr", "svd", "det")
+            and isinstance(func.value, ast.Attribute) and func.value.attr == "linalg"):
+        return None
+    if func.attr == "svd" and any(
+            k.arg == "compute_uv" and isinstance(k.value, ast.Constant)
+            and k.value.value is False for k in call.keywords):
+        return "svdvals"
+    return func.attr
+
+
+def factorizations(source: str):
+    """``(function, kind, line)`` of every ``*.linalg.qr``, ``*.linalg.svd``
+    and ``*.linalg.det`` call (see :func:`calls`)."""
+    return calls(source, _factorization)
 
 
 def stray_factorizations(module: str, source: str, allowed=ALLOWED) -> list[str]:
@@ -115,6 +128,57 @@ def test_checker_flags_a_determinant_outside_its_home():
     assert stray_factorizations("plmaps", source) == [
         "line 3: det in simplex_volume", "line 5: det in _orientations",
         "line 7: det in volume"]
+
+
+# rationals stay at the edge: the subdivisions work on integer tables, and
+# (module, function) below are the only places a Fraction may be built
+FRACTION_HOMES = {("complexes", "SubdivisionMap.vertex_support"),
+                  ("complexes", "_exact_orientation")}
+
+
+def _fraction(call: ast.Call):
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else \
+        func.attr if isinstance(func, ast.Attribute) else None
+    return "Fraction" if name == "Fraction" else None
+
+
+def stray_fractions(module: str, source: str, homes=FRACTION_HOMES) -> list[str]:
+    return [f"line {line}: Fraction in {fn}" for fn, _, line in calls(source, _fraction)
+            if (module, fn) not in homes]
+
+
+def test_checker_flags_a_fraction_outside_its_home():
+    source = ("import fractions\n"
+              "from fractions import Fraction\n"
+              "class SubdivisionMap:\n"
+              "    def vertex_support(self):\n"
+              "        return {v: Fraction(w, 4) for v, w in self.rows}\n"
+              "def _exact_orientation(p):\n"
+              "    return [fractions.Fraction(x) for x in p]\n"
+              "def compose(a, b):\n"
+              "    return Fraction(a) * b\n"
+              "ONE = Fraction(1)\n")
+    assert calls(source, _fraction) == [
+        ("SubdivisionMap.vertex_support", "Fraction", 5),
+        ("_exact_orientation", "Fraction", 7), ("compose", "Fraction", 9),
+        (None, "Fraction", 10)]
+    assert stray_fractions("complexes", source) == [
+        "line 9: Fraction in compose", "line 10: Fraction in None"]
+    assert stray_fractions("cli", source)[:2] == [
+        "line 5: Fraction in SubdivisionMap.vertex_support",
+        "line 7: Fraction in _exact_orientation"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_fractions_stay_at_the_edge(path):
+    assert stray_fractions(path.stem, path.read_text()) == []
+
+
+def test_every_fraction_home_still_builds_one():
+    found = {(path.stem, fn) for path in PACKAGE
+             for fn, _, _ in calls(path.read_text(), _fraction)}
+    assert found == FRACTION_HOMES
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())

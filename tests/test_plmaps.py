@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from jigglekit.cli import box_grid, unit_square_grid
-from jigglekit.complexes import build_complex, crystalline_subdivide, point_to_affine_span
+from jigglekit.complexes import (
+    barycentric_coordinates,
+    build_complex,
+    crystalline_subdivide,
+    point_to_affine_span,
+)
 from jigglekit.engine import _image_radii, _jacobian_amplification
 from jigglekit.errors import DegenerateSimplex, DomainMismatch
 from jigglekit.plmaps import (
@@ -19,6 +24,7 @@ from jigglekit.plmaps import (
     linearize,
 )
 from jigglekit.transversality import barycentric_lattice
+from test_complexes import reference_containing_top_simplex
 
 
 def square():
@@ -39,7 +45,7 @@ def test_identity_plmap_evaluates_to_inputs():
     sq = square()
     f = PLMap.identity(sq)
     for p in ([0.25, 0.25], [1.0, 0.0], [0.5, 0.5]):
-        np.testing.assert_allclose(f.evaluate(np.array(p)), p, atol=1e-12)
+        np.testing.assert_allclose(f.evaluate_batch([p])[0], p, atol=1e-12)
 
 
 def test_plmap_rejects_wrong_image_count():
@@ -285,3 +291,33 @@ def test_tops_of_mixed_sizes_reject_flat_and_non_finite_images():
             images = K.vertices.copy()
             images[vid, 0] = bad
             assert is_piecewise_embedding(PLMap(K, images)) is False
+
+
+def reference_evaluate(f, point, hint=None):
+    """``PLMap.evaluate`` before batched location: the hint, else the scan
+    of every top, then one more lstsq for the coordinates."""
+    p = np.asarray(point, dtype=float)
+    simplex = None
+    if hint is not None:
+        b, defect = barycentric_coordinates(f.domain.coords(hint), p)
+        if defect <= 1e-9 and float(np.min(b)) >= -1e-9:
+            simplex = hint
+    if simplex is None:
+        simplex = reference_containing_top_simplex(f.domain, p)
+    b, _ = barycentric_coordinates(f.domain.coords(simplex), p)
+    return b @ f.image_coords(simplex)
+
+
+def test_evaluate_batch_equals_the_per_point_scan_bit_for_bit():
+    rng = np.random.default_rng(31)
+    fine, _ = crystalline_subdivide(unit_square_grid(2), 2)
+    f = PLMap(fine, rng.standard_normal((fine.num_vertices, 3)))
+    lo, hi = fine.vertices.min(axis=0), fine.vertices.max(axis=0)
+    points = np.vstack([fine.vertices, rng.uniform(lo, hi, size=(200, 2))])
+    for hint in (None, fine.top_simplices[5]):
+        want = np.array([reference_evaluate(f, p, hint) for p in points])
+        assert f.evaluate_batch(points, hint).tobytes() == want.tobytes()
+    coarse = unit_square_grid(2)
+    g, _, _ = linearize(PLMap.identity(fine), coarse, 1)
+    want = np.array([reference_evaluate(PLMap.identity(fine), p) for p in g.domain.vertices])
+    assert g.images.tobytes() == want.tobytes()
