@@ -326,10 +326,12 @@ class SimplicialComplex:
 
     def containing_top_simplex(self, point, tol: float = 1e-9):
         """Locate a top simplex containing ``point`` (barycentric test)."""
-        return self._locate(np.asarray(point, dtype=float)[None], tol)[0]
+        return self._locate(np.asarray(point, dtype=float)[None], tol)[0][0]
 
-    def _locate(self, points, tol: float = 1e-9) -> list[tuple[int, ...]]:
-        """:meth:`containing_top_simplex` of each row of ``points``.
+    def _locate(self, points, tol: float = 1e-9) -> list[tuple]:
+        """:meth:`containing_top_simplex` of each row of ``points``, as
+        ``(top, b, defect)``: the top and the :func:`barycentric_coordinates`
+        of the point in it, computed once.
 
         The rule is the scalar one: in top order, the first top where the
         worse of the :func:`barycentric_coordinates` defect and the most
@@ -353,9 +355,9 @@ class SimplicialComplex:
                     b, defect = barycentric_coordinates(self.coords(s), p)
                     worst = max(defect, -min(float(np.min(b)), 0.0))
                     if worst < best_defect:
-                        best, best_defect = s, worst
+                        best, best_defect = (s, b, defect), worst
                     if worst <= tol:
-                        found = s
+                        found = (s, b, defect)
                         break
                 if found is None and best_defect <= 1e-6:
                     found = best

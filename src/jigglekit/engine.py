@@ -633,8 +633,7 @@ def _resolve_per_top(complex_: SimplicialComplex, distributions):
 def _locate_in_parent(complex_: SimplicialComplex, points) -> list[tuple[int, ...]]:
     """Minimal face of the complex whose relative interior holds each point."""
     faces = []
-    for point, top in zip(points, complex_._locate(points)):
-        b, defect = barycentric_coordinates(complex_.coords(top), point)
+    for point, (top, b, defect) in zip(points, complex_._locate(points)):
         if defect > 1e-9:
             raise QueryNotInComplex(f"point {point} lies outside the complex")
         faces.append(tuple(v for v, w in zip(top, b) if w > SKELETON_TOL))

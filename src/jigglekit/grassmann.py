@@ -7,6 +7,8 @@ orthogonal projectors (``d_proj``).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import AmbientMismatch, RankDeficient
@@ -126,26 +128,36 @@ def affine_span(points) -> AffineFlat:
     return AffineFlat(base, Plane(bases[0, :ranks[0]]))
 
 
-def _transverse(bases: np.ndarray, v: Plane, tol: float = RANK_REL_TOL,
+def _transverse(bases: np.ndarray, v, tol: float = RANK_REL_TOL,
                 margins: bool = False):
     """Whether each plane W of an (S, d, n) stack of orthonormal bases has
     dim(W + V) = min(d + k, n), by the :func:`_rank` of W's basis stacked
-    over V's.  With ``margins``, also sigma_min of W's basis with its V
-    component removed: the sine of the smallest principal angle, a
-    transverse face's eps margin.  The SVDs run stacked, each matrix with
-    the bits of a stack of one."""
+    over V's.  ``v`` is one :class:`Plane` for every row, or a sequence of
+    S planes of one rank, one per row.  With ``margins``, also sigma_min
+    of W's basis with its V component removed: the sine of the smallest
+    principal angle, a transverse face's eps margin.
+
+    The SVDs run stacked, each matrix with the bits of a stack of one.  The
+    rejection ``b - (b @ V.T) @ V`` is one 2-D product per row, on the row
+    as it lies in ``bases`` and on its plane's own basis array: a stacked
+    product, or a copy of either operand into another memory order, may
+    round differently in the last bits."""
     s, d, n = bases.shape
-    if n != v.ambient_dim:
-        raise AmbientMismatch(f"planes live in R^{n} and R^{v.ambient_dim}")
-    both = np.empty((s, d + v.rank, n))
+    one = isinstance(v, Plane)
+    rows = v.basis if one else np.array([p.basis for p in v])
+    k = rows.shape[-2]
+    if n != rows.shape[-1]:
+        raise AmbientMismatch(f"planes live in R^{n} and R^{rows.shape[-1]}")
+    both = np.empty((s, d + k, n))
     both[:, :d] = bases
-    both[:, d:] = v.basis
+    both[:, d:] = rows
     sv = np.linalg.svd(both, compute_uv=False)
-    transverse = _rank(sv, tol) == min(d + v.rank, n)
+    transverse = _rank(sv, tol) == min(d + k, n)
     if not margins:
         return transverse
-    rejected = bases - (bases @ v.basis.T) @ v.basis
-    return transverse, np.linalg.svd(rejected, compute_uv=False)[:, -1]
+    planes = itertools.repeat(v) if one else v
+    inside = np.array([(b @ p.basis.T) @ p.basis for b, p in zip(bases, planes)])
+    return transverse, np.linalg.svd(bases - inside, compute_uv=False)[:, -1]
 
 
 def is_transverse_planes(v: Plane, w: Plane, tol: float = RANK_REL_TOL) -> bool:

@@ -65,18 +65,16 @@ class PLMap:
         """Images of the rows of ``points``, trying top simplex ``hint``
         first; the other points are located in one batch."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cells = [None] * len(pts)
+        located = [None] * len(pts)
         if hint is not None:
             for i, p in enumerate(pts):
                 b, defect = barycentric_coordinates(self.domain.coords(hint), p)
                 if defect <= 1e-9 and float(np.min(b)) >= -1e-9:
-                    cells[i] = hint
-        todo = [i for i, s in enumerate(cells) if s is None]
-        for i, s in zip(todo, self.domain._locate(pts[todo])):
-            cells[i] = s
-        return np.array([
-            barycentric_coordinates(self.domain.coords(s), p)[0] @ self.image_coords(s)
-            for s, p in zip(cells, pts)])
+                    located[i] = hint, b
+        todo = [i for i, s in enumerate(located) if s is None]
+        for i, (s, b, _) in zip(todo, self.domain._locate(pts[todo])):
+            located[i] = s, b
+        return np.array([b @ self.image_coords(s) for s, b in located])
 
     def derivative_at(self, point, hint=None) -> np.ndarray:
         simplex = hint if hint is not None else self.domain.containing_top_simplex(point)
@@ -212,8 +210,8 @@ def _jacobians(m, own: bool, ids: np.ndarray, pinv_a: np.ndarray,
         img = m.images[ids]
         return (np.swapaxes(img[:, 1:] - img[:, :1], 1, 2) @ pinv_a)[:, None]
     if isinstance(m, PLMap):
-        tops = m.domain._locate(np.array([p.mean(axis=0) for p in pts]))
-        return np.array([[m.jacobian(t)] for t in tops])
+        located = m.domain._locate(np.array([p.mean(axis=0) for p in pts]))
+        return np.array([[m.jacobian(t)] for t, _, _ in located])
     scales = np.max(np.linalg.norm(dom - dom[:, :1], axis=2), axis=1)
     return np.array([[m.derivative_at(q, scale=float(s)) for q in p]
                      for p, s in zip(pts, scales)])

@@ -104,16 +104,16 @@ def barycentric_lattice(num_vertices: int, depth: int) -> np.ndarray:
 
 
 def sample_points(coords: np.ndarray, depth: int) -> np.ndarray:
-    weights = barycentric_lattice(coords.shape[0], depth)
+    weights = barycentric_lattice(coords.shape[-2], depth)
     return weights @ coords
 
 
 def probe_points(coords: np.ndarray, xi: Distribution, depth: int) -> np.ndarray:
-    """Where xi is probed over a simplex: one vertex for a constant field
-    (the plane is the same everywhere), the depth-``depth`` barycentric
-    lattice otherwise."""
+    """Where xi is probed over a simplex, or each of a stack of simplices:
+    one vertex for a constant field (the plane is the same everywhere), the
+    depth-``depth`` barycentric lattice otherwise."""
     if xi.kind == "constant":
-        return coords[:1]
+        return coords[..., :1, :]
     return sample_points(coords, depth)
 
 
@@ -121,21 +121,34 @@ def probe_points(coords: np.ndarray, xi: Distribution, depth: int) -> np.ndarray
 # plane of a simplex, basic predicates
 # ---------------------------------------------------------------------------
 
+def _face_bases(faces: np.ndarray):
+    """Orthonormal bases (rows) of the direction planes of an (F, d+1, n)
+    stack of simplices with d >= 1, from one stacked :func:`_row_spaces`
+    call, and their ranks, -1 for a simplex that is not finite.  A simplex
+    is degenerate where its rank is below ``bases.shape[1]``;
+    :func:`_degenerate` says why."""
+    edges = faces[:, 1:] - faces[:, :1]
+    finite = np.isfinite(edges).all(axis=(1, 2))
+    edges[~finite] = 0.0
+    bases, ranks = _row_spaces(edges)
+    return bases, np.where(finite, ranks, -1)
+
+
+def _degenerate(rank: int, dim: int) -> DegenerateSimplex:
+    if rank < 0:
+        return DegenerateSimplex("simplex coordinates are not finite")
+    return DegenerateSimplex(f"simplex directions are dependent (rank {rank} of {dim})")
+
+
 def _face_basis(coords: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (rows) of the direction plane of a simplex of
-    dimension >= 1.  Raises :class:`DegenerateSimplex` for a simplex that
-    is not finite or whose edges are dependent."""
+    """:func:`_face_bases` of one simplex of dimension >= 1, raising
+    :class:`DegenerateSimplex` where it is degenerate."""
     pts = np.asarray(coords, dtype=float)
     if pts.shape[0] < 2:
         raise DegenerateSimplex("a 0-simplex has no direction plane")
-    edges = pts[1:] - pts[0]
-    if not np.isfinite(edges).all():
-        raise DegenerateSimplex("simplex coordinates are not finite")
-    bases, ranks = _row_spaces(edges[None])
+    bases, ranks = _face_bases(pts[None])
     if ranks[0] < bases.shape[1]:
-        raise DegenerateSimplex(
-            f"simplex directions are dependent (rank {ranks[0]} of {bases.shape[1]})"
-        )
+        raise _degenerate(int(ranks[0]), bases.shape[1])
     return bases[0]
 
 
@@ -148,7 +161,8 @@ def _faces_of_dim(num_vertices: int, d: int):
     return itertools.combinations(range(num_vertices), d + 1)
 
 
-def simplex_transverse(coords: np.ndarray, v: Plane, tol: float = 1e-9) -> bool:
+def simplex_transverse(coords: np.ndarray, v: Plane,
+                       tol: float = RANK_REL_TOL) -> bool:
     """Transversality of a simplex to the constant foliation F(V).
 
     Dimension at most n-k: the direction planes must be transverse.  Above
@@ -184,9 +198,7 @@ def _transverse_stack(stack: np.ndarray, v: Plane, tol: float = RANK_REL_TOL):
     the rank test at ``tol``.  Both SVDs run stacked, which gives every
     matrix the bits of its own call, so each verdict is the scalar one.
     """
-    edges = stack[:, 1:] - stack[:, :1]
-    edges[~np.isfinite(edges).all(axis=(1, 2))] = 0.0
-    bases, ranks = _row_spaces(edges)
+    bases, ranks = _face_bases(stack)
     degenerate = ranks < bases.shape[1]
     return ~degenerate & _transverse(bases, v, tol), degenerate
 
@@ -231,7 +243,8 @@ def _check_join_preconditions(p, coords, v: Plane):
     return np.asarray(p, dtype=float), pts
 
 
-def join_transverse_by_projection(p, coords, v: Plane, tol: float = 1e-9) -> bool:
+def join_transverse_by_projection(p, coords, v: Plane,
+                                  tol: float = RANK_REL_TOL) -> bool:
     """Transversality of the join <p, Delta> decided by projection criteria.
 
     Two equivalent criteria are evaluated and cross-checked: the image of p
@@ -279,7 +292,8 @@ def semitrans_margin(p, coords, v: Plane) -> float:
 # stratified transversality and general position
 # ---------------------------------------------------------------------------
 
-def stratified_transverse(coords: np.ndarray, v: Plane, tol: float = 1e-9) -> bool:
+def stratified_transverse(coords: np.ndarray, v: Plane,
+                          tol: float = RANK_REL_TOL) -> bool:
     """All faces of the simplex are transverse to F(V)."""
     return general_position(coords, Distribution.constant(v), tol=tol)[0]
 
@@ -300,52 +314,217 @@ def general_position(coords: np.ndarray, xi: Distribution,
     count as lost rank.  For a constant field that test runs at a single
     probe, for a varying field at every sampled probe; neither is a proof
     (ROADMAP item 7).
+
+    This is a stack of one of the report's kernel
+    (:func:`_general_positions`), which gives what a loop over probes in
+    order, and faces in order within a probe, gives: it stops at the first
+    face that is not transverse and raises :class:`DegenerateSimplex` when
+    a degenerate face comes first.  The kernel runs the probes in waves,
+    one per probe index, so a simplex that failed is probed no further.
+    The face bases and the SVDs are stacked, which gives each matrix the
+    bits of its own call.  Each face's rejection product stays a 2-D
+    product on the face's and the plane's own arrays, because a stacked
+    product over copies in another memory order rounds differently.
     """
-    return _general_position(np.asarray(coords, dtype=float), xi,
-                             sample_depth, tol, {})
+    pts = np.asarray(coords, dtype=float)
+    ok, margin = _general_positions([(np.zeros(1, dtype=int), pts[None], xi)],
+                                    sample_depth, tol)
+    return bool(ok[0]), float(margin[0])
 
 
-_MISSING = object()
+@functools.cache
+def _face_combos(size: int, top_dim: int) -> tuple[np.ndarray, ...]:
+    """The faces of dimension 1..``top_dim`` of a simplex of ``size``
+    vertices, one read-only (C, d+1) array of vertex positions per
+    dimension, each in ``itertools.combinations`` order."""
+    combos = tuple(np.array(list(_faces_of_dim(size, d)), dtype=int).reshape(-1, d + 1)
+                   for d in range(1, top_dim + 1))
+    for combo in combos:
+        combo.setflags(write=False)
+    return combos
 
 
-def _memoized(memo: dict, key, compute, *args):
-    """``compute(*args)``, computed on the first request for ``key`` only."""
-    value = memo.get(key, _MISSING)
-    if value is _MISSING:
-        value = memo[key] = compute(*args)
-    return value
+def _first_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the distinct byte strings among the rows of a 2-D array, and
+    the row where each first appears: ``rows[first][ids]`` is ``rows``
+    byte for byte."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))
+    _, first, ids = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+    return ids.reshape(-1), first
 
 
-def _general_position(pts: np.ndarray, xi: Distribution, sample_depth: int,
-                      tol: float, memo: dict):
-    """``general_position`` with every value it computes kept in ``memo``,
-    keyed by the exact bytes it is computed from: the field plane by the
-    field and the probe point, the face basis (:func:`_face_basis`, no
-    :class:`Plane`) by the face coordinates, the face margin by those and
-    the field plane's basis (with its shape, since fields of different rank
-    and ambient dimension may share a memo).
-    Calls that share a memo must share ``tol``."""
-    free = xi.ambient_dim - xi.rank
-    if free == 0 and pts.shape[0] > 1:
-        return False, 0.0
-    margin = np.inf
-    for x in probe_points(pts, xi, sample_depth):
-        plane = _memoized(memo, ("field", xi, x.tobytes()), xi.plane_at, x)
-        basis = (plane.basis.shape, plane.basis.tobytes())
-        for d in range(1, min(pts.shape[0] - 1, free) + 1):
-            for face in _faces_of_dim(pts.shape[0], d):
-                f = pts[list(face)]
-                fkey = f.tobytes()
-                m = memo.get(("margin", fkey, basis), _MISSING)
-                if m is _MISSING:
-                    gr = _memoized(memo, ("face", fkey), _face_basis, f)
-                    ok, sigma = _transverse(gr[None], plane, tol, margins=True)
-                    m = memo[("margin", fkey, basis)] = \
-                        float(sigma[0]) if ok[0] else None
-                if m is None:
-                    return False, 0.0
-                margin = min(margin, m)
-    return True, float(margin)
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an int array, by one sort (numpy's
+    hashed ``np.unique`` is many times slower on these arrays)."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+class _FaceTable:
+    """The distinct faces of some stacks of simplices, by coordinate bytes.
+
+    ``groups`` holds ``(pts, top_dim)``: an (R, m+1, n) stack and the
+    largest face dimension to take.  ``ids[g]`` is (R, F): the face ids of
+    each simplex of group ``g``, by dimension and then in
+    ``itertools.combinations`` order.  Ids run over the face sizes in
+    increasing order; a face has ``size`` vertices, its basis is
+    ``bases[size][local]`` (one :func:`_face_bases` call per size), its
+    ``rank`` is -1 when it is not finite, and ``flat`` marks it degenerate.
+    """
+
+    def __init__(self, groups):
+        self.ids = [[] for _ in groups]
+        self.bases, size, rank = {}, [], []
+        shapes = {}
+        for g, (pts, top_dim) in enumerate(groups):
+            for combo in _face_combos(pts.shape[1], top_dim):
+                shapes.setdefault(combo.shape[1], []).append((g, pts[:, combo]))
+        for s, parts in sorted(shapes.items()):
+            stack = np.concatenate([f.reshape(-1, s, f.shape[-1]) for _, f in parts])
+            ids, first = _first_ids(stack.reshape(len(stack), -1))
+            self.bases[s], ranks = _face_bases(stack[first])
+            split = np.cumsum([f.shape[0] * f.shape[1] for _, f in parts])[:-1]
+            for (g, f), part in zip(parts, np.split(ids + len(size), split)):
+                self.ids[g].append(part.reshape(f.shape[:2]))
+            size += [s] * len(first)
+            rank += ranks.tolist()
+        self.ids = [np.concatenate(cols, axis=1) if cols else
+                    np.zeros((len(pts), 0), dtype=int)
+                    for cols, (pts, _) in zip(self.ids, groups)]
+        self.size = np.array(size, dtype=int)
+        self.local = np.arange(len(size)) - np.searchsorted(self.size, self.size)
+        self.rank = rank
+        self.flat = np.array(rank, dtype=int) < self.size - 1
+
+
+def _general_positions(groups, sample_depth: int, tol: float):
+    """:func:`general_position` of many (simplex, field) pairs in one array
+    pass, bit for bit what a loop over the pairs in order returns.
+
+    ``groups`` is a list of ``(order, pts, xi)``: the positions of some
+    pairs in that loop, an (R, m+1, n) stack of their simplices and their
+    one field.  Returns ``(ok, margin)``, two arrays in loop order.
+
+    * Every face of dimension 1..min(m, n-k) of every simplex is gathered
+      per face size and deduplicated by its coordinate bytes; each size
+      takes one :func:`_face_bases` call.
+    * The probes are ``barycentric_lattice @ pts`` per group
+      (:func:`probe_points`).  They run in waves, one per probe index, over
+      the pairs that have not failed yet, so xi is evaluated, once per
+      distinct (field, point bytes), at exactly the probes the loop reaches.
+    * In a wave, the (face, field plane) pairs not met before, the plane
+      keyed by its basis shape and bytes, take one :func:`_transverse` call
+      per face size and plane rank.  Each face's rejection product stays a
+      2-D product (see there), so every margin has the bits of a stack of
+      one.
+    * Errors come out in loop order: a field error at its probe, and
+      :class:`DegenerateSimplex` at a pair's first probe when a degenerate
+      face comes before every face that is not transverse.  A wave records
+      the earliest pair that raises and drops every later pair; that error
+      is raised once every earlier pair is done.
+    """
+    count = sum(len(order) for order, _, _ in groups)
+    ok = np.ones(count, dtype=bool)
+    margin = np.full(count, np.inf)
+    live = []
+    for order, pts, xi in groups:
+        free = xi.ambient_dim - xi.rank
+        if free == 0 and pts.shape[1] > 1:
+            ok[order] = False
+            margin[order] = 0.0
+        else:
+            live.append((order, pts, xi, probe_points(pts, xi, sample_depth),
+                         min(pts.shape[1] - 1, free)))
+    faces = _FaceTable([(pts, top_dim) for _, pts, _, _, top_dim in live])
+    live = [(order, probes, xi, ids)
+            for (order, _, xi, probes, _), ids in zip(live, faces.ids)]
+
+    planes: dict = {}           # (field, probe bytes) -> basis id, or the error
+    basis_ids: dict = {}        # (basis shape, basis bytes) -> basis id
+    basis_planes: list[Plane] = []
+    basis_rank: list[int] = []
+    # sorted face id << 32 | basis id, closed by a sentinel; NaN: not transverse
+    known, known_margin = np.array([np.iinfo(np.int64).max]), np.array([np.nan])
+    alive = ok.copy()
+    limit, error = count, None
+    for j in itertools.count():
+        wave = [(group, np.flatnonzero(alive[group[0]] & (group[0] < limit)))
+                for group in live if j < group[1].shape[-2]]
+        wave = [(group, rows) for group, rows in wave if len(rows)]
+        if not wave:
+            break
+        # the field at each pair's j-th probe, in loop order
+        pos = np.concatenate([order[rows] for (order, *_), rows in wave])
+        xs = np.concatenate([probes[rows, j] for (_, probes, *_), rows in wave])
+        fields = [xi for (_, _, xi, _), rows in wave for _ in rows]
+        bid = np.full(len(pos), -1, dtype=np.int64)
+        for w in np.argsort(pos, kind="stable").tolist():
+            key = (fields[w], xs[w].tobytes())
+            got = planes.get(key)
+            if got is None:
+                try:
+                    plane = fields[w].plane_at(xs[w])
+                except Exception as exc:  # raised below, in loop order
+                    got = exc
+                else:
+                    got = basis_ids.setdefault(
+                        (plane.basis.shape, plane.basis.tobytes()), len(basis_planes))
+                    if got == len(basis_planes):
+                        basis_planes.append(plane)
+                        basis_rank.append(plane.rank)
+                planes[key] = got
+            if isinstance(got, Exception):
+                limit, error = int(pos[w]), got
+                break
+            bid[w] = got
+        # (order, rows, face ids, basis ids) of the pairs that got a plane
+        split = np.split(bid, np.cumsum([len(rows) for _, rows in wave])[:-1])
+        wave = [(order, rows[b >= 0], ids[rows[b >= 0]], b[b >= 0])
+                for ((order, _, _, ids), rows), b in zip(wave, split)]
+        # the margins of the (face, plane) pairs met for the first time
+        keys = [fids << 32 | b[:, None] for _, _, fids, b in wave]
+        fresh = _distinct(np.concatenate([k[~faces.flat[k >> 32]] for k in keys]))
+        fresh = fresh[known[np.searchsorted(known, fresh)] != fresh]
+        if len(fresh):
+            fid, b = fresh >> 32, fresh & 0xFFFFFFFF
+            size, rank = faces.size[fid], np.array(basis_rank)[b]
+            sigma = np.empty(len(fresh))
+            for s, k in itertools.product(faces.bases, set(basis_rank)):
+                sel = np.flatnonzero((size == s) & (rank == k))
+                if len(sel):
+                    transverse, sig = _transverse(
+                        faces.bases[s][faces.local[fid[sel]]],
+                        [basis_planes[i] for i in b[sel].tolist()], tol, margins=True)
+                    sigma[sel] = np.where(transverse, sig, np.nan)
+            at = np.searchsorted(known, fresh)
+            known, known_margin = np.insert(known, at, fresh), np.insert(known_margin, at, sigma)
+        # each pair's faces in loop order: it fails, or raises, at the first
+        # face that is degenerate or not transverse
+        for (order, rows, fids, _), k in zip(wave, keys):
+            if not fids.shape[1]:
+                continue
+            flat = faces.flat[fids]
+            vals = np.full(k.shape, np.nan)
+            vals[~flat] = known_margin[np.searchsorted(known, k[~flat])]
+            bad = np.isnan(vals)
+            first = bad.argmax(axis=1)
+            failed = bad.any(axis=1)
+            raises = failed & flat[np.arange(len(rows)), first]
+            if raises.any():
+                r = np.flatnonzero(raises)[np.argmin(order[rows[raises]])]
+                if order[rows[r]] < limit:
+                    f = int(fids[r, first[r]])
+                    limit = int(order[rows[r]])
+                    error = _degenerate(faces.rank[f], int(faces.size[f]) - 1)
+            fail = order[rows[failed & ~raises]]
+            ok[fail], margin[fail], alive[fail] = False, 0.0, False
+            good = order[rows[~failed]]
+            margin[good] = np.minimum(margin[good], vals[~failed].min(axis=1, initial=np.inf))
+    if error is not None:
+        raise error
+    return ok, margin
 
 
 # ---------------------------------------------------------------------------
@@ -467,32 +646,39 @@ def transversality_report(complex_, vertex_images: np.ndarray,
     report = TransversalityReport(
         margin_tol=margin_tol,
         sampled=any(d.kind != "constant" for d in fields.values()))
-    min_eps = np.inf
+    records = sorted(face_fields, key=lambda t: (len(t), t))
+    members: dict[tuple, tuple[list, list]] = {}
+    position = itertools.count()
+    for s in records:
+        for d in face_fields[s]:
+            order, simplices = members.setdefault((len(s), d), ([], []))
+            order.append(next(position))
+            simplices.append(s)
+    images = np.asarray(vertex_images, dtype=float)
+    verdict, margins = _general_positions(
+        [(np.array(order), images[np.array(simplices)], d)
+         for (_, d), (order, simplices) in members.items()],
+        sample_depth, RANK_REL_TOL)
+    # each record's pairs are consecutive: it holds when they all do
+    starts = np.cumsum([0] + [len(face_fields[s]) for s in records[:-1]])
+    held = np.logical_and.reduceat(verdict, starts) if records else verdict
+    eps = np.where(held, np.minimum.reduceat(margins, starts), 0.0) if records else margins
     min_semi = None
-    all_ok = True
-    memo: dict = {}
-    for s in sorted(face_fields, key=lambda t: (len(t), t)):
-        pts = np.asarray(vertex_images[list(s)], dtype=float)
-        verdicts = [_general_position(pts, d, sample_depth, RANK_REL_TOL, memo)
-                    for d in face_fields[s]]
-        ok = all(v for v, _ in verdicts)
+    for s, ok, eps_margin in zip(records, held.tolist(), eps.tolist()):
         cert = certificates.get(s)
         semi = None
         if cert is not None:
             semi = float(cert)
             min_semi = semi if min_semi is None else min(min_semi, semi)
-        rec = SimplexRecord(
-            simplex=s, dim=len(s) - 1, transverse=ok,
-            eps_margin=min(m for _, m in verdicts) if ok else 0.0,
+        report.records.append(SimplexRecord(
+            simplex=s, dim=len(s) - 1, transverse=ok, eps_margin=eps_margin,
             semitrans_margin=semi,
             general_position=ok if len(s) - 1 >= 1 else None,
             certified=cert is not None,
-        )
-        report.records.append(rec)
-        if len(s) >= 2:
-            min_eps = min(min_eps, rec.eps_margin)
-        all_ok = all_ok and ok
-    report.min_eps_margin = float(min_eps)
+        ))
+    positive = np.array([len(s) >= 2 for s in records], dtype=bool)
+    min_eps = float(eps[positive].min(initial=np.inf))
+    report.min_eps_margin = min_eps
     report.min_semitrans_margin = min_semi
-    report.passed = bool(all_ok and min_eps > margin_tol)
+    report.passed = bool(held.all() and min_eps > margin_tol)
     return report

@@ -601,7 +601,11 @@ def test_locate_picks_the_scans_top(name, K, points):
     want = [reference_containing_top_simplex(K, p) for p in points]
     assert None in want and len(set(want) - {None}) > 1
     found = [i for i, w in enumerate(want) if w is not None]
-    assert K._locate(points[found]) == [want[i] for i in found], name
+    located = K._locate(points[found])
+    assert [t for t, _, _ in located] == [want[i] for i in found], name
+    for i, (t, b, defect) in zip(found, located):
+        coords, off = barycentric_coordinates(K.coords(t), points[i])
+        assert (b.tobytes(), defect) == (coords.tobytes(), off)
     for i, w in enumerate(want):
         if w is None:
             with pytest.raises(QueryNotInComplex, match="is not in the complex"):

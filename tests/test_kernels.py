@@ -19,6 +19,7 @@ import pytest
 
 from jigglekit.complexes import _span_distances
 from jigglekit.grassmann import (
+    Plane,
     _flat_distances,
     _row_spaces,
     _transverse,
@@ -301,3 +302,60 @@ def test_face_margin_is_the_smallest_principal_sine(tilt):
         assert abs(margin[0] - sines[0]) <= 1e-13
         if tilt < 1.0:
             assert sines[0] < 1e-3 * sines[-1]
+
+
+def random_basis(rng, k, n, order):
+    """An orthonormal (k, n) basis as ``plane_from_spanning`` lays it out
+    (F order for k >= 2), copied into C order, or either at random."""
+    basis = plane_from_spanning(rng.normal(size=(k, n))).basis
+    if order == "mixed":
+        order = rng.choice(["C", "F"])
+    return np.ascontiguousarray(basis) if order == "C" else basis
+
+
+@pytest.mark.parametrize("order", ["C", "F", "mixed"])
+def test_one_plane_per_row_gives_each_row_its_own_bits(order):
+    """Every n = 2..4, plane rank k and face dimension d <= n - k, with
+    face bases laid out as ``_row_spaces`` returns them (F-like), planes in
+    C order, F order or both in one stack, and some faces lying in their
+    plane.  A stacked rejection product over a C-ordered copy of the
+    planes' bases fails the mixed stacks."""
+    rng = np.random.default_rng(19)
+    for n in (2, 3, 4):
+        for k in range(1, n + 1):
+            for d in range(1, max(n - k, 1) + 1):
+                for _ in range(6):
+                    size = int(rng.integers(2, 9))
+                    planes = [Plane(random_basis(rng, k, n, order)) for _ in range(size)]
+                    edges = rng.normal(size=(size, d, n))
+                    for i in range(0, size, 3):   # inside the plane: not transverse
+                        edges[i] = rng.normal(size=(d, k)) @ planes[i].basis
+                    bases, _ = _row_spaces(edges)
+                    transverse, margin = _transverse(bases, planes, margins=True)
+                    for i, plane in enumerate(planes):
+                        one, sigma = _transverse(bases[i:i + 1], plane, margins=True)
+                        assert transverse[i] == one[0]
+                        assert margin[i].tobytes() == sigma[0].tobytes(), (n, k, d, i)
+                    alone = _transverse(bases, planes[0], margins=True)
+                    assert alone[0].tolist() == [_transverse(bases[i:i + 1], planes[0])[0]
+                                                 for i in range(size)]
+
+
+def test_one_plane_per_row_margins_are_the_smallest_principal_sines():
+    """The mpmath oracle of ``test_face_margin_is_the_smallest_principal_sine``
+    on stacks of faces, each against its own plane."""
+    rng = np.random.default_rng(20)
+    for _ in range(30):
+        n = int(rng.integers(3, 6))
+        k = int(rng.integers(1, n - 1))
+        d = int(rng.integers(1, n - k + 1))
+        size = int(rng.integers(2, 6))
+        planes = [plane_from_spanning(rng.normal(size=(k, n))) for _ in range(size)]
+        edges = rng.normal(size=(size, d, n))
+        edges[0, 0] = rng.normal(size=k) @ planes[0].basis + 1e-7 * rng.normal(size=n)
+        bases, ranks = _row_spaces(edges)
+        assert (ranks == d).all()
+        transverse, margin = _transverse(bases, planes, margins=True)
+        assert transverse.all()
+        for b, plane, m in zip(bases, planes, margin):
+            assert abs(m - exact_principal_sines(b, plane.basis)[0]) <= 1e-13

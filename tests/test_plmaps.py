@@ -321,3 +321,33 @@ def test_evaluate_batch_equals_the_per_point_scan_bit_for_bit():
     g, _, _ = linearize(PLMap.identity(fine), coarse, 1)
     want = np.array([reference_evaluate(PLMap.identity(fine), p) for p in g.domain.vertices])
     assert g.images.tobytes() == want.tobytes()
+
+
+def test_evaluate_batch_takes_each_points_coordinates_once(monkeypatch):
+    """Linearizing the identity on level-2 ``unit_square_grid(4)`` onto
+    ``unit_square_grid(4)`` at level 2 locates 289 points, each in the
+    first top it tries: one lstsq per point, reused for the value (two
+    before ``_locate`` returned the coordinates it found)."""
+    fine, _ = crystalline_subdivide(unit_square_grid(4), 2)
+    f = PLMap.identity(fine)
+    solve = np.linalg.lstsq
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    g, child, _ = linearize(f, unit_square_grid(4), 2)
+    assert child.num_vertices == len(calls) == 289
+    monkeypatch.undo()
+    want = np.array([reference_evaluate(f, p) for p in child.vertices])
+    assert g.images.tobytes() == want.tobytes()
+    # on the hint path, the hint's coordinates are the ones used
+    top = fine.top_simplices[7]
+    inside = fine.coords(top).mean(axis=0, keepdims=True)
+    b, _ = barycentric_coordinates(fine.coords(top), inside[0])
+    calls.clear()
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    assert f.evaluate_batch(inside, hint=top).tobytes() == (b @ fine.coords(top)).tobytes()
+    assert len(calls) == 1

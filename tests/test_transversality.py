@@ -16,6 +16,8 @@ from jigglekit.errors import (
 )
 from jigglekit.grassmann import (
     Plane,
+    _rank,
+    _row_spaces,
     is_transverse_planes,
     plane_from_spanning,
     project_along,
@@ -284,7 +286,7 @@ def reference_stratified(pts, v, tol=1e-9):
                for face in itertools.combinations(range(pts.shape[0]), d + 1))
 
 
-def reference_general_position(pts, xi, sample_depth=3, tol=1e-9):
+def all_faces_general_position(pts, xi, sample_depth=3, tol=1e-9):
     """The all-faces loop of general position, margins over faces <= n-k."""
     free = xi.ambient_dim - xi.rank
     margin = np.inf
@@ -324,7 +326,7 @@ def test_cutoff_at_n_minus_k_matches_all_faces(n, data):
         # an edge inside the plane at the first vertex: no longer transverse
         v0 = xi.plane_at(pts[0])
         pts[1] = pts[0] + v0.basis[0]
-    assert general_position(pts, xi) == reference_general_position(pts, xi)
+    assert general_position(pts, xi) == all_faces_general_position(pts, xi)
     v = xi.plane_at(pts[0])
     assert stratified_transverse(pts, v) == reference_stratified(pts, v)
 
@@ -341,21 +343,97 @@ def test_rank_n_field_fails_every_positive_dimension():
 # the report computes each shared value once
 # ---------------------------------------------------------------------------
 
-def reference_report_records(complex_, images, fields, sample_depth):
-    """(simplex, transverse, eps_margin) per record, calling the public
-    ``general_position`` once per record and field."""
+_MISSING = object()
+
+
+def _memoized(memo, key, compute, *args):
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = compute(*args)
+    return value
+
+
+def reference_face_basis(f):
+    """The scalar face basis before the stacked kernel: one SVD per face."""
+    edges = f[1:] - f[0]
+    if not np.isfinite(edges).all():
+        raise DegenerateSimplex("simplex coordinates are not finite")
+    bases, ranks = _row_spaces(edges[None])
+    if ranks[0] < bases.shape[1]:
+        raise DegenerateSimplex(
+            f"simplex directions are dependent (rank {ranks[0]} of {bases.shape[1]})")
+    return bases[0]
+
+
+def reference_face_margin(gr, plane, tol):
+    """One face against one plane as a stack of one, as before the stacked
+    kernel: the rank test of the face basis over the plane's, and sigma_min
+    of the face basis with its plane component removed (None when the
+    face is not transverse)."""
+    d, n = gr.shape
+    both = np.vstack([gr, plane.basis])[None]
+    sv = np.linalg.svd(both, compute_uv=False)
+    if _rank(sv, tol)[0] != min(d + plane.rank, n):
+        return None
+    rejected = gr[None] - (gr[None] @ plane.basis.T) @ plane.basis
+    return float(np.linalg.svd(rejected, compute_uv=False)[0, -1])
+
+
+def reference_general_position(pts, xi, sample_depth=3, tol=1e-9, memo=None):
+    """The per-record, per-probe, per-face loop that ``general_position``
+    and the report ran before the stacked kernel; ``memo`` is shared by
+    the records of one report."""
+    memo = {} if memo is None else memo
+    free = xi.ambient_dim - xi.rank
+    if free == 0 and pts.shape[0] > 1:
+        return False, 0.0
+    margin = np.inf
+    for x in probe_points(pts, xi, sample_depth):
+        plane = _memoized(memo, ("field", xi, x.tobytes()), xi.plane_at, x)
+        basis = (plane.basis.shape, plane.basis.tobytes())
+        for d in range(1, min(pts.shape[0] - 1, free) + 1):
+            for face in itertools.combinations(range(pts.shape[0]), d + 1):
+                f = pts[list(face)]
+                fkey = f.tobytes()
+                m = memo.get(("margin", fkey, basis), _MISSING)
+                if m is _MISSING:
+                    gr = _memoized(memo, ("face", fkey), reference_face_basis, f)
+                    m = memo[("margin", fkey, basis)] = \
+                        reference_face_margin(gr, plane, tol)
+                if m is None:
+                    return False, 0.0
+                margin = min(margin, m)
+    return True, float(margin)
+
+
+def report_faces(fields):
     face_fields: dict = {}
     for top, dist in fields.items():
         for r in range(1, len(top) + 1):
             for face in itertools.combinations(top, r):
                 face_fields.setdefault(face, {})[dist] = None
+    return sorted(face_fields, key=lambda t: (len(t), t)), face_fields
+
+
+def reference_report_records(complex_, images, fields, sample_depth):
+    """(simplex, transverse, eps_margin) per record from the loop before
+    the stacked kernel: ``reference_general_position`` once per record and
+    field, with one memo for the whole report."""
+    records, face_fields = report_faces(fields)
+    memo: dict = {}
     out = []
-    for s in sorted(face_fields, key=lambda t: (len(t), t)):
-        verdicts = [general_position(images[list(s)], d, sample_depth)
+    for s in records:
+        verdicts = [reference_general_position(np.asarray(images[list(s)], dtype=float),
+                                               d, sample_depth, memo=memo)
                     for d in face_fields[s]]
         ok = all(v for v, _ in verdicts)
         out.append((s, ok, min(m for _, m in verdicts) if ok else 0.0))
     return out
+
+
+def report_records(complex_, images, xi, sample_depth=3):
+    report = transversality_report(complex_, images, xi, sample_depth=sample_depth)
+    return [(r.simplex, r.transverse, r.eps_margin) for r in report.records]
 
 
 def _report_field(rng, n, k, kind):
@@ -385,9 +463,14 @@ def test_report_records_equal_one_general_position_call_each(shape, data):
         xi = _report_field(rng, n, data.draw(ranks), data.draw(kinds))
         fields = dict.fromkeys(complex_.top_simplices, xi)
     depth = data.draw(st.integers(0, 3), label="depth")
-    report = transversality_report(complex_, images, xi, sample_depth=depth)
-    got = [(r.simplex, r.transverse, r.eps_margin) for r in report.records]
-    assert got == reference_report_records(complex_, images, fields, depth)
+    want = reference_report_records(complex_, images, fields, depth)
+    assert report_records(complex_, images, xi, depth) == want
+    # and general_position, a stack of one of the same kernel, per record
+    records, face_fields = report_faces(fields)
+    for s, (_, ok, eps) in zip(records, want):
+        verdicts = [general_position(images[list(s)], d, depth) for d in face_fields[s]]
+        assert (all(v for v, _ in verdicts),
+                min(m for _, m in verdicts) if ok else 0.0) == (ok, eps)
 
 
 def test_report_evaluates_each_probe_and_face_plane_once(monkeypatch):
@@ -399,14 +482,14 @@ def test_report_evaluates_each_probe_and_face_plane_once(monkeypatch):
         points.append(p.tobytes())
         return rotor.plane_at(p)
 
-    face_basis = transversality._face_basis
+    face_bases = transversality._face_bases
 
-    def counted_face_basis(coords):
-        faces.append(coords.tobytes())
-        return face_basis(coords)
+    def counted_face_bases(stack):
+        faces.extend(f.tobytes() for f in stack)
+        return face_bases(stack)
 
     xi = Distribution(3, 1, "builtin", evaluate, name="counted rotor")
-    monkeypatch.setattr(transversality, "_face_basis", counted_face_basis)
+    monkeypatch.setattr(transversality, "_face_bases", counted_face_bases)
     transversality_report(complex_, complex_.vertices, xi)
     assert len(points) == len(set(points)) == 53
     assert len(faces) == len(set(faces)) == 37
@@ -439,3 +522,181 @@ def test_stacked_rank_test_gives_the_scalar_verdicts():
                 assert flat and not ok
                 continue
             assert not flat and ok == want
+
+
+# ---------------------------------------------------------------------------
+# the stacked report against the loop before it: fixed cases, error order
+# ---------------------------------------------------------------------------
+
+def f_ordered_case(rank, seed):
+    """``box_grid(1)`` against a constant field of ``rank`` as the
+    hypothesis test above draws it at ``seed`` without noise.  A rank-2
+    basis from ``plane_from_spanning`` is F-ordered, and so is the basis of
+    each triangle, which a rank-1 field tests: copying either into C order
+    moves the last bits of some record margins at seeds 3 and 1."""
+    complex_ = box_grid(1)
+    rng = np.random.default_rng(seed)
+    images = complex_.vertices + 0.0 * rng.standard_normal(complex_.vertices.shape)
+    xi = _report_field(rng, 3, rank, "constant")
+    assert xi.plane_at(images[0]).basis.flags.f_contiguous
+    return complex_, images, xi
+
+
+def twisted_planes(p):
+    """A rank-2 field on R^3 that turns with the point."""
+    a, b = math.sin(p[0] + 2.0 * p[2]), math.cos(p[1] - p[2])
+    return plane_from_spanning(np.array([[1.0, a, 0.3], [b, 1.0, -0.5]]))
+
+
+@pytest.mark.parametrize("case", ["f-ordered plane", "f-ordered faces", "two orders",
+                                  "rank-2 builtin", "box-2"])
+def test_report_and_general_position_equal_the_loop_on_fixed_cases(case, jiggled_meshes):
+    if case.startswith("f-ordered"):
+        complex_, images, xi = f_ordered_case(*((2, 3) if case.endswith("plane") else (1, 1)))
+    elif case == "two orders":
+        # an F-ordered and a C-ordered rank-2 field share the margin stacks
+        complex_, images, tilted = f_ordered_case(2, 0)
+        axis = _report_field(None, 3, 2, "axis")
+        xi = {top: (tilted, axis)[i % 2] for i, top in enumerate(complex_.top_simplices)}
+    elif case == "rank-2 builtin":
+        complex_ = box_grid(1)
+        images = complex_.vertices + 0.05 * np.random.default_rng(4).standard_normal(
+            complex_.vertices.shape)
+        xi = Distribution(3, 2, "builtin", twisted_planes, name="twisted")
+    else:
+        complex_, images = jiggled_meshes["box-2"]
+        xi = Distribution.constant(Plane(np.eye(3)[:1]))
+    fields = xi if isinstance(xi, dict) else dict.fromkeys(complex_.top_simplices, xi)
+    want = reference_report_records(complex_, images, fields, 3)
+    assert report_records(complex_, images, xi) == want
+    assert sum(ok for _, ok, _ in want) > len(want) // 2
+    face_fields = report_faces(fields)[1]
+    for s, ok, eps in want[::7]:
+        if len(face_fields[s]) == 1:
+            assert general_position(images[list(s)], *face_fields[s]) == (ok, eps)
+
+
+def outcome(run):
+    """``("ok", value)`` or ``(error type, message)``."""
+    try:
+        return "ok", run()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def test_coincident_images_raise_the_loops_degenerate_simplex():
+    complex_ = box_grid(1)
+    rotor = planar_rotor(0.3)
+    for a, b in ((0, 1), (5, 7), (7, 0)):
+        images = complex_.vertices.copy()
+        images[b] = images[a]
+        fields = dict.fromkeys(complex_.top_simplices, rotor)
+        want = outcome(lambda: reference_report_records(complex_, images, fields, 3))
+        assert want[0] is DegenerateSimplex
+        assert outcome(lambda: report_records(complex_, images, rotor)) == want
+        shared = next(s for s in complex_.top_simplices if a in s and b in s)
+        assert outcome(lambda: general_position(images[list(shared)], rotor)) == \
+            outcome(lambda: reference_general_position(images[list(shared)], rotor))
+    far = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, np.inf, 0.0]])
+    vertical = Distribution.constant(Plane(np.array([[0.0, 0.0, 1.0]])))
+    with np.errstate(invalid="ignore"):
+        assert outcome(lambda: general_position(far, vertical)) == \
+            outcome(lambda: reference_general_position(far, vertical)) == \
+            (DegenerateSimplex, "simplex coordinates are not finite")
+
+
+def test_a_failing_face_ahead_of_a_degenerate_one_raises_nothing():
+    # three collinear points: the edges are fine, the triangle is flat
+    line = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
+    along = Distribution.constant(plane_from_spanning([[1.0, 1.0, 0.0]]))
+    across = Distribution.constant(Plane(np.array([[0.0, 0.0, 1.0]])))
+    assert general_position(line, along) == reference_general_position(line, along) \
+        == (False, 0.0)
+    assert outcome(lambda: general_position(line, across)) == \
+        outcome(lambda: reference_general_position(line, across)) == \
+        (DegenerateSimplex, "simplex directions are dependent (rank 1 of 2)")
+    complex_ = box_grid(1)
+    top = complex_.top_simplices[0]
+    images = complex_.vertices.copy()
+    images[list(top)] = np.vstack([line, [[0.3, -0.7, 0.5]]])
+    fields = {top: along}     # the other tops would meet the line's points
+    want = reference_report_records(complex_, images, fields, 3)
+    assert report_records(complex_, images, fields) == want
+    assert not next(ok for s, ok, _ in want if s == top[:3])
+
+
+def test_an_evaluator_is_not_called_past_the_first_failing_face():
+    """The horizontal edges of ``unit_square_grid(1)`` fail at their first
+    probe, a vertex; a field that raises on their open segments is never
+    evaluated there, so the report records failures and raises nothing."""
+    complex_ = unit_square_grid(1)
+    calls = []
+
+    def planes(p):
+        calls.append(p.tobytes())
+        if p[1] in (0.0, 1.0) and 0.0 < p[0] < 1.0:
+            raise ValueError(f"evaluated on a horizontal edge at {p.tolist()}")
+        return Plane(np.array([[1.0, 0.0]]))
+
+    xi = Distribution(2, 1, "builtin", planes, name="trap")
+    fields = dict.fromkeys(complex_.top_simplices, xi)
+    want = reference_report_records(complex_, complex_.vertices, fields, 3)
+    calls.clear()
+    assert report_records(complex_, complex_.vertices, xi) == want
+    assert len(calls) == len(set(calls)) and [ok for _, ok, _ in want].count(False) == 4
+    assert general_position(complex_.vertices[[0, 1]], xi) == (False, 0.0)
+
+
+def test_field_errors_come_from_the_earliest_record():
+    """A field that raises at a few random probe points, with the point in
+    the message: the report raises what the loop raises, or equals it."""
+    rng = np.random.default_rng(19)
+    complex_ = box_grid(1)
+    raised = 0
+    for _ in range(30):
+        images = complex_.vertices + 0.1 * rng.standard_normal(complex_.vertices.shape)
+        if rng.uniform() < 0.3:
+            images[rng.integers(8)] = images[rng.integers(8)]
+        rotor = planar_rotor(float(rng.uniform(0.1, 2.0)))
+        top = complex_.top_simplices[int(rng.integers(len(complex_.top_simplices)))]
+        probes = probe_points(images[list(top)], rotor, 3)
+        traps = {p.tobytes() for p in probes[rng.choice(len(probes), 3)]}
+
+        def planes(p, rotor=rotor, traps=traps):
+            if p.tobytes() in traps:
+                raise ValueError(f"trap at {p.tolist()}")
+            return rotor.plane_at(p)
+
+        xi = Distribution(3, 1, "builtin", planes, name="traps")
+        fields = dict.fromkeys(complex_.top_simplices, xi)
+        want = outcome(lambda: reference_report_records(complex_, images, fields, 3))
+        assert outcome(lambda: report_records(complex_, images, xi)) == want
+        raised += want[0] != "ok"
+    assert raised >= 10
+
+
+def test_a_degenerate_record_goes_before_a_later_field_error_in_one_wave():
+    """The first probe of an edge is its last vertex, 0 * v2 + 1 * v3,
+    which is NaN where v2 is infinite: a point that no vertex record has
+    evaluated.  The edge (2, 3) reaches it in the first wave, after the
+    flat edge (0, 1), so the loop raises DegenerateSimplex first."""
+    complex_ = unit_square_grid(1)
+    images = complex_.vertices.copy()
+    images[1] = images[0]
+    images[2] = [np.inf, 1.0]
+    with np.errstate(invalid="ignore"):    # the probes 0 * inf
+        trap = probe_points(images[[2, 3]], planar_rotor(0.3), 3)[0].tobytes()
+    assert trap not in {p.tobytes() for p in images}
+
+    def planes(p):
+        if p.tobytes() == trap:
+            raise ValueError("trap")
+        return Plane(np.array([[0.6, 0.8]]))
+
+    xi = Distribution(2, 1, "builtin", planes, name="trap")
+    fields = dict.fromkeys(complex_.top_simplices, xi)
+    with np.errstate(invalid="ignore"):
+        want = outcome(lambda: reference_report_records(complex_, images, fields, 3))
+        got = outcome(lambda: report_records(complex_, images, xi))
+    assert want == (DegenerateSimplex, "simplex directions are dependent (rank 0 of 1)")
+    assert got == want
