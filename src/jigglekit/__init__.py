@@ -42,6 +42,7 @@ from .errors import (
     VolumeMismatch,
 )
 from .grassmann import Plane, d_proj, is_transverse_planes
+from .perturb import avoid_flats, perturb_vertex
 from .plmaps import PLMap, SampledMap, is_piecewise_embedding, linearize
 from .transversality import (
     Distribution,
@@ -79,6 +80,7 @@ __all__ = [
     "UnsupportedDimension",
     "VolumeMismatch",
     "auto_level",
+    "avoid_flats",
     "barycentric_subdivide",
     "build_complex",
     "compose_subdivisions",
@@ -94,6 +96,7 @@ __all__ = [
     "jiggle_subdivision",
     "jiggle_tower",
     "linearize",
+    "perturb_vertex",
     "semitrans_margin",
     "shape_stats",
     "simplex_transverse",

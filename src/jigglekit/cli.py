@@ -56,7 +56,7 @@ from .plmaps import PLMap
 from .transversality import (
     DEFAULT_SAMPLE_DEPTH,
     Distribution,
-    general_position,
+    _general_position_each,
     probe_points,
     simplex_transverse,
     transversality_report,
@@ -598,17 +598,20 @@ def cmd_verify(args) -> int:
         payload["kind"] = "report"
         ok = report.passed
     else:
-        checks = []
-        for top in f.domain.top_simplices:
-            pts = images[list(top)]
-            if args.notion == "transverse":
+        tops = f.domain.top_simplices
+        if args.notion == "transverse":
+            verdicts = []
+            for top in tops:
+                pts = images[list(top)]
                 probes = probe_points(pts, xi, DEFAULT_SAMPLE_DEPTH)
-                ok_top = all(simplex_transverse(pts, xi.plane_at(x))
-                             for x in probes)
-            else:
-                # stratified transverse at every probe is general position
-                ok_top = general_position(pts, xi)[0]
-            checks.append({"simplex": list(top), "ok": bool(ok_top)})
+                verdicts.append(all(simplex_transverse(pts, xi.plane_at(x))
+                                    for x in probes))
+        else:
+            # stratified transverse at every probe is general position
+            verdicts = _general_position_each([images[list(top)] for top in tops], xi,
+                                              DEFAULT_SAMPLE_DEPTH)[0].tolist()
+        checks = [{"simplex": list(top), "ok": bool(ok_top)}
+                  for top, ok_top in zip(tops, verdicts)]
         ok = all(c["ok"] for c in checks)
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -642,10 +645,10 @@ def cmd_render(args) -> int:
                     rec.get("general_position") is False:
                 failing.append(simplex)
     elif xi is not None:
-        for top in complex_.top_simplices:
-            ok, _ = general_position(np.asarray(pts)[list(top)], xi)
-            if not ok:
-                failing.append(top)
+        tops = complex_.top_simplices
+        ok, _ = _general_position_each([np.asarray(pts)[list(top)] for top in tops], xi,
+                                       DEFAULT_SAMPLE_DEPTH)
+        failing = [top for top, good in zip(tops, ok.tolist()) if not good]
     svg = render_svg(complex_, images=images, distribution=xi, failing=failing)
     with open(args.svg, "w") as fh:
         fh.write(svg)

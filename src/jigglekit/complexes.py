@@ -236,6 +236,77 @@ def top_radii(complex_: SimplicialComplex, coords: np.ndarray):
 # the complex itself
 # ---------------------------------------------------------------------------
 
+_NO_IDS = np.zeros(0, dtype=np.int64)
+
+
+@cache
+def _combinations(k: int, r: int) -> np.ndarray:
+    """The r-subsets of range(k), as a read-only (C, r) array in
+    ``itertools.combinations`` order."""
+    table = np.array(list(itertools.combinations(range(k), r)), dtype=np.intp).reshape(-1, r)
+    table.setflags(write=False)
+    return table
+
+
+def _face_tables(simplices: list, num_vertices: int):
+    """Every face of the given simplices, per dimension d, as a read-only
+    (F, d+1) array of sorted vertex ids in increasing order of rows, and
+    the maximal faces (no proper face of another), sorted by decreasing
+    dimension and then in that order.
+
+    Raises for the first simplex (in order) with a repeated vertex or an id
+    out of range.  The faces come from one combination table per (size,
+    face size) and are deduplicated, sizes first, by one ``np.unique`` of
+    big-endian rows, whose byte order is the numeric one.
+    """
+    by_size: dict[int, list[int]] = {}
+    for i, simplex in enumerate(simplices):
+        by_size.setdefault(len(simplex), []).append(i)
+    stacks, bad = {}, []
+    for k, at in by_size.items():
+        if k == 0:
+            continue
+        ids = np.sort(np.array([simplices[i] for i in at], dtype=np.int64).reshape(-1, k),
+                      axis=1)
+        repeated = (ids[:, 1:] == ids[:, :-1]).any(axis=1)
+        wrong = np.flatnonzero(repeated | (ids[:, 0] < 0) | (ids[:, -1] >= num_vertices))
+        if wrong.size:
+            bad.append((at[wrong[0]], bool(repeated[wrong[0]])))
+        stacks[k] = ids
+    if bad:
+        i, repeated = min(bad)
+        if repeated:
+            raise FaceIntersectionViolation(f"repeated vertex in simplex {simplices[i]}")
+        raise QueryNotInComplex(f"vertex id out of range in {simplices[i]}")
+    if not stacks:
+        return {}, ()
+    width = max(stacks)
+    parts = [(r, ids[:, _combinations(k, r)].reshape(-1, r), r < k)
+             for k, ids in sorted(stacks.items()) for r in range(1, k + 1)]
+    rows = np.zeros((sum(len(f) for _, f, _ in parts), width + 1), dtype=">i8")
+    proper = np.zeros(len(rows), dtype=bool)
+    lo = 0
+    for r, faces, inner in parts:
+        rows[lo:lo + len(faces), 0] = r
+        rows[lo:lo + len(faces), 1:r + 1] = faces
+        proper[lo:lo + len(faces)] = inner
+        lo += len(faces)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    covered = np.zeros(len(first), dtype=bool)
+    covered[inverse[proper]] = True
+    unique = rows[first].astype(np.int64)
+    sizes = unique[:, 0]
+    tables, tops = {}, []
+    for r in np.unique(sizes).tolist()[::-1]:
+        sel = sizes == r
+        tables[r - 1] = np.ascontiguousarray(unique[sel, 1:r + 1])
+        tables[r - 1].setflags(write=False)
+        tops += map(tuple, tables[r - 1][~covered[sel]].tolist())
+    return dict(sorted(tables.items())), tuple(tops)
+
+
 class SimplicialComplex:
     """A finite simplicial complex embedded in R^N.
 
@@ -253,30 +324,11 @@ class SimplicialComplex:
                 f"vertex table has shape {self.vertices.shape}, expected "
                 f"(*, {self.ambient_dim})"
             )
-        by_dim: dict[int, set[tuple[int, ...]]] = {}
-        for simplex in top_simplices:
-            s = tuple(sorted(simplex))
-            if len(set(s)) != len(s):
-                raise FaceIntersectionViolation(f"repeated vertex in simplex {simplex}")
-            if s and (s[0] < 0 or s[-1] >= len(self.vertices)):
-                raise QueryNotInComplex(f"vertex id out of range in {simplex}")
-            for r in range(1, len(s) + 1):
-                for face in itertools.combinations(s, r):
-                    by_dim.setdefault(r - 1, set()).add(face)
+        self._faces, self._tops = _face_tables(list(top_simplices), len(self.vertices))
         self._simplices: dict[int, tuple[tuple[int, ...], ...]] = {
-            d: tuple(sorted(faces)) for d, faces in sorted(by_dim.items())
+            d: tuple(map(tuple, ids.tolist())) for d, ids in self._faces.items()
         }
         self._membership = {s for faces in self._simplices.values() for s in faces}
-        tops = []
-        covered: set[tuple[int, ...]] = set()
-        for d in sorted(self._simplices, reverse=True):
-            for s in self._simplices[d]:
-                if s in covered:
-                    continue
-                tops.append(s)
-                for r in range(1, len(s)):
-                    covered.update(itertools.combinations(s, r))
-        self._tops = tuple(sorted(tops, key=lambda s: (-len(s), s)))
         self._vertex_to_simplices: dict[int, tuple[tuple[int, ...], ...]] | None = None
 
     # -- queries ----------------------------------------------------------
@@ -309,13 +361,30 @@ class SimplicialComplex:
     def coords(self, simplex) -> np.ndarray:
         return self.vertices[list(simplex)]
 
+    def _face_ids(self, d: int) -> np.ndarray:
+        """The d-simplices as a read-only (F, d+1) id array, rows in
+        ``simplices_of_dim(d)`` order."""
+        return self._faces.get(d, np.zeros((0, d + 1), dtype=np.int64))
+
     def _incident(self, vid: int) -> tuple[tuple[int, ...], ...]:
+        """The simplices holding vertex ``vid``, in ``all_simplices`` order;
+        the table is built on first use, from one stable sort of the
+        (vertex, simplex) incidences."""
         if self._vertex_to_simplices is None:
-            table: dict[int, list[tuple[int, ...]]] = {}
-            for s in self.all_simplices():
-                for v in s:
-                    table.setdefault(v, []).append(s)
-            self._vertex_to_simplices = {v: tuple(ss) for v, ss in table.items()}
+            every = self.all_simplices()
+            faces = [self._faces[d] for d in sorted(self._faces)]
+            starts = np.cumsum([0] + [len(f) for f in faces])
+            vertex = np.concatenate([f.ravel() for f in faces] + [_NO_IDS])
+            place = np.concatenate([np.repeat(np.arange(lo, lo + len(f)), f.shape[1])
+                                    for lo, f in zip(starts.tolist(), faces)] + [_NO_IDS])
+            by_vertex = np.argsort(vertex, kind="stable")
+            vertex, place = vertex[by_vertex], place[by_vertex].tolist()
+            cuts = (np.flatnonzero(np.diff(vertex)) + 1).tolist()
+            self._vertex_to_simplices = {
+                v: tuple(map(every.__getitem__, place[a:b]))
+                for v, a, b in zip(vertex[[0] + cuts].tolist() if len(vertex) else [],
+                                   [0] + cuts, cuts + [len(vertex)])
+            }
         return self._vertex_to_simplices.get(vid, ())
 
     @cached_property

@@ -12,9 +12,11 @@ returned.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +50,7 @@ from .errors import (
     VolumeMismatch,
 )
 from .grassmann import affine_span, d_proj
-from .perturb import PerturbationRequest, join_margins, perturb_vertex
+from .perturb import PerturbationRequest, _join_margins, _perturb_vertices
 from .plmaps import (
     PLMap,
     SampledMap,
@@ -63,7 +65,7 @@ from .plmaps import (
 from .transversality import (
     Distribution,
     TransversalityReport,
-    general_position,
+    _general_position_each,
     transversality_report,
 )
 
@@ -319,92 +321,200 @@ def auto_level(f, complex_: SimplicialComplex, xi: Distribution, gamma: float,
 # the vertex induction
 # ---------------------------------------------------------------------------
 
-def _join_ids(vid: int, others: list[int], combo: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted([vid] + [others[j] for j in combo]))
+@functools.cache
+def _join_getter(at: int, combo: tuple[int, ...]):
+    """Picks, from a sorted simplex, the join of its vertex at position
+    ``at`` with the face ``combo`` of its other vertices."""
+    return operator.itemgetter(*sorted([at] + [j + (j >= at) for j in combo]))
 
 
-def _by_join(vid: int, entries, joins) -> dict[tuple[int, ...], float]:
-    """Fold ``join_margins`` tuples into the smallest margin per join simplex."""
-    margins: dict[tuple[int, ...], float] = {}
-    for _, si, combo, m in joins:
-        join = _join_ids(vid, entries[si][1], combo)
-        margins[join] = min(m, margins.get(join, np.inf))
-    return margins
+def _join_keys(vid: int, entries, joins) -> list[tuple[int, ...]]:
+    """The join simplex of each ``(u, si, combo)`` of ``joins``."""
+    at = [s.index(vid) for s, _ in entries]
+    return [_join_getter(at[si], combo)(entries[si][0]) for _, si, combo in joins]
+
+
+def _by_join(keys, margins) -> dict[tuple[int, ...], float]:
+    """The smallest margin per join simplex, in order of first appearance."""
+    out: dict[tuple[int, ...], float] = {}
+    for key, m in zip(keys, margins):
+        out[key] = min(m, out.get(key, np.inf))
+    return out
+
+
+def _waves(child: SimplicialComplex, frozen: np.ndarray, order) -> list[np.ndarray]:
+    """The dependency waves of the vertex induction, each an array of
+    vertex ids in ``order``.
+
+    A vertex's wave is one more than the largest wave of its non-frozen
+    neighbours that come earlier in ``order``, and 0 if it has none; frozen
+    vertices are in no wave.  So no edge joins two vertices of one wave,
+    and a vertex sees its earlier neighbours settled and its later ones
+    untouched, as the loop in ``order`` does.
+    """
+    live = np.array([v for v in order if not frozen[v]], dtype=np.intp)
+    rank = np.full(child.num_vertices, -1, dtype=np.intp)
+    rank[live] = np.arange(len(live))
+    edges = rank[child._face_ids(1)]
+    edges = np.sort(edges[(edges >= 0).all(axis=1)], axis=1)
+    wave = np.zeros(len(live), dtype=np.intp)
+    while True:
+        reach = wave.copy()
+        np.maximum.at(reach, edges[:, 1], wave[edges[:, 0]] + 1)
+        if (reach == wave).all():
+            break
+        wave = reach
+    by_wave = np.argsort(wave, kind="stable")
+    cuts = np.cumsum(np.bincount(wave))[:-1]
+    return [live[ranks] for ranks in np.split(by_wave, cuts)] if len(live) else []
+
+
+def _processed_stars(child: SimplicialComplex, key: np.ndarray) -> dict[int, list]:
+    """The simplices of at least two vertices whose other vertices are all
+    processed before a vertex, per vertex, in ``all_simplices`` order.
+
+    ``key`` is a vertex's place in the induction order, -1 when it is
+    frozen and the vertex count when it is never processed.  The other
+    vertices of a simplex are all processed before exactly one of its
+    vertices: the one with the largest key, if that key is a place.
+    """
+    owned: dict[int, list] = {}
+    for d in range(1, child.dim + 1):
+        sims, ids = child.simplices_of_dim(d), child._face_ids(d)
+        keys = key[ids]
+        last = keys.argmax(axis=1)
+        owners = ids[np.arange(len(sims)), last]
+        top = keys[np.arange(len(sims)), last]
+        for s, vid, place in zip(sims, owners.tolist(), top.tolist()):
+            if 0 <= place < child.num_vertices:
+                owned.setdefault(vid, []).append(s)
+    return owned
 
 
 def _run_vertex_induction(child, images, *, frozen, order, planes_for,
                           fol_indices_for, epsilon_for, margin_target,
                           constraint_for, exclude_simplex, cfg):
-    """Walk the vertices in order, perturbing each image point as needed.
+    """Perturb the image point of every non-frozen vertex, in ``order``'s
+    sense, as needed.
 
-    Every join of a vertex with the processed part of its star is checked at
-    the incumbent position first; a vertex moves only when some margin falls
-    below a quarter of the run's margin target.  Returns the per-vertex
-    achieved deltas, the certified per-simplex margins, and the move count.
+    Every join of a vertex with the processed part of its star (the frozen
+    vertices and those earlier in ``order``) is checked at the incumbent
+    position first; a vertex moves only when some margin falls below a
+    quarter of the run's margin target.  Returns the per-vertex achieved
+    deltas, the certified per-simplex margins, and the move count.
     Arguments after ``images`` are keyword-only so that a tracer can read
     ``frozen`` by name.
+
+    The vertices run in the dependency waves of :func:`_waves`.  A wave's
+    incumbent joins are one :func:`_join_margins` pass and its moves one
+    :func:`_perturb_vertices` pass, so each vertex sees exactly the star
+    the loop in ``order`` gives it, and every result is the loop's bit for
+    bit.  Results are folded in ``order``.  On failure the error is that of
+    the first failing vertex in ``order``, which may sit in a later wave
+    than another failing vertex; the images of vertices after it are put
+    back as they were.
     """
-    achieved: dict[int, float] = {}
-    certified: dict[tuple, float] = {}
-    moved = 0
-    processed = frozen.copy()
+    live = [v for v in order if not frozen[v]]
+    rank = np.full(child.num_vertices, child.num_vertices, dtype=np.intp)
+    rank[live] = np.arange(len(live))
     threshold = max(INCUMBENT_FRACTION * margin_target, 1e-12)
-    for vid in order:
-        if frozen[vid]:
-            continue
-        entries = []
-        for s in child._incident(vid):
-            if len(s) < 2:
-                continue
-            if exclude_simplex is not None and exclude_simplex(s):
-                continue
-            others = [o for o in s if o != vid]
-            if all(processed[o] for o in others):
-                entries.append((s, others))
-        planes = planes_for(vid)
-        fol_indices = [fol_indices_for(vid, s) for s, _ in entries]
-        stars = [images[others] for _, others in entries]
-        margins = _by_join(vid, entries,
-                           join_margins(images[vid], stars, fol_indices, planes))
-        if margins and min(margins.values()) < threshold:
-            eps = epsilon_for(vid)
-            if eps <= 0:
-                raise BudgetViolation(
-                    f"vertex {vid} needs a move but the per-vertex budget is "
-                    f"exhausted (eta = {eps:.3g})"
-                )
-            req = PerturbationRequest(
-                point=images[vid],
-                epsilon=eps,
-                star_simplices=stars,
-                foliations=planes,
-                star_foliations=fol_indices,
-                constraint_flat=constraint_for(vid),
-                seed=cfg.seed * SEED_STRIDE + vid,
-                samples=cfg.samples,
-            )
+    results: dict[int, tuple] = {}  # vid -> (margins by join, achieved or None)
+    moved_from: dict[int, np.ndarray] = {}
+    limit, error = len(live), None
+
+    def fail(vid: int, exc: Exception) -> None:
+        nonlocal limit, error
+        if rank[vid] < limit:
+            limit, error = int(rank[vid]), exc
+
+    owned = _processed_stars(child, np.where(frozen, -1, rank))
+    at = rank.tolist()
+    for members in _waves(child, frozen, order):
+        members = [v for v in members.tolist() if at[v] < limit]
+        jobs = []
+        for vid in members:
             try:
-                res = perturb_vertex(req)
-            except StarNotTransverse as exc:
-                raise PerturbationFailed(
+                entries = [(s, [o for o in s if o != vid]) for s in owned.get(vid, ())
+                           if exclude_simplex is None or not exclude_simplex(s)]
+                planes = planes_for(vid)
+                fol_indices = [fol_indices_for(vid, s) for s, _ in entries]
+            except Exception as exc:  # raised below, in order
+                fail(vid, exc)
+                continue
+            rows = images[[o for _, others in entries for o in others]]
+            cuts = np.cumsum([len(others) for _, others in entries]).tolist()
+            stars = [rows[a:b] for a, b in zip([0] + cuts, cuts)]
+            jobs.append((vid, entries, stars, fol_indices, planes))
+        incumbent = _join_margins([(images[vid], stars, fol_indices, planes)
+                                   for vid, _, stars, fol_indices, planes in jobs])
+        movers, reqs = [], []
+        for (vid, entries, stars, fol_indices, planes), joins in zip(jobs, incumbent):
+            if isinstance(joins, Exception):
+                fail(vid, joins)
+                continue
+            keys = _join_keys(vid, entries, joins[0])
+            margins = _by_join(keys, joins[1])
+            results[vid] = (margins, None)
+            if not (margins and min(margins.values()) < threshold):
+                continue
+            try:
+                eps = epsilon_for(vid)
+                if eps <= 0:
+                    raise BudgetViolation(
+                        f"vertex {vid} needs a move but the per-vertex budget is "
+                        f"exhausted (eta = {eps:.3g})"
+                    )
+                reqs.append(PerturbationRequest(
+                    point=images[vid],
+                    epsilon=eps,
+                    star_simplices=stars,
+                    foliations=planes,
+                    star_foliations=fol_indices,
+                    constraint_flat=constraint_for(vid),
+                    seed=cfg.seed * SEED_STRIDE + vid,
+                    samples=cfg.samples,
+                ))
+            except Exception as exc:  # raised below, in order
+                fail(vid, exc)
+                continue
+            movers.append((vid, keys))
+        for (vid, keys), res in zip(movers, _perturb_vertices(reqs)):
+            if isinstance(res, StarNotTransverse):
+                failure = PerturbationFailed(
                     f"vertex {vid}: a processed star simplex lost transversality "
                     "to the local plane; the field varies too fast for the "
                     "achieved margins (raise the level)"
-                ) from exc
-            if res.achieved_delta < margin_target:
-                raise PerturbationFailed(
+                )
+                failure.__cause__ = res
+                fail(vid, failure)
+            elif isinstance(res, Exception):
+                fail(vid, res)
+            elif res.achieved_delta < margin_target:
+                fail(vid, PerturbationFailed(
                     f"vertex {vid}: best margin {res.achieved_delta:.3g} below "
                     f"target {margin_target:.3g}"
-                )
-            if res.moved > 0:
-                moved += 1
-                images[vid] = res.point
-            achieved[vid] = res.achieved_delta
-            margins = _by_join(vid, entries, res.certificate)
+                ))
+            else:
+                if res.moved > 0:
+                    moved_from[vid] = images[vid].copy()
+                    images[vid] = res.point
+                results[vid] = (_by_join(keys, [m for *_, m in res.certificate]),
+                                res.achieved_delta)
+    if error is not None:
+        for vid, point in moved_from.items():
+            if rank[vid] > limit:
+                images[vid] = point
+        raise error
+
+    achieved: dict[int, float] = {}
+    certified: dict[tuple, float] = {}
+    for vid in live:
+        margins, delta = results[vid]
+        if delta is not None:
+            achieved[vid] = delta
         for join, m in margins.items():
             certified[join] = min(m, certified.get(join, np.inf))
-        processed[vid] = True
-    return achieved, certified, moved
+    return achieved, certified, len(moved_from)
 
 
 def _verify(child: SimplicialComplex, images: np.ndarray, fields, certified,
@@ -442,13 +552,13 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
 
     if a_faces:
         images_k = _vertex_images(fmap, complex_)
-        for s in star(complex_, list(a_faces)):
-            if len(s) < 2:
-                continue
-            if not general_position(images_k[list(s)], xi, cfg.sample_depth)[0]:
-                raise PreconditionViolated(
-                    f"star simplex {s} of A is not stratified transverse"
-                )
+        sims = [s for s in star(complex_, list(a_faces)) if len(s) >= 2]
+        ok, _ = _general_position_each([images_k[list(s)] for s in sims], xi,
+                                       cfg.sample_depth, stop=True)
+        if not ok.all():
+            raise PreconditionViolated(
+                f"star simplex {sims[np.argmin(ok)]} of A is not stratified transverse"
+            )
 
     if cfg.level == "auto":
         level = auto_level(fmap, complex_, xi, cfg.gamma, cfg.margin_floor,
@@ -499,12 +609,12 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
     if from_a.any():
         tops, rmins, _ = top_radii(child, flin.images)
         rmin_of = dict(zip(tops, rmins.tolist()))
-        for top in child.top_simplices:
-            if any(from_a[v] for v in top):
-                img = flin.images[list(top)]
-                ok, margin = general_position(img, xi, cfg.sample_depth)
-                if ok and np.isfinite(margin):
-                    cap_a = min(cap_a, 0.5 * margin * rmin_of[top])
+        tops_a = [top for top in child.top_simplices if any(from_a[v] for v in top)]
+        ok, margins = _general_position_each([flin.images[list(top)] for top in tops_a],
+                                             xi, cfg.sample_depth)
+        for top, good, margin in zip(tops_a, ok.tolist(), margins.tolist()):
+            if good and np.isfinite(margin):
+                cap_a = min(cap_a, 0.5 * margin * rmin_of[top])
         for vid in range(child.num_vertices):
             near_a[vid] = any(
                 from_a[o] for s in child._incident(vid) for o in s
@@ -661,12 +771,15 @@ def jiggle_subdivision(complex_: SimplicialComplex,
             not complex_subdivides(complex_, refinement):
         raise VolumeMismatch("refinement does not subdivide the complex")
 
-    for top, dist in per_top.items():
-        if not general_position(complex_.coords(top), dist, cfg.sample_depth)[0]:
-            raise PreconditionViolated(
-                f"top simplex {top} is not stratified transverse to its "
-                "plane field"
-            )
+    tops = list(per_top)
+    ok, _ = _general_position_each([complex_.coords(top) for top in tops],
+                                   [per_top[top] for top in tops], cfg.sample_depth,
+                                   stop=True)
+    if not ok.all():
+        raise PreconditionViolated(
+            f"top simplex {tops[np.argmin(ok)]} is not stratified transverse to its "
+            "plane field"
+        )
 
     carrier_k = _locate_in_parent(complex_, refinement.vertices)
     level = 1 if cfg.level == "auto" else cfg.level

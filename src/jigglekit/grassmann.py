@@ -223,7 +223,15 @@ def _flat_distances(points: np.ndarray, bases: np.ndarray,
     :func:`point_flat_distance` is a stack of one.  The plain 2-D product
     ``rel @ B.T`` would round differently in the last bits.
     """
-    rel = points[:, None, :] - bases
+    return _rejection_norms(points[:, None, :] - bases, dirs)
+
+
+def _rejection_norms(rel: np.ndarray, dirs: np.ndarray | None) -> np.ndarray:
+    """Norms of the offsets ``rel`` (..., n) with their components along
+    the orthonormal rows of ``dirs`` (..., k, n) removed (None: nothing to
+    remove), each through its own stacked products; the one home of the
+    arithmetic of :func:`_flat_distances`, which pairs every point with
+    every flat, for callers that pair them row by row."""
     if dirs is not None:
-        rel = rel - (np.swapaxes(dirs, 1, 2) @ (dirs @ rel[..., None]))[..., 0]
+        rel = rel - (np.swapaxes(dirs, -1, -2) @ (dirs @ rel[..., None]))[..., 0]
     return np.sqrt(np.vecdot(rel, rel))

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .complexes import _combinations
 from .errors import (
     DegenerateSimplex,
     NotTransverse,
@@ -29,6 +30,7 @@ from .grassmann import (
     AffineFlat,
     Plane,
     _project_flat,
+    _rejection_norms,
     _row_spaces,
     _transverse,
     affine_span,
@@ -157,10 +159,6 @@ def simplex_plane(coords: np.ndarray) -> Plane:
     return Plane(_face_basis(coords))
 
 
-def _faces_of_dim(num_vertices: int, d: int):
-    return itertools.combinations(range(num_vertices), d + 1)
-
-
 def simplex_transverse(coords: np.ndarray, v: Plane,
                        tol: float = RANK_REL_TOL) -> bool:
     """Transversality of a simplex to the constant foliation F(V).
@@ -177,8 +175,7 @@ def simplex_transverse(coords: np.ndarray, v: Plane,
         return True
     if free == 0:
         return False
-    faces = pts[None] if dim <= free else np.stack(
-        [pts[list(face)] for face in _faces_of_dim(pts.shape[0], free)])
+    faces = pts[None] if dim <= free else pts[_combinations(pts.shape[0], free + 1)]
     transverse, degenerate = _transverse_stack(faces, v, tol)
     for ok, flat in zip(transverse.tolist(), degenerate.tolist()):
         if flat:
@@ -188,9 +185,10 @@ def simplex_transverse(coords: np.ndarray, v: Plane,
     return False
 
 
-def _transverse_stack(stack: np.ndarray, v: Plane, tol: float = RANK_REL_TOL):
+def _transverse_stack(stack: np.ndarray, v, tol: float = RANK_REL_TOL):
     """``simplex_transverse`` of each simplex in an (S, d+1, n) stack with
-    1 <= d <= n-k, as boolean arrays ``(transverse, degenerate)``.
+    1 <= d <= n-k, as boolean arrays ``(transverse, degenerate)``; ``v`` is
+    one :class:`Plane` or one per simplex, as :func:`_transverse` takes it.
 
     A simplex is degenerate where :func:`simplex_plane` raises
     :class:`DegenerateSimplex` (its edges are not finite or are dependent
@@ -230,14 +228,20 @@ def eps_margin(coords: np.ndarray, v: Plane) -> float:
 # joins with a movable apex
 # ---------------------------------------------------------------------------
 
-def _check_join_preconditions(p, coords, v: Plane):
+def _check_join_dimension(coords, v: Plane) -> np.ndarray:
+    """The base of a join as a 2-D array, checked to span a join of
+    dimension at most n-k."""
     pts = np.atleast_2d(np.asarray(coords, dtype=float))
-    dim = pts.shape[0] - 1
     free = v.ambient_dim - v.rank
-    if dim + 1 > free:
+    if pts.shape[0] > free:
         raise PreconditionViolated(
-            f"join dimension {dim + 1} exceeds n-k = {free}"
+            f"join dimension {pts.shape[0]} exceeds n-k = {free}"
         )
+    return pts
+
+
+def _check_join_preconditions(p, coords, v: Plane):
+    pts = _check_join_dimension(coords, v)
     if not simplex_transverse(pts, v):
         raise PreconditionViolated("base simplex is not transverse to F(V)")
     return np.asarray(p, dtype=float), pts
@@ -279,13 +283,57 @@ def semitrans_margin(p, coords, v: Plane) -> float:
 
     The apex can move anywhere within this distance (in ambient space, since
     the quotient projection is 1-Lipschitz) while the join <p', Delta> stays
-    non-degenerate and transverse to F(V).
+    non-degenerate and transverse to F(V).  A stack of one of
+    :func:`_semitrans_margins`.
     """
-    point, pts = _check_join_preconditions(p, coords, v)
-    proj_p = project_along(v, point)
-    proj_span = project_along(v, pts)
-    flat = affine_span(proj_span) if pts.shape[0] > 1 else AffineFlat(proj_span[0], None)
-    return point_flat_distance(proj_p, flat)
+    pts = _check_join_dimension(coords, v)
+    margin, status = _semitrans_margins(np.asarray(p, dtype=float)[None], pts[None],
+                                        [v], np.zeros(1, dtype=np.intp))
+    if status[0]:
+        raise _join_error(int(status[0]))
+    return float(margin[0])
+
+
+def _join_error(status: int):
+    """The error of a :func:`_semitrans_margins` status other than 0."""
+    if status == 1:
+        return PreconditionViolated("base simplex is not transverse to F(V)")
+    return DegenerateSimplex("simplex directions are dependent")
+
+
+def _semitrans_margins(points: np.ndarray, faces: np.ndarray, planes, which):
+    """:func:`semitrans_margin` of each row, bit for bit: the apexes
+    ``points`` (R, n), the bases ``faces`` (R, d, n) with d <= n-k, and the
+    foliation ``planes[which[r]]`` of row r, all of one rank.
+
+    Returns ``(margins, status)``: status 0 where the margin holds, 1 where
+    the base is not transverse to its foliation and 2 where it is
+    degenerate (the errors :func:`_join_error` names).  The base test is
+    one :func:`_transverse_stack`, the quotient projections are one
+    stacked product per row (``p @ C.T`` per point and face), the projected
+    spans one :func:`_row_spaces` call, and the distances one
+    :func:`_rejection_norms` call per span rank.
+    """
+    rows, d = faces.shape[:2]
+    status = np.zeros(rows, dtype=np.int8)
+    if d > 1:
+        transverse, degenerate = _transverse_stack(faces, [planes[i] for i in which.tolist()])
+        status[~transverse] = 1
+        status[degenerate] = 2
+    comp_t = np.stack([p.complement() for p in planes])[which].swapaxes(1, 2)
+    proj_p = (points[:, None, :] @ comp_t)[:, 0]
+    proj = faces @ comp_t
+    rel = proj_p - proj[:, 0]
+    if d == 1:
+        return _rejection_norms(rel, None), status
+    margins = np.empty(rows)
+    bases, ranks = _row_spaces(proj[:, 1:] - proj[:, :1])
+    for r in np.unique(ranks).tolist():
+        sel = np.flatnonzero(ranks == r)
+        # each basis in Fortran order, as affine_span's Plane holds it
+        dirs = np.ascontiguousarray(bases[sel, :r].swapaxes(1, 2)).swapaxes(1, 2)
+        margins[sel] = _rejection_norms(rel[sel], dirs if r else None)
+    return margins, status
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +380,6 @@ def general_position(coords: np.ndarray, xi: Distribution,
     return bool(ok[0]), float(margin[0])
 
 
-@functools.cache
-def _face_combos(size: int, top_dim: int) -> tuple[np.ndarray, ...]:
-    """The faces of dimension 1..``top_dim`` of a simplex of ``size``
-    vertices, one read-only (C, d+1) array of vertex positions per
-    dimension, each in ``itertools.combinations`` order."""
-    combos = tuple(np.array(list(_faces_of_dim(size, d)), dtype=int).reshape(-1, d + 1)
-                   for d in range(1, top_dim + 1))
-    for combo in combos:
-        combo.setflags(write=False)
-    return combos
-
-
 def _first_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ids of the distinct byte strings among the rows of a 2-D array, and
     the row where each first appears: ``rows[first][ids]`` is ``rows``
@@ -379,8 +415,8 @@ class _FaceTable:
         self.bases, size, rank = {}, [], []
         shapes = {}
         for g, (pts, top_dim) in enumerate(groups):
-            for combo in _face_combos(pts.shape[1], top_dim):
-                shapes.setdefault(combo.shape[1], []).append((g, pts[:, combo]))
+            for k in range(2, top_dim + 2):
+                shapes.setdefault(k, []).append((g, pts[:, _combinations(pts.shape[1], k)]))
         for s, parts in sorted(shapes.items()):
             stack = np.concatenate([f.reshape(-1, s, f.shape[-1]) for _, f in parts])
             ids, first = _first_ids(stack.reshape(len(stack), -1))
@@ -399,7 +435,27 @@ class _FaceTable:
         self.flat = np.array(rank, dtype=int) < self.size - 1
 
 
-def _general_positions(groups, sample_depth: int, tol: float):
+def _general_position_each(coords: list, fields, sample_depth: int,
+                           stop: bool = False):
+    """:func:`general_position` of each simplex of ``coords`` (a list of
+    (m+1, n) arrays) against ``fields`` (one :class:`Distribution`, or one
+    per simplex), as arrays ``(ok, margin)`` from one
+    :func:`_general_positions` call over the (size, field) groups.
+
+    It raises what the loop of ``general_position`` calls raises.  With
+    ``stop`` the loop stops at its first simplex that fails, so an error of
+    a later simplex is not raised: the caller names the first failure.
+    """
+    members: dict = {}
+    for i, pts in enumerate(coords):
+        xi = fields if isinstance(fields, Distribution) else fields[i]
+        members.setdefault((len(pts), xi), []).append(i)
+    groups = [(np.array(order), np.stack([coords[i] for i in order]), xi)
+              for (_, xi), order in members.items()]
+    return _general_positions(groups, sample_depth, RANK_REL_TOL, stop)
+
+
+def _general_positions(groups, sample_depth: int, tol: float, stop: bool = False):
     """:func:`general_position` of many (simplex, field) pairs in one array
     pass, bit for bit what a loop over the pairs in order returns.
 
@@ -423,7 +479,9 @@ def _general_positions(groups, sample_depth: int, tol: float):
       :class:`DegenerateSimplex` at a pair's first probe when a degenerate
       face comes before every face that is not transverse.  A wave records
       the earliest pair that raises and drops every later pair; that error
-      is raised once every earlier pair is done.
+      is raised once every earlier pair is done.  With ``stop`` it is not
+      raised when an earlier pair fails, as a loop that stops at its first
+      failure never meets it; pairs after it are then left unjudged.
     """
     count = sum(len(order) for order, _, _ in groups)
     ok = np.ones(count, dtype=bool)
@@ -522,7 +580,7 @@ def _general_positions(groups, sample_depth: int, tol: float):
             ok[fail], margin[fail], alive[fail] = False, 0.0, False
             good = order[rows[~failed]]
             margin[good] = np.minimum(margin[good], vals[~failed].min(axis=1, initial=np.inf))
-    if error is not None:
+    if error is not None and not (stop and not ok[:limit].all()):
         raise error
     return ok, margin
 

@@ -11,6 +11,7 @@ from scipy.optimize import OptimizeResult
 from jigglekit import complexes
 from jigglekit.cli import box_grid, standard_simplex, unit_square_grid
 from jigglekit.complexes import (
+    SimplicialComplex,
     _candidate_pairs,
     _span_distances,
     _id_table,
@@ -612,3 +613,79 @@ def test_locate_picks_the_scans_top(name, K, points):
                 K.containing_top_simplex(points[i])
         else:
             assert K.containing_top_simplex(points[i]) == w
+
+
+# ---------------------------------------------------------------------------
+# the face tables against the loops they replaced
+# ---------------------------------------------------------------------------
+
+def reference_tables(num_vertices, top_simplices):
+    """``_simplices``, ``_membership``, ``_tops`` and the ``_incident``
+    table as the constructor built them with ``itertools.combinations``
+    into Python sets."""
+    by_dim = {}
+    for simplex in top_simplices:
+        s = tuple(sorted(simplex))
+        if len(set(s)) != len(s):
+            raise FaceIntersectionViolation(f"repeated vertex in simplex {simplex}")
+        if s and (s[0] < 0 or s[-1] >= num_vertices):
+            raise QueryNotInComplex(f"vertex id out of range in {simplex}")
+        for r in range(1, len(s) + 1):
+            for face in itertools.combinations(s, r):
+                by_dim.setdefault(r - 1, set()).add(face)
+    simplices = {d: tuple(sorted(faces)) for d, faces in sorted(by_dim.items())}
+    membership = {s for faces in simplices.values() for s in faces}
+    tops, covered = [], set()
+    for d in sorted(simplices, reverse=True):
+        for s in simplices[d]:
+            if s in covered:
+                continue
+            tops.append(s)
+            for r in range(1, len(s)):
+                covered.update(itertools.combinations(s, r))
+    incident = {}
+    for d in sorted(simplices):
+        for s in simplices[d]:
+            for v in s:
+                incident.setdefault(v, []).append(s)
+    return (simplices, membership, tuple(sorted(tops, key=lambda s: (-len(s), s))),
+            {v: tuple(ss) for v, ss in incident.items()})
+
+
+def _table_cases():
+    rng = np.random.default_rng(7)
+    cases = [(K.num_vertices, list(K.top_simplices)) for K in (
+        unit_square_grid(3), box_grid(1), crystalline_subdivide(box_grid(1), 2)[0],
+        barycentric_subdivide(unit_square_grid(2))[0], standard_simplex(4))]
+    for _ in range(30):
+        n = int(rng.integers(1, 12))
+        tops = [tuple(rng.choice(n, size=int(rng.integers(1, min(n, 5) + 1)),
+                                 replace=False).tolist())
+                for _ in range(int(rng.integers(0, 9)))]
+        cases.append((n, tops + tops[:2] + [()]))   # repeats, faces, empty
+    return cases
+
+
+@pytest.mark.parametrize("n, tops", _table_cases())
+def test_face_tables_equal_the_loops(n, tops):
+    K = SimplicialComplex(2, np.zeros((n, 2)), tops)
+    simplices, membership, top_list, incident = reference_tables(n, tops)
+    assert K._simplices == simplices and list(K._simplices) == list(simplices)
+    assert all(type(v) is int for s in K.all_simplices() for v in s)
+    assert K._membership == membership
+    assert K.top_simplices == top_list
+    assert {v: K._incident(v) for v in range(n) if K._incident(v)} == incident
+    for d, faces in simplices.items():
+        assert K._face_ids(d).tolist() == [list(s) for s in faces]
+
+
+@pytest.mark.parametrize("tops", [
+    [(0, 1), (2, 2, 3), (0, 9)], [(0, 1), (0, 9), (2, 2, 3)], [(1, -1)],
+    [(0, 1, 2), (3, 4, 3)], [[0, 1, 1]],
+])
+def test_face_tables_raise_for_the_first_bad_simplex(tops):
+    with pytest.raises(Exception) as want:
+        reference_tables(5, tops)
+    with pytest.raises(type(want.value)) as got:
+        SimplicialComplex(2, np.zeros((5, 2)), tops)
+    assert str(got.value) == str(want.value)

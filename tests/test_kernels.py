@@ -40,7 +40,7 @@ ALLOWED = {
     ("grassmann", "_transverse"): {"svdvals"},
     ("engine", "_jacobian_amplification"): {"svdvals"},
     ("plmaps", "distance"): {"svdvals"},
-    ("perturb", "avoid_flats"): {"svdvals"},
+    ("perturb", "_plan"): {"svdvals"},
 }
 
 

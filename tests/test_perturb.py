@@ -23,9 +23,11 @@ from jigglekit.perturb import (
     REFINE_STEPS,
     PerturbationRequest,
     PerturbationResult,
+    _avoid_flats,
+    _join_margins,
+    _one,
     _project_flat,
     avoid_flats,
-    join_margins,
     perturb_vertex,
 )
 from jigglekit.transversality import semitrans_margin
@@ -199,7 +201,7 @@ def test_join_margins_lists_every_join_with_its_direct_margin():
              np.array([[2.0, 0.0, 0.1], [2.0, 0.0, 1.1]])]
     star_folis = [(0, 1), (0,), (0, 1)]
     point = np.array([-0.3, -0.2, 0.05])
-    joins = join_margins(point, stars, star_folis, folis)
+    joins, margins = _one(_join_margins([(point, stars, star_folis, folis)]))
     expected = []
     for u, v in enumerate(folis):
         cap = v.ambient_dim - v.rank
@@ -208,9 +210,9 @@ def test_join_margins_lists_every_join_with_its_direct_margin():
                 for d in range(1, min(cap, len(s)) + 1):
                     expected.extend((u, si, idx) for idx in
                                     itertools.combinations(range(len(s)), d))
-    assert [j[:3] for j in joins] == expected
+    assert list(joins) == expected
     zeros = 0
-    for u, si, idx, m in joins:
+    for (u, si, idx), m in zip(joins, margins):
         try:
             direct = float(semitrans_margin(point, stars[si][list(idx)], folis[u]))
         except PreconditionViolated:
@@ -312,6 +314,41 @@ def test_avoid_flats_matches_the_point_by_point_search(n, constraint_dim, quotie
         want_q, want_delta = reference_avoid_flats(point, epsilon, flats, **kw)
         assert got_q.tobytes() == want_q.tobytes(), (seed, samples, epsilon)
         assert got_delta == want_delta, (seed, samples, epsilon)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_avoid_flats_stacks_match_the_point_by_point_search(n):
+    """One stack of searches with their own flats, budgets, sample counts,
+    quotients (one or two per search) and constraint dimensions, and rows
+    that fail: each row gets the point-by-point result, or the error that
+    it raises alone."""
+    problems = []
+    cases = itertools.product(range(3), [0, 7, 64], [1e-6, 1e-3, 1.0], [0, 1, 2],
+                              [None] + list(range(1, n)))
+    for seed, samples, epsilon, quotients, constraint_dim in cases:
+        point, flats, quots, constraint = _search_case(n, quotients > 0,
+                                                       constraint_dim, seed)
+        if quotients == 2:
+            other = _random_plane(np.random.default_rng(seed + 100), n, 1)
+            quots = [q if i % 2 else other for i, q in enumerate(quots)]
+        problems.append((point, epsilon, flats, quots, constraint, seed, samples))
+    point = np.zeros(n)
+    failing = {
+        3: (point, 0.1, [AffineFlat(point, Plane(np.eye(n)))], None, None, 0, 8),
+        11: (point, -0.1, [AffineFlat(point, None)], None, None, 0, 8),
+        40: (point, 0.1, [AffineFlat(point, None)], [], None, 0, 8),
+    }
+    for at, problem in sorted(failing.items()):
+        problems.insert(at, problem)
+    for problem, got in zip(problems, _avoid_flats(problems)):
+        try:
+            avoid_flats(*problem)
+        except (InfeasibleDimensions, PreconditionViolated) as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            continue
+        want_q, want_delta = reference_avoid_flats(*problem)
+        assert got[0].tobytes() == want_q.tobytes() and got[1] == want_delta
+    assert sum(isinstance(got, Exception) for got in _avoid_flats(problems)) == 3
 
 
 @pytest.mark.parametrize("samples", [7, 64])

@@ -700,3 +700,66 @@ def test_a_degenerate_record_goes_before_a_later_field_error_in_one_wave():
         got = outcome(lambda: report_records(complex_, images, xi))
     assert want == (DegenerateSimplex, "simplex directions are dependent (rank 0 of 1)")
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the loops of general_position calls, now one kernel call each
+# ---------------------------------------------------------------------------
+
+def loop_of_general_positions(coords, fields, depth, stop):
+    """What the engine's and the cli's loops did: one ``general_position``
+    call per simplex, stopping at the first failure with ``stop``."""
+    ok, margin = [], []
+    for i, pts in enumerate(coords):
+        good, m = general_position(pts, fields if isinstance(fields, Distribution)
+                                   else fields[i], depth)
+        ok.append(good)
+        margin.append(m)
+        if stop and not good:
+            break
+    return ok, margin
+
+
+@pytest.mark.parametrize("stop", [False, True])
+def test_general_position_each_is_the_loop_of_calls(stop):
+    """Random faces of a perturbed box, some flat, against a mix of fields,
+    one of which raises at a few probes: the one kernel call raises what
+    the loop raises, or judges each simplex the loop reaches as it does."""
+    rng = np.random.default_rng(29)
+    complex_ = box_grid(1)
+    sims = [s for s in complex_.all_simplices() if len(s) >= 2]
+    results = set()
+    for _ in range(40):
+        # on the lattice the axis edges fail the axis fields
+        noise = rng.choice([0.0, 0.1])
+        images = complex_.vertices + noise * rng.standard_normal(complex_.vertices.shape)
+        if rng.uniform() < 0.3:
+            images[rng.integers(8)] = images[rng.integers(8)]
+        picked = [sims[i] for i in rng.permutation(len(sims))[:int(rng.integers(1, 30))]]
+        coords = [images[list(s)] for s in picked]
+        rotor = planar_rotor(float(rng.uniform(0.1, 2.0)))
+        probes = probe_points(coords[-1], rotor, 3)
+        traps = {p.tobytes() for p in probes[rng.choice(len(probes), 2)]}
+
+        def planes(p, rotor=rotor, traps=traps):
+            if p.tobytes() in traps:
+                raise ValueError(f"trap at {p.tolist()}")
+            return rotor.plane_at(p)
+
+        kinds = [rotor, Distribution(3, 1, "builtin", planes, name="traps"),
+                 Distribution.constant(Plane(np.eye(3)[:1])),
+                 Distribution.constant(Plane(np.eye(3)[:2]))]
+        fields = [kinds[i] for i in rng.integers(len(kinds), size=len(coords))]
+        if rng.uniform() < 0.3:
+            fields = kinds[0]
+        want = outcome(lambda: loop_of_general_positions(coords, fields, 3, stop))
+        got = outcome(lambda: transversality._general_position_each(coords, fields, 3, stop))
+        if want[0] != "ok":
+            assert got == want
+            results.add("raised")
+            continue
+        (ok, margin), (got_ok, got_margin) = want[1], got[1]
+        assert got_ok[:len(ok)].tolist() == ok
+        assert np.array(margin).tobytes() == got_margin[:len(margin)].tobytes()
+        results.add("stopped" if len(ok) < len(coords) else "all")
+    assert results == ({"raised", "stopped", "all"} if stop else {"raised", "all"})
