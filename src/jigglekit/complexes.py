@@ -21,9 +21,6 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     AmbientMismatch,
@@ -32,7 +29,6 @@ from .errors import (
     FaceIntersectionViolation,
     PreconditionViolated,
     QueryNotInComplex,
-    SolverFailed,
 )
 
 DEGENERACY_REL_TOL = 1e-12
@@ -494,56 +490,47 @@ def barycentric_coordinates(coords: np.ndarray, point: np.ndarray):
 # validation helpers
 # ---------------------------------------------------------------------------
 
-def relative_interiors_intersect(a: np.ndarray, b: np.ndarray,
-                                 tol: float = _INTERIOR_TOL) -> bool:
-    """Decide whether the relative interiors of two simplices intersect.
+def relative_interiors_intersect(a: np.ndarray, b: np.ndarray) -> bool:
+    """Decide exactly whether the relative interiors of two simplices meet.
 
-    Solved as a small LP: find barycentric weights for both simplices that
-    meet in one point while keeping every weight at least ``t``; the interiors
-    intersect iff the optimal ``t`` is positive.  An infeasible LP means the
-    closed simplices are disjoint; any other solver failure (an iteration
-    limit, numerical trouble) raises :class:`SolverFailed` rather than
-    passing for a verdict.
+    With the vertices as the rows of A (n_a of them) and B (n_b), they meet
+    iff some x, y >= 0 give A^T (1 + x) = B^T (1 + y) and n_a + sum(x) =
+    n_b + sum(y) (divide 1 + x and 1 + y by that sum for positive weights
+    of one point): M (1 + z) = 0, z = (x, y) >= 0.  Phase 1 of the simplex
+    method decides it in ``Fraction``s, with one artificial per row of
+    M z = -M 1 (signed to a right side >= 0), dropped once it leaves the
+    basis, and Bland's rule, which cannot cycle (Bland, Math. Oper. Res. 2,
+    1977).  Floats are exact rationals, so the verdict is a proof for the
+    given coordinates, which must be finite and of one width.
     """
-    pa = np.asarray(a, dtype=float)
-    pb = np.asarray(b, dtype=float)
-    shift = np.mean(np.vstack([pa, pb]), axis=0)
-    scale = max(
-        float(np.max(np.abs(pa - shift))),
-        float(np.max(np.abs(pb - shift))),
-        1.0,
-    )
-    pa = (pa - shift) / scale
-    pb = (pb - shift) / scale
-    na, nb = pa.shape[0], pb.shape[0]
-    dim = pa.shape[1]
-    nvar = na + nb + 1
-    c = np.zeros(nvar)
-    c[-1] = -1.0
-    a_eq = np.zeros((dim + 2, nvar))
-    a_eq[:dim, :na] = pa.T
-    a_eq[:dim, na:na + nb] = -pb.T
-    a_eq[dim, :na] = 1.0
-    a_eq[dim + 1, na:na + nb] = 1.0
-    b_eq = np.zeros(dim + 2)
-    b_eq[dim] = 1.0
-    b_eq[dim + 1] = 1.0
-    a_ub = np.zeros((na + nb, nvar))
-    a_ub[:na, :na] = -np.eye(na)
-    a_ub[na:, na:na + nb] = -np.eye(nb)
-    a_ub[:, -1] = 1.0
-    b_ub = np.zeros(na + nb)
-    bounds = [(0.0, 1.0)] * (na + nb) + [(None, 1.0)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if res.status == 2:  # infeasible: the closed simplices are disjoint
-        return False
-    if not res.success:
-        raise SolverFailed(
-            f"interior-intersection LP stopped undecided "
-            f"(status {res.status}: {res.message})"
-        )
-    return float(res.x[-1]) > tol
+    pa, pb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if pa.shape[1] != pb.shape[1]:
+        raise AmbientMismatch(f"simplices of width {pa.shape[1]} and {pb.shape[1]}")
+    if not (np.isfinite(pa).all() and np.isfinite(pb).all()):
+        raise PreconditionViolated("simplex coordinates must be finite")
+    m = np.vstack([np.hstack([pa.T, -pb.T]), np.r_[np.ones(len(pa)), -np.ones(len(pb))]])
+    tab = []
+    for row in ([Fraction(v) for v in r] for r in m.tolist()):
+        rhs = -sum(row)
+        tab.append([-v for v in row] + [-rhs] if rhs < 0 else row + [rhs])
+    n = m.shape[1]
+    basis = list(range(n, n + len(tab)))  # the artificials come after z
+    cost = [-sum(col) for col in zip(*tab)]  # reduced costs, then -sum of artificials
+    while cost[-1] != 0:
+        enter = next((j for j in range(n) if cost[j] < 0), None)
+        if enter is None:
+            return False
+        # least ratio, ties to the least basic variable
+        _, _, leave = min((r[-1] / r[enter], basis[i], i)
+                          for i, r in enumerate(tab) if r[enter] > 0)
+        pivot = tab[leave]
+        pivot[:] = [v / pivot[enter] for v in pivot]
+        for r in (*tab, cost):
+            f = r[enter]
+            if r is not pivot and f:
+                r[:] = [v - f * p for v, p in zip(r, pivot)]
+        basis[leave] = enter
+    return True
 
 
 def _id_table(sims) -> tuple[np.ndarray, np.ndarray]:
@@ -738,7 +725,8 @@ def find_interior_overlap(simplices: list[tuple[int, ...]],
     complex's own table: image coordinates reuse this for embedding checks).
     Pairs in a face relation are skipped.  The rest are decided by a
     sweep-and-prune pass over bounding boxes, then the batched
-    separating-axis certificate (SAT), then the exact LP.  Before the LP a
+    separating-axis certificate (SAT), then the exact LP of
+    :func:`relative_interiors_intersect`.  Before the LP a
     pair whose vertices together are a listed simplex with ``rmin > tol *
     rmax`` is dropped, since two faces of one nondegenerate simplex meet
     exactly in their common face; SAT already certifies such pairs in R^2
@@ -751,10 +739,13 @@ def find_interior_overlap(simplices: list[tuple[int, ...]],
     lies in another dimension; for a ball it runs it on the closure of the
     boundary, after the orientation signs, since an orientation-keeping
     map that is injective on the boundary embeds the ball (the degree
-    argument stated there).  Both keep ``tol`` (the box pads and the
-    separation gaps), so the two may disagree only on a map within about
-    ``tol`` (1e-9 relative) of losing injectivity.
+    argument stated there).  Only the box pads, the SAT gaps and that
+    ``rmin`` bound keep ``tol`` (the LP is exact), so the two may disagree
+    only on a map within about ``tol`` (1e-9 relative) of losing
+    injectivity.  ``vertex_coords`` must be finite.
     """
+    if not np.isfinite(vertex_coords).all():
+        raise PreconditionViolated("vertex coordinates must be finite")
     sims = list(simplices)
     ids, sizes = _id_table(sims)
     first, second = _candidate_pairs(ids, sizes, vertex_coords, tol)
@@ -763,7 +754,7 @@ def find_interior_overlap(simplices: list[tuple[int, ...]],
     apart = _in_one_simplex(first, second, sims, vertex_coords, tol)
     for i, j in zip(first[~apart].tolist(), second[~apart].tolist()):
         if relative_interiors_intersect(vertex_coords[list(sims[i])],
-                                        vertex_coords[list(sims[j])], tol):
+                                        vertex_coords[list(sims[j])]):
             return sims[i], sims[j]
     return None
 
@@ -833,12 +824,18 @@ def _is_sphere(facets: np.ndarray) -> bool:
     faces, counts, owner = _ridges(facets)
     if (counts != 2).any():
         return False
-    graph = coo_matrix((np.ones(len(faces)), (owner[0::2], owner[1::2])),
-                       shape=(len(facets), len(facets)))
-    if connected_components(graph, directed=False)[0] != 1:
-        return False
-    return facets.shape[1] == 2 or \
-        len(np.unique(facets)) - len(faces) + len(facets) == 2
+    # connected: pass the least label across every ridge and jump pointers
+    # until nothing changes; a label stays a facet of the same component and
+    # never grows, so at the fixed point it is the component's least facet
+    u, v = owner[0::2], owner[1::2]
+    label, new = None, np.arange(len(facets))
+    while not np.array_equal(new, label):
+        label, new = new, new.copy()
+        np.minimum.at(new, u, label[v])
+        np.minimum.at(new, v, label[u])
+        new = new[new]
+    return not label.any() and (facets.shape[1] == 2 or
+                                len(np.unique(facets)) - len(faces) + len(facets) == 2)
 
 
 def _ball_of(complex_: SimplicialComplex) -> _Ball | None:
@@ -1009,22 +1006,27 @@ def compose_subdivisions(first: SubdivisionMap, second: SubdivisionMap) -> Subdi
 
     ``second`` must subdivide ``first.child``; the result maps
     ``second.child`` vertices onto supports over ``first.parent``: the
-    integer sparse product of the tables, over the product of denominators.
+    product of the integer tables over the product of denominators.  Each
+    term is gathered, multiplied and keyed by row * parent count + id, and
+    equal keys are summed in int64, exact below the 2**62 cap.
     """
     if second.parent is not first.child:
         raise DomainMismatch("subdivision maps do not chain")
     denominator = first.denominator * second.denominator
     if denominator > 2 ** 62:
         raise PreconditionViolated(f"subdivision denominator {denominator} passes 2**62")
-    a, b = (csr_matrix((m.weights[m.ids >= 0], (np.nonzero(m.ids >= 0)[0], m.ids[m.ids >= 0])),
-                       shape=(len(m.ids), m.parent.num_vertices)) for m in (second, first))
-    product = a @ b
-    product.sum_duplicates()  # sorts each row's ids
-    rows = np.repeat(np.arange(product.shape[0]), np.diff(product.indptr))
-    slot = np.arange(product.nnz) - product.indptr[rows]
-    ids = np.full((product.shape[0], slot.max(initial=-1) + 1), -1, dtype=np.int64)
+    inner = np.maximum(second.ids, 0)  # pads gather row 0 and are masked out
+    gids = first.ids[inner]
+    terms = (second.ids >= 0)[:, :, None] & (gids >= 0)
+    n = first.parent.num_vertices
+    keys, at = np.unique(np.nonzero(terms)[0] * n + gids[terms], return_inverse=True)
+    sums = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(sums, at, (second.weights[:, :, None] * first.weights[inner])[terms])
+    rows = keys // n
+    slot = np.arange(len(keys)) - np.searchsorted(rows, rows)
+    ids = np.full((len(second.ids), slot.max(initial=-1) + 1), -1, dtype=np.int64)
     weights = np.zeros_like(ids)
-    ids[rows, slot], weights[rows, slot] = product.indices, product.data
+    ids[rows, slot], weights[rows, slot] = keys % n, sums
     return SubdivisionMap(first.parent, second.child, ids, weights, denominator)
 
 

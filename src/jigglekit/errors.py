@@ -41,10 +41,6 @@ class PreconditionViolated(JiggleKitError):
     """A documented operation precondition failed."""
 
 
-class SolverFailed(JiggleKitError):
-    """A numerical solver stopped without deciding its problem."""
-
-
 class InfeasibleDimensions(JiggleKitError):
     """A flat to avoid fills the whole search domain; no margin can exist."""
 

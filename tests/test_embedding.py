@@ -10,7 +10,7 @@ complexes it must leave to the pairwise test, and the exact signs.
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
@@ -275,6 +275,75 @@ def test_ball_test_needs_the_euler_characteristic_in_r3():
     assert kuhn_cubes(ring)._ball is None
     assert kuhn_cubes(ring + [(1, 1, 0)])._ball is not None
     assert kuhn_cubes([(0, 0, 0), (1, 1, 1)])._ball is None  # cubes sharing a vertex
+
+
+def reference_is_sphere(facets) -> bool:
+    """``_is_sphere`` by breadth-first search: every ridge in two facets,
+    one component through the ridges, and for surfaces V - E + F = 2."""
+    facets = [tuple(f) for f in np.asarray(facets).tolist()]
+    holders = {}
+    for i, f in enumerate(facets):
+        for r in itertools.combinations(f, len(f) - 1):
+            holders.setdefault(r, []).append(i)
+    if not facets or any(len(h) != 2 for h in holders.values()):
+        return False
+    seen, queue = {0}, deque([0])
+    while queue:
+        f = facets[queue.popleft()]
+        for r in itertools.combinations(f, len(f) - 1):
+            fresh = set(holders[r]) - seen
+            seen |= fresh
+            queue.extend(fresh)
+    euler = len({v for f in facets for v in f}) - len(holders) + len(facets)
+    return len(seen) == len(facets) and (len(facets[0]) == 2 or euler == 2)
+
+
+def cycles(lengths, seed=None):
+    """Disjoint cycles of the given lengths as sorted edge rows, numbered
+    along each cycle, or with vertex ids and edge order shuffled by ``seed``."""
+    edges, start = [], 0
+    for n in lengths:
+        edges += [(start + k, start + (k + 1) % n) for k in range(n)]
+        start += n
+    ids = np.array(edges)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        ids = rng.permutation(start)[ids][rng.permutation(len(ids))]
+    return np.sort(ids, axis=1)
+
+
+def boundary(K):
+    faces, counts, _ = complexes._ridges(np.array(K.top_simplices))
+    return faces[counts == 1]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1], ids=["in-order", "shuffled-0", "shuffled-1"])
+@pytest.mark.parametrize("lengths", [[3], [5, 3], [4, 4, 7], [3, 6, 5, 9], [2000]],
+                         ids=lambda lengths: "-".join(map(str, lengths)))
+def test_sphere_test_agrees_with_a_search_on_cycles(lengths, seed):
+    """One long cycle numbered in order is the slowest case for label
+    propagation; only a single cycle is a 1-sphere."""
+    facets = cycles(lengths, seed)
+    assert complexes._is_sphere(facets) == reference_is_sphere(facets) == (len(lengths) == 1)
+
+
+BOUNDARIES = {
+    "annulus": (annulus, False),
+    "fan-disk": (lambda: fan_disk(7), True),
+    "u-shape": (u_shape, True),
+    "tetrahedron": (lambda: standard_simplex(3), True),
+    "box-level-1": (lambda: crystalline_subdivide(box_grid(1), 1)[0], True),
+    "solid-torus": (lambda: kuhn_cubes([(i, j, 0) for i in range(3) for j in range(3)
+                                        if (i, j) != (1, 1)]), False),
+    "cubes-sharing-a-vertex": (lambda: kuhn_cubes([(0, 0, 0), (1, 1, 1)]), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARIES))
+def test_sphere_test_agrees_with_a_search_on_boundaries(name):
+    make, expected = BOUNDARIES[name]
+    facets = boundary(make())
+    assert complexes._is_sphere(facets) == reference_is_sphere(facets) == expected
 
 
 NON_BALLS = {

@@ -8,9 +8,14 @@ whose imports are its public re-exports, are exempt), no import under
 under ``src/jigglekit`` that is not a method reads each of its parameters.
 Methods are exempt because an override may ignore an argument to stay
 call-compatible: ``SampledMap`` takes the ``hint`` that ``PLMap`` uses.
+The package needs numpy only: a fresh interpreter that imports it and its
+command line loads no scipy module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +117,12 @@ def test_checker_flags_an_unread_parameter():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_package_functions_read_their_parameters(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def test_the_package_loads_no_scipy():
+    code = ("import sys, jigglekit, jigglekit.cli\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"

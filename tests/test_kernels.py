@@ -134,7 +134,8 @@ def test_checker_flags_a_determinant_outside_its_home():
 # rationals stay at the edge: the subdivisions work on integer tables, and
 # (module, function) below are the only places a Fraction may be built
 FRACTION_HOMES = {("complexes", "SubdivisionMap.vertex_support"),
-                  ("complexes", "_exact_orientation")}
+                  ("complexes", "_exact_orientation"),
+                  ("complexes", "relative_interiors_intersect")}
 
 
 def _fraction(call: ast.Call):
