@@ -33,7 +33,6 @@ from .errors import (
     EmbeddingLost,
     JiggleKitError,
     LevelExhausted,
-    NotTransverse,
     PerturbationFailed,
     PreconditionViolated,
     SkeletonViolation,
@@ -47,7 +46,6 @@ from .plmaps import PLMap, SampledMap, is_piecewise_embedding, linearize
 from .transversality import (
     Distribution,
     TransversalityReport,
-    eps_margin,
     general_position,
     semitrans_margin,
     simplex_transverse,
@@ -66,7 +64,6 @@ __all__ = [
     "JigglingConfig",
     "JigglingOutcome",
     "LevelExhausted",
-    "NotTransverse",
     "PLMap",
     "PerturbationFailed",
     "Plane",
@@ -86,7 +83,6 @@ __all__ = [
     "compose_subdivisions",
     "crystalline_subdivide",
     "d_proj",
-    "eps_margin",
     "find_interior_overlap",
     "general_position",
     "is_piecewise_embedding",

@@ -294,7 +294,7 @@ def complex_to_dict(complex_: SimplicialComplex) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "complex",
         "ambient_dim": complex_.ambient_dim,
-        "vertices": [list(map(float, v)) for v in complex_.vertices],
+        "vertices": complex_.vertices.tolist(),
         "top_simplices": [list(s) for s in complex_.top_simplices],
     }
 
@@ -369,7 +369,7 @@ def outcome_to_dict(out: JigglingOutcome, mode: str) -> dict:
         "moved_count": out.moved_count,
         "config": out.config.to_json(),
         "out_complex": complex_to_dict(out.out_complex),
-        "images": [list(map(float, row)) for row in out.plmap.images],
+        "images": out.plmap.images.tolist(),
         "subdivision": subdivision_to_dict(out.subdivision),
         "report": out.report.to_json(),
     }

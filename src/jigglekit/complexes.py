@@ -129,21 +129,10 @@ def _span_distances(points: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(rel, rel))
 
 
-@dataclass(frozen=True)
-class ShapeStats:
-    """Shape numbers of a single simplex: rmin, the smallest distance from a
-    vertex to the affine span of its opposite facet (the smallest altitude);
-    rmax, the longest edge; and the coefficient amplification factor lam (how
-    large barycentric-direction coefficients can get for a unit
-    displacement)."""
-
-    rmin: float
-    rmax: float
-    lam: float
-
-
 def cell_radii(stack) -> tuple[np.ndarray, np.ndarray]:
-    """rmin and rmax (see :class:`ShapeStats`) of every simplex in a stack.
+    """rmin and rmax of every simplex in a stack: rmin, the smallest
+    distance from a vertex to the affine span of its opposite facet (the
+    smallest altitude), and rmax, the longest edge.
 
     ``stack`` has shape (S, k, N): S simplices of k >= 2 vertices in R^N.
     One stacked pass per vertex: rmax takes the norm of each edge
@@ -176,19 +165,28 @@ def _first_flat(rmin: np.ndarray, rmax: np.ndarray, simplices=None) -> None:
 
 
 def _lam(stack: np.ndarray) -> np.ndarray:
-    """Largest row norm of the pseudo-inverse of each edge matrix."""
+    """The coefficient amplification factor lam of each simplex in a stack:
+    the largest ``max_i |lambda_i|`` over coefficient vectors lambda with
+    ``|sum_i lambda_i (v_i - v_0)| = 1``, which for a non-degenerate
+    simplex is the largest row norm of the pseudo-inverse of its edge
+    matrix."""
     edges = np.swapaxes(stack[:, 1:] - stack[:, :1], 1, 2)  # S x N x m
     return np.linalg.norm(np.linalg.pinv(edges), axis=2).max(axis=1)
 
 
-def shape_stats(coords: np.ndarray) -> ShapeStats:
-    """Compute :class:`ShapeStats` for a simplex of dimension >= 1.
+@dataclass(frozen=True)
+class ShapeStats:
+    """Shape numbers of a single simplex: rmin and rmax as in
+    :func:`cell_radii`, lam as in :func:`_lam`."""
 
-    A stack of one for :func:`cell_radii`.  ``lam`` is the maximum over
-    coefficient vectors lambda with ``|sum_i lambda_i (v_i - v_0)| = 1`` of
-    ``max_i |lambda_i|``; for a non-degenerate simplex this equals the
-    largest Euclidean row norm of the pseudo-inverse of the edge matrix.
-    """
+    rmin: float
+    rmax: float
+    lam: float
+
+
+def shape_stats(coords: np.ndarray) -> ShapeStats:
+    """:class:`ShapeStats` of a simplex of dimension >= 1: a stack of one
+    of :func:`cell_radii` and :func:`_lam`."""
     pts = np.asarray(coords, dtype=float)[None]
     if pts.shape[1] < 2:
         raise DegenerateSimplex("shape_stats needs a simplex of dimension >= 1")
@@ -246,9 +244,11 @@ def _combinations(k: int, r: int) -> np.ndarray:
 
 def _face_tables(simplices: list, num_vertices: int):
     """Every face of the given simplices, per dimension d, as a read-only
-    (F, d+1) array of sorted vertex ids in increasing order of rows, and
-    the maximal faces (no proper face of another), sorted by decreasing
-    dimension and then in that order.
+    (F, d+1) array of sorted vertex ids in increasing order of rows; the
+    maximal faces (no proper face of another), sorted by decreasing
+    dimension and then in that order; and ``(face, owner)``, two arrays
+    with an entry per face of each simplex: the face's position in the
+    tables read in order of dimension, and the simplex's in ``simplices``.
 
     Raises for the first simplex (in order) with a repeated vertex or an id
     out of range.  The faces come from one combination table per (size,
@@ -275,10 +275,12 @@ def _face_tables(simplices: list, num_vertices: int):
             raise FaceIntersectionViolation(f"repeated vertex in simplex {simplices[i]}")
         raise QueryNotInComplex(f"vertex id out of range in {simplices[i]}")
     if not stacks:
-        return {}, ()
+        return {}, (), (_NO_IDS, _NO_IDS)
     width = max(stacks)
     parts = [(r, ids[:, _combinations(k, r)].reshape(-1, r), r < k)
              for k, ids in sorted(stacks.items()) for r in range(1, k + 1)]
+    owner = np.concatenate([np.repeat(by_size[k], len(_combinations(k, r)))
+                            for k in sorted(stacks) for r in range(1, k + 1)])
     rows = np.zeros((sum(len(f) for _, f, _ in parts), width + 1), dtype=">i8")
     proper = np.zeros(len(rows), dtype=bool)
     lo = 0
@@ -300,14 +302,16 @@ def _face_tables(simplices: list, num_vertices: int):
         tables[r - 1] = np.ascontiguousarray(unique[sel, 1:r + 1])
         tables[r - 1].setflags(write=False)
         tops += map(tuple, tables[r - 1][~covered[sel]].tolist())
-    return dict(sorted(tables.items())), tuple(tops)
+    return dict(sorted(tables.items())), tuple(tops), (inverse, owner)
 
 
 class SimplicialComplex:
     """A finite simplicial complex embedded in R^N.
 
-    Construct through :func:`build_complex`; the raw constructor trusts its
-    input (used by the subdivision code, which is correct by construction).
+    Construct through :func:`build_complex`; the raw constructor checks the
+    vertex table (its shape, finite coordinates) and the simplex ids, and
+    trusts the geometry (used by the subdivision code, which is correct by
+    construction).
     """
 
     def __init__(self, ambient_dim: int, vertices: np.ndarray,
@@ -320,7 +324,11 @@ class SimplicialComplex:
                 f"vertex table has shape {self.vertices.shape}, expected "
                 f"(*, {self.ambient_dim})"
             )
-        self._faces, self._tops = _face_tables(list(top_simplices), len(self.vertices))
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if bad.size:
+            raise PreconditionViolated(
+                f"vertex {bad[0]} has non-finite coordinates {self.vertices[bad[0]].tolist()}")
+        self._faces, self._tops, _ = _face_tables(list(top_simplices), len(self.vertices))
         self._simplices: dict[int, tuple[tuple[int, ...], ...]] = {
             d: tuple(map(tuple, ids.tolist())) for d, ids in self._faces.items()
         }

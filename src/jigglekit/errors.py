@@ -33,10 +33,6 @@ class DomainMismatch(JiggleKitError):
     """Two maps do not share a common refinement we know how to build."""
 
 
-class NotTransverse(JiggleKitError):
-    """A transversality precondition failed."""
-
-
 class PreconditionViolated(JiggleKitError):
     """A documented operation precondition failed."""
 
@@ -45,7 +41,7 @@ class InfeasibleDimensions(JiggleKitError):
     """A flat to avoid fills the whole search domain; no margin can exist."""
 
 
-class StarNotTransverse(NotTransverse):
+class StarNotTransverse(JiggleKitError):
     """A star simplex is not transverse to a foliation it must be joined to."""
 
 

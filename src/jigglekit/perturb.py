@@ -2,17 +2,18 @@
 
 The core primitive moves one point inside a budget ball (optionally pinned to
 an affine flat H) so that its projections into one or more quotient spaces
-avoid finitely many affine flats, maximizing the worst-case clearance.  On
-top of that, ``perturb_vertex`` runs the dimension induction: joins with
-0-dimensional pieces of the star first, then 1-dimensional ones, and so on,
-each stage searching inside the clearance ball of the previous stage so the
-final ball is nested in all earlier ones.
+avoid finitely many affine flats, maximizing the worst-case clearance
+(:func:`_avoid_flats`).  On top of that, :func:`_perturb_vertices` runs the
+dimension induction: joins with 0-dimensional pieces of the star first, then
+1-dimensional ones, and so on, each stage searching inside the clearance ball
+of the previous stage so the final ball is nested in all earlier ones.
 
 Each step works on a stack of independent vertices at once
 (:func:`_perturb_vertices`, :func:`_avoid_flats`, :func:`_join_margins`), bit
-for bit what a loop over them gives; the public functions are stacks of one.
-A stacked kernel returns, in place of a result, the exception its vertex
-would raise, so a caller can raise the one that a loop would meet first.
+for bit what a loop over them gives; ``avoid_flats`` and ``perturb_vertex``
+are stacks of one.  A stacked kernel returns, in place of a result, the
+exception its vertex would raise, so a caller can raise the one that a loop
+would meet first.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .grassmann import (
     AffineFlat,
     _project_flat,
     _rejection_norms,
+    _transverse,
     affine_span,
-    is_transverse_planes,
 )
 from .transversality import (
     _join_error,
@@ -130,21 +131,8 @@ def _stack(arrays: list, c_order: bool) -> np.ndarray:
 def avoid_flats(p, epsilon: float, flats, quotients=None,
                 constraint_flat: AffineFlat | None = None,
                 seed: int = 0, samples: int = 64):
-    """Move p within an epsilon-ball to clear a list of affine flats.
-
-    ``flats[i]`` is avoided inside the quotient by ``quotients[i]`` (a Plane,
-    or None for the ambient space).  The returned pair ``(p', delta)``
-    satisfies the nested-ball contract: |p'-p| + delta <= epsilon, and the
-    open ball of radius delta around each projection of p' misses its flat.
-    delta is the best clearance the seeded search found, not a supremum.
-
-    The search scores ``samples`` seeded points of the ball and keeps the
-    first strictly better one, then refines along the search axes with
-    shrinking steps, accepting the first improving move of each sweep.
-    Candidates are scored in stacks, each with the bits of a point-by-point
-    evaluation, so the result is that of the sequential search.  A stack of
-    one of :func:`_avoid_flats`.
-    """
+    """Move p within an epsilon-ball to clear a list of affine flats: a
+    stack of one of :func:`_avoid_flats`, returning ``(p', delta)``."""
     return _one(_avoid_flats([(p, epsilon, flats, quotients, constraint_flat,
                                seed, samples)]))
 
@@ -173,9 +161,8 @@ class _Search:
 
 def _plan(searches: list) -> None:
     """Project every flat into its quotient and find each quotient's search
-    dimension, as :func:`avoid_flats` does flat by flat: the first flat
-    (in order) whose projection fails, or that fills its projected search
-    domain, sets the search's error.
+    dimension: the first flat (in order) whose projection fails, or that
+    fills its projected search domain, sets the search's error.
 
     Points in a quotient are projected by one stacked product per quotient
     dimension, and the search dimensions come from one stacked SVD per
@@ -275,9 +262,8 @@ def _objective(qs: np.ndarray, owner: np.ndarray, points: np.ndarray,
 
     Per kind, each (candidate, group) pair is projected by its own stacked
     product and measured against the group's flats by
-    :func:`_rejection_norms`, as ``avoid_flats`` measures one search's
-    candidates against one group, so every value has the point-by-point
-    bits.
+    :func:`_rejection_norms`, as one search's candidates are measured
+    against one group, so every value has the point-by-point bits.
     """
     rel = qs - points[owner]
     dist = np.sqrt(np.vecdot(rel, rel))
@@ -300,9 +286,17 @@ def _objective(qs: np.ndarray, owner: np.ndarray, points: np.ndarray,
 
 
 def _avoid_flats(problems: list) -> list:
-    """:func:`avoid_flats` of each problem ``(p, epsilon, flats, quotients,
-    constraint_flat, seed, samples)``, bit for bit: per problem ``(q,
-    delta)``, or the exception that avoid_flats raises for it.
+    """Move each problem's point p within its epsilon-ball to clear a list
+    of affine flats; a problem is ``(p, epsilon, flats, quotients,
+    constraint_flat, seed, samples)``, and ``flats[i]`` is avoided inside
+    the quotient by ``quotients[i]`` (a Plane, or None for the ambient
+    space).  Returns per problem ``(q, delta)`` with |q-p| + delta <=
+    epsilon such that the open delta-ball around each projection of q
+    misses its flat (the nested-ball contract), or the exception its search
+    raises.  delta is the best clearance the seeded search found: it scores
+    ``samples`` seeded points of the ball, keeping the first strictly
+    better one, then refines along the search axes with shrinking steps,
+    taking the first improving move of each sweep, as it does run alone.
 
     The searches run in lockstep.  Their seeded samples are one stack per
     search dimension and basis memory order, each search keeping its own
@@ -515,7 +509,8 @@ def _join_margins(jobs: list) -> list:
 
 
 def _star_errors(jobs: list) -> list:
-    """The error :func:`perturb_vertex` raises before its search, per job
+    """The error a vertex of :func:`_perturb_vertices` meets before its
+    search, per job
     ``(stars, star_folis, folis, constraint_flat)``, or None.
 
     For each foliation u in turn: the first star simplex of u that is
@@ -565,7 +560,7 @@ def _first_star_error(j, stars, star_folis, folis, constraint, verdicts):
                     f"to foliation {u}"
                 )
         if constraint is not None and constraint.direction is not None:
-            if not is_transverse_planes(constraint.direction, v):
+            if not _transverse(constraint.direction.basis[None], v)[0]:
                 return PreconditionViolated(
                     f"constraint flat is not transverse to foliation {u}"
                 )
@@ -573,7 +568,7 @@ def _first_star_error(j, stars, star_folis, folis, constraint, verdicts):
 
 
 def _stage_flats(stars, star_folis, folis, d: int):
-    """The flats of stage d of :func:`perturb_vertex` and their quotients:
+    """The flats of stage d of :func:`_perturb_vertices` and their quotients:
     the affine span of every face of d vertices of a star simplex, once
     per foliation and set of rounded coordinates, in (foliation, simplex,
     face) order."""
@@ -608,15 +603,8 @@ def _stage_flats(stars, star_folis, folis, d: int):
 
 
 def perturb_vertex(req: PerturbationRequest) -> PerturbationResult:
-    """Perturb one point so all joins with the star become semitransverse.
-
-    Runs the staged induction over join dimensions d = 1, 2, ...: stage d
-    clears the projected affine spans of all (d-1)-dimensional faces of the
-    star simplices, searching inside the clearance ball left by stage d-1.
-    The per-dimension margins are therefore non-increasing and the final
-    point carries a certificate listing the realized margin of every join.
-    A stack of one of :func:`_perturb_vertices`.
-    """
+    """Perturb one point so all joins with the star become semitransverse:
+    a stack of one of :func:`_perturb_vertices`."""
     return _one(_perturb_vertices([req]))
 
 
@@ -642,8 +630,13 @@ class _Vertex:
 
 
 def _perturb_vertices(reqs: list) -> list:
-    """:func:`perturb_vertex` of each request, bit for bit: per request its
-    :class:`PerturbationResult`, or the exception perturb_vertex raises.
+    """Perturb each request's point so all joins with its star become
+    semitransverse: per request its :class:`PerturbationResult`, or the
+    exception the request meets, bit for bit what it gets alone.  Stage d
+    of the induction clears the projected affine spans of the
+    (d-1)-dimensional star faces inside the ball left by stage d-1, so the
+    per-dimension margins are non-increasing; the certificate lists the
+    realized margin of every join.
 
     The star checks of all requests are one :func:`_star_errors` pass.
     The stages run in lockstep: stage d of every request that has one is

@@ -5,26 +5,28 @@ movable apex) is from failing transversality against a constant foliation
 F(V) or a varying plane distribution xi.  Margins come in two currencies:
 
 * ``semitrans_margin``: a length; how far the apex of a join may move.
-* ``eps_margin``: a Grassmannian distance; how far the simplex's plane may
-  move.  The value returned is a certified lower bound (smallest principal
-  angle), never an estimate from sampling.
+* the eps margin of a face (``general_position``, the report's records): a
+  Grassmannian distance; any plane within this d_proj distance of the
+  face's plane Gr is still transverse to V.  It is the sine of the smallest
+  principal angle between the two subspaces: for a unit vector w in D cap V
+  one has d_proj(Gr, D) >= dist(w, Gr) >= sin(theta_min).  So it is a
+  certified lower bound, never an estimate from sampling.
+
+``transversality_report`` judges every face of a mapped complex and keeps
+the verdicts and margins as columns aligned with its records.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import _combinations
-from .errors import (
-    DegenerateSimplex,
-    NotTransverse,
-    PreconditionViolated,
-    QueryNotInComplex,
-)
+from .complexes import _combinations, _face_tables
+from .errors import DegenerateSimplex, PreconditionViolated, QueryNotInComplex
 from .grassmann import (
     RANK_REL_TOL,
     AffineFlat,
@@ -105,18 +107,13 @@ def barycentric_lattice(num_vertices: int, depth: int) -> np.ndarray:
     return weights
 
 
-def sample_points(coords: np.ndarray, depth: int) -> np.ndarray:
-    weights = barycentric_lattice(coords.shape[-2], depth)
-    return weights @ coords
-
-
 def probe_points(coords: np.ndarray, xi: Distribution, depth: int) -> np.ndarray:
     """Where xi is probed over a simplex, or each of a stack of simplices:
     one vertex for a constant field (the plane is the same everywhere), the
     depth-``depth`` barycentric lattice otherwise."""
     if xi.kind == "constant":
         return coords[..., :1, :]
-    return sample_points(coords, depth)
+    return barycentric_lattice(coords.shape[-2], depth) @ coords
 
 
 # ---------------------------------------------------------------------------
@@ -142,21 +139,17 @@ def _degenerate(rank: int, dim: int) -> DegenerateSimplex:
     return DegenerateSimplex(f"simplex directions are dependent (rank {rank} of {dim})")
 
 
-def _face_basis(coords: np.ndarray) -> np.ndarray:
-    """:func:`_face_bases` of one simplex of dimension >= 1, raising
-    :class:`DegenerateSimplex` where it is degenerate."""
+def simplex_plane(coords: np.ndarray) -> Plane:
+    """The direction plane Gr of a simplex of dimension >= 1: a stack of
+    one of :func:`_face_bases`, raising :class:`DegenerateSimplex` where
+    the simplex is degenerate."""
     pts = np.asarray(coords, dtype=float)
     if pts.shape[0] < 2:
         raise DegenerateSimplex("a 0-simplex has no direction plane")
     bases, ranks = _face_bases(pts[None])
     if ranks[0] < bases.shape[1]:
         raise _degenerate(int(ranks[0]), bases.shape[1])
-    return bases[0]
-
-
-def simplex_plane(coords: np.ndarray) -> Plane:
-    """The direction plane Gr of a simplex of dimension >= 1."""
-    return Plane(_face_basis(coords))
+    return Plane(bases[0])
 
 
 def simplex_transverse(coords: np.ndarray, v: Plane,
@@ -201,29 +194,6 @@ def _transverse_stack(stack: np.ndarray, v, tol: float = RANK_REL_TOL):
     return ~degenerate & _transverse(bases, v, tol), degenerate
 
 
-def eps_margin(coords: np.ndarray, v: Plane) -> float:
-    """Certified radius of transversality in the d_proj metric.
-
-    Any plane within this d_proj distance of the simplex's plane is still
-    transverse to V.  Computed as the sine of the smallest principal angle
-    between the two subspaces: for a unit vector w in D cap V one has
-    d_proj(Gr, D) >= dist(w, Gr) >= sin(theta_min).  Returns infinity for
-    0-simplices (nothing can fail).
-    """
-    pts = np.asarray(coords, dtype=float)
-    dim = pts.shape[0] - 1
-    if dim == 0:
-        return np.inf
-    if dim > v.ambient_dim - v.rank:
-        raise PreconditionViolated(
-            "eps_margin expects dim <= n-k; use faces for larger simplices"
-        )
-    transverse, margin = _transverse(_face_basis(pts)[None], v, margins=True)
-    if not transverse[0]:
-        raise NotTransverse("simplex plane is not transverse to V")
-    return float(margin[0])
-
-
 # ---------------------------------------------------------------------------
 # joins with a movable apex
 # ---------------------------------------------------------------------------
@@ -240,13 +210,6 @@ def _check_join_dimension(coords, v: Plane) -> np.ndarray:
     return pts
 
 
-def _check_join_preconditions(p, coords, v: Plane):
-    pts = _check_join_dimension(coords, v)
-    if not simplex_transverse(pts, v):
-        raise PreconditionViolated("base simplex is not transverse to F(V)")
-    return np.asarray(p, dtype=float), pts
-
-
 def join_transverse_by_projection(p, coords, v: Plane,
                                   tol: float = RANK_REL_TOL) -> bool:
     """Transversality of the join <p, Delta> decided by projection criteria.
@@ -256,7 +219,9 @@ def join_transverse_by_projection(p, coords, v: Plane,
     and symmetrically p's image under the quotient by Delta's directions
     must avoid the projected V (anchored at a vertex of Delta).
     """
-    point, pts = _check_join_preconditions(p, coords, v)
+    point, pts = np.asarray(p, dtype=float), _check_join_dimension(coords, v)
+    if not simplex_transverse(pts, v):
+        raise PreconditionViolated("base simplex is not transverse to F(V)")
     bar = tol * _scale(point, pts)
     crit_v = semitrans_margin(point, pts, v) > bar
 
@@ -356,8 +321,9 @@ def general_position(coords: np.ndarray, xi: Distribution,
     stratified transverse at every probe.  Only faces of dimension <= n-k are
     tested: a larger face is transverse exactly when one of its (n-k)-faces
     is, and for n-k = 0 every simplex of dimension >= 1 fails.  Returns
-    ``(ok, margin)`` where margin is the smallest certified eps_margin of
-    those faces.  A face's verdict is one float SVD of its basis stacked
+    ``(ok, margin)`` where margin is the smallest eps margin of those
+    faces: the sine of the smallest principal angle between the face's
+    plane and xi(x).  A face's verdict is one float SVD of its basis stacked
     with xi(x)'s, where singular values at most ``tol`` times the largest
     count as lost rank.  For a constant field that test runs at a single
     probe, for a varying field at every sampled probe; neither is a proof
@@ -627,31 +593,20 @@ def transfer_margins(kind: str, gamma: float = 0.0, beta: float = 0.0,
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SimplexRecord:
-    simplex: tuple
-    dim: int
-    transverse: bool
-    eps_margin: float
-    semitrans_margin: float | None = None
-    general_position: bool | None = None
-    certified: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "simplex": list(self.simplex),
-            "dim": self.dim,
-            "transverse": self.transverse,
-            "eps_margin": None if np.isinf(self.eps_margin) else self.eps_margin,
-            "semitrans_margin": self.semitrans_margin,
-            "general_position": self.general_position,
-            "certified": self.certified,
-        }
-
-
-@dataclass
+@dataclass(eq=False)
 class TransversalityReport:
-    records: list[SimplexRecord] = field(default_factory=list)
+    """Per-simplex transversality records, as columns.
+
+    ``records`` lists the examined simplices, by dimension and then in id
+    order; ``transverse``, ``eps_margin`` and ``semitrans_margin`` are
+    arrays aligned with it.  A record's ``semitrans_margin`` is its
+    certificate, NaN where it holds none.
+    """
+
+    records: list[tuple[int, ...]]
+    transverse: np.ndarray
+    eps_margin: np.ndarray
+    semitrans_margin: np.ndarray
     min_eps_margin: float = np.inf
     min_semitrans_margin: float | None = None
     margin_tol: float = 0.0
@@ -659,14 +614,52 @@ class TransversalityReport:
     passed: bool = False
 
     def to_json(self) -> dict:
+        rows = zip(self.records, self.transverse.tolist(), self.eps_margin.tolist(),
+                   self.semitrans_margin.tolist())
         return {
-            "records": [r.to_json() for r in self.records],
+            "records": [{
+                "simplex": list(s),
+                "dim": len(s) - 1,
+                "transverse": ok,
+                "eps_margin": None if math.isinf(eps) else eps,
+                "semitrans_margin": None if math.isnan(semi) else semi,
+                "general_position": ok if len(s) > 1 else None,
+                "certified": not math.isnan(semi),
+            } for s, ok, eps, semi in rows],
             "min_eps_margin": None if np.isinf(self.min_eps_margin) else self.min_eps_margin,
             "min_semitrans_margin": self.min_semitrans_margin,
             "margin_tol": self.margin_tol,
             "sampled": self.sampled,
             "pass": self.passed,
         }
+
+
+def _record_pairs(complex_, xi):
+    """The records of a report and its (record, field) pairs in loop order.
+
+    Returns ``(tables, fields, rec, which)``: the records as one id table
+    per dimension, the distinct fields (none when there is no record), and
+    per pair its record's position and its field's index.  For one field
+    the records are the complex's own face tables, one pair each.  For a
+    dict they are the :func:`_face_tables` of the examined tops, each
+    paired with the distinct fields of the tops holding it in the order of
+    the first such top.
+    """
+    if isinstance(xi, Distribution):
+        tables = [complex_._face_ids(d) for d in range(complex_.dim + 1)]
+        count = sum(map(len, tables))
+        return tables, [xi] if count else [], np.arange(count), np.zeros(count, dtype=np.intp)
+    unknown = set(xi) - set(complex_.top_simplices)
+    if unknown:
+        raise QueryNotInComplex(f"{sorted(unknown)} are not top simplices")
+    index: dict = {}
+    top_field = np.array([index.setdefault(f, len(index)) for f in xi.values()], dtype=np.intp)
+    tables, _, (face, top) = _face_tables(list(xi), len(complex_.vertices))
+    # by record, then by top: each (record, field) first at its first top
+    order = np.lexsort((top, face))
+    _, first = np.unique((face * len(index) + top_field[top])[order], return_index=True)
+    keep = order[np.sort(first)]
+    return list(tables.values()), list(index), face[keep], top_field[top[keep]]
 
 
 def transversality_report(complex_, vertex_images: np.ndarray,
@@ -685,58 +678,37 @@ def transversality_report(complex_, vertex_images: np.ndarray,
     semitransversality margins per simplex (from the perturbation search);
     records holding one are marked certified.
 
-    Faces shared between records are judged once: within one call, each
-    field plane, face plane and face margin is computed once, keyed by the
-    exact bytes of its inputs, so every record equals what
-    ``general_position`` returns for it on its own.
+    Every (record, field) pair goes through one :func:`_general_positions`
+    call, which judges a face shared between records once, so every record
+    equals what ``general_position`` returns for it on its own.
     """
-    certificates = certificates or {}
-    fields = dict.fromkeys(complex_.top_simplices, xi) \
-        if isinstance(xi, Distribution) else xi
-    unknown = set(fields) - set(complex_.top_simplices)
-    if unknown:
-        raise QueryNotInComplex(f"{sorted(unknown)} are not top simplices")
-    face_fields: dict[tuple, dict] = {}
-    for top, dist in fields.items():
-        for r in range(1, len(top) + 1):
-            for face in itertools.combinations(top, r):
-                face_fields.setdefault(face, {})[dist] = None
-    report = TransversalityReport(
-        margin_tol=margin_tol,
-        sampled=any(d.kind != "constant" for d in fields.values()))
-    records = sorted(face_fields, key=lambda t: (len(t), t))
-    members: dict[tuple, tuple[list, list]] = {}
-    position = itertools.count()
-    for s in records:
-        for d in face_fields[s]:
-            order, simplices = members.setdefault((len(s), d), ([], []))
-            order.append(next(position))
-            simplices.append(s)
+    tables, fields, rec, which = _record_pairs(complex_, xi)
     images = np.asarray(vertex_images, dtype=float)
-    verdict, margins = _general_positions(
-        [(np.array(order), images[np.array(simplices)], d)
-         for (_, d), (order, simplices) in members.items()],
-        sample_depth, RANK_REL_TOL)
+    lengths = [len(t) for t in tables]
+    offsets = np.cumsum([0] + lengths)
+    sizes = np.repeat(np.arange(1, len(tables) + 1), lengths)
+    # one group per (record size, field), its pairs in loop order
+    key = (sizes[rec] - 1) * len(fields) + which
+    order = np.argsort(key, kind="stable")
+    heads = np.flatnonzero(np.diff(key[order], prepend=-1)).tolist()
+    groups = []
+    for lo, hi in zip(heads, heads[1:] + [len(order)]):
+        d, f = divmod(int(key[order[lo]]), len(fields))
+        pairs = order[lo:hi]
+        groups.append((pairs, images[tables[d][rec[pairs] - offsets[d]]], fields[f]))
+    verdict, margins = _general_positions(groups, sample_depth, RANK_REL_TOL)
     # each record's pairs are consecutive: it holds when they all do
-    starts = np.cumsum([0] + [len(face_fields[s]) for s in records[:-1]])
-    held = np.logical_and.reduceat(verdict, starts) if records else verdict
-    eps = np.where(held, np.minimum.reduceat(margins, starts), 0.0) if records else margins
-    min_semi = None
-    for s, ok, eps_margin in zip(records, held.tolist(), eps.tolist()):
-        cert = certificates.get(s)
-        semi = None
-        if cert is not None:
-            semi = float(cert)
-            min_semi = semi if min_semi is None else min(min_semi, semi)
-        report.records.append(SimplexRecord(
-            simplex=s, dim=len(s) - 1, transverse=ok, eps_margin=eps_margin,
-            semitrans_margin=semi,
-            general_position=ok if len(s) - 1 >= 1 else None,
-            certified=cert is not None,
-        ))
-    positive = np.array([len(s) >= 2 for s in records], dtype=bool)
-    min_eps = float(eps[positive].min(initial=np.inf))
-    report.min_eps_margin = min_eps
-    report.min_semitrans_margin = min_semi
-    report.passed = bool(held.all() and min_eps > margin_tol)
-    return report
+    starts = np.flatnonzero(np.diff(rec, prepend=-1))
+    held = np.logical_and.reduceat(verdict, starts)
+    eps = np.where(held, np.minimum.reduceat(margins, starts), 0.0)
+    records = [s for t in tables for s in map(tuple, t.tolist())]
+    certificate = (certificates or {}).get
+    semi = np.array([certificate(s, np.nan) for s in records], dtype=float)
+    certified = semi[~np.isnan(semi)]
+    min_eps = float(eps[sizes >= 2].min(initial=np.inf))
+    return TransversalityReport(
+        records=records, transverse=held, eps_margin=eps, semitrans_margin=semi,
+        min_eps_margin=min_eps,
+        min_semitrans_margin=float(certified.min()) if len(certified) else None,
+        margin_tol=margin_tol, sampled=any(d.kind != "constant" for d in fields),
+        passed=bool(held.all() and min_eps > margin_tol))

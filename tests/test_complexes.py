@@ -13,9 +13,11 @@ from jigglekit.cli import box_grid, standard_simplex, unit_square_grid
 from jigglekit.complexes import (
     SimplicialComplex,
     _candidate_pairs,
-    _span_distances,
+    _first_flat,
     _id_table,
+    _lam,
     _sat_group,
+    _span_distances,
     barycentric_coordinates,
     barycentric_subdivide,
     build_complex,
@@ -64,18 +66,25 @@ def test_simplex_volume_known_shapes():
     assert simplex_volume(np.array([[2.0, 1.0]])) == 0.0  # points carry no volume
 
 
+def shape_numbers(coords):
+    """rmin, rmax and lam of one simplex, from the stacked passes."""
+    stack = np.asarray(coords, dtype=float)[None]
+    (rmin,), (rmax,) = cell_radii(stack)
+    return rmin, rmax, _lam(stack)[0]
+
+
 def test_shape_stats_right_triangle():
-    st_ = shape_stats(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    assert st_.rmax == pytest.approx(math.sqrt(2.0))
-    assert st_.rmin == pytest.approx(1.0 / math.sqrt(2.0))
-    assert st_.lam == pytest.approx(1.0)
+    rmin, rmax, lam = shape_numbers([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert rmax == pytest.approx(math.sqrt(2.0))
+    assert rmin == pytest.approx(1.0 / math.sqrt(2.0))
+    assert lam == pytest.approx(1.0)
 
 
 def test_shape_stats_corner_tetrahedron():
-    st_ = shape_stats(np.vstack([np.zeros(3), np.eye(3)]))
-    assert st_.rmax == pytest.approx(math.sqrt(2.0))
-    assert st_.rmin == pytest.approx(0.577350269189626)
-    assert st_.lam == pytest.approx(1.0)
+    rmin, rmax, lam = shape_numbers(np.vstack([np.zeros(3), np.eye(3)]))
+    assert rmax == pytest.approx(math.sqrt(2.0))
+    assert rmin == pytest.approx(0.577350269189626)
+    assert lam == pytest.approx(1.0)
 
 
 def test_build_complex_rejects_interior_overlap():
@@ -300,6 +309,16 @@ def test_the_pairwise_test_rejects_non_finite_coordinates(dim, bad):
         relative_interiors_intersect(verts[:3], verts[1:])
 
 
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_complex_rejects_non_finite_vertices(bad, validate):
+    with pytest.raises(PreconditionViolated, match="vertex 2 has non-finite"):
+        build_complex(2, [[0.0, 0.0], [1.0, 0.0], [bad, 1.0]], [(0, 1, 2)],
+                      validate=validate)
+    with pytest.raises(PreconditionViolated, match="vertex 0 has non-finite"):
+        SimplicialComplex(1, [[bad]], [(0,)])
+
+
 @pytest.mark.parametrize("dim", [2, 4])
 def test_relative_interiors_need_one_width(dim):
     tri = np.vstack([np.zeros(dim), np.eye(dim)[:2]])
@@ -339,7 +358,7 @@ def _proper_pair(a, b):
     for c in (a, b):
         try:
             if len(c) > 1:
-                shape_stats(c)
+                _first_flat(*cell_radii(c[None]), [c])
         except DegenerateSimplex:
             return False
     rows_a, rows_b = set(map(tuple, a)), set(map(tuple, b))
@@ -477,8 +496,8 @@ def test_coords_roundtrip():
 
 
 def reference_radii(coords):
-    """rmin and rmax the way shape_stats measured one cell before the
-    stacked pass: np.linalg.norm of each edge, and point_to_affine_span
+    """rmin and rmax the way one cell was measured before the stacked
+    pass: np.linalg.norm of each edge, and point_to_affine_span
     from each vertex to its opposite facet."""
     pts = np.asarray(coords, dtype=float)
     rmax = 0.0
@@ -524,15 +543,21 @@ def test_stacked_radii_equal_the_per_cell_loops(seed):
 
 
 def test_shape_stats_is_a_stack_of_one():
+    """A cell alone gets the loop's radii, and is rejected as flat exactly
+    when its rmin is at most 1e-12 rmax; shape_stats gives the same."""
     for stack in random_stacks(3):
         for cell in stack[:3]:
-            try:
+            rmin, rmax = reference_radii(cell)
+            assert shape_numbers(cell)[:2] == (rmin, rmax)
+            if rmin > 1e-12 * rmax:
+                _first_flat(*cell_radii(cell[None]), [cell])
                 stats = shape_stats(cell)
-            except DegenerateSimplex:
-                rmin, rmax = reference_radii(cell)
-                assert not rmin > 1e-12 * rmax
-                continue
-            assert (stats.rmin, stats.rmax) == reference_radii(cell)
+                assert (stats.rmin, stats.rmax, stats.lam) == shape_numbers(cell)
+            else:
+                with pytest.raises(DegenerateSimplex):
+                    _first_flat(*cell_radii(cell[None]), [cell])
+                with pytest.raises(DegenerateSimplex):
+                    shape_stats(cell)
 
 
 @pytest.mark.parametrize("name", ["tower-4", "box-2"])

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -93,7 +92,7 @@ def test_config_rejects_a_negative_vertex_budget():
                                    "level"])
 @pytest.mark.parametrize("value", [2.5, True, "2"])
 def test_config_rejects_non_integer_counts(field, value):
-    # samples=2.5 used to die later with a bare TypeError in avoid_flats, and
+    # samples=2.5 used to die later with a bare TypeError in the vertex search, and
     # level=2.5 was truncated to 2
     with pytest.raises(PreconditionViolated, match=f"{field} must be an integer"):
         JigglingConfig(gamma=0.2, **{field: value})
@@ -420,6 +419,14 @@ def two_top_scene():
     return unit_square_grid(1), unit_square_grid(2), fields
 
 
+def record_rows(report):
+    """(simplex, transverse, eps_margin, certificate or None) per record."""
+    return [(s, ok, eps, None if math.isnan(semi) else semi)
+            for s, ok, eps, semi in zip(report.records, report.transverse.tolist(),
+                                        report.eps_margin.tolist(),
+                                        report.semitrans_margin.tolist())]
+
+
 def reference_subdivision_report(out, parent, fields, certificates):
     """The report as one call per parent top, each restricted to that top's
     cells, records concatenated: a face shared by two tops is listed once
@@ -456,19 +463,15 @@ def test_subdivision_reports_a_face_of_two_tops_once(monkeypatch):
     parts = reference_subdivision_report(out, parent, fields, certificates[0])
     assert sum(len(p.records) for p in parts) == 626
     merged = {}
-    for rec in (r for p in parts for r in p.records):
-        seen = merged.get(rec.simplex)
+    for s, ok, eps, semi in (r for p in parts for r in record_rows(p)):
+        seen = merged.get(s)
         if seen is not None:
-            rec = dataclasses.replace(
-                seen, transverse=seen.transverse and rec.transverse,
-                eps_margin=min(seen.eps_margin, rec.eps_margin),
-                general_position=None if rec.general_position is None
-                else seen.general_position and rec.general_position)
-        merged[rec.simplex] = rec
+            assert seen[3] == semi
+            ok, eps = seen[1] and ok, min(seen[2], eps)
+        merged[s] = (s, ok, eps, semi)
     report = out.report
     assert len(report.records) == 609
-    assert report.records == sorted(merged.values(),
-                                    key=lambda r: (len(r.simplex), r.simplex))
+    assert record_rows(report) == sorted(merged.values(), key=lambda r: (len(r[0]), r[0]))
     assert report.min_eps_margin == min(p.min_eps_margin for p in parts)
     assert report.min_semitrans_margin == min(p.min_semitrans_margin for p in parts)
     assert report.passed is all(p.passed for p in parts) is True
@@ -533,9 +536,9 @@ def test_relative_collar_auto_raises_level_and_freezes_b():
     assert all(np.array_equal(img[v], child.vertices[v]) for v in frozen)
 
 
-# The small scenes of the benchmark at seed 0, and the sha256 of the bundle
-# each writes through ``jigglekit jiggle``: a speedup must keep them byte for
-# byte.
+# The small scenes of the benchmark at seed 0, and relative mode with a
+# nonempty B, and the sha256 of the bundle each writes through ``jigglekit
+# jiggle``: a speedup must keep them byte for byte.
 _FAN_PARENT = {"ambient_dim": 2, "vertices": [[0, 0], [2, 3], [4, 1]],
                "top_simplices": [[0, 1, 2]]}
 _FAN = {"ambient_dim": 2,
@@ -562,6 +565,13 @@ BUNDLE_PINS = [
                                                       1.0 / math.sqrt(2.0)]]},
       "config": {"gamma": 0.2, "level": 1, "seed": 0}, "a": [[0, 4]]},
      "c5fc6c06e6645ac57b682199ba7f3c69d42b1e2342e515ee3191ed5fcf99563b"),
+    # the report examines only the tops that leave the collar of B
+    ("relative",
+     {"complex": "strip(3)",
+      "distribution": {"type": "constant", "basis": [[1.0 / math.sqrt(2.0),
+                                                      1.0 / math.sqrt(2.0)]]},
+      "config": {"gamma": 0.2, "seed": 0}, "b": [[3, 7]], "v_radius": 0.3},
+     "d52a8fa95584cb5299bad8818d6fcae06cbf072282ea81e277f1b2414473b3c0"),
 ]
 
 

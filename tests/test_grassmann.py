@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jigglekit import grassmann
 from jigglekit.errors import RankDeficient
 from jigglekit.grassmann import (
     ORTHONORMAL_TOL,
     AffineFlat,
     Plane,
     _flat_distances,
+    _transverse,
     affine_span,
     d_proj,
-    is_transverse_planes,
     plane_from_spanning,
     point_flat_distance,
     project_along,
@@ -91,6 +92,11 @@ def test_d_proj_symmetric_and_bounded(a, b):
     assert -1e-12 <= d1 <= 1.0 + 1e-12
 
 
+def is_transverse_planes(v, w):
+    """dim(V + W) = min(v + w, n), from a stack of one V."""
+    return bool(_transverse(v.basis[None], w)[0])
+
+
 def test_transverse_planes_in_r2():
     assert is_transverse_planes(line(0.0), line(math.pi / 2))
     assert is_transverse_planes(line(0.0), line(0.4))
@@ -105,6 +111,15 @@ def test_transverse_planes_in_r3():
     assert is_transverse_planes(exy, ez)
     # a plane and a line inside it span only the plane
     assert not is_transverse_planes(exy, e1)
+    # one plane per row: each row against its own
+    assert _transverse(np.stack([exy.basis, exy.basis]), [ez, e1]).tolist() == [True, False]
+
+
+def test_is_transverse_planes_is_a_stack_of_one():
+    for v, w in [(line(0.0), line(0.4)), (line(0.0), line(math.pi)),
+                 (Plane(np.eye(3)[:2]), Plane(np.eye(3)[2:])),
+                 (Plane(np.eye(3)[:2]), Plane(np.eye(3)[:1]))]:
+        assert grassmann.is_transverse_planes(v, w) is is_transverse_planes(v, w)
 
 
 def test_project_along_kills_the_plane_directions():

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from test_perturb import reference_avoid_flats
+from test_perturb import only, reference_avoid_flats
 
 from jigglekit import engine
 from jigglekit.cli import box_grid, planar_rotor, strip, unit_square_grid
@@ -41,8 +41,8 @@ from jigglekit.errors import (
 from jigglekit.grassmann import (
     AffineFlat,
     Plane,
+    _transverse,
     affine_span,
-    is_transverse_planes,
     plane_from_spanning,
     point_flat_distance,
     project_along,
@@ -51,7 +51,6 @@ from jigglekit.perturb import (
     PerturbationRequest,
     PerturbationResult,
     _join_margins,
-    _one,
 )
 from jigglekit.plmaps import PLMap
 from jigglekit.transversality import (
@@ -132,7 +131,7 @@ def reference_perturb_vertex(req):
     for u, v in enumerate(folis):
         reference_check_star([s for s, us in zip(stars, star_folis) if u in us], v, u)
         if req.constraint_flat is not None and req.constraint_flat.direction is not None:
-            if not is_transverse_planes(req.constraint_flat.direction, v):
+            if not _transverse(req.constraint_flat.direction.basis[None], v)[0]:
                 raise PreconditionViolated(
                     f"constraint flat is not transverse to foliation {u}")
     h_dim = req.constraint_flat.dim if req.constraint_flat is not None else point.shape[0]
@@ -500,7 +499,7 @@ def test_stacked_join_margins_equal_the_scalar_ones(n):
         job = (point, stars, star_folis, folis)
         want = _outcome(lambda: reference_join_margins(*job))
         got = _outcome(lambda: [(u, si, idx, m) for (u, si, idx), m
-                                in zip(*_one(_join_margins([job])))])
+                                in zip(*only(_join_margins([job])))])
         if isinstance(want, Exception):
             assert type(got) is type(want) and str(got) == str(want)
         else:

@@ -25,7 +25,7 @@ from jigglekit.perturb import (
     PerturbationResult,
     _avoid_flats,
     _join_margins,
-    _one,
+    _perturb_vertices,
     _project_flat,
     avoid_flats,
     perturb_vertex,
@@ -36,6 +36,19 @@ HORIZONTAL = Plane(np.array([[1.0, 0.0]]))
 VERTICAL = Plane(np.array([[0.0, 1.0]]))
 
 
+def only(results):
+    """The one entry of a stacked kernel's output, raised if it failed."""
+    (out,) = results
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def search(p, epsilon, flats, quotients=None, constraint_flat=None, seed=0, samples=64):
+    """One problem of :func:`_avoid_flats`, with the usual defaults."""
+    return (p, epsilon, flats, quotients, constraint_flat, seed, samples)
+
+
 def test_request_rejects_nonpositive_budget():
     with pytest.raises(PreconditionViolated):
         PerturbationRequest(point=np.zeros(2), epsilon=0.0)
@@ -44,7 +57,7 @@ def test_request_rejects_nonpositive_budget():
 def test_avoid_flats_moves_off_a_line():
     """A point sitting on the flat ends up with positive clearance."""
     flat = affine_span(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    p, delta = avoid_flats(np.array([0.5, 0.0]), 0.1, [flat], seed=4)
+    p, delta = only(_avoid_flats([search(np.array([0.5, 0.0]), 0.1, [flat], seed=4)]))
     assert delta > 0.0
     assert abs(p[1]) >= delta - 1e-12
     assert np.linalg.norm(p - [0.5, 0.0]) <= 0.1 + 1e-12
@@ -52,8 +65,8 @@ def test_avoid_flats_moves_off_a_line():
 
 def test_avoid_flats_is_deterministic():
     flat = affine_span(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    a = avoid_flats(np.array([0.2, 0.2]), 0.05, [flat], seed=9)
-    b = avoid_flats(np.array([0.2, 0.2]), 0.05, [flat], seed=9)
+    a = only(_avoid_flats([search(np.array([0.2, 0.2]), 0.05, [flat], seed=9)]))
+    b = only(_avoid_flats([search(np.array([0.2, 0.2]), 0.05, [flat], seed=9)]))
     np.testing.assert_array_equal(a[0], b[0])
     assert a[1] == b[1]
 
@@ -63,8 +76,9 @@ def test_avoid_flats_respects_constraint_flat():
     start point in the quotient by the horizontal foliation."""
     wall = AffineFlat(np.array([0.0, 0.0]), VERTICAL)
     target = affine_span(np.array([[0.0, 1.0], [3.0, 1.0]]))
-    p, delta = avoid_flats(np.array([0.0, 1.0]), 0.2, [target],
-                           quotients=[HORIZONTAL], constraint_flat=wall, seed=1)
+    p, delta = only(_avoid_flats([search(np.array([0.0, 1.0]), 0.2, [target],
+                                         quotients=[HORIZONTAL], constraint_flat=wall,
+                                         seed=1)]))
     assert p[0] == pytest.approx(0.0, abs=1e-12)
     assert delta > 0.0
     assert abs(p[1] - 1.0) >= delta - 1e-12
@@ -76,8 +90,8 @@ def test_avoid_flats_rejects_flats_that_fill_the_search_space():
     line = AffineFlat(np.array([0.0, 1.0]), HORIZONTAL)
     target = affine_span(np.array([[0.3, 0.0], [0.3, 2.0]]))
     with pytest.raises(InfeasibleDimensions):
-        avoid_flats(np.array([0.3, 1.0]), 0.2, [target],
-                    constraint_flat=line, seed=1)
+        only(_avoid_flats([search(np.array([0.3, 1.0]), 0.2, [target],
+                                  constraint_flat=line, seed=1)]))
 
 
 def test_perturb_vertex_keeps_the_point_when_margins_hold():
@@ -86,7 +100,7 @@ def test_perturb_vertex_keeps_the_point_when_margins_hold():
     req = PerturbationRequest(point=np.array([0.0, 1.0]), epsilon=0.05,
                               star_simplices=star, foliations=[HORIZONTAL],
                               seed=3)
-    res = perturb_vertex(req)
+    res = only(_perturb_vertices([req]))
     assert isinstance(res, PerturbationResult)
     assert res.moved == 0.0
     np.testing.assert_array_equal(res.point, [0.0, 1.0])
@@ -100,7 +114,7 @@ def test_perturb_vertex_clears_a_join_through_the_apex():
     req = PerturbationRequest(point=np.array([0.0, 0.5]), epsilon=0.1,
                               star_simplices=star, foliations=[HORIZONTAL],
                               seed=12)
-    res = perturb_vertex(req)
+    res = only(_perturb_vertices([req]))
     assert res.moved > 0.0
     assert res.achieved_delta > 0.0
     assert min(m for *_, m in res.certificate) >= res.achieved_delta - 1e-9
@@ -113,7 +127,7 @@ def test_perturb_vertex_certificate_covers_all_faces():
     req = PerturbationRequest(point=np.array([0.1, 0.6]), epsilon=0.08,
                               star_simplices=star, foliations=[HORIZONTAL],
                               seed=7)
-    res = perturb_vertex(req)
+    res = only(_perturb_vertices([req]))
     # base faces of an edge: two vertices (d=1); the edge itself (d=2) is
     # skipped in R^2 against a rank-1 field since n - k = 1
     assert len(res.certificate) == 2
@@ -125,10 +139,28 @@ def test_perturb_vertex_determinism():
     star = [np.array([[1.0, 0.5]])]
     kw = dict(point=np.array([0.0, 0.5]), epsilon=0.1,
               star_simplices=star, foliations=[HORIZONTAL], seed=12)
-    a = perturb_vertex(PerturbationRequest(**kw))
-    b = perturb_vertex(PerturbationRequest(**kw))
+    a = only(_perturb_vertices([PerturbationRequest(**kw)]))
+    b = only(_perturb_vertices([PerturbationRequest(**kw)]))
     np.testing.assert_array_equal(a.point, b.point)
     assert a.achieved_delta == b.achieved_delta
+
+
+def test_avoid_flats_and_perturb_vertex_are_stacks_of_one():
+    flat = affine_span(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    problem = search(np.array([0.5, 0.0]), 0.1, [flat], seed=4)
+    p, delta = avoid_flats(*problem)
+    q, eps = only(_avoid_flats([problem]))
+    np.testing.assert_array_equal(p, q)
+    assert delta == eps
+    with pytest.raises(PreconditionViolated):
+        avoid_flats(np.array([np.nan, 0.0]), 0.1, [flat])
+    req = PerturbationRequest(point=np.array([0.0, 0.5]), epsilon=0.1,
+                              star_simplices=[np.array([[1.0, 0.5]])],
+                              foliations=[HORIZONTAL], seed=12)
+    a, b = perturb_vertex(req), only(_perturb_vertices([req]))
+    np.testing.assert_array_equal(a.point, b.point)
+    assert (a.achieved_delta, a.moved, a.per_dimension_margins) == \
+        (b.achieved_delta, b.moved, b.per_dimension_margins)
 
 
 def test_perturb_vertex_rejects_nontransverse_star():
@@ -138,7 +170,7 @@ def test_perturb_vertex_rejects_nontransverse_star():
                               star_simplices=star, foliations=[HORIZONTAL],
                               seed=5)
     with pytest.raises(StarNotTransverse):
-        perturb_vertex(req)
+        only(_perturb_vertices([req]))
 
 
 def test_perturb_vertex_reports_the_first_bad_star_simplex():
@@ -152,7 +184,7 @@ def test_perturb_vertex_reports_the_first_bad_star_simplex():
         req = PerturbationRequest(point=np.array([0.5, 1.0]), epsilon=0.1,
                                   star_simplices=stars, foliations=[HORIZONTAL])
         with pytest.raises(error):
-            perturb_vertex(req)
+            only(_perturb_vertices([req]))
 
 
 def test_perturb_vertex_constraint_flat_pins_the_search():
@@ -161,7 +193,7 @@ def test_perturb_vertex_constraint_flat_pins_the_search():
     req = PerturbationRequest(point=np.array([0.0, 0.5]), epsilon=0.1,
                               star_simplices=star, foliations=[HORIZONTAL],
                               constraint_flat=wall, seed=2)
-    res = perturb_vertex(req)
+    res = only(_perturb_vertices([req]))
     assert res.point[0] == pytest.approx(0.0, abs=1e-12)
     assert res.achieved_delta > 0.0
 
@@ -173,7 +205,7 @@ def test_perturb_vertex_rejects_constraint_inside_foliation():
                               foliations=[HORIZONTAL],
                               constraint_flat=flat, seed=2)
     with pytest.raises(PreconditionViolated):
-        perturb_vertex(req)
+        only(_perturb_vertices([req]))
 
 
 def test_two_foliations_are_cleared_simultaneously():
@@ -182,7 +214,7 @@ def test_two_foliations_are_cleared_simultaneously():
                               star_simplices=star,
                               foliations=[HORIZONTAL, VERTICAL],
                               star_foliations=[(0, 1)], seed=21)
-    res = perturb_vertex(req)
+    res = only(_perturb_vertices([req]))
     d = res.point - np.array([1.0, 0.5])
     assert abs(d[0]) > 1e-9 and abs(d[1]) > 1e-9
     assert all(m > 0 for *_, m in res.certificate)
@@ -201,7 +233,7 @@ def test_join_margins_lists_every_join_with_its_direct_margin():
              np.array([[2.0, 0.0, 0.1], [2.0, 0.0, 1.1]])]
     star_folis = [(0, 1), (0,), (0, 1)]
     point = np.array([-0.3, -0.2, 0.05])
-    joins, margins = _one(_join_margins([(point, stars, star_folis, folis)]))
+    joins, margins = only(_join_margins([(point, stars, star_folis, folis)]))
     expected = []
     for u, v in enumerate(folis):
         cap = v.ambient_dim - v.rank
@@ -310,7 +342,7 @@ def test_avoid_flats_matches_the_point_by_point_search(n, constraint_dim, quotie
                                                        seed)
         kw = dict(quotients=quots, constraint_flat=constraint, seed=seed,
                   samples=samples)
-        got_q, got_delta = avoid_flats(point, epsilon, flats, **kw)
+        got_q, got_delta = only(_avoid_flats([search(point, epsilon, flats, **kw)]))
         want_q, want_delta = reference_avoid_flats(point, epsilon, flats, **kw)
         assert got_q.tobytes() == want_q.tobytes(), (seed, samples, epsilon)
         assert got_delta == want_delta, (seed, samples, epsilon)
@@ -342,7 +374,7 @@ def test_avoid_flats_stacks_match_the_point_by_point_search(n):
         problems.insert(at, problem)
     for problem, got in zip(problems, _avoid_flats(problems)):
         try:
-            avoid_flats(*problem)
+            only(_avoid_flats([problem]))
         except (InfeasibleDimensions, PreconditionViolated) as exc:
             assert type(got) is type(exc) and str(got) == str(exc)
             continue
@@ -361,7 +393,7 @@ def test_avoid_flats_keeps_the_first_of_tied_candidates(samples):
     flats = [AffineFlat(point, VERTICAL),
              AffineFlat(point + [0.0, 3e-7], HORIZONTAL),
              AffineFlat(point - [0.0, 3e-7], HORIZONTAL)]
-    got = avoid_flats(point, 1e-6, flats, seed=3, samples=samples)
+    got = only(_avoid_flats([search(point, 1e-6, flats, seed=3, samples=samples)]))
     want = reference_avoid_flats(point, 1e-6, flats, seed=3, samples=samples)
     assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
     # the case does tie
@@ -380,8 +412,9 @@ def test_a_point_constraint_leaves_no_room():
     line = affine_span(np.array([[0.0, 0.0], [1.0, 0.0]]))
     pin = AffineFlat(np.array([0.5, 0.0]), None)
     with pytest.raises(InfeasibleDimensions):
-        avoid_flats(np.array([0.5, 0.0]), 0.1, [line], constraint_flat=pin)
-    p, delta = avoid_flats(np.array([0.5, 0.0]), 0.1, [], constraint_flat=pin)
+        only(_avoid_flats([search(np.array([0.5, 0.0]), 0.1, [line], constraint_flat=pin)]))
+    p, delta = only(_avoid_flats([search(np.array([0.5, 0.0]), 0.1, [],
+                                         constraint_flat=pin)]))
     np.testing.assert_array_equal(p, [0.5, 0.0])
     assert delta == 0.1
 
@@ -395,8 +428,8 @@ def test_search_inputs_are_checked(kw):
     line = affine_span(np.array([[0.0, 0.0], [1.0, 0.0]]))
     args = dict(point=[0.5, 0.0], epsilon=0.1, samples=8) | kw
     with pytest.raises(PreconditionViolated):
-        avoid_flats(args["point"], args["epsilon"], [line],
-                    samples=args["samples"])
+        only(_avoid_flats([search(args["point"], args["epsilon"], [line],
+                                  samples=args["samples"])]))
     with pytest.raises(PreconditionViolated):
         PerturbationRequest(point=args["point"], epsilon=args["epsilon"],
                             samples=args["samples"])
@@ -404,10 +437,10 @@ def test_search_inputs_are_checked(kw):
 
 def test_zero_budget_and_zero_samples_are_legal():
     line = affine_span(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    p, delta = avoid_flats(np.array([0.5, 0.0]), 0.0, [line])
+    p, delta = only(_avoid_flats([search(np.array([0.5, 0.0]), 0.0, [line])]))
     np.testing.assert_array_equal(p, [0.5, 0.0])
     assert delta == 0.0
-    got = avoid_flats(np.array([0.5, 0.0]), 0.1, [line], seed=4, samples=0)
+    got = only(_avoid_flats([search(np.array([0.5, 0.0]), 0.1, [line], seed=4, samples=0)]))
     want = reference_avoid_flats(np.array([0.5, 0.0]), 0.1, [line], seed=4,
                                  samples=0)
     assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]

@@ -1,11 +1,12 @@
-"""Every public function and method has a caller outside the unit tests.
+"""Every public function, class and method has a user outside the unit tests.
 
-A stdlib ``ast`` pass over ``src/jigglekit``: each public top-level function
-and each public method of a top-level class must be reachable from live code
-in ``src``, be exported in the package's ``__all__``, or be named in
-``tests/test_acceptance.py``.  Live code is what runs on import (module and
-class bodies), dunder methods, and every definition a live name refers to,
-read by name or as an attribute; an import alone is not a use.  Code that
+A stdlib ``ast`` pass over ``src/jigglekit``: each public top-level function,
+each public top-level class and each public method of a top-level class must
+be reachable from live code in ``src``, be exported in the package's
+``__all__``, or be named in ``tests/test_acceptance.py``.  Live code is what
+runs on import (module bodies, and the body of a live class), dunder methods,
+and every definition a live name refers to, read by name or as an attribute;
+an import alone is not a use.  Code that
 only its own unit tests call is surface to maintain with nothing depending
 on it, and so is code that only such code calls.
 """
@@ -25,12 +26,13 @@ ALLOWED = {
 
 
 def definitions(tree: ast.Module):
-    """``(name, node)`` of top-level functions and of the methods of
-    top-level classes; a method's name is ``Class.method``."""
+    """``(name, node)`` of top-level functions, of top-level classes and of
+    their methods; a method's name is ``Class.method``."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield node.name, node
         elif isinstance(node, ast.ClassDef):
+            yield node.name, node
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     yield f"{node.name}.{item.name}", item
@@ -61,7 +63,9 @@ def uses(nodes, imports: bool) -> set[str]:
 
 
 def uncalled(sources: list[str], acceptance: str, allowed=ALLOWED) -> list[str]:
-    """Public functions and methods of ``sources`` that no live code uses."""
+    """Public functions, classes and methods of ``sources`` that no live
+    code uses.  A class's methods are definitions of their own, so a live
+    class makes only its other statements live."""
     trees = [ast.parse(src) for src in sources]
     pending = {name: node for tree in trees for name, node in definitions(tree)}
     bodies = {id(node) for node in pending.values()}
@@ -74,7 +78,7 @@ def uncalled(sources: list[str], acceptance: str, allowed=ALLOWED) -> list[str]:
         for name, node in list(pending.items()):
             short = name.split(".")[-1]
             if short in live or short.startswith("__"):
-                live |= uses(ast.walk(node), imports=False)
+                live |= uses(_walk(node, bodies), imports=False)
                 del pending[name]
                 progress = True
     return sorted(name for name in pending
@@ -93,15 +97,20 @@ def test_checker_flags_test_only_functions():
         "    def __init__(self):\n        self.value()\n"
         "    def value(self):\n        return 4\n"
         "    def unused(self):\n        return self.value()\n"
+        "class Base:\n    limit = cap()\n"
+        "class Dead(Base):\n"
+        "    def helper(self):\n        return 5\n"
+        "def cap():\n    return 6\n"
         "__all__ = ['exported']\n"
         "used()\n"
+        "Box()\n"
     )
-    # a function only dead code calls is dead too
-    assert uncalled([src], "") == ["Box.unused", "chained", "dead"]
-    assert uncalled([src], "from m import dead\nBox().unused\n") == []
+    # a function or class only dead code uses is dead too
+    dead = ["Base", "Box.unused", "Dead", "Dead.helper", "cap", "chained", "dead"]
+    assert uncalled([src], "") == dead
+    assert uncalled([src], "from m import dead, Dead\nBox().unused\nDead().helper\n") == []
     # importing a name into another module is not a use
-    assert uncalled([src, "from m import dead, unused\n"], "") == \
-        ["Box.unused", "chained", "dead"]
+    assert uncalled([src, "from m import dead, unused, Dead\n"], "") == dead
 
 
 def test_no_test_only_surface():

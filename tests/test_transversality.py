@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -8,24 +9,19 @@ from hypothesis import strategies as st
 
 from jigglekit import transversality
 from jigglekit.cli import box_grid, planar_rotor, unit_square_grid
-from jigglekit.errors import (
-    DegenerateSimplex,
-    NotTransverse,
-    PreconditionViolated,
-    QueryNotInComplex,
-)
+from jigglekit.complexes import _lam, cell_radii
+from jigglekit.errors import DegenerateSimplex, PreconditionViolated, QueryNotInComplex
 from jigglekit.grassmann import (
     Plane,
     _rank,
     _row_spaces,
-    is_transverse_planes,
+    _transverse,
     plane_from_spanning,
     project_along,
 )
 from jigglekit.transversality import (
     Distribution,
     _transverse_stack,
-    eps_margin,
     general_position,
     join_transverse_by_projection,
     probe_points,
@@ -79,26 +75,40 @@ def test_vertices_are_always_transverse():
     assert simplex_transverse(np.array([[3.0, 7.0]]), HORIZONTAL)
 
 
+def eps_margin(coords, v):
+    """The eps margin of one simplex of dimension 1..n-k against V, as the
+    report's kernel computes it, and whether the simplex is transverse."""
+    transverse, margin = _transverse(simplex_plane(coords).basis[None], v, margins=True)
+    return bool(transverse[0]), float(margin[0])
+
+
 def test_eps_margin_is_sine_of_tilt():
     for theta in (0.3, 0.7, 1.0, math.pi / 2):
         assert eps_margin(segment(theta), HORIZONTAL) == pytest.approx(
-            abs(math.sin(theta)), abs=1e-12)
+            (True, abs(math.sin(theta))), abs=1e-12)
+        # and a simplex's general position margin is its face's
+        ok, margin = general_position(segment(theta), Distribution.constant(HORIZONTAL))
+        assert (ok, margin) == eps_margin(segment(theta), HORIZONTAL)
 
 
 def test_eps_margin_scale_invariant():
-    assert eps_margin(segment(0.5, length=100.0), HORIZONTAL) == pytest.approx(
-        eps_margin(segment(0.5, length=0.01), HORIZONTAL), rel=1e-9)
+    assert eps_margin(segment(0.5, length=100.0), HORIZONTAL)[1] == pytest.approx(
+        eps_margin(segment(0.5, length=0.01), HORIZONTAL)[1], rel=1e-9)
 
 
 def test_eps_margin_rejects_oversized_simplices():
+    """Above n-k a simplex has no margin of its own: general position takes
+    the smallest margin of its (n-k)-faces."""
     tri = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 1.0]])
-    with pytest.raises(PreconditionViolated):
-        eps_margin(tri, HORIZONTAL)  # dim 2 > n - k = 1
+    ok, margin = general_position(tri, Distribution.constant(HORIZONTAL))
+    edges = [eps_margin(tri[list(e)], HORIZONTAL) for e in ((0, 1), (0, 2), (1, 2))]
+    assert ok and all(t for t, _ in edges)
+    assert margin == min(m for _, m in edges)
 
 
 def test_eps_margin_requires_transversality():
-    with pytest.raises(NotTransverse):
-        eps_margin(segment(0.0), HORIZONTAL)
+    assert not eps_margin(segment(0.0), HORIZONTAL)[0]
+    assert general_position(segment(0.0), Distribution.constant(HORIZONTAL)) == (False, 0.0)
 
 
 def test_semitrans_margin_is_quotient_distance():
@@ -202,8 +212,9 @@ def test_transfer_margins_arithmetic():
 
 
 def test_transfer_margins_shape_kinds():
-    from jigglekit.complexes import shape_stats
-    stats = shape_stats(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    tri = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+    (rmin,), (rmax,) = cell_radii(tri)
+    stats = types.SimpleNamespace(rmin=rmin, rmax=rmax, lam=_lam(tri)[0])
     zeta = transfer_margins("zeta", delta=0.4, shape=stats, c=1.0)
     assert zeta == pytest.approx(min(0.4, stats.rmin, 0.4 / (stats.lam * stats.rmax)))
     eps = transfer_margins("eps_from_zeta", delta=0.4, shape=stats, c=1.0)
@@ -221,8 +232,8 @@ def test_report_covers_every_face_and_flags_failures():
     # 4 vertices + 5 edges + 2 triangles
     assert len(report.records) == 11
     assert not report.passed  # the horizontal edges fail
-    bad = [r for r in report.records if not r.transverse]
-    assert all(r.dim >= 1 for r in bad)
+    bad = [s for s, ok in zip(report.records, report.transverse) if not ok]
+    assert bad and all(len(s) >= 2 for s in bad)
     payload = report.to_json()
     assert payload["pass"] is False
     assert {"records", "min_eps_margin", "min_semitrans_margin",
@@ -235,8 +246,10 @@ def test_report_certificates_mark_records():
         [[math.cos(0.3), math.sin(0.3)]])))
     certs = {(0, 1): 0.123}
     report = transversality_report(K, K.vertices, tilted, certificates=certs)
-    rec = next(r for r in report.records if r.simplex == (0, 1))
-    assert rec.certified and rec.semitrans_margin == pytest.approx(0.123)
+    rec = next(r for r in report.to_json()["records"] if r["simplex"] == [0, 1])
+    assert rec["certified"] and rec["semitrans_margin"] == pytest.approx(0.123)
+    assert report.semitrans_margin[report.records.index((0, 1))] == rec["semitrans_margin"]
+    assert sum(r["certified"] for r in report.to_json()["records"]) == 1
     assert report.min_semitrans_margin == pytest.approx(0.123)
     assert report.passed
 
@@ -248,13 +261,13 @@ def test_report_judges_a_shared_face_against_each_field():
               (0, 2, 3): Distribution.constant(b)}
     report = transversality_report(K, K.vertices, fields)
     assert len(report.records) == 11 and report.passed
-    shared = next(r for r in report.records if r.simplex == (0, 3))
+    shared = report.eps_margin[report.records.index((0, 3))]
     diagonal = K.vertices[[0, 3]]
-    assert shared.eps_margin == min(eps_margin(diagonal, a), eps_margin(diagonal, b))
+    assert shared == min(eps_margin(diagonal, a)[1], eps_margin(diagonal, b)[1])
     # a field tangent to the diagonal fails it and its top, not the other top
     tangent = Distribution.constant(Plane(np.array([[1.0, 1.0]]) / math.sqrt(2.0)))
     report = transversality_report(K, K.vertices, {**fields, (0, 2, 3): tangent})
-    assert [r.simplex for r in report.records if not r.transverse] == \
+    assert [s for s, ok in zip(report.records, report.transverse) if not ok] == \
         [(0, 3), (0, 2, 3)]
     # only the faces of the examined tops get records
     assert len(transversality_report(K, K.vertices, {(0, 2, 3): tangent}).records) == 7
@@ -272,7 +285,7 @@ def test_eps_margin_rotation_invariance(theta, rot):
     v = HORIZONTAL
     seg_r = seg @ R.T
     v_r = Plane((v.basis @ R.T))
-    assert eps_margin(seg_r, v_r) == pytest.approx(eps_margin(seg, v), rel=1e-9)
+    assert eps_margin(seg_r, v_r)[1] == pytest.approx(eps_margin(seg, v)[1], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +311,7 @@ def all_faces_general_position(pts, xi, sample_depth=3, tol=1e-9):
                 if not simplex_transverse(fpts, plane, tol):
                     return False, 0.0
                 if d <= free:
-                    margin = min(margin, eps_margin(fpts, plane))
+                    margin = min(margin, eps_margin(fpts, plane)[1])
     return True, float(margin)
 
 
@@ -433,7 +446,7 @@ def reference_report_records(complex_, images, fields, sample_depth):
 
 def report_records(complex_, images, xi, sample_depth=3):
     report = transversality_report(complex_, images, xi, sample_depth=sample_depth)
-    return [(r.simplex, r.transverse, r.eps_margin) for r in report.records]
+    return list(zip(report.records, report.transverse.tolist(), report.eps_margin.tolist()))
 
 
 def _report_field(rng, n, k, kind):
@@ -496,8 +509,8 @@ def test_report_evaluates_each_probe_and_face_plane_once(monkeypatch):
 
 
 def test_stacked_rank_test_gives_the_scalar_verdicts():
-    """simplex_plane and is_transverse_planes are stacks of one of the
-    _row_spaces and _transverse kernels, so this checks that a simplex gets
+    """simplex_plane is a stack of one of the _row_spaces kernel, and
+    _transverse takes a stack of one, so this checks that a simplex gets
     the same verdict alone as in a stack of up to 8, on generic,
     non-transverse, flat and non-finite simplices."""
     rng = np.random.default_rng(15)
@@ -517,7 +530,7 @@ def test_stacked_rank_test_gives_the_scalar_verdicts():
         transverse, degenerate = _transverse_stack(stack, v, tol)
         for s, ok, flat in zip(stack, transverse, degenerate):
             try:
-                want = is_transverse_planes(simplex_plane(s), v, tol)
+                want = _transverse(simplex_plane(s).basis[None], v, tol)[0]
             except DegenerateSimplex:
                 assert flat and not ok
                 continue
@@ -673,6 +686,31 @@ def test_field_errors_come_from_the_earliest_record():
         assert outcome(lambda: report_records(complex_, images, xi)) == want
         raised += want[0] != "ok"
     assert raised >= 10
+
+
+def test_a_record_meets_its_fields_in_the_order_of_their_first_tops():
+    """A vertex lies in a top of field B and a later top of field A, while A
+    first appears on an earlier top without it.  Both fields raise at the
+    vertex: the loop judges it against B first, so B's error is raised."""
+    complex_ = unit_square_grid(2)
+    first = complex_.top_simplices[0]
+    v = next(u for u in range(complex_.num_vertices)
+             if u not in first and sum(u in t for t in complex_.top_simplices) >= 2)
+    holding = [t for t in complex_.top_simplices if v in t]
+    trap = complex_.vertices[v].tobytes()
+
+    def field(name):
+        def at(p):
+            if p.tobytes() == trap:
+                raise ValueError(f"field {name}")
+            return Plane(np.array([[0.6, 0.8]]))
+        return Distribution(2, 1, "builtin", at, name=name)
+
+    a, b = field("A"), field("B")
+    fields = {first: a, holding[0]: b, holding[1]: a}
+    want = outcome(lambda: reference_report_records(complex_, complex_.vertices, fields, 3))
+    assert want == (ValueError, "field B")
+    assert outcome(lambda: report_records(complex_, complex_.vertices, fields)) == want
 
 
 def test_a_degenerate_record_goes_before_a_later_field_error_in_one_wave():
