@@ -7,16 +7,19 @@ with the already-processed part of its star is semitransverse to the plane
 field, with margins certified by the perturbation search.  Success is always
 re-verified by an independent transversality report before an outcome is
 returned.
+
+The vertex walk builds its bookkeeping once per run (:class:`_Plan`): each
+vertex's processed star, joins and callback values as index arrays, so
+each dependency wave only gathers the current images and runs the stacked
+kernels of :mod:`jigglekit.perturb`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +53,7 @@ from .errors import (
     VolumeMismatch,
 )
 from .grassmann import affine_span, d_proj
-from .perturb import PerturbationRequest, _join_margins, _perturb_vertices
+from .perturb import _join_margins, _perturb, _Planes, _Stars
 from .plmaps import (
     PLMap,
     SampledMap,
@@ -66,6 +69,7 @@ from .transversality import (
     Distribution,
     TransversalityReport,
     _general_position_each,
+    _join_error,
     transversality_report,
 )
 
@@ -123,6 +127,8 @@ class JigglingConfig:
             setattr(self, name, int(value))
         if self.level != "auto" and self.level < 0:
             raise PreconditionViolated("level must be nonnegative")
+        if self.seed < 0:
+            raise PreconditionViolated(f"seed must be nonnegative, got {self.seed}")
         if self.level_max < 0 or self.samples < 1 or self.sample_depth < 1:
             raise PreconditionViolated("bad search budget in config")
 
@@ -321,27 +327,6 @@ def auto_level(f, complex_: SimplicialComplex, xi: Distribution, gamma: float,
 # the vertex induction
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _join_getter(at: int, combo: tuple[int, ...]):
-    """Picks, from a sorted simplex, the join of its vertex at position
-    ``at`` with the face ``combo`` of its other vertices."""
-    return operator.itemgetter(*sorted([at] + [j + (j >= at) for j in combo]))
-
-
-def _join_keys(vid: int, entries, joins) -> list[tuple[int, ...]]:
-    """The join simplex of each ``(u, si, combo)`` of ``joins``."""
-    at = [s.index(vid) for s, _ in entries]
-    return [_join_getter(at[si], combo)(entries[si][0]) for _, si, combo in joins]
-
-
-def _by_join(keys, margins) -> dict[tuple[int, ...], float]:
-    """The smallest margin per join simplex, in order of first appearance."""
-    out: dict[tuple[int, ...], float] = {}
-    for key, m in zip(keys, margins):
-        out[key] = min(m, out.get(key, np.inf))
-    return out
-
-
 def _waves(child: SimplicialComplex, frozen: np.ndarray, order) -> list[np.ndarray]:
     """The dependency waves of the vertex induction, each an array of
     vertex ids in ``order``.
@@ -369,26 +354,135 @@ def _waves(child: SimplicialComplex, frozen: np.ndarray, order) -> list[np.ndarr
     return [live[ranks] for ranks in np.split(by_wave, cuts)] if len(live) else []
 
 
-def _processed_stars(child: SimplicialComplex, key: np.ndarray) -> dict[int, list]:
-    """The simplices of at least two vertices whose other vertices are all
-    processed before a vertex, per vertex, in ``all_simplices`` order.
+_NONE = np.zeros(0, dtype=np.intp)
 
-    ``key`` is a vertex's place in the induction order, -1 when it is
-    frozen and the vertex count when it is never processed.  The other
-    vertices of a simplex are all processed before exactly one of its
-    vertices: the one with the largest key, if that key is a place.
+
+def _call(callback, *args):
+    """What ``callback(*args)`` returns, or the exception it raises."""
+    try:
+        return callback(*args)
+    except Exception as exc:  # raised by the caller, if the value is needed
+        return exc
+
+
+def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """One integer per row of ids in [0, base): the row's digits in base
+    ``base``, so equal rows get equal keys; int64 where that cannot
+    overflow, Python ints otherwise."""
+    wide = base ** rows.shape[1] >= 2 ** 63
+    keys = np.zeros(len(rows), dtype=object if wide else np.int64)
+    for col in rows.T:
+        keys = keys * base + (col.astype(object) if wide else col)
+    return keys
+
+
+class _Plan:
+    """The bookkeeping of one vertex induction, built once before its first
+    wave: the processed star of every live vertex as one
+    :class:`perturb._Stars` over the image table, in ``live`` order, and
+    each callback's value per vertex.
+
+    A simplex of at least two vertices is in the processed star of the
+    vertex with the largest ``key`` (its place in ``live``; -1 when it is
+    frozen, the vertex count when it is never processed), if that key is a
+    place.  A vertex's star simplices keep ``all_simplices`` order, less
+    those ``exclude_simplex`` names; its foliations are ``planes_for``, and
+    its pairs the simplices and foliations ``fol_indices_for`` names.  A
+    vertex whose callbacks raise goes to ``fail`` and gets an empty star.
+    ``budgets`` and ``constraints`` hold ``epsilon_for`` and
+    ``constraint_for`` of each vertex, or the exception it raised, which
+    counts only if the vertex moves.
+
+    Every join gets the id of its simplex (``simplex``), numbered per
+    dimension in sorted order; ``keys`` lists the simplices by id and
+    ``first`` the first join of each.
     """
-    owned: dict[int, list] = {}
-    for d in range(1, child.dim + 1):
-        sims, ids = child.simplices_of_dim(d), child._face_ids(d)
-        keys = key[ids]
-        last = keys.argmax(axis=1)
-        owners = ids[np.arange(len(sims)), last]
-        top = keys[np.arange(len(sims)), last]
-        for s, vid, place in zip(sims, owners.tolist(), top.tolist()):
-            if 0 <= place < child.num_vertices:
-                owned.setdefault(vid, []).append(s)
-    return owned
+
+    def __init__(self, child, live, key, *, planes_for, fol_indices_for, epsilon_for,
+                 constraint_for, exclude_simplex, fail):
+        count, width = len(live), max(child.dim, 0)
+        owner, others, sizes, sims = [_NONE], [np.zeros((0, width), dtype=np.intp)], [_NONE], []
+        for d in range(1, child.dim + 1):
+            table = child._face_ids(d)
+            places = key[table]
+            last = places.argmax(axis=1)
+            place = places[np.arange(len(table)), last]
+            rows = np.flatnonzero((place >= 0) & (place < child.num_vertices))
+            ids = np.full((len(rows), width), -1, dtype=np.intp)
+            ids[:, :d] = table[rows][np.arange(d + 1) != last[rows, None]].reshape(-1, d)
+            every = child.simplices_of_dim(d)
+            owner.append(place[rows])
+            others.append(ids)
+            sizes.append(np.full(len(rows), d, dtype=np.intp))
+            sims += [every[r] for r in rows.tolist()]
+        by_owner = np.argsort(np.concatenate(owner), kind="stable")
+        owner = np.concatenate(owner)[by_owner]
+        others = np.concatenate(others)[by_owner]
+        sizes = np.concatenate(sizes)[by_owner]
+        sims = [sims[i] for i in by_owner.tolist()]
+        start = np.searchsorted(owner, np.arange(count + 1)).tolist()
+
+        keep = np.ones(len(sims), dtype=bool)
+        planes: dict = {}
+        slot_plane, slot_job, folis = [], [], []
+        self.budgets, self.constraints = [], []
+        for p, vid in enumerate(live.tolist()):
+            star = sims[start[p]:start[p + 1]]
+            try:
+                if exclude_simplex is not None:
+                    keep[start[p]:start[p + 1]] = [not exclude_simplex(s) for s in star]
+                    star = [s for s, k in zip(star, keep[start[p]:start[p + 1]]) if k]
+                fols = list(planes_for(vid))
+                indices = [fol_indices_for(vid, s) for s in star]
+            except Exception as exc:  # raised in order, by the wave loop
+                fail(vid, exc)
+                keep[start[p]:start[p + 1]] = False
+                fols, indices = [], []
+            slot_plane += [planes.setdefault(v, len(planes)) for v in fols]
+            slot_job += [p] * len(fols)
+            folis += indices
+            self.budgets.append(_call(epsilon_for, vid))
+            self.constraints.append(_call(constraint_for, vid))
+        kept = np.flatnonzero(keep)
+        owner = owner[kept]
+        slot_job = np.array(slot_job, dtype=np.intp)
+        slot_start = np.searchsorted(slot_job, np.arange(count + 1))
+        # the (vertex, foliation u, star simplex) pairs, in that order
+        named = np.fromiter(map(len, folis), dtype=np.intp, count=len(folis))
+        u = np.fromiter(itertools.chain.from_iterable(folis), dtype=np.intp,
+                        count=int(named.sum()))
+        entry = np.repeat(np.arange(len(kept)), named)
+        job = owner[entry]
+        order = np.lexsort((entry, u, job))
+        self.stars = _Stars(child.ambient_dim, _Planes(list(planes)),
+                            np.array(slot_plane, dtype=np.intp),
+                            np.arange(len(slot_job)) - slot_start[slot_job], slot_start,
+                            others[kept], sizes[kept],
+                            np.searchsorted(owner, np.arange(count + 1)),
+                            (slot_start[job] + u)[order], entry[order],
+                            [None if isinstance(c, Exception) else c for c in self.constraints])
+
+        stars = self.stars
+        apex = live[np.repeat(np.arange(count), np.diff(stars.join_start))]
+        self.simplex = np.empty(len(apex), dtype=np.intp)
+        self.keys, first = [], []
+        for d in np.unique(stars.join_d).tolist():
+            sel = np.flatnonzero(stars.join_d == d)
+            rows = np.sort(np.column_stack([apex[sel], stars.join_ids[sel, :d]]), axis=1)
+            _, at, inverse = np.unique(_row_keys(rows, child.num_vertices),
+                                       return_index=True, return_inverse=True)
+            self.simplex[sel] = len(self.keys) + inverse
+            self.keys += map(tuple, rows[at].tolist())
+            first.append(sel[at])
+        self.first = np.concatenate(first) if first else np.zeros(0, dtype=np.intp)
+
+    def certified(self, margins: np.ndarray) -> dict[tuple[int, ...], float]:
+        """The smallest of ``margins`` (one per join) per join simplex, keyed
+        in order of each simplex's first join."""
+        least = np.full(len(self.keys), np.inf)
+        np.minimum.at(least, self.simplex, margins)
+        order = np.argsort(self.first)
+        return dict(zip([self.keys[i] for i in order.tolist()], least[order].tolist()))
 
 
 def _run_vertex_induction(child, images, *, frozen, order, planes_for,
@@ -405,20 +499,22 @@ def _run_vertex_induction(child, images, *, frozen, order, planes_for,
     Arguments after ``images`` are keyword-only so that a tracer can read
     ``frozen`` by name.
 
-    The vertices run in the dependency waves of :func:`_waves`.  A wave's
-    incumbent joins are one :func:`_join_margins` pass and its moves one
-    :func:`_perturb_vertices` pass, so each vertex sees exactly the star
-    the loop in ``order`` gives it, and every result is the loop's bit for
-    bit.  Results are folded in ``order``.  On failure the error is that of
-    the first failing vertex in ``order``, which may sit in a later wave
-    than another failing vertex; the images of vertices after it are put
-    back as they were.
+    The stars, joins and callback values of every vertex are one
+    :class:`_Plan`, built before the first wave; the vertices then run in
+    the dependency waves of :func:`_waves`.  A wave takes its slice of the
+    plan and gathers the images: its incumbent joins are one
+    :func:`_join_margins` pass and its moves one :func:`_perturb` pass, so
+    each vertex sees exactly the star the loop in ``order`` gives it, and
+    every result is the loop's bit for bit.  Each join's margin goes to its
+    slot of one array, and the certified margins are its per-simplex
+    minimum.  On failure the error is that of the first failing vertex in
+    ``order``, which may sit in a later wave than another failing vertex;
+    the images of vertices after it are put back as they were.
     """
-    live = [v for v in order if not frozen[v]]
+    live = np.array([v for v in order if not frozen[v]], dtype=np.intp)
     rank = np.full(child.num_vertices, child.num_vertices, dtype=np.intp)
     rank[live] = np.arange(len(live))
     threshold = max(INCUMBENT_FRACTION * margin_target, 1e-12)
-    results: dict[int, tuple] = {}  # vid -> (margins by join, achieved or None)
     moved_from: dict[int, np.ndarray] = {}
     limit, error = len(live), None
 
@@ -427,58 +523,50 @@ def _run_vertex_induction(child, images, *, frozen, order, planes_for,
         if rank[vid] < limit:
             limit, error = int(rank[vid]), exc
 
-    owned = _processed_stars(child, np.where(frozen, -1, rank))
-    at = rank.tolist()
+    plan = _Plan(child, live, np.where(frozen, -1, rank), planes_for=planes_for,
+                 fol_indices_for=fol_indices_for, epsilon_for=epsilon_for,
+                 constraint_for=constraint_for, exclude_simplex=exclude_simplex, fail=fail)
+    margins = np.zeros(len(plan.simplex))
+    achieved = np.full(len(live), np.nan)
     for members in _waves(child, frozen, order):
-        members = [v for v in members.tolist() if at[v] < limit]
-        jobs = []
-        for vid in members:
-            try:
-                entries = [(s, [o for o in s if o != vid]) for s in owned.get(vid, ())
-                           if exclude_simplex is None or not exclude_simplex(s)]
-                planes = planes_for(vid)
-                fol_indices = [fol_indices_for(vid, s) for s, _ in entries]
-            except Exception as exc:  # raised below, in order
-                fail(vid, exc)
+        jobs = rank[members]
+        jobs = jobs[jobs < limit]
+        if not len(jobs):
+            continue
+        wave = plan.stars.take(jobs)
+        got, degenerate = _join_margins(wave, images, images[live[jobs]])
+        margins[wave.rows] = got
+        low = np.full(len(jobs), np.inf)
+        np.minimum.at(low, np.repeat(np.arange(len(jobs)), np.diff(wave.join_start)), got)
+        movers = []
+        for p, flat, worst in zip(jobs.tolist(), degenerate.tolist(), low.tolist()):
+            vid, eps, constraint = int(live[p]), plan.budgets[p], plan.constraints[p]
+            if flat:
+                fail(vid, _join_error(2))
+            elif not worst < threshold:
                 continue
-            rows = images[[o for _, others in entries for o in others]]
-            cuts = np.cumsum([len(others) for _, others in entries]).tolist()
-            stars = [rows[a:b] for a, b in zip([0] + cuts, cuts)]
-            jobs.append((vid, entries, stars, fol_indices, planes))
-        incumbent = _join_margins([(images[vid], stars, fol_indices, planes)
-                                   for vid, _, stars, fol_indices, planes in jobs])
-        movers, reqs = [], []
-        for (vid, entries, stars, fol_indices, planes), joins in zip(jobs, incumbent):
-            if isinstance(joins, Exception):
-                fail(vid, joins)
-                continue
-            keys = _join_keys(vid, entries, joins[0])
-            margins = _by_join(keys, joins[1])
-            results[vid] = (margins, None)
-            if not (margins and min(margins.values()) < threshold):
-                continue
-            try:
-                eps = epsilon_for(vid)
-                if eps <= 0:
-                    raise BudgetViolation(
-                        f"vertex {vid} needs a move but the per-vertex budget is "
-                        f"exhausted (eta = {eps:.3g})"
-                    )
-                reqs.append(PerturbationRequest(
-                    point=images[vid],
-                    epsilon=eps,
-                    star_simplices=stars,
-                    foliations=planes,
-                    star_foliations=fol_indices,
-                    constraint_flat=constraint_for(vid),
-                    seed=cfg.seed * SEED_STRIDE + vid,
-                    samples=cfg.samples,
+            elif isinstance(eps, Exception):
+                fail(vid, eps)
+            elif eps <= 0:
+                fail(vid, BudgetViolation(
+                    f"vertex {vid} needs a move but the per-vertex budget is "
+                    f"exhausted (eta = {eps:.3g})"
                 ))
-            except Exception as exc:  # raised below, in order
-                fail(vid, exc)
-                continue
-            movers.append((vid, keys))
-        for (vid, keys), res in zip(movers, _perturb_vertices(reqs)):
+            elif isinstance(constraint, Exception):
+                fail(vid, constraint)
+            else:
+                movers.append(p)
+        if not movers:
+            continue
+        movers = np.array(movers, dtype=np.intp)
+        moving = plan.stars.take(movers)
+        vids = live[movers].tolist()
+        errors, points, deltas, moved, certificate, _ = _perturb(
+            moving, images, images[live[movers]], [plan.budgets[p] for p in movers.tolist()],
+            [cfg.seed * SEED_STRIDE + vid for vid in vids], [cfg.samples] * len(vids),
+            [plan.constraints[p] for p in movers.tolist()])
+        for i, (p, vid) in enumerate(zip(movers.tolist(), vids)):
+            res = errors[i]
             if isinstance(res, StarNotTransverse):
                 failure = PerturbationFailed(
                     f"vertex {vid}: a processed star simplex lost transversality "
@@ -487,34 +575,28 @@ def _run_vertex_induction(child, images, *, frozen, order, planes_for,
                 )
                 failure.__cause__ = res
                 fail(vid, failure)
-            elif isinstance(res, Exception):
+            elif res is not None:
                 fail(vid, res)
-            elif res.achieved_delta < margin_target:
+            elif deltas[i] < margin_target:
                 fail(vid, PerturbationFailed(
-                    f"vertex {vid}: best margin {res.achieved_delta:.3g} below "
+                    f"vertex {vid}: best margin {deltas[i]:.3g} below "
                     f"target {margin_target:.3g}"
                 ))
             else:
-                if res.moved > 0:
+                if moved[i] > 0:
                     moved_from[vid] = images[vid].copy()
-                    images[vid] = res.point
-                results[vid] = (_by_join(keys, [m for *_, m in res.certificate]),
-                                res.achieved_delta)
+                    images[vid] = points[i]
+                joins = slice(moving.join_start[i], moving.join_start[i + 1])
+                margins[moving.rows[joins]] = certificate[joins]
+                achieved[p] = deltas[i]
     if error is not None:
         for vid, point in moved_from.items():
             if rank[vid] > limit:
                 images[vid] = point
         raise error
-
-    achieved: dict[int, float] = {}
-    certified: dict[tuple, float] = {}
-    for vid in live:
-        margins, delta = results[vid]
-        if delta is not None:
-            achieved[vid] = delta
-        for join, m in margins.items():
-            certified[join] = min(m, certified.get(join, np.inf))
-    return achieved, certified, len(moved_from)
+    settled = np.flatnonzero(~np.isnan(achieved))
+    return (dict(zip(live[settled].tolist(), achieved[settled].tolist())),
+            plan.certified(margins), len(moved_from))
 
 
 def _verify(child: SimplicialComplex, images: np.ndarray, fields, certified,
@@ -823,11 +905,15 @@ def jiggle_subdivision(complex_: SimplicialComplex,
         idx = tuple(i for i, t in enumerate(tops) if gids <= set(t))
         return idx if idx else tuple(range(len(tops)))
 
+    spans: dict[tuple[int, ...], object] = {}
+
     def constraint_for(vid):
         carrier = carriers[vid]
         if len(carrier) - 1 >= complex_.ambient_dim:
             return None
-        return affine_span(complex_.vertices[list(carrier)])
+        if carrier not in spans:
+            spans[carrier] = affine_span(complex_.vertices[list(carrier)])
+        return spans[carrier]
 
     eps_cache: dict[int, float] = {}
     tops, rmins, _ = top_radii(out, out.vertices)

@@ -15,6 +15,7 @@ from .errors import AmbientMismatch, RankDeficient
 
 RANK_REL_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-10
+LOST_DIRECTION = 1e-12      # a projected direction this short is lost in the quotient
 
 
 class Plane:
@@ -132,10 +133,11 @@ def _transverse(bases: np.ndarray, v, tol: float = RANK_REL_TOL,
                 margins: bool = False):
     """Whether each plane W of an (S, d, n) stack of orthonormal bases has
     dim(W + V) = min(d + k, n), by the :func:`_rank` of W's basis stacked
-    over V's.  ``v`` is one :class:`Plane` for every row, or a sequence of
-    S planes of one rank, one per row.  With ``margins``, also sigma_min
-    of W's basis with its V component removed: the sine of the smallest
-    principal angle, a transverse face's eps margin.
+    over V's.  ``v`` is one :class:`Plane` for every row, or one per row:
+    a sequence of S planes of one rank or an (S, k, n) stack of their
+    orthonormal bases.  With ``margins``, also sigma_min of W's basis with
+    its V component removed: the sine of the smallest principal angle, a
+    transverse face's eps margin.
 
     The SVDs run stacked, each matrix with the bits of a stack of one.  The
     rejection ``b - (b @ V.T) @ V`` is one 2-D product per row, on the row
@@ -143,8 +145,13 @@ def _transverse(bases: np.ndarray, v, tol: float = RANK_REL_TOL,
     product, or a copy of either operand into another memory order, may
     round differently in the last bits."""
     s, d, n = bases.shape
-    one = isinstance(v, Plane)
-    rows = v.basis if one else np.array([p.basis for p in v])
+    if isinstance(v, Plane):
+        rows, each = v.basis, itertools.repeat(v.basis)
+    elif isinstance(v, np.ndarray):
+        rows = each = v
+    else:
+        each = [p.basis for p in v]
+        rows = np.array(each)
     k = rows.shape[-2]
     if n != rows.shape[-1]:
         raise AmbientMismatch(f"planes live in R^{n} and R^{rows.shape[-1]}")
@@ -155,8 +162,7 @@ def _transverse(bases: np.ndarray, v, tol: float = RANK_REL_TOL,
     transverse = _rank(sv, tol) == min(d + k, n)
     if not margins:
         return transverse
-    planes = itertools.repeat(v) if one else v
-    inside = np.array([(b @ p.basis.T) @ p.basis for b, p in zip(bases, planes)])
+    inside = np.array([(b @ w.T) @ w for b, w in zip(bases, each)])
     return transverse, np.linalg.svd(bases - inside, compute_uv=False)[:, -1]
 
 
@@ -189,7 +195,7 @@ def project_along(v: Plane, points) -> np.ndarray:
 
 
 def _project_flat(v: Plane | None, flat: AffineFlat,
-                  floor: float = 1e-12) -> AffineFlat:
+                  floor: float = LOST_DIRECTION) -> AffineFlat:
     """The image of ``flat`` in the quotient by V (``flat`` itself for
     None), written as :func:`project_along` writes points.  A projected
     direction of norm at most ``floor`` is dropped as lost in V."""

@@ -147,11 +147,19 @@ class SampledMap:
         p = np.asarray(point, dtype=float)
         if self._jac is not None:
             return np.asarray(self._jac(p), dtype=float)
-        h = FD_STEP_FACTOR * max(scale, 1e-3)
-        n = p.shape[0]
-        probes = np.vstack([p + h * np.eye(n), p - h * np.eye(n)])
-        vals = self.evaluate_batch(probes)
-        return ((vals[:n] - vals[n:]) / (2.0 * h)).T
+        return self._differences(p[None], np.array([scale], dtype=float))[0]
+
+    def _differences(self, points: np.ndarray, scales: np.ndarray) -> np.ndarray:
+        """Central-difference derivatives (P, n, N) at the rows of
+        ``points`` (P, N), with step ``FD_STEP_FACTOR * max(scale, 1e-3)``
+        per row: the probes of every row go to one ``evaluate_batch`` call,
+        and each value has the bits of a call per point."""
+        count, dim = points.shape
+        h = FD_STEP_FACTOR * np.maximum(scales, 1e-3)
+        steps = h[:, None, None] * np.eye(dim)
+        probes = np.concatenate([points[:, None] + steps, points[:, None] - steps], axis=1)
+        vals = self.evaluate_batch(probes.reshape(-1, dim)).reshape(count, 2 * dim, -1)
+        return ((vals[:, :dim] - vals[:, dim:]) / (2.0 * h)[:, None, None]).swapaxes(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +204,31 @@ def _common_refinement(f, g) -> SimplicialComplex:
 
 def _values(m, own: bool, ids: np.ndarray, b: np.ndarray,
             pts: np.ndarray) -> np.ndarray:
-    """m at the lattice points ``pts`` (S, L, N) of one size group."""
+    """m at the lattice points ``pts`` (S, L, N) of one size group, from
+    one ``evaluate_batch`` call unless m is a PLMap on the refinement."""
     if own:
         return b @ m.images[ids]
-    return np.array([m.evaluate_batch(p) for p in pts])
+    return m.evaluate_batch(pts.reshape(-1, pts.shape[2])).reshape(pts.shape[:2] + (-1,))
 
 
 def _jacobians(m, own: bool, ids: np.ndarray, pinv_a: np.ndarray,
                dom: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Derivatives of m on one size group, shape (S, P, n, N): one matrix
-    per cell for a PLMap, one per lattice point for a SampledMap."""
+    per cell for a PLMap, one per lattice point for a SampledMap, whose
+    finite differences take one ``evaluate_batch`` call; a Jacobian the
+    user gave is called point by point."""
     if own:
         img = m.images[ids]
         return (np.swapaxes(img[:, 1:] - img[:, :1], 1, 2) @ pinv_a)[:, None]
     if isinstance(m, PLMap):
         located = m.domain._locate(np.array([p.mean(axis=0) for p in pts]))
         return np.array([[m.jacobian(t)] for t, _, _ in located])
+    if m._jac is not None:
+        return np.array([[m.derivative_at(q) for q in p] for p in pts])
     scales = np.max(np.linalg.norm(dom - dom[:, :1], axis=2), axis=1)
-    return np.array([[m.derivative_at(q, scale=float(s)) for q in p]
-                     for p, s in zip(pts, scales)])
+    cells, count, dim = pts.shape
+    return m._differences(pts.reshape(-1, dim), np.repeat(scales, count)).reshape(
+        cells, count, -1, dim)
 
 
 def distance(f, g, order: int = 0) -> float:

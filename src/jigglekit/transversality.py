@@ -253,7 +253,7 @@ def semitrans_margin(p, coords, v: Plane) -> float:
     """
     pts = _check_join_dimension(coords, v)
     margin, status = _semitrans_margins(np.asarray(p, dtype=float)[None], pts[None],
-                                        [v], np.zeros(1, dtype=np.intp))
+                                        v.basis[None], v.complement()[None])
     if status[0]:
         raise _join_error(int(status[0]))
     return float(margin[0])
@@ -266,10 +266,12 @@ def _join_error(status: int):
     return DegenerateSimplex("simplex directions are dependent")
 
 
-def _semitrans_margins(points: np.ndarray, faces: np.ndarray, planes, which):
+def _semitrans_margins(points: np.ndarray, faces: np.ndarray, bases: np.ndarray,
+                       comps: np.ndarray):
     """:func:`semitrans_margin` of each row, bit for bit: the apexes
     ``points`` (R, n), the bases ``faces`` (R, d, n) with d <= n-k, and the
-    foliation ``planes[which[r]]`` of row r, all of one rank.
+    foliation of row r given by its orthonormal basis ``bases[r]`` (k, n)
+    and complement ``comps[r]`` (n-k, n), all of one rank.
 
     Returns ``(margins, status)``: status 0 where the margin holds, 1 where
     the base is not transverse to its foliation and 2 where it is
@@ -282,21 +284,21 @@ def _semitrans_margins(points: np.ndarray, faces: np.ndarray, planes, which):
     rows, d = faces.shape[:2]
     status = np.zeros(rows, dtype=np.int8)
     if d > 1:
-        transverse, degenerate = _transverse_stack(faces, [planes[i] for i in which.tolist()])
+        transverse, degenerate = _transverse_stack(faces, bases)
         status[~transverse] = 1
         status[degenerate] = 2
-    comp_t = np.stack([p.complement() for p in planes])[which].swapaxes(1, 2)
+    comp_t = comps.swapaxes(1, 2)
     proj_p = (points[:, None, :] @ comp_t)[:, 0]
     proj = faces @ comp_t
     rel = proj_p - proj[:, 0]
     if d == 1:
         return _rejection_norms(rel, None), status
     margins = np.empty(rows)
-    bases, ranks = _row_spaces(proj[:, 1:] - proj[:, :1])
+    spans, ranks = _row_spaces(proj[:, 1:] - proj[:, :1])
     for r in np.unique(ranks).tolist():
         sel = np.flatnonzero(ranks == r)
         # each basis in Fortran order, as affine_span's Plane holds it
-        dirs = np.ascontiguousarray(bases[sel, :r].swapaxes(1, 2)).swapaxes(1, 2)
+        dirs = np.ascontiguousarray(spans[sel, :r].swapaxes(1, 2)).swapaxes(1, 2)
         margins[sel] = _rejection_norms(rel[sel], dirs if r else None)
     return margins, status
 

@@ -412,6 +412,18 @@ def test_cmd_jiggle_rejects_non_integer_counts(tmp_path):
         assert not out.exists()
 
 
+def test_cmd_jiggle_rejects_a_negative_seed(tmp_path, capsys):
+    # seed -1 used to exit 1 with numpy's "expected non-negative integer"
+    scen = tmp_path / "scen.json"
+    out = tmp_path / "out.json"
+    scen.write_text(json.dumps(scenario_dict(config={"gamma": 0.2, "level": 2, "seed": -1})))
+    assert main(["jiggle", str(scen), str(out)]) == EXIT_VALIDATION
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    scen.write_text(json.dumps(scenario_dict()))
+    assert main(["jiggle", str(scen), "--seed", "-1", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+
+
 def test_malformed_input_still_exits_with_validation(tmp_path, monkeypatch):
     scen = tmp_path / "scen.json"
     out = tmp_path / "out.json"

@@ -98,6 +98,12 @@ def test_config_rejects_non_integer_counts(field, value):
         JigglingConfig(gamma=0.2, **{field: value})
 
 
+def test_config_rejects_a_negative_seed():
+    # seed=-1 used to pass here and fail in numpy's default_rng once a vertex moved
+    with pytest.raises(PreconditionViolated, match="seed must be nonnegative"):
+        JigglingConfig(gamma=0.2, level=2, seed=-1)
+
+
 def test_config_keeps_integer_counts_as_ints():
     cfg = JigglingConfig(gamma=0.2, level=np.int64(2), samples=np.int32(8))
     assert (cfg.level, cfg.samples) == (2, 8)

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from test_perturb import only, reference_avoid_flats
+from test_perturb import join_margins, only, reference_avoid_flats
 
 from jigglekit import engine
 from jigglekit.cli import box_grid, planar_rotor, strip, unit_square_grid
@@ -47,11 +47,7 @@ from jigglekit.grassmann import (
     point_flat_distance,
     project_along,
 )
-from jigglekit.perturb import (
-    PerturbationRequest,
-    PerturbationResult,
-    _join_margins,
-)
+from jigglekit.perturb import PerturbationRequest, PerturbationResult
 from jigglekit.plmaps import PLMap
 from jigglekit.transversality import (
     Distribution,
@@ -63,6 +59,7 @@ HORIZONTAL = Distribution.constant(Plane(np.array([[1.0, 0.0]])))
 DIAGONAL = Distribution.constant(Plane(np.array([[1.0, 1.0]]) / math.sqrt(2.0)))
 # horizontal: the flat faces of the box lie in it, so its vertices move
 SHEET = Distribution.constant(Plane(np.eye(3)[:2]))
+ALONG_X = Distribution.constant(Plane(np.eye(3)[:1]))
 INDUCTION = engine._run_vertex_induction
 
 
@@ -317,6 +314,10 @@ SCENES = {
     "sheet": lambda seed: jiggle_euclidean(
         PLMap.identity(box_grid(1)), box_grid(1), SHEET,
         JigglingConfig(gamma=0.2, level=1, seed=seed)),
+    # 3-D stage-2 flats, many directed flats per wave
+    "box-2": lambda seed: jiggle_euclidean(
+        PLMap.identity(box_grid(1)), box_grid(1), ALONG_X,
+        JigglingConfig(gamma=0.2, level=2, seed=seed)),
 }
 
 
@@ -325,6 +326,33 @@ SCENES = {
 def test_waves_reproduce_the_loop(scene, seed, checked):
     SCENES[scene](seed)
     assert checked and sum(want[2] for _, _, want in checked) > 0
+
+
+@pytest.mark.parametrize("scene", ["tower", "box-2"])
+def test_the_induction_builds_no_plane_flat_or_request(scene, monkeypatch):
+    """The plan holds every star, join and flat as index arrays, so a run
+    constructs no Plane, AffineFlat or PerturbationRequest between entering
+    and leaving the induction, though vertices move."""
+    inside, built, moved = [False], {}, []
+    for cls in (Plane, AffineFlat, PerturbationRequest):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            if inside[0]:
+                built[_name] = built.get(_name, 0) + 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    def spy(child, images, **kwargs):
+        inside[0] = True
+        try:
+            out = INDUCTION(child, images, **kwargs)
+        finally:
+            inside[0] = False
+        moved.append(out[2])
+        return out
+
+    monkeypatch.setattr(engine, "_run_vertex_induction", spy)
+    SCENES[scene](0)
+    assert sum(moved) > 0 and built == {}
 
 
 def test_scenes_cover_every_kind_of_star():
@@ -498,8 +526,7 @@ def test_stacked_join_margins_equal_the_scalar_ones(n):
                       for _ in stars]
         job = (point, stars, star_folis, folis)
         want = _outcome(lambda: reference_join_margins(*job))
-        got = _outcome(lambda: [(u, si, idx, m) for (u, si, idx), m
-                                in zip(*only(_join_margins([job])))])
+        got = _outcome(lambda: only(join_margins([job])))
         if isinstance(want, Exception):
             assert type(got) is type(want) and str(got) == str(want)
         else:
@@ -508,12 +535,12 @@ def test_stacked_join_margins_equal_the_scalar_ones(n):
                 np.array([m for *_, m in want]).tobytes()
         jobs.append(job)
         wants.append(want)
-    stacked = _join_margins(jobs)
+    stacked = join_margins(jobs)
     for want, got in zip(wants, stacked):
         if isinstance(want, Exception):
             assert type(got) is type(want)
         else:
-            assert [(u, si, idx, m) for (u, si, idx), m in zip(*got)] == want
+            assert got == want
     # a flat base needs three points, so joins of dimension 3 <= n - k
     assert any(isinstance(w, Exception) for w in wants) == (n >= 4)
     # in R^2 every base is a point, transverse to any line

@@ -40,7 +40,7 @@ ALLOWED = {
     ("grassmann", "_transverse"): {"svdvals"},
     ("engine", "_jacobian_amplification"): {"svdvals"},
     ("plmaps", "distance"): {"svdvals"},
-    ("perturb", "_plan"): {"svdvals"},
+    ("perturb", "_search_dims"): {"svdvals"},
 }
 
 

@@ -13,6 +13,7 @@ from jigglekit.errors import (
 from jigglekit.grassmann import (
     AffineFlat,
     Plane,
+    _project_flat,
     affine_span,
     plane_from_spanning,
     point_flat_distance,
@@ -24,13 +25,14 @@ from jigglekit.perturb import (
     PerturbationRequest,
     PerturbationResult,
     _avoid_flats,
+    _certificates,
     _join_margins,
     _perturb_vertices,
-    _project_flat,
+    _requested_stars,
     avoid_flats,
     perturb_vertex,
 )
-from jigglekit.transversality import semitrans_margin
+from jigglekit.transversality import _join_error, semitrans_margin
 
 HORIZONTAL = Plane(np.array([[1.0, 0.0]]))
 VERTICAL = Plane(np.array([[0.0, 1.0]]))
@@ -42,6 +44,20 @@ def only(results):
     if isinstance(out, Exception):
         raise out
     return out
+
+
+def join_margins(jobs):
+    """The joins of each job ``(point, stars, star_folis, folis)`` with
+    their margins, ``[(u, si, idx, margin)]``, or the DegenerateSimplex of
+    a job with a degenerate base: one stacked :func:`_join_margins` call
+    on the jobs' stars."""
+    reqs = [PerturbationRequest(point=point, epsilon=1.0, star_simplices=stars,
+                                foliations=folis, star_foliations=star_folis)
+            for point, stars, star_folis, folis in jobs]
+    _, stars, coords = _requested_stars(reqs, [None] * len(reqs))
+    margins, degenerate = _join_margins(stars, coords, np.stack([r.point for r in reqs]))
+    return [_join_error(2) if flat else joins
+            for flat, joins in zip(degenerate.tolist(), _certificates(stars, margins))]
 
 
 def search(p, epsilon, flats, quotients=None, constraint_flat=None, seed=0, samples=64):
@@ -233,7 +249,8 @@ def test_join_margins_lists_every_join_with_its_direct_margin():
              np.array([[2.0, 0.0, 0.1], [2.0, 0.0, 1.1]])]
     star_folis = [(0, 1), (0,), (0, 1)]
     point = np.array([-0.3, -0.2, 0.05])
-    joins, margins = only(_join_margins([(point, stars, star_folis, folis)]))
+    got = only(join_margins([(point, stars, star_folis, folis)]))
+    joins, margins = [(u, si, idx) for u, si, idx, _ in got], [m for *_, m in got]
     expected = []
     for u, v in enumerate(folis):
         cap = v.ambient_dim - v.rank
@@ -423,16 +440,19 @@ def test_a_point_constraint_leaves_no_room():
     dict(samples=-1), dict(samples=2.5), dict(samples=True),
     dict(epsilon=-0.1), dict(epsilon=math.nan), dict(epsilon=math.inf),
     dict(point=[math.nan, 0.0]), dict(point=[0.0, math.inf]),
+    dict(seed=-5), dict(seed=1.5),
 ])
 def test_search_inputs_are_checked(kw):
+    # a negative seed used to reach numpy's default_rng and fail there with a
+    # bare ValueError
     line = affine_span(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    args = dict(point=[0.5, 0.0], epsilon=0.1, samples=8) | kw
+    args = dict(point=[0.5, 0.0], epsilon=0.1, samples=8, seed=0) | kw
     with pytest.raises(PreconditionViolated):
         only(_avoid_flats([search(args["point"], args["epsilon"], [line],
-                                  samples=args["samples"])]))
+                                  seed=args["seed"], samples=args["samples"])]))
     with pytest.raises(PreconditionViolated):
         PerturbationRequest(point=args["point"], epsilon=args["epsilon"],
-                            samples=args["samples"])
+                            seed=args["seed"], samples=args["samples"])
 
 
 def test_zero_budget_and_zero_samples_are_legal():

@@ -260,6 +260,30 @@ def test_stacked_distances_equal_the_per_cell_loop(grid, level, scale):
     assert _jacobian_amplification(child) == reference_amplification(child)
 
 
+@pytest.mark.parametrize("grid, level", [(unit_square_grid(1), 2), (box_grid(1), 1)],
+                         ids=["square-2", "box-1"])
+def test_a_point_evaluator_gives_the_per_point_distances_bit_for_bit(grid, level):
+    """An evaluator that takes one point at a time (``math`` refuses
+    arrays), with finite differences and with a Jacobian of its own: the
+    stacked distances equal the per-cell loop that calls ``derivative_at``
+    point by point."""
+    child, _ = crystalline_subdivide(grid, level)
+    rng = np.random.default_rng(level)
+    g = PLMap(child, child.vertices + 0.01 * rng.standard_normal(child.vertices.shape))
+
+    def bend(p):
+        return np.array([p[0] + 0.1 * math.sin(3.0 * p[-1])] + list(p[1:]))
+
+    def bend_jacobian(p):
+        jac = np.eye(len(p))
+        jac[0, -1] += 0.3 * math.cos(3.0 * p[-1])
+        return jac
+
+    for f in (SampledMap(grid, bend), SampledMap(grid, bend, jacobian=bend_jacobian)):
+        assert not f._vectorized
+        assert_distances_match(f, g)
+
+
 def triangle_edge_vertex():
     """Tops of three sizes: a triangle, a dangling edge, an isolated vertex."""
     return build_complex(2, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2.0, 1.0), (3.0, 3.0)],
