@@ -51,7 +51,7 @@ from .errors import (
     UnsupportedDimension,
     VolumeMismatch,
 )
-from .grassmann import Plane
+from .grassmann import Plane, _stack
 from .plmaps import PLMap
 from .transversality import (
     DEFAULT_SAMPLE_DEPTH,
@@ -151,6 +151,7 @@ _COMPLEX_BUILDERS = {
     "box_grid": box_grid,
 }
 
+_SAMPLE_CHUNK = 1 << 20    # probe-to-sample offsets a sampled field holds at once
 _NAME_RE = re.compile(r"^([a-z_]+)(?:\((.*)\))?$")
 
 
@@ -174,30 +175,34 @@ def builtin_complex(name: str) -> SimplicialComplex:
 def planar_rotor(omega: float) -> Distribution:
     """Horizontal line field in R^3 rotating about e3 at rate omega per unit z."""
 
-    def at(p):
-        ang = omega * p[2]
-        return Plane(np.array([[math.cos(ang), math.sin(ang), 0.0]]))
+    def at(points):
+        rows = [(math.cos(ang), math.sin(ang), 0.0) for ang in (omega * points[:, 2]).tolist()]
+        return np.array(rows).reshape(-1, 1, 3)
 
-    return Distribution(3, 1, "builtin", at, name=f"planar_rotor({omega!r})")
+    return Distribution(3, 1, "builtin", at, name=f"planar_rotor({omega!r})", stacked=True)
 
 
 def vertical_twist() -> Distribution:
     """Line field in R^2 that starts vertical and turns with x at unit rate."""
 
-    def at(p):
-        return Plane(np.array([[-math.sin(p[0]), math.cos(p[0])]]))
+    def at(points):
+        rows = [(-math.sin(x), math.cos(x)) for x in points[:, 0].tolist()]
+        return np.array(rows).reshape(-1, 1, 2)
 
-    return Distribution(2, 1, "builtin", at, name="vertical_twist")
+    return Distribution(2, 1, "builtin", at, name="vertical_twist", stacked=True)
 
 
 def contact_like() -> Distribution:
     """Rank-2 field in R^3 spanned by (1, 0, y) and (0, 1, 0) at (x, y, z)."""
 
-    def at(p):
-        norm = math.hypot(1.0, p[1])
-        return Plane(np.array([[1.0 / norm, 0.0, p[1] / norm], [0.0, 1.0, 0.0]]))
+    def at(points):
+        rows = []
+        for y in points[:, 1].tolist():
+            norm = math.hypot(1.0, y)
+            rows.append(((1.0 / norm, 0.0, y / norm), (0.0, 1.0, 0.0)))
+        return np.array(rows).reshape(-1, 2, 3)
 
-    return Distribution(3, 2, "builtin", at, name="contact_like")
+    return Distribution(3, 2, "builtin", at, name="contact_like", stacked=True)
 
 
 def builtin_distribution(name: str) -> Distribution:
@@ -226,11 +231,17 @@ def sampled_distribution(points, planes, name: str = "samples") -> Distribution:
              for p in planes]
     if len(table) != pts.shape[0] or not table:
         raise PreconditionViolated("sample points and planes must align")
+    if len({p.basis.shape for p in table}) > 1:
+        raise PreconditionViolated("sampled planes must share one rank and dimension")
+    bases = _stack([p.basis for p in table], all(p.basis.flags.c_contiguous for p in table))
+    step = max(1, _SAMPLE_CHUNK // len(pts))
 
-    def at(p):
-        return table[int(np.argmin(np.linalg.norm(pts - p, axis=1)))]
+    def at(probes):
+        near = [np.argmin(np.linalg.norm(pts - probes[i:i + step, None], axis=2), axis=1)
+                for i in range(0, len(probes), step)]
+        return bases[np.concatenate(near or [np.zeros(0, dtype=np.intp)])]
 
-    return Distribution(pts.shape[1], table[0].rank, "sampled", at, name=name)
+    return Distribution(pts.shape[1], table[0].rank, "sampled", at, name=name, stacked=True)
 
 
 # ---------------------------------------------------------------------------

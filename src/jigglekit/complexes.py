@@ -14,6 +14,7 @@ id and the same floating point coordinates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -563,7 +564,8 @@ def _bboxes(ids: np.ndarray, sizes: np.ndarray, vertex_coords: np.ndarray):
     return lo, hi
 
 
-def _sat_group(pa: np.ndarray, pb: np.ndarray, tol: float) -> np.ndarray:
+def _sat_group(pa: np.ndarray, pb: np.ndarray, tol: float,
+               cheap: bool = False) -> np.ndarray:
     """Vectorized separating-axis test over a batch of simplex pairs.
 
     ``pa`` has shape (m, ka, n) and ``pb`` shape (m, kb, n).  The relative
@@ -579,7 +581,10 @@ def _sat_group(pa: np.ndarray, pb: np.ndarray, tol: float) -> np.ndarray:
     facet normals (when it does not, the plane normal itself separates).
     So the candidate set is complete in R^2 and R^3, and there the exact
     test only confirms overlaps; for N > 3 ``_sat_disjoint_many`` certifies
-    nothing and every pair goes to the exact test.
+    nothing and every pair goes to the exact test.  With ``cheap`` only the
+    base difference and the edges are tried: the first stage of
+    ``_sat_disjoint_many``, a subset of the full axes with the same value
+    on each, so it certifies no pair the full set does not.
 
     Strict separation along any axis keeps even the closures apart.  Weak
     separation certifies too, provided one simplex has positive extent
@@ -590,17 +595,17 @@ def _sat_group(pa: np.ndarray, pb: np.ndarray, tol: float) -> np.ndarray:
     """
     m, ka, n = pa.shape
     kb = pb.shape[1]
-    scale = np.maximum(
-        1.0,
-        np.maximum(np.abs(pa).max(axis=(1, 2)), np.abs(pb).max(axis=(1, 2))),
-    )
+    scale = np.maximum(1.0, np.maximum(np.abs(pa).reshape(m, ka * n).max(axis=1),
+                                       np.abs(pb).reshape(m, kb * n).max(axis=1)))
     gap = (tol * scale)[:, None]
-    ra, sa = np.triu_indices(ka, 1)
-    rb, sb = np.triu_indices(kb, 1)
+    ra, sa = _pairs_of(ka)
+    rb, sb = _pairs_of(kb)
     base = pa[:, :1] - pb[:, :1]
     edges = np.concatenate([pa[:, sa] - pa[:, ra], pb[:, sb] - pb[:, rb]],
                            axis=1)
-    if n == 2:
+    if cheap:
+        normals = edges[:, :0]
+    elif n == 2:
         normals = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
     else:
         flat = max(ka, kb) <= n
@@ -612,21 +617,50 @@ def _sat_group(pa: np.ndarray, pb: np.ndarray, tol: float) -> np.ndarray:
             widest = normals[np.arange(m), w][:, None]
             normals = np.concatenate([normals, np.cross(widest, dirs)], axis=1)
     axes = np.concatenate([base, edges, normals], axis=1)
-    norms = np.linalg.norm(axes, axis=2)
+    norms = _norms(axes)
     keep = norms > 1e-14 * scale[:, None]
     axes = axes / np.where(keep, norms, 1.0)[..., None]
-    da = np.einsum("mkn,man->mka", pa, axes)
-    db = np.einsum("mkn,man->mka", pb, axes)
-    a0, a1 = da.min(axis=1), da.max(axis=1)
-    b0, b1 = db.min(axis=1), db.max(axis=1)
+    a0, a1 = _span(np.einsum("mkn,man->mka", pa, axes))
+    b0, b1 = _span(np.einsum("mkn,man->mka", pb, axes))
     strict = (a1 <= b0 - gap) | (b1 <= a0 - gap)
     extent = (a1 - a0 > gap) | (b1 - b0 > gap)
     weak = (a1 <= b0 + gap) | (b1 <= a0 + gap)
     return ((strict | (extent & weak)) & keep).any(axis=1)
 
 
+@functools.cache
+def _pairs_of(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(k, 1)``: the index pairs i < j of k vertices."""
+    return np.triu_indices(k, 1)
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(vectors, axis=-1)`` bit for bit: the squares summed
+    in order, without a reduce over the short last axis."""
+    return np.sqrt(functools.reduce(np.add, [x * x for x in np.moveaxis(vectors, -1, 0)]))
+
+
+def _span(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The minimum and maximum of a (m, k, a) stack over its k axis, by
+    k - 1 elementwise steps each (a strided reduce is slower here)."""
+    lo = hi = d[:, 0]
+    for i in range(1, d.shape[1]):
+        lo, hi = np.minimum(lo, d[:, i]), np.maximum(hi, d[:, i])
+    return lo, hi
+
+
 _SAT_CHUNK = 4096
 _SWEEP_BLOCK = 65536
+
+
+def _all(masks) -> np.ndarray:
+    """The elementwise AND of some boolean arrays of one shape."""
+    return functools.reduce(np.logical_and, masks)
+
+
+def _any(masks) -> np.ndarray:
+    """The elementwise OR of some boolean arrays of one shape."""
+    return functools.reduce(np.logical_or, masks)
 
 
 def _candidate_pairs(ids: np.ndarray, sizes: np.ndarray,
@@ -649,6 +683,8 @@ def _candidate_pairs(ids: np.ndarray, sizes: np.ndarray,
         return none, none
     lo, hi = _bboxes(ids, sizes, vertex_coords)
     pad = tol * max(1.0, float(np.max(hi - lo)))
+    # by column: a test per column and axis beats a reduce over a short axis
+    lo_t, hi_t, ids_t = lo.T.copy(), hi.T.copy(), ids.T.copy()
     axis = int(np.argmax(np.var(lo + hi, axis=0)))
     order = np.argsort(lo[:, axis], kind="stable")
     start = lo[order, axis]
@@ -667,19 +703,19 @@ def _candidate_pairs(ids: np.ndarray, sizes: np.ndarray,
         q = p + 1 + np.arange(ends[last - 1] - base) - row_start
         a, b = order[p], order[q]
         i, j = np.minimum(a, b), np.maximum(a, b)
-        near = (np.all(lo[i] <= hi[j] + pad, axis=1)
-                & np.all(lo[j] <= hi[i] + pad, axis=1))
+        near = _all(lo_t[d][i] <= hi_t[d][j] + pad for d in range(len(lo_t)))
+        near &= _all(lo_t[d][j] <= hi_t[d][i] + pad for d in range(len(lo_t)))
         i, j = i[near], j[near]
-        vi, vj = ids[i], ids[j]
-        same = vi[:, :, None] == vj[:, None, :]
-        i_in_j = np.all(same.any(axis=2) | (vi < 0), axis=1)
-        j_in_i = np.all(same.any(axis=1) | (vj < 0), axis=1)
+        vi, vj = ids_t[:, i], ids_t[:, j]
+        same = [[u == w for w in vj] for u in vi]
+        i_in_j = _all(_any(row) | (u < 0) for row, u in zip(same, vi))
+        j_in_i = _all(_any(col) | (w < 0) for col, w in zip(zip(*same), vj))
         proper = ~(i_in_j | j_in_i)
         firsts.append(i[proper])
         seconds.append(j[proper])
         row = last
     first, second = np.concatenate(firsts), np.concatenate(seconds)
-    by_pair = np.lexsort((second, first))
+    by_pair = np.argsort(first * len(ids) + second)    # the pairs are distinct
     return first[by_pair], second[by_pair]
 
 
@@ -689,20 +725,38 @@ def _sat_disjoint_many(first: np.ndarray, second: np.ndarray, ids: np.ndarray,
     """Run the separating-axis certificate over indexed candidate pairs.
 
     Pair t joins simplex ``first[t]`` to simplex ``second[t]`` (rows of the
-    id table ``ids``); pairs are grouped by their vertex-count signature so
-    each group runs as one batch, gathered straight from ``vertex_coords``.
+    id table ``ids``), gathered straight from ``vertex_coords``.  Two
+    stages:
+
+    * The cheap axes of :func:`_sat_group` (base difference and edges), on
+      all pairs in one batch, which separate most pairs of a mesh.  Each
+      simplex is padded to the widest by repeating its last vertex: that
+      adds only repeated edges and zero edges, which no axis keeps, and
+      leaves every extent and the scale as they are.
+    * The full axis set on the pairs the first stage leaves uncertified,
+      grouped by their vertex-count signature so each group runs as one
+      batch.
+
+    Each axis has the same value in both stages, so every verdict is the
+    full set's.
     """
     out = np.zeros(len(first), dtype=bool)
     if not len(first) or vertex_coords.shape[1] not in (2, 3):
         return out
-    ka, kb = sizes[first], sizes[second]
+    last = ids[np.arange(len(ids)), sizes - 1]
+    padded = np.where(ids >= 0, ids, last[:, None])
+    for lo_t in range(0, len(first), _SAT_CHUNK):
+        chunk = slice(lo_t, lo_t + _SAT_CHUNK)
+        out[chunk] = _sat_group(vertex_coords[padded[first[chunk]]],
+                                vertex_coords[padded[second[chunk]]], tol, cheap=True)
+    rest = np.flatnonzero(~out)
+    ka, kb = sizes[first[rest]], sizes[second[rest]]
     for a, b in np.unique(np.stack([ka, kb], axis=1), axis=0):
-        ts = np.flatnonzero((ka == a) & (kb == b))
+        ts = rest[(ka == a) & (kb == b)]
         for lo_t in range(0, len(ts), _SAT_CHUNK):
             chunk = ts[lo_t:lo_t + _SAT_CHUNK]
-            pa = vertex_coords[ids[first[chunk], :a]]
-            pb = vertex_coords[ids[second[chunk], :b]]
-            out[chunk] = _sat_group(pa, pb, tol)
+            out[chunk] = _sat_group(vertex_coords[ids[first[chunk], :a]],
+                                    vertex_coords[ids[second[chunk], :b]], tol)
     return out
 
 
@@ -733,8 +787,9 @@ def find_interior_overlap(simplices: list[tuple[int, ...]],
     complex's own table: image coordinates reuse this for embedding checks).
     Pairs in a face relation are skipped.  The rest are decided by a
     sweep-and-prune pass over bounding boxes, then the batched
-    separating-axis certificate (SAT), then the exact LP of
-    :func:`relative_interiors_intersect`.  Before the LP a
+    separating-axis certificate (SAT; its cheap axes first, the full set
+    only on the pairs they leave, see ``_sat_disjoint_many``), then the
+    exact LP of :func:`relative_interiors_intersect`.  Before the LP a
     pair whose vertices together are a listed simplex with ``rmin > tol *
     rmax`` is dropped, since two faces of one nondegenerate simplex meet
     exactly in their common face; SAT already certifies such pairs in R^2

@@ -52,7 +52,7 @@ from .errors import (
     StarNotTransverse,
     VolumeMismatch,
 )
-from .grassmann import affine_span, d_proj
+from .grassmann import Plane, affine_span
 from .perturb import _join_margins, _perturb, _Planes, _Stars
 from .plmaps import (
     PLMap,
@@ -68,6 +68,7 @@ from .plmaps import (
 from .transversality import (
     Distribution,
     TransversalityReport,
+    _first_ids,
     _general_position_each,
     _join_error,
     transversality_report,
@@ -238,19 +239,43 @@ def _image_radii(child: SimplicialComplex,
     return float(rmin.min(initial=np.inf)), float(rmax.max(initial=0.0))
 
 
-def _plane_drift(child: SimplicialComplex, planes_for, xi: Distribution) -> float:
-    """Largest d_proj between the planes at the two ends of any edge.
+def _field_planes(xi: Distribution, points: np.ndarray) -> list:
+    """The plane of ``xi`` at each point, or the error it raises there,
+    from one stacked evaluation; points whose bases have the same bytes
+    share one :class:`Plane`."""
+    bases, errors = xi._bases(points)
+    out = [errors.get(i) for i in range(len(points))]
+    good = [i for i in range(len(points)) if i not in errors]
+    if good:
+        ids, first = _first_ids(bases[good].reshape(len(good), -1))
+        distinct = [Plane(bases[good[i]]) for i in first.tolist()]
+        for i, j in zip(good, ids.tolist()):
+            out[i] = distinct[j]
+    return out
+
+
+def _plane_drift(child: SimplicialComplex, planes: list, xi: Distribution) -> float:
+    """Largest d_proj between the planes at the two ends of any edge, from
+    ``planes``, the :func:`_field_planes` of xi at the vertices; the error
+    of the first failing end, in edge order, is raised.
 
     Margins certified at one vertex are consumed later against neighbouring
     vertices' planes, so they must dominate this drift; zero for a constant
-    field.
+    field.  The projector differences are one stack, and each norm an SVD
+    with the bits of :func:`d_proj`'s own.
     """
     if xi.kind == "constant":
         return 0.0
-    worst = 0.0
-    for u, w in child.simplices_of_dim(1):
-        worst = max(worst, d_proj(planes_for(u)[0], planes_for(w)[0]))
-    return worst
+    edges = child._face_ids(1)
+    failed = np.array([isinstance(p, Exception) for p in planes], dtype=bool)[edges]
+    if failed.any():
+        e = int(failed.any(axis=1).argmax())
+        raise planes[int(edges[e, failed[e].argmax()])]
+    if not len(edges):
+        return 0.0
+    proj = np.stack([p.projector for p in planes])
+    return float(np.linalg.norm(proj[edges[:, 0]] - proj[edges[:, 1]], 2,
+                                axis=(1, 2)).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +307,10 @@ def _edge_oscillation(fmap, complex_: SimplicialComplex, images0: np.ndarray,
         ts = np.linspace(0.0, 1.0, steps + 1)
         pts = dom[i] + np.outer(ts, dom[j] - dom[i])
         ipts = fmap.evaluate_batch(pts, hint=tuple(top))
-        planes = [xi.plane_at(q) for q in ipts]
-        for a, b in zip(planes, planes[1:]):
-            worst = max(worst, d_proj(a, b))
+        bases = xi.bases_at(ipts)
+        proj = bases.swapaxes(1, 2) @ bases
+        gaps = np.linalg.norm(proj[1:] - proj[:-1], 2, axis=(1, 2))
+        worst = max(worst, float(gaps.max()))
     return worst
 
 
@@ -363,6 +389,13 @@ def _call(callback, *args):
         return callback(*args)
     except Exception as exc:  # raised by the caller, if the value is needed
         return exc
+
+
+def _or_raise(value):
+    """``value``, raised when it is an exception."""
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
@@ -712,14 +745,12 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
 
     images = np.array(flin.images)
     unperturbed = images.copy()
-    planes_cache: dict[int, list] = {}
+    planes = _field_planes(xi, unperturbed)
 
     def planes_for(vid):
-        if vid not in planes_cache:
-            planes_cache[vid] = [xi.plane_at(unperturbed[vid])]
-        return planes_cache[vid]
+        return [_or_raise(planes[vid])]
 
-    drift = _plane_drift(child, planes_for, xi)
+    drift = _plane_drift(child, planes, xi)
     margin_target = max(
         cfg.margin_floor * 0.9 * cfg.gamma / (1.0 + amp),
         DRIFT_MARGIN_FACTOR * drift * rmax_img,
@@ -887,15 +918,18 @@ def jiggle_subdivision(complex_: SimplicialComplex,
     images = np.array(out.vertices)
     unperturbed = images.copy()
 
-    planes_cache: dict[int, list] = {}
+    # each field's planes at the vertices whose carrier lies in one of its tops
+    fields_of = [[per_top[t] for t in parent_tops(carrier)] for carrier in carriers]
+    holders: dict = {}
+    for vid, fields in enumerate(fields_of):
+        for xi in dict.fromkeys(fields):
+            holders.setdefault(xi, []).append(vid)
+    plane_of = {}
+    for xi, vids in holders.items():
+        plane_of.update(zip(((xi, v) for v in vids), _field_planes(xi, unperturbed[vids])))
 
     def planes_for(vid):
-        if vid not in planes_cache:
-            planes_cache[vid] = [
-                per_top[t].plane_at(unperturbed[vid])
-                for t in parent_tops(carriers[vid])
-            ]
-        return planes_cache[vid]
+        return [_or_raise(plane_of[xi, vid]) for xi in fields_of[vid]]
 
     def fol_indices_for(vid, s):
         gids: set[int] = set()

@@ -7,8 +7,6 @@ orthogonal projectors (``d_proj``).
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import AmbientMismatch, RankDeficient
@@ -16,6 +14,27 @@ from .errors import AmbientMismatch, RankDeficient
 RANK_REL_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-10
 LOST_DIRECTION = 1e-12      # a projected direction this short is lost in the quotient
+SURELY_TRANSVERSE = 1e4     # a margin this many times max(tol, 1e-8) passes the rank test
+NOT_ORTHONORMAL = "basis rows are not orthonormal; use plane_from_spanning"
+
+
+def _orthonormal(bases: np.ndarray) -> np.ndarray:
+    """Whether each item of a (..., k, n) stack has orthonormal rows: the
+    rule of :class:`Plane`, ``B @ B.T`` within ``ORTHONORMAL_TOL`` of the
+    identity by np.allclose's own rule without its overhead, so NaN and inf
+    fail."""
+    eye = np.eye(bases.shape[-2])
+    gram = bases @ np.swapaxes(bases, -1, -2)
+    return (np.abs(gram - eye) <= ORTHONORMAL_TOL + 1e-5 * eye).all(axis=(-2, -1))
+
+
+def _stack(arrays: list, c_order: bool) -> np.ndarray:
+    """The 2-D ``arrays`` as one (S, a, b) stack whose items keep their
+    memory order, C or Fortran: a product rounds by the order of its
+    operands, so a stacked product must see each one as its own call does."""
+    if c_order:
+        return np.stack(arrays)
+    return np.stack([a.T for a in arrays]).swapaxes(1, 2)
 
 
 class Plane:
@@ -27,10 +46,8 @@ class Plane:
         b = np.atleast_2d(np.asarray(basis, dtype=float))
         if b.size == 0:
             raise RankDeficient("a plane needs at least one basis vector")
-        # np.allclose's own rule, without its overhead: NaN and inf fail
-        eye = np.eye(b.shape[0])
-        if not (np.abs(b @ b.T - eye) <= ORTHONORMAL_TOL + 1e-5 * eye).all():
-            raise RankDeficient("basis rows are not orthonormal; use plane_from_spanning")
+        if not _orthonormal(b):
+            raise RankDeficient(NOT_ORTHONORMAL)
         self.ambient_dim = b.shape[1]
         self.basis = b
         self.basis.setflags(write=False)
@@ -140,30 +157,55 @@ def _transverse(bases: np.ndarray, v, tol: float = RANK_REL_TOL,
     transverse face's eps margin.
 
     The SVDs run stacked, each matrix with the bits of a stack of one.  The
-    rejection ``b - (b @ V.T) @ V`` is one 2-D product per row, on the row
-    as it lies in ``bases`` and on its plane's own basis array: a stacked
-    product, or a copy of either operand into another memory order, may
-    round differently in the last bits."""
+    rejection ``b - (b @ V.T) @ V`` is one stacked product, each item on
+    its row as it lies in ``bases`` and on its V basis in that basis's own
+    memory order, which gives every row the bits of its own 2-D product: a
+    copy of either operand into another order may round differently in the
+    last bits.  So an (S, k, n) stack must hold each basis in the order of
+    its plane's array, and a sequence of planes takes one product per
+    order (:func:`_stack`).  Rank-1 bases round alike in either order.
+
+    With ``margins`` and d + k <= n, a row whose margin sigma exceeds
+    ``SURELY_TRANSVERSE * max(tol, 1e-8)`` skips its rank SVD, as it
+    passes for sure: for orthonormal W and V the stacked bases have
+    singular values sqrt(1 +- cos theta_i) and ones, so the smallest is
+    sqrt(1 - cos theta_min) >= sin(theta_min) / sqrt(2) = sigma / sqrt(2)
+    and the largest at most sqrt(2).  A basis off orthonormal by
+    ``Plane``'s 1e-10 per entry moves those squares by about 1e-9, so the
+    smallest stays above 6e-5 where sigma > 1e-4, four orders of magnitude
+    over the rank bar tol * sqrt(2).  Every verdict is the rank test's."""
     s, d, n = bases.shape
     if isinstance(v, Plane):
-        rows, each = v.basis, itertools.repeat(v.basis)
+        rows = v.basis
     elif isinstance(v, np.ndarray):
-        rows = each = v
+        rows = v
     else:
         each = [p.basis for p in v]
         rows = np.array(each)
     k = rows.shape[-2]
     if n != rows.shape[-1]:
         raise AmbientMismatch(f"planes live in R^{n} and R^{rows.shape[-1]}")
-    both = np.empty((s, d + k, n))
-    both[:, :d] = bases
-    both[:, d:] = rows
-    sv = np.linalg.svd(both, compute_uv=False)
-    transverse = _rank(sv, tol) == min(d + k, n)
-    if not margins:
-        return transverse
-    inside = np.array([(b @ w.T) @ w for b, w in zip(bases, each)])
-    return transverse, np.linalg.svd(bases - inside, compute_uv=False)[:, -1]
+    test = np.ones(s, dtype=bool)
+    if margins:
+        if isinstance(v, (Plane, np.ndarray)):
+            inside = (bases @ np.swapaxes(rows, -1, -2)) @ rows
+        else:
+            inside = np.empty((s, d, n))
+            c_order = np.array([w.flags.c_contiguous for w in each], dtype=bool)
+            for c in np.unique(c_order).tolist():
+                sel = np.flatnonzero(c_order == c)
+                w = _stack([each[i] for i in sel.tolist()], c)
+                inside[sel] = (bases[sel] @ w.swapaxes(1, 2)) @ w
+        sigma = np.linalg.svd(bases - inside, compute_uv=False)[:, -1]
+        if d + k <= n:
+            test = ~(sigma > SURELY_TRANSVERSE * max(tol, 1e-8))
+    sel = np.flatnonzero(test)
+    both = np.empty((len(sel), d + k, n))
+    both[:, :d] = bases[sel]
+    both[:, d:] = rows if rows.ndim == 2 else rows[sel]
+    transverse = ~test
+    transverse[sel] = _rank(np.linalg.svd(both, compute_uv=False), tol) == min(d + k, n)
+    return (transverse, sigma) if margins else transverse
 
 
 def is_transverse_planes(v: Plane, w: Plane, tol: float = RANK_REL_TOL) -> bool:

@@ -44,6 +44,7 @@ from .grassmann import (
     AffineFlat,
     _rejection_norms,
     _row_spaces,
+    _stack,
     _transverse,
 )
 from .transversality import (
@@ -147,15 +148,6 @@ def _present(values: np.ndarray) -> np.ndarray:
     """The distinct values of an array of small nonnegative integers, in
     increasing order."""
     return np.flatnonzero(np.bincount(values))
-
-
-def _stack(arrays: list, c_order: bool) -> np.ndarray:
-    """The 2-D ``arrays`` as one (S, a, b) stack whose items keep their
-    memory order, C or Fortran: a product rounds by the order of its
-    operands, so a stacked product must see each one as its own call does."""
-    if c_order:
-        return np.stack(arrays)
-    return np.stack([a.T for a in arrays]).swapaxes(1, 2)
 
 
 class _Planes:

@@ -26,14 +26,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import _combinations, _face_tables
-from .errors import DegenerateSimplex, PreconditionViolated, QueryNotInComplex
+from .errors import (
+    DegenerateSimplex,
+    PreconditionViolated,
+    QueryNotInComplex,
+    RankDeficient,
+)
 from .grassmann import (
+    NOT_ORTHONORMAL,
     RANK_REL_TOL,
     AffineFlat,
     Plane,
+    _orthonormal,
     _project_flat,
     _rejection_norms,
     _row_spaces,
+    _stack,
     _transverse,
     affine_span,
     point_flat_distance,
@@ -52,31 +60,103 @@ class Distribution:
 
     ``kind`` is one of ``constant``, ``builtin``, ``sampled``; constant
     fields unlock cheap verification paths (one evaluation suffices).
+
+    ``evaluator`` maps a point (n,) to its :class:`Plane`.  With
+    ``stacked`` it maps a (P, n) stack of points to the (P, k, n) stack of
+    their orthonormal bases instead, as the builtin fields do: then every
+    stack is checked by the rule of :class:`Plane`, all at once.
+    :meth:`bases_at` is the one evaluation; :meth:`plane_at` is a stack of
+    one of it.
     """
 
     def __init__(self, ambient_dim: int, rank: int, kind: str, evaluator,
-                 name: str = ""):
+                 name: str = "", *, stacked: bool = False):
         self.ambient_dim = int(ambient_dim)
         self.rank = int(rank)
         self.kind = kind
         self.name = name
         self._eval = evaluator
+        self._stacked = stacked
+
+    def bases_at(self, points) -> np.ndarray:
+        """The (P, k, n) orthonormal bases of the field at a (P, n) stack of
+        points.  It raises the error of the first point where the field
+        fails."""
+        bases, errors = self._bases(points)
+        if errors:
+            raise errors[min(errors)]
+        return bases
 
     def plane_at(self, point) -> Plane:
-        plane = self._eval(np.asarray(point, dtype=float))
+        return Plane(self.bases_at(np.asarray(point, dtype=float)[None])[0])
+
+    def _bases(self, points):
+        """:meth:`bases_at` with the failures kept per point: ``(bases,
+        errors)``, where ``errors`` maps the index of each point where the
+        field fails to its error, and the bases of those points are
+        meaningless.  A per-point evaluator is called once per point, in
+        order; when a stacked one raises, each point is evaluated on its
+        own to find where.  A stack keeps the memory layout its planes
+        share, and is in C order when they mix."""
+        pts = np.asarray(points, dtype=float)
+        shape = (len(pts), self.rank, self.ambient_dim)
+        errors: dict = {}
+        if not self._stacked:
+            bases = []
+            for i, p in enumerate(pts):
+                try:
+                    bases.append(self._basis(self._eval(p)))
+                except Exception as exc:  # kept for its point
+                    errors[i] = exc
+            if not bases:
+                return np.zeros(shape), errors
+            c_order = all(b.flags.c_contiguous for b in bases)
+            for i in errors:
+                bases.insert(i, np.zeros(shape[1:]))
+            return _stack(bases, c_order), errors
+        try:
+            bases = self._eval(pts)
+        except Exception as exc:  # kept for its point
+            if len(pts) == 1:
+                return np.zeros(shape), {0: exc}
+            parts = [self._bases(p[None]) for p in pts]
+            errors = {i: e[0] for i, (_, e) in enumerate(parts) if e}
+            return np.concatenate([b for b, _ in parts]), errors
+        if not isinstance(bases, np.ndarray) or bases.shape != shape:
+            wrong = PreconditionViolated(
+                f"stacked distribution evaluator returned {_described(bases)}, "
+                f"not {shape} bases")
+            return np.zeros(shape), dict.fromkeys(range(len(pts)), wrong)
+        for i in np.flatnonzero(~_orthonormal(bases)).tolist():
+            errors[i] = RankDeficient(NOT_ORTHONORMAL)
+        return bases, errors
+
+    def _basis(self, plane) -> np.ndarray:
+        """The basis of a plane a per-point evaluator returned, checked."""
+        if not isinstance(plane, Plane):
+            raise PreconditionViolated(
+                f"distribution evaluator returned {_described(plane)}, not a Plane")
         if plane.rank != self.rank or plane.ambient_dim != self.ambient_dim:
             raise PreconditionViolated(
                 "distribution evaluator returned a plane of wrong rank or dim"
             )
-        return plane
+        return plane.basis
 
     @staticmethod
     def constant(plane: Plane, name: str = "constant") -> "Distribution":
+        shape = plane.basis.shape
         return Distribution(plane.ambient_dim, plane.rank, "constant",
-                            lambda _p: plane, name=name)
+                            lambda pts: np.broadcast_to(plane.basis, (len(pts),) + shape),
+                            name=name, stacked=True)
 
     def __repr__(self) -> str:
         return f"Distribution({self.name or self.kind}, n={self.ambient_dim}, k={self.rank})"
+
+
+def _described(value) -> str:
+    if isinstance(value, np.ndarray):
+        return f"a {value.shape} array"
+    return f"a {type(value).__name__}"
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +417,9 @@ def general_position(coords: np.ndarray, xi: Distribution,
     face that is not transverse and raises :class:`DegenerateSimplex` when
     a degenerate face comes first.  The kernel runs the probes in waves,
     one per probe index, so a simplex that failed is probed no further.
-    The face bases and the SVDs are stacked, which gives each matrix the
-    bits of its own call.  Each face's rejection product stays a 2-D
-    product on the face's and the plane's own arrays, because a stacked
-    product over copies in another memory order rounds differently.
+    The face bases, the SVDs and the rejection products are stacked, each
+    operand in its own memory order, which gives each matrix the bits of
+    its own call (see :func:`_transverse`).
     """
     pts = np.asarray(coords, dtype=float)
     ok, margin = _general_positions([(np.zeros(1, dtype=int), pts[None], xi)],
@@ -349,12 +428,18 @@ def general_position(coords: np.ndarray, xi: Distribution,
 
 
 def _first_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of the distinct byte strings among the rows of a 2-D array, and
-    the row where each first appears: ``rows[first][ids]`` is ``rows``
-    byte for byte."""
-    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))
-    _, first, ids = np.unique(keys[:, 0], return_index=True, return_inverse=True)
-    return ids.reshape(-1), first
+    """Ids of the distinct byte strings among the rows of a 2-D array of
+    8-byte items, and the row where each first appears: ``rows[first][ids]``
+    is ``rows`` byte for byte.  The rows are read as int64 words and take
+    one stable lexsort (np.unique on void rows is several times slower)."""
+    words = np.ascontiguousarray(rows).view(np.int64)
+    order = np.lexsort(words.T[::-1])
+    ranked = words[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    ids = np.empty(len(order), dtype=np.intp)
+    ids[order] = np.cumsum(head) - 1
+    return ids, order[head]
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -423,6 +508,84 @@ def _general_position_each(coords: list, fields, sample_depth: int,
     return _general_positions(groups, sample_depth, RANK_REL_TOL, stop)
 
 
+def _grown(table: np.ndarray, rows: np.ndarray, c_order: bool) -> np.ndarray:
+    """``table`` with ``rows`` appended, a stack of (k, n) bases whose items
+    are in C order or, without ``c_order``, in Fortran order."""
+    if c_order:
+        return np.concatenate([table, rows])
+    return np.concatenate([table.swapaxes(1, 2), rows.swapaxes(1, 2)]).swapaxes(1, 2)
+
+
+class _ProbePlanes:
+    """The planes of some fields at a table of distinct probes: probe ``p``
+    is field ``field[p]`` at point ``points[p]``.  :meth:`at` evaluates each
+    field once per wave, by :meth:`Distribution._bases`, at the probes met
+    for the first time.
+
+    Distinct bases (by shape and bytes) get ids in order.  Basis i is row
+    ``row[i]`` of ``tables[kind[i]]``: one stack per (rank, C order) whose
+    items keep that memory order, so a gather hands :func:`_transverse`
+    each basis in the layout its field gave it.
+    """
+
+    def __init__(self, fields: list, field: np.ndarray, points: np.ndarray):
+        self.fields, self.field, self.points = fields, field, points
+        self.basis = np.full(len(points), -2, dtype=np.int64)  # -2: not met; -1: failed
+        self.errors: dict = {}
+        self.ids: dict = {}     # (basis shape, basis bytes) -> basis id
+        self.kinds: list = []
+        self.tables: list[np.ndarray] = []
+        self.kind: list[int] = []
+        self.row: list[int] = []
+
+    def at(self, probe: np.ndarray, pos: np.ndarray):
+        """The basis id of each pair: probe ``probe[w]`` for the pair at loop
+        position ``pos[w]``.  Returns ``(ids, at, error)``: where a field
+        fails, ``at`` is the position of the first pair in loop order that
+        meets a failure and ``error`` its error, and that pair and every
+        later one get id -1; otherwise ``error`` is None."""
+        new = np.unique(probe[self.basis[probe] == -2])
+        for f in np.unique(self.field[new]).tolist():
+            self._evaluate(f, new[self.field[new] == f])
+        got = self.basis[probe]
+        failed = np.flatnonzero(got < 0)
+        if not len(failed):
+            return got, None, None
+        w = failed[np.argmin(pos[failed])]
+        got[pos >= pos[w]] = -1
+        return got, int(pos[w]), self.errors[int(probe[w])]
+
+    def _evaluate(self, f: int, probes: np.ndarray) -> None:
+        """Evaluate field ``f`` at some probes not met before."""
+        bases, errors = self.fields[f]._bases(self.points[probes])
+        for i, exc in errors.items():
+            self.basis[probes[i]] = -1
+            self.errors[int(probes[i])] = exc
+        good = np.ones(len(probes), dtype=bool)
+        good[list(errors)] = False
+        rows = np.flatnonzero(good)
+        if not len(rows):
+            return
+        # the items of one stack share its memory order
+        kind = (self.fields[f].rank, bases[0].flags.c_contiguous)
+        if kind not in self.kinds:
+            self.kinds.append(kind)
+            self.tables.append(bases[:0])
+        k = self.kinds.index(kind)
+        same, first = _first_ids(bases[rows].reshape(len(rows), -1))
+        ids, grow = [], []
+        for i in rows[first].tolist():
+            got = self.ids.setdefault((bases[i].shape, bases[i].tobytes()), len(self.kind))
+            if got == len(self.kind):
+                self.kind.append(k)
+                self.row.append(len(self.tables[k]) + len(grow))
+                grow.append(i)
+            ids.append(got)
+        self.basis[probes[rows]] = np.array(ids, dtype=np.int64)[same]
+        if grow:
+            self.tables[k] = _grown(self.tables[k], bases[grow], kind[1])
+
+
 def _general_positions(groups, sample_depth: int, tol: float, stop: bool = False):
     """:func:`general_position` of many (simplex, field) pairs in one array
     pass, bit for bit what a loop over the pairs in order returns.
@@ -435,14 +598,18 @@ def _general_positions(groups, sample_depth: int, tol: float, stop: bool = False
       per face size and deduplicated by its coordinate bytes; each size
       takes one :func:`_face_bases` call.
     * The probes are ``barycentric_lattice @ pts`` per group
-      (:func:`probe_points`).  They run in waves, one per probe index, over
-      the pairs that have not failed yet, so xi is evaluated, once per
-      distinct (field, point bytes), at exactly the probes the loop reaches.
+      (:func:`probe_points`), numbered once by (field, point bytes).  They
+      run in waves, one per probe index, over the pairs that have not
+      failed yet, so each field is evaluated, once per distinct probe, at
+      exactly the probes the loop reaches: one :meth:`Distribution._bases`
+      call per field and wave, on the probes it meets first
+      (:class:`_ProbePlanes`).
     * In a wave, the (face, field plane) pairs not met before, the plane
       keyed by its basis shape and bytes, take one :func:`_transverse` call
-      per face size and plane rank.  Each face's rejection product stays a
-      2-D product (see there), so every margin has the bits of a stack of
-      one.
+      per face size and plane kind (rank and memory order), so every
+      margin has the bits of a stack of one.
+    * A wave's pairs are judged as one array, their face ids padded with -1
+      to the widest simplex.
     * Errors come out in loop order: a field error at its probe, and
       :class:`DegenerateSimplex` at a pair's first probe when a degenerate
       face comes before every face that is not transverse.  A wave records
@@ -464,90 +631,81 @@ def _general_positions(groups, sample_depth: int, tol: float, stop: bool = False
             live.append((order, pts, xi, probe_points(pts, xi, sample_depth),
                          min(pts.shape[1] - 1, free)))
     faces = _FaceTable([(pts, top_dim) for _, pts, _, _, top_dim in live])
-    live = [(order, probes, xi, ids)
-            for (order, _, xi, probes, _), ids in zip(live, faces.ids)]
+    # every probe of every live pair, by (field, point bytes)
+    fields = list(dict.fromkeys(xi for _, _, xi, _, _ in live))
+    table = np.concatenate([
+        np.column_stack([np.full(probes.shape[0] * probes.shape[1], fields.index(xi)),
+                         probes.reshape(-1, probes.shape[-1])])
+        for _, _, xi, probes, _ in live] or [np.zeros((0, 1))])
+    probe, first = _first_ids(table)
+    planes = _ProbePlanes(fields, table[first, 0].astype(np.intp), table[first, 1:])
+    split = np.cumsum([probes.shape[0] * probes.shape[1] for _, _, _, probes, _ in live])
+    live = [(order, pids.reshape(probes.shape[:2]), ids) for (order, _, _, probes, _), pids, ids
+            in zip(live, np.split(probe, split[:-1]), faces.ids)]
+    width = max([1] + [ids.shape[1] for *_, ids in live])
 
-    planes: dict = {}           # (field, probe bytes) -> basis id, or the error
-    basis_ids: dict = {}        # (basis shape, basis bytes) -> basis id
-    basis_planes: list[Plane] = []
-    basis_rank: list[int] = []
     # sorted face id << 32 | basis id, closed by a sentinel; NaN: not transverse
     known, known_margin = np.array([np.iinfo(np.int64).max]), np.array([np.nan])
     alive = ok.copy()
     limit, error = count, None
     for j in itertools.count():
         wave = [(group, np.flatnonzero(alive[group[0]] & (group[0] < limit)))
-                for group in live if j < group[1].shape[-2]]
+                for group in live if j < group[1].shape[1]]
         wave = [(group, rows) for group, rows in wave if len(rows)]
         if not wave:
             break
-        # the field at each pair's j-th probe, in loop order
-        pos = np.concatenate([order[rows] for (order, *_), rows in wave])
-        xs = np.concatenate([probes[rows, j] for (_, probes, *_), rows in wave])
-        fields = [xi for (_, _, xi, _), rows in wave for _ in rows]
-        bid = np.full(len(pos), -1, dtype=np.int64)
-        for w in np.argsort(pos, kind="stable").tolist():
-            key = (fields[w], xs[w].tobytes())
-            got = planes.get(key)
-            if got is None:
-                try:
-                    plane = fields[w].plane_at(xs[w])
-                except Exception as exc:  # raised below, in loop order
-                    got = exc
-                else:
-                    got = basis_ids.setdefault(
-                        (plane.basis.shape, plane.basis.tobytes()), len(basis_planes))
-                    if got == len(basis_planes):
-                        basis_planes.append(plane)
-                        basis_rank.append(plane.rank)
-                planes[key] = got
-            if isinstance(got, Exception):
-                limit, error = int(pos[w]), got
-                break
-            bid[w] = got
-        # (order, rows, face ids, basis ids) of the pairs that got a plane
-        split = np.split(bid, np.cumsum([len(rows) for _, rows in wave])[:-1])
-        wave = [(order, rows[b >= 0], ids[rows[b >= 0]], b[b >= 0])
-                for ((order, _, _, ids), rows), b in zip(wave, split)]
+        # every pair of the wave: its loop position, its j-th probe, and its
+        # face ids (-1 past its own)
+        pos = np.concatenate([order[rows] for (order, _, _), rows in wave])
+        fids = np.full((len(pos), width), -1, dtype=np.int64)
+        starts = np.cumsum([0] + [len(rows) for _, rows in wave]).tolist()
+        for ((_, _, ids), rows), lo in zip(wave, starts):
+            fids[lo:lo + len(rows), :ids.shape[1]] = ids[rows]
+        bid, failed_at, exc = planes.at(
+            np.concatenate([pids[rows, j] for (_, pids, _), rows in wave]), pos)
+        if exc is not None:
+            limit, error = failed_at, exc
+        # the pairs that got a plane
+        pos, fids, bid = pos[bid >= 0], fids[bid >= 0], bid[bid >= 0]
+        face = fids >= 0
+        flat = np.zeros_like(face)
+        flat[face] = faces.flat[fids[face]]
+        use = face & ~flat
+        keys = fids << 32 | bid[:, None]
         # the margins of the (face, plane) pairs met for the first time
-        keys = [fids << 32 | b[:, None] for _, _, fids, b in wave]
-        fresh = _distinct(np.concatenate([k[~faces.flat[k >> 32]] for k in keys]))
-        fresh = fresh[known[np.searchsorted(known, fresh)] != fresh]
+        met = _distinct(keys[use])
+        fresh = met[known[np.searchsorted(known, met)] != met]
         if len(fresh):
             fid, b = fresh >> 32, fresh & 0xFFFFFFFF
-            size, rank = faces.size[fid], np.array(basis_rank)[b]
+            kind, row = np.array(planes.kind)[b], np.array(planes.row)[b]
+            combo = faces.size[fid] * len(planes.tables) + kind
             sigma = np.empty(len(fresh))
-            for s, k in itertools.product(faces.bases, set(basis_rank)):
-                sel = np.flatnonzero((size == s) & (rank == k))
-                if len(sel):
-                    transverse, sig = _transverse(
-                        faces.bases[s][faces.local[fid[sel]]],
-                        [basis_planes[i] for i in b[sel].tolist()], tol, margins=True)
-                    sigma[sel] = np.where(transverse, sig, np.nan)
+            for c in _distinct(combo).tolist():
+                sel = np.flatnonzero(combo == c)
+                s, k = divmod(c, len(planes.tables))
+                transverse, sig = _transverse(faces.bases[s][faces.local[fid[sel]]],
+                                              planes.tables[k][row[sel]], tol, margins=True)
+                sigma[sel] = np.where(transverse, sig, np.nan)
             at = np.searchsorted(known, fresh)
             known, known_margin = np.insert(known, at, fresh), np.insert(known_margin, at, sigma)
         # each pair's faces in loop order: it fails, or raises, at the first
         # face that is degenerate or not transverse
-        for (order, rows, fids, _), k in zip(wave, keys):
-            if not fids.shape[1]:
-                continue
-            flat = faces.flat[fids]
-            vals = np.full(k.shape, np.nan)
-            vals[~flat] = known_margin[np.searchsorted(known, k[~flat])]
-            bad = np.isnan(vals)
-            first = bad.argmax(axis=1)
-            failed = bad.any(axis=1)
-            raises = failed & flat[np.arange(len(rows)), first]
-            if raises.any():
-                r = np.flatnonzero(raises)[np.argmin(order[rows[raises]])]
-                if order[rows[r]] < limit:
-                    f = int(fids[r, first[r]])
-                    limit = int(order[rows[r]])
-                    error = _degenerate(faces.rank[f], int(faces.size[f]) - 1)
-            fail = order[rows[failed & ~raises]]
-            ok[fail], margin[fail], alive[fail] = False, 0.0, False
-            good = order[rows[~failed]]
-            margin[good] = np.minimum(margin[good], vals[~failed].min(axis=1, initial=np.inf))
+        vals = np.where(flat, np.nan, np.inf)
+        vals[use] = known_margin[np.searchsorted(known, met)][np.searchsorted(met, keys[use])]
+        bad = np.isnan(vals)
+        first = bad.argmax(axis=1)
+        failed = bad.any(axis=1)
+        raises = failed & flat[np.arange(len(pos)), first]
+        if raises.any():
+            r = np.flatnonzero(raises)[np.argmin(pos[raises])]
+            if pos[r] < limit:
+                f = int(fids[r, first[r]])
+                limit = int(pos[r])
+                error = _degenerate(faces.rank[f], int(faces.size[f]) - 1)
+        fail = pos[failed & ~raises]
+        ok[fail], margin[fail], alive[fail] = False, 0.0, False
+        good = pos[~failed]
+        margin[good] = np.minimum(margin[good], vals[~failed].min(axis=1, initial=np.inf))
     if error is not None and not (stop and not ok[:limit].all()):
         raise error
     return ok, margin

@@ -744,3 +744,109 @@ def test_face_tables_raise_for_the_first_bad_simplex(tops):
     with pytest.raises(type(want.value)) as got:
         SimplicialComplex(2, np.zeros((5, 2)), tops)
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# the two-stage separating-axis test
+# ---------------------------------------------------------------------------
+
+def reference_sat_group(pa, pb, tol):
+    """The one-stage kernel: every candidate axis of every pair, as
+    ``_sat_group`` computed them before its first stage was split off."""
+    m, ka, n = pa.shape
+    kb = pb.shape[1]
+    scale = np.maximum(1.0, np.maximum(np.abs(pa).max(axis=(1, 2)),
+                                       np.abs(pb).max(axis=(1, 2))))
+    gap = (tol * scale)[:, None]
+    ra, sa = np.triu_indices(ka, 1)
+    rb, sb = np.triu_indices(kb, 1)
+    base = pa[:, :1] - pb[:, :1]
+    edges = np.concatenate([pa[:, sa] - pa[:, ra], pb[:, sb] - pb[:, rb]], axis=1)
+    if n == 2:
+        normals = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
+    else:
+        flat = max(ka, kb) <= n
+        dirs = np.concatenate([base, edges], axis=1) if flat else edges
+        i, j = np.triu_indices(dirs.shape[1], 1)
+        normals = np.cross(dirs[:, i], dirs[:, j])
+        if flat and i.size:
+            w = np.linalg.norm(normals, axis=2).argmax(axis=1)
+            widest = normals[np.arange(m), w][:, None]
+            normals = np.concatenate([normals, np.cross(widest, dirs)], axis=1)
+    axes = np.concatenate([base, edges, normals], axis=1)
+    norms = np.linalg.norm(axes, axis=2)
+    keep = norms > 1e-14 * scale[:, None]
+    axes = axes / np.where(keep, norms, 1.0)[..., None]
+    da = np.einsum("mkn,man->mka", pa, axes)
+    db = np.einsum("mkn,man->mka", pb, axes)
+    a0, a1 = da.min(axis=1), da.max(axis=1)
+    b0, b1 = db.min(axis=1), db.max(axis=1)
+    strict = (a1 <= b0 - gap) | (b1 <= a0 - gap)
+    extent = (a1 - a0 > gap) | (b1 - b0 > gap)
+    weak = (a1 <= b0 + gap) | (b1 <= a0 + gap)
+    return ((strict | (extent & weak)) & keep).any(axis=1)
+
+
+def reference_sat_disjoint_many(first, second, ids, sizes, vertex_coords, tol):
+    """The one-stage loop: the full axis set on every pair, one batch per
+    vertex-count signature."""
+    out = np.zeros(len(first), dtype=bool)
+    if not len(first) or vertex_coords.shape[1] not in (2, 3):
+        return out
+    ka, kb = sizes[first], sizes[second]
+    for a, b in np.unique(np.stack([ka, kb], axis=1), axis=0):
+        ts = np.flatnonzero((ka == a) & (kb == b))
+        out[ts] = reference_sat_group(vertex_coords[ids[first[ts], :a]],
+                                      vertex_coords[ids[second[ts], :b]], tol)
+    return out
+
+
+def _sat_cases():
+    """Random simplices (generic and on a lattice, where many touch), the
+    simplices of meshes (touching along shared faces), a planar mesh laid in
+    R^3 (coplanar pairs) and the boundary of rotor's level-1 box before and
+    after its run."""
+    cases = [(name, sims, verts) for name, sims, verts in _broad_phase_cases()
+             if len(sims) > 1]
+    rng = np.random.default_rng(2024)
+    grid, _ = crystalline_subdivide(unit_square_grid(2), 2)
+    flat = np.column_stack([grid.vertices, np.zeros(grid.num_vertices)])
+    cases.append(("coplanar-grid-in-3d", grid.all_simplices(), flat))
+    tilted = flat @ np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    cases.append(("tilted-coplanar-grid", grid.all_simplices(), tilted))
+    box, _ = crystalline_subdivide(box_grid(1), 1)
+    cases.append(("box-level-1", box.all_simplices(), box.vertices))
+    cases.append(("jiggled-box", box.all_simplices(),
+                  box.vertices + 0.02 * rng.standard_normal(box.vertices.shape)))
+    from jigglekit.cli import planar_rotor
+    from jigglekit.engine import JigglingConfig, jiggle_euclidean
+    from jigglekit.plmaps import PLMap
+    out = jiggle_euclidean(PLMap.identity(box_grid(1)), box_grid(1), planar_rotor(1e-4),
+                           JigglingConfig(gamma=0.2, level=1, seed=0))
+    boundary = list(out.out_complex._ball.boundary)
+    cases.append(("rotor-boundary-before", boundary, out.out_complex.vertices))
+    cases.append(("rotor-boundary-after", boundary, out.plmap.images))
+    return cases
+
+
+def test_two_stage_separating_axes_give_the_one_stage_verdicts():
+    seen = Counter()
+    for name, sims, verts in _sat_cases():
+        ids, sizes = _id_table(sims)
+        first, second = _candidate_pairs(ids, sizes, verts, 1e-9)
+        got = complexes._sat_disjoint_many(first, second, ids, sizes, verts, 1e-9)
+        want = reference_sat_disjoint_many(first, second, ids, sizes, verts, 1e-9)
+        assert got.tolist() == want.tolist(), name
+        seen["certified"] += int(want.sum())
+        seen["left"] += int((~want).sum())
+    assert seen["certified"] > 1000 and seen["left"] > 10
+
+
+
+def test_axis_norms_are_the_bits_of_linalg_norm():
+    rng = np.random.default_rng(2025)
+    for shape in [(1, 1, 2), (1, 1, 3), (5, 26, 3), (300, 20, 2), (1470, 7, 3)]:
+        vectors = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, size=shape[:-1] + (1,))
+        vectors[0, 0] = 0.0
+        assert complexes._norms(vectors).tobytes() == \
+            np.linalg.norm(vectors, axis=-1).tobytes(), shape

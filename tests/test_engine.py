@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 
@@ -10,10 +11,12 @@ from jigglekit.cli import (
     box_grid,
     complex_from_dict,
     complex_to_dict,
+    contact_like,
     main,
     planar_rotor,
     strip,
     unit_square_grid,
+    vertical_twist,
 )
 from jigglekit.complexes import (
     build_complex,
@@ -40,7 +43,7 @@ from jigglekit.errors import (
     PreconditionViolated,
     QueryNotInComplex,
 )
-from jigglekit.grassmann import Plane
+from jigglekit.grassmann import Plane, d_proj
 from jigglekit.plmaps import PLMap, SampledMap
 from jigglekit.transversality import (
     Distribution,
@@ -50,6 +53,7 @@ from jigglekit.transversality import (
 
 HORIZONTAL = Distribution.constant(Plane(np.array([[1.0, 0.0]])))
 DIAGONAL = Distribution.constant(Plane(np.array([[1.0, 1.0]]) / math.sqrt(2.0)))
+HORIZONTAL_3D = Distribution.constant(Plane(np.eye(3)[:1]))
 E1_3D = Distribution.constant(Plane(np.array([[1.0, 0.0, 0.0]])))
 
 
@@ -589,3 +593,94 @@ def test_small_benchmark_bundles_are_pinned_byte_for_byte(tmp_path):
         assert main(["jiggle", str(path), "--mode", mode, str(out)]) == 0
         got.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert got == [pin for _, _, pin in BUNDLE_PINS]
+
+
+# ---------------------------------------------------------------------------
+# stacked field planes in the pipelines
+# ---------------------------------------------------------------------------
+
+def reference_plane_drift(child, images, xi):
+    """The per-edge loop ``_plane_drift`` replaced: one plane per vertex and
+    one ``d_proj`` per edge."""
+    if xi.kind == "constant":
+        return 0.0
+    planes = [xi.plane_at(p) for p in images]
+    worst = 0.0
+    for u, w in child.simplices_of_dim(1):
+        worst = max(worst, d_proj(planes[u], planes[w]))
+    return worst
+
+
+def reference_edge_oscillation(fmap, complex_, images0, xi, radius):
+    """The per-probe loop ``_edge_oscillation`` replaced."""
+    if xi.kind == "constant":
+        return 0.0
+    worst = 0.0
+    for top in complex_.top_simplices:
+        dom, img = complex_.coords(top), images0[list(top)]
+        i, j = max(itertools.combinations(range(len(top)), 2),
+                   key=lambda ij: np.linalg.norm(img[ij[0]] - img[ij[1]]))
+        length = float(np.linalg.norm(img[i] - img[j]))
+        steps = min(engine.OSC_PROBE_CAP, max(1, math.ceil(length / radius)))
+        pts = dom[i] + np.outer(np.linspace(0.0, 1.0, steps + 1), dom[j] - dom[i])
+        planes = [xi.plane_at(q) for q in fmap.evaluate_batch(pts, hint=tuple(top))]
+        for a, b in zip(planes, planes[1:]):
+            worst = max(worst, d_proj(a, b))
+    return worst
+
+
+@pytest.mark.parametrize("case", ["rotor", "fast-rotor", "twist", "contact", "constant"])
+def test_stacked_drift_and_oscillation_equal_the_loops(case):
+    rng = np.random.default_rng(31)
+    if case == "twist":
+        complex_, xi = unit_square_grid(2), vertical_twist()
+    else:
+        complex_ = box_grid(1)
+        xi = {"rotor": planar_rotor(1e-4), "fast-rotor": planar_rotor(3.0),
+              "contact": contact_like(), "constant": HORIZONTAL_3D}[case]
+    child, _ = crystalline_subdivide(complex_, 1)
+    images = child.vertices + 0.05 * rng.standard_normal(child.vertices.shape)
+    drift = engine._plane_drift(child, engine._field_planes(xi, images), xi)
+    assert drift == reference_plane_drift(child, images, xi)
+    assert (drift > 0) == (case != "constant")
+    fmap = PLMap(child, images)
+    for radius in (0.5, 0.01):
+        assert engine._edge_oscillation(fmap, child, images, xi, radius) == \
+            reference_edge_oscillation(fmap, child, images, xi, radius)
+
+
+def test_plane_drift_raises_the_error_of_the_first_failing_end():
+    child, _ = crystalline_subdivide(unit_square_grid(1), 1)
+    traps = {3: "three", 1: "one"}
+
+    def at(p):
+        for v, name in traps.items():
+            if p.tobytes() == child.vertices[v].tobytes():
+                raise ValueError(name)
+        return Plane(np.array([[0.6, 0.8]]))
+
+    xi = Distribution(2, 1, "builtin", at)
+    first = next(e for e in child.simplices_of_dim(1) if set(e) & set(traps))
+    want = traps[next(v for v in first if v in traps)]
+    with pytest.raises(ValueError, match=want):
+        engine._plane_drift(child, engine._field_planes(xi, child.vertices), xi)
+
+
+def test_a_rotor_run_builds_at_most_one_plane_per_vertex(monkeypatch):
+    """The report, the drift and the induction's foliations take the field
+    as stacks of bases: a rotor run builds a Plane only for each distinct
+    foliation plane of the induction, not one per probe."""
+    built = [0]
+    init = Plane.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    box = box_grid(1)
+    xi = planar_rotor(1e-4)
+    cfg = JigglingConfig(gamma=0.2, level=1, seed=0)
+    monkeypatch.setattr(Plane, "__init__", counted)
+    out = jiggle_euclidean(PLMap.identity(box), box, xi, cfg)
+    assert out.report.passed and out.moved_count > 0
+    assert 0 < built[0] <= out.out_complex.num_vertices

@@ -360,3 +360,29 @@ def test_one_plane_per_row_margins_are_the_smallest_principal_sines():
         assert transverse.all()
         for b, plane, m in zip(bases, planes, margin):
             assert abs(m - exact_principal_sines(b, plane.basis)[0]) <= 1e-13
+
+
+@pytest.mark.parametrize("tilt", [1.0, 1e-3, 1e-4, 3e-5, 1e-6, 1e-8, 1e-9, 1e-10, 1e-12, 0.0])
+def test_margins_keep_the_rank_test_verdicts(tilt):
+    """With margins, ``_transverse`` skips the rank SVD of a row whose
+    margin is wide; every verdict must still be the rank test's: margins
+    near the skip bar and near the rank bar, and plane bases off
+    orthonormal by up to the tolerance ``Plane`` accepts."""
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 4, 5):
+        for k in range(1, n):
+            for d in range(1, n - k + 1):
+                planes = []
+                for _ in range(8):
+                    basis = plane_from_spanning(rng.normal(size=(k, n))).basis.copy()
+                    basis += rng.uniform(-3e-11, 3e-11, size=basis.shape)
+                    planes.append(Plane(basis))
+                edges = rng.normal(size=(8, d, n))
+                for i, plane in enumerate(planes):
+                    normal = np.linalg.svd(np.vstack([plane.basis, edges[i, 1:]]))[2][-1]
+                    edges[i, 0] = rng.normal(size=k) @ plane.basis + tilt * normal
+                bases, ranks = _row_spaces(edges)
+                transverse, margin = _transverse(bases, planes, margins=True)
+                assert transverse.tolist() == _transverse(bases, planes).tolist()
+                assert transverse.tolist() == [
+                    bool(_transverse(bases[i:i + 1], plane)[0]) for i, plane in enumerate(planes)]

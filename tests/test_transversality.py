@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from jigglekit import transversality
 from jigglekit.cli import box_grid, planar_rotor, unit_square_grid
 from jigglekit.complexes import _lam, cell_radii
-from jigglekit.errors import DegenerateSimplex, PreconditionViolated, QueryNotInComplex
+from jigglekit.errors import (
+    DegenerateSimplex,
+    PreconditionViolated,
+    QueryNotInComplex,
+    RankDeficient,
+)
 from jigglekit.grassmann import (
     Plane,
     _rank,
@@ -801,3 +806,111 @@ def test_general_position_each_is_the_loop_of_calls(stop):
         assert np.array(margin).tobytes() == got_margin[:len(margin)].tobytes()
         results.add("stopped" if len(ok) < len(coords) else "all")
     assert results == ({"raised", "stopped", "all"} if stop else {"raised", "all"})
+
+
+# ---------------------------------------------------------------------------
+# stacked field evaluation
+# ---------------------------------------------------------------------------
+
+def per_point_rotor(omega):
+    """The per-point evaluators the builtin fields had before they took
+    stacks: references for their stacked evaluators."""
+    def at(p):
+        ang = omega * p[2]
+        return Plane(np.array([[math.cos(ang), math.sin(ang), 0.0]]))
+    return at
+
+
+def per_point_twist(p):
+    return Plane(np.array([[-math.sin(p[0]), math.cos(p[0])]]))
+
+
+def per_point_contact(p):
+    norm = math.hypot(1.0, p[1])
+    return Plane(np.array([[1.0 / norm, 0.0, p[1] / norm], [0.0, 1.0, 0.0]]))
+
+
+def per_point_samples(points, planes):
+    def at(p):
+        return planes[int(np.argmin(np.linalg.norm(points - p, axis=1)))]
+    return at
+
+
+def field_probe_points(dim):
+    """The probes of a level-1 ``box_grid(1)`` report (its first ``dim``
+    coordinates), then random points far and near."""
+    from jigglekit.complexes import crystalline_subdivide
+    cx, _ = crystalline_subdivide(box_grid(1), 1)
+    rotor = planar_rotor(0.3)
+    probes = [probe_points(cx.coords(s), rotor, 3) for s in cx.all_simplices()]
+    rng = np.random.default_rng(23)
+    extra = rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-3, 3, size=(200, 1))
+    return np.concatenate(probes + [extra])[:, :dim]
+
+
+def stacked_fields():
+    from jigglekit.cli import contact_like, sampled_distribution, vertical_twist
+    rng = np.random.default_rng(24)
+    samples = rng.uniform(-1.0, 2.0, size=(12, 3))
+    tilted = [plane_from_spanning(rng.standard_normal((2, 3))) for _ in samples]
+    flat = [plane_from_spanning(rng.standard_normal((1, 3))) for _ in samples]
+    f_plane = plane_from_spanning([[1.0, 0.2, 0.0], [0.0, 1.0, 0.5]])
+    return {
+        "planar_rotor": (planar_rotor(1e-4), per_point_rotor(1e-4)),
+        "planar_rotor-fast": (planar_rotor(2.5), per_point_rotor(2.5)),
+        "vertical_twist": (vertical_twist(), per_point_twist),
+        "contact_like": (contact_like(), per_point_contact),
+        "constant-f-ordered": (Distribution.constant(f_plane), lambda p: f_plane),
+        "constant-line": (Distribution.constant(HORIZONTAL), lambda p: HORIZONTAL),
+        "sampled-rank-2": (sampled_distribution(samples, tilted),
+                           per_point_samples(samples, tilted)),
+        "sampled-rank-1": (sampled_distribution(samples, flat),
+                           per_point_samples(samples, flat)),
+        "point-evaluator": (Distribution(3, 2, "builtin", twisted_planes), twisted_planes),
+    }
+
+
+@pytest.mark.parametrize("name", list(stacked_fields()))
+def test_bases_at_gives_each_point_the_bytes_of_its_own_plane(name):
+    """Every stacked evaluator against the per-point one it replaced: equal
+    bytes and the same memory order, item by item, and ``plane_at`` is the
+    same plane."""
+    xi, reference = stacked_fields()[name]
+    points = field_probe_points(xi.ambient_dim)
+    bases = xi.bases_at(points)
+    assert bases.shape == (len(points), xi.rank, xi.ambient_dim)
+    for p, got in zip(points, bases):
+        want = reference(p).basis
+        assert got.tobytes() == want.tobytes(), (name, p)
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert xi.plane_at(p).basis.tobytes() == want.tobytes()
+    assert xi.bases_at(points[:0]).shape == (0, xi.rank, xi.ambient_dim)
+
+
+@pytest.mark.parametrize("value", [
+    np.array([[1.0, 0.0]]), np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.0, 1.0]]),
+    np.array([[np.nan, 1.0]]), None,
+], ids=["bare-basis", "vector", "wrong-rank", "non-finite", "none"])
+def test_an_evaluator_that_returns_no_plane_raises_a_typed_error(value):
+    complex_ = unit_square_grid(1)
+    xi = Distribution(2, 1, "builtin", lambda p: value)
+    with pytest.raises(PreconditionViolated, match="evaluator returned"):
+        transversality_report(complex_, complex_.vertices, xi)
+    with pytest.raises(PreconditionViolated, match="evaluator returned"):
+        xi.plane_at(np.zeros(2))
+
+
+def test_a_stacked_evaluator_is_checked_as_a_plane_is():
+    """A stacked evaluator's stack of the wrong shape is a typed error; a
+    basis that is not orthonormal (here a NaN probe of a builtin) raises
+    what ``Plane`` raises, at its own point."""
+    wrong = Distribution(2, 1, "builtin", lambda pts: np.ones((len(pts), 2)), stacked=True)
+    with pytest.raises(PreconditionViolated, match="stacked distribution evaluator"):
+        wrong.bases_at(np.zeros((3, 2)))
+    rotor = planar_rotor(0.3)
+    points = np.array([[0.0, 0.0, 0.1], [0.0, 0.0, np.nan], [0.0, 0.0, 0.2]])
+    with pytest.raises(RankDeficient, match="not orthonormal"):
+        rotor.bases_at(points)
+    bases, errors = rotor._bases(points)
+    assert list(errors) == [1]
+    assert bases[[0, 2]].tobytes() == rotor.bases_at(points[[0, 2]]).tobytes()
