@@ -48,21 +48,26 @@ _ORIENT_ERR = 2.0 ** -40
 # ---------------------------------------------------------------------------
 
 def simplex_volume(coords: np.ndarray) -> float:
-    """Unsigned m-volume of the simplex spanned by the rows of ``coords``."""
-    pts = np.asarray(coords, dtype=float)
-    m = pts.shape[0] - 1
+    """Unsigned m-volume of the simplex spanned by the rows of ``coords``:
+    a stack of one of :func:`_volumes`."""
+    return float(_volumes(np.asarray(coords, dtype=float)[None])[0])
+
+
+def _volumes(stack: np.ndarray) -> np.ndarray:
+    """Unsigned m-volume of each simplex of an (S, m + 1, N) stack."""
+    m = stack.shape[1] - 1
     if m == 0:
-        return 0.0
-    edges = pts[1:] - pts[0]
-    if m == pts.shape[1]:
+        return np.zeros(len(stack))
+    edges = stack[:, 1:] - stack[:, :1]
+    if m == stack.shape[2]:
         # |det(edges)| directly: the Gram determinant squares the condition
         # number and loses half the digits of a thin simplex's volume.
-        vol = abs(float(np.linalg.det(edges)))
+        vol = np.abs(np.linalg.det(edges))
     else:
-        vol = np.sqrt(max(float(np.linalg.det(edges @ edges.T)), 0.0))
+        vol = np.sqrt(np.maximum(np.linalg.det(edges @ edges.swapaxes(1, 2)), 0.0))
     for i in range(2, m + 1):
         vol /= i
-    return float(vol)
+    return vol
 
 
 def _orientations(stack) -> np.ndarray:
@@ -243,6 +248,18 @@ def _combinations(k: int, r: int) -> np.ndarray:
     return table
 
 
+def _row_keys(sizes: np.ndarray, rows: np.ndarray, base: int) -> np.ndarray:
+    """One integer per row of ids in [0, base), led by its size: the digits
+    (size, *row) in base ``base``.  Equal (size, row) pairs get equal keys,
+    and keys order as the pairs do, lexicographically.  int64 where that
+    cannot overflow, Python ints otherwise."""
+    wide = (int(sizes.max(initial=0)) + 1) * base ** rows.shape[1] > 2 ** 63
+    keys = sizes.astype(object if wide else np.int64)
+    for col in rows.T:
+        keys = keys * base + (col.astype(object) if wide else col)
+    return keys
+
+
 def _face_tables(simplices: list, num_vertices: int):
     """Every face of the given simplices, per dimension d, as a read-only
     (F, d+1) array of sorted vertex ids in increasing order of rows; the
@@ -254,7 +271,7 @@ def _face_tables(simplices: list, num_vertices: int):
     Raises for the first simplex (in order) with a repeated vertex or an id
     out of range.  The faces come from one combination table per (size,
     face size) and are deduplicated, sizes first, by one ``np.unique`` of
-    big-endian rows, whose byte order is the numeric one.
+    their :func:`_row_keys`, whose order is that of the (size, ids) rows.
     """
     by_size: dict[int, list[int]] = {}
     for i, simplex in enumerate(simplices):
@@ -282,7 +299,7 @@ def _face_tables(simplices: list, num_vertices: int):
              for k, ids in sorted(stacks.items()) for r in range(1, k + 1)]
     owner = np.concatenate([np.repeat(by_size[k], len(_combinations(k, r)))
                             for k in sorted(stacks) for r in range(1, k + 1)])
-    rows = np.zeros((sum(len(f) for _, f, _ in parts), width + 1), dtype=">i8")
+    rows = np.zeros((sum(len(f) for _, f, _ in parts), width + 1), dtype=np.int64)
     proper = np.zeros(len(rows), dtype=bool)
     lo = 0
     for r, faces, inner in parts:
@@ -290,12 +307,12 @@ def _face_tables(simplices: list, num_vertices: int):
         rows[lo:lo + len(faces), 1:r + 1] = faces
         proper[lo:lo + len(faces)] = inner
         lo += len(faces)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(_row_keys(rows[:, 0], rows[:, 1:], num_vertices),
+                                  return_index=True, return_inverse=True)
     inverse = inverse.reshape(-1)
     covered = np.zeros(len(first), dtype=bool)
     covered[inverse[proper]] = True
-    unique = rows[first].astype(np.int64)
+    unique = rows[first]
     sizes = unique[:, 0]
     tables, tops = {}, []
     for r in np.unique(sizes).tolist()[::-1]:
@@ -493,6 +510,20 @@ def barycentric_coordinates(coords: np.ndarray, point: np.ndarray):
     b[0] = 1.0 - float(np.sum(sol))
     defect = float(np.linalg.norm(edges @ sol - (p - pts[0])))
     return b, defect
+
+
+def _barycentric(coords: np.ndarray, points: np.ndarray):
+    """:func:`barycentric_coordinates` of each point of an (S, N) stack in
+    its own simplex of an (S, m + 1, N) stack, from one pseudo-inverse per
+    simplex instead of a least-squares solve: ``(b, defect)``, (S, m + 1)
+    and (S,)."""
+    rel = points - coords[:, 0]
+    if coords.shape[1] == 1:
+        return np.ones((len(coords), 1)), np.linalg.norm(rel, axis=1)
+    edges = (coords[:, 1:] - coords[:, :1]).swapaxes(1, 2)
+    sol = (np.linalg.pinv(edges) @ rel[..., None])[..., 0]
+    defect = np.linalg.norm((edges @ sol[..., None])[..., 0] - rel, axis=1)
+    return np.column_stack([1.0 - sol.sum(axis=1), sol]), defect
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,17 @@ field, with margins certified by the perturbation search.  Success is always
 re-verified by an independent transversality report before an outcome is
 returned.
 
-The vertex walk builds its bookkeeping once per run (:class:`_Plan`): each
-vertex's processed star, joins and callback values as index arrays, so
-each dependency wave only gathers the current images and runs the stacked
-kernels of :mod:`jigglekit.perturb`.
+Every pipeline ends in the same tail (:func:`_induce_and_verify`): the
+vertex induction, the pipeline's post-check, the report and the outcome.
+Only what a pipeline hands the induction differs, and it is arrays built
+once, never callbacks: each vertex's budget, the fields at it (one column
+in Euclidean and relative mode, one per parent top in subdivision mode)
+with their planes there, the flat it must stay in, and the vertices whose
+simplices are left out (see :func:`_run_vertex_induction`).  The induction
+builds its bookkeeping once per run (:class:`_Plan`): each vertex's
+processed star and joins as index arrays, so each dependency wave only
+gathers the current images and runs the stacked kernels of
+:mod:`jigglekit.perturb`.
 """
 
 from __future__ import annotations
@@ -27,13 +34,14 @@ import numpy as np
 from .complexes import (
     SimplicialComplex,
     SubdivisionMap,
+    _barycentric,
+    _row_keys,
     _span_distances,
-    barycentric_coordinates,
+    _volumes,
     barycentric_subdivide,
     closure,
     compose_subdivisions,
     crystalline_subdivide,
-    simplex_volume,
     size_groups,
     star,
     top_radii,
@@ -95,7 +103,7 @@ class JigglingConfig:
     a fixed subdivision depth or "auto".  margin_floor scales the acceptance
     bar for per-vertex search results (it is a dimensionless fraction, not an
     ambient length).  epsilon_vertex optionally caps each vertex move at
-    epsilon_vertex * 2**-level.
+    0.9 * epsilon_vertex * 2**-level, in every pipeline.
     """
 
     gamma: float
@@ -383,131 +391,89 @@ def _waves(child: SimplicialComplex, frozen: np.ndarray, order) -> list[np.ndarr
 _NONE = np.zeros(0, dtype=np.intp)
 
 
-def _call(callback, *args):
-    """What ``callback(*args)`` returns, or the exception it raises."""
-    try:
-        return callback(*args)
-    except Exception as exc:  # raised by the caller, if the value is needed
-        return exc
-
-
-def _or_raise(value):
-    """``value``, raised when it is an exception."""
-    if isinstance(value, Exception):
-        raise value
-    return value
-
-
-def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
-    """One integer per row of ids in [0, base): the row's digits in base
-    ``base``, so equal rows get equal keys; int64 where that cannot
-    overflow, Python ints otherwise."""
-    wide = base ** rows.shape[1] >= 2 ** 63
-    keys = np.zeros(len(rows), dtype=object if wide else np.int64)
-    for col in rows.T:
-        keys = keys * base + (col.astype(object) if wide else col)
-    return keys
-
-
 class _Plan:
     """The bookkeeping of one vertex induction, built once before its first
     wave: the processed star of every live vertex as one
-    :class:`perturb._Stars` over the image table, in ``live`` order, and
-    each callback's value per vertex.
+    :class:`perturb._Stars` over the image table, in ``live`` order.
 
     A simplex of at least two vertices is in the processed star of the
     vertex with the largest ``key`` (its place in ``live``; -1 when it is
     frozen, the vertex count when it is never processed), if that key is a
-    place.  A vertex's star simplices keep ``all_simplices`` order, less
-    those ``exclude_simplex`` names; its foliations are ``planes_for``, and
-    its pairs the simplices and foliations ``fol_indices_for`` names.  A
-    vertex whose callbacks raise goes to ``fail`` and gets an empty star.
-    ``budgets`` and ``constraints`` hold ``epsilon_for`` and
-    ``constraint_for`` of each vertex, or the exception it raised, which
-    counts only if the vertex moves.
+    place and none of its vertices is ``excluded``; a star keeps
+    ``all_simplices`` order.  A vertex's foliations are the ``planes`` of
+    its row of ``foliations``, in column order.  A star simplex is checked
+    against the columns that all of its vertices' rows share, or against
+    all of the vertex's own if they share none.  A vertex with an error
+    among its planes goes to ``fail`` with the first one and gets an empty
+    star.
 
-    Every join gets the id of its simplex (``simplex``), numbered per
-    dimension in sorted order; ``keys`` lists the simplices by id and
-    ``first`` the first join of each.
+    Every join gets the id of its simplex (``simplex``), numbered in the
+    order of their :func:`_row_keys`, so per dimension in sorted order;
+    ``keys`` lists the simplices by id and ``first`` the first join of each.
     """
 
-    def __init__(self, child, live, key, *, planes_for, fol_indices_for, epsilon_for,
-                 constraint_for, exclude_simplex, fail):
+    def __init__(self, child, live, key, *, foliations, planes, constraints, excluded,
+                 fail):
         count, width = len(live), max(child.dim, 0)
-        owner, others, sizes, sims = [_NONE], [np.zeros((0, width), dtype=np.intp)], [_NONE], []
+        owner, others, sizes = [_NONE], [np.zeros((0, width), dtype=np.intp)], [_NONE]
+        shared = [np.zeros((0, foliations.shape[1]), dtype=bool)]
         for d in range(1, child.dim + 1):
             table = child._face_ids(d)
             places = key[table]
             last = places.argmax(axis=1)
             place = places[np.arange(len(table)), last]
-            rows = np.flatnonzero((place >= 0) & (place < child.num_vertices))
+            rows = np.flatnonzero((place >= 0) & (place < child.num_vertices)
+                                  & ~excluded[table].any(axis=1))
             ids = np.full((len(rows), width), -1, dtype=np.intp)
             ids[:, :d] = table[rows][np.arange(d + 1) != last[rows, None]].reshape(-1, d)
-            every = child.simplices_of_dim(d)
             owner.append(place[rows])
             others.append(ids)
             sizes.append(np.full(len(rows), d, dtype=np.intp))
-            sims += [every[r] for r in rows.tolist()]
+            shared.append(foliations[table[rows]].all(axis=1))
         by_owner = np.argsort(np.concatenate(owner), kind="stable")
-        owner = np.concatenate(owner)[by_owner]
-        others = np.concatenate(others)[by_owner]
-        sizes = np.concatenate(sizes)[by_owner]
-        sims = [sims[i] for i in by_owner.tolist()]
-        start = np.searchsorted(owner, np.arange(count + 1)).tolist()
+        owner, others, sizes, shared = (np.concatenate(table)[by_owner]
+                                        for table in (owner, others, sizes, shared))
 
-        keep = np.ones(len(sims), dtype=bool)
-        planes: dict = {}
-        slot_plane, slot_job, folis = [], [], []
-        self.budgets, self.constraints = [], []
-        for p, vid in enumerate(live.tolist()):
-            star = sims[start[p]:start[p + 1]]
-            try:
-                if exclude_simplex is not None:
-                    keep[start[p]:start[p + 1]] = [not exclude_simplex(s) for s in star]
-                    star = [s for s, k in zip(star, keep[start[p]:start[p + 1]]) if k]
-                fols = list(planes_for(vid))
-                indices = [fol_indices_for(vid, s) for s in star]
-            except Exception as exc:  # raised in order, by the wave loop
-                fail(vid, exc)
-                keep[start[p]:start[p + 1]] = False
-                fols, indices = [], []
-            slot_plane += [planes.setdefault(v, len(planes)) for v in fols]
-            slot_job += [p] * len(fols)
-            folis += indices
-            self.budgets.append(_call(epsilon_for, vid))
-            self.constraints.append(_call(constraint_for, vid))
-        kept = np.flatnonzero(keep)
-        owner = owner[kept]
-        slot_job = np.array(slot_job, dtype=np.intp)
+        # the slots: each live vertex's planes, less those of a vertex with an error
+        slot_job, column = np.nonzero(foliations[live])
+        values = planes[live[slot_job], column]
+        broken = np.zeros(count, dtype=bool)
+        for i in np.flatnonzero([isinstance(v, Exception) for v in values]).tolist():
+            if not broken[slot_job[i]]:
+                broken[slot_job[i]] = True
+                fail(int(live[slot_job[i]]), values[i])
+        ok = ~broken[slot_job]
+        slot_job = slot_job[ok]
+        distinct: dict = {}
+        slot_plane = [distinct.setdefault(v, len(distinct)) for v in values[ok].tolist()]
         slot_start = np.searchsorted(slot_job, np.arange(count + 1))
+        kept = ~broken[owner]
+        owner, use = owner[kept], shared[kept]
         # the (vertex, foliation u, star simplex) pairs, in that order
-        named = np.fromiter(map(len, folis), dtype=np.intp, count=len(folis))
-        u = np.fromiter(itertools.chain.from_iterable(folis), dtype=np.intp,
-                        count=int(named.sum()))
-        entry = np.repeat(np.arange(len(kept)), named)
+        alone = ~use.any(axis=1)
+        use[alone] = foliations[live[owner[alone]]]
+        entry, column = np.nonzero(use)
         job = owner[entry]
+        u = (np.cumsum(foliations, axis=1) - 1)[live[job], column]
         order = np.lexsort((entry, u, job))
-        self.stars = _Stars(child.ambient_dim, _Planes(list(planes)),
+        self.stars = _Stars(child.ambient_dim, _Planes(list(distinct)),
                             np.array(slot_plane, dtype=np.intp),
                             np.arange(len(slot_job)) - slot_start[slot_job], slot_start,
                             others[kept], sizes[kept],
                             np.searchsorted(owner, np.arange(count + 1)),
                             (slot_start[job] + u)[order], entry[order],
-                            [None if isinstance(c, Exception) else c for c in self.constraints])
+                            [constraints[v] for v in live.tolist()])
 
         stars = self.stars
         apex = live[np.repeat(np.arange(count), np.diff(stars.join_start))]
-        self.simplex = np.empty(len(apex), dtype=np.intp)
-        self.keys, first = [], []
-        for d in np.unique(stars.join_d).tolist():
-            sel = np.flatnonzero(stars.join_d == d)
-            rows = np.sort(np.column_stack([apex[sel], stars.join_ids[sel, :d]]), axis=1)
-            _, at, inverse = np.unique(_row_keys(rows, child.num_vertices),
-                                       return_index=True, return_inverse=True)
-            self.simplex[sel] = len(self.keys) + inverse
-            self.keys += map(tuple, rows[at].tolist())
-            first.append(sel[at])
-        self.first = np.concatenate(first) if first else np.zeros(0, dtype=np.intp)
+        # -1 pads the ids of a join; sorted, it leads the row
+        rows = np.sort(np.column_stack([apex, stars.join_ids]), axis=1)
+        _, self.first, self.simplex = np.unique(
+            _row_keys(stars.join_d, rows + 1, child.num_vertices + 1),
+            return_index=True, return_inverse=True)
+        chosen, size = rows[self.first], stars.join_d[self.first]
+        self.keys = [key for d in np.unique(size).tolist()
+                     for key in map(tuple, chosen[size == d, -d - 1:].tolist())]
 
     def certified(self, margins: np.ndarray) -> dict[tuple[int, ...], float]:
         """The smallest of ``margins`` (one per join) per join simplex, keyed
@@ -518,9 +484,8 @@ class _Plan:
         return dict(zip([self.keys[i] for i in order.tolist()], least[order].tolist()))
 
 
-def _run_vertex_induction(child, images, *, frozen, order, planes_for,
-                          fol_indices_for, epsilon_for, margin_target,
-                          constraint_for, exclude_simplex, cfg):
+def _run_vertex_induction(child, images, *, frozen, order, budgets, foliations, planes,
+                          constraints, excluded, margin_target, cfg):
     """Perturb the image point of every non-frozen vertex, in ``order``'s
     sense, as needed.
 
@@ -532,17 +497,28 @@ def _run_vertex_induction(child, images, *, frozen, order, planes_for,
     Arguments after ``images`` are keyword-only so that a tracer can read
     ``frozen`` by name.
 
-    The stars, joins and callback values of every vertex are one
-    :class:`_Plan`, built before the first wave; the vertices then run in
-    the dependency waves of :func:`_waves`.  A wave takes its slice of the
-    plan and gathers the images: its incumbent joins are one
-    :func:`_join_margins` pass and its moves one :func:`_perturb` pass, so
-    each vertex sees exactly the star the loop in ``order`` gives it, and
-    every result is the loop's bit for bit.  Each join's margin goes to its
-    slot of one array, and the certified margins are its per-simplex
-    minimum.  On failure the error is that of the first failing vertex in
-    ``order``, which may sit in a later wave than another failing vertex;
-    the images of vertices after it are put back as they were.
+    Each pipeline describes its vertices with arrays, built once:
+
+    - ``budgets`` (V,): how far each vertex may move;
+    - ``foliations`` (V, T): the fields at each vertex (T is 1 for one
+      field, the parent tops in subdivision mode), and ``planes`` (V, T),
+      read where ``foliations`` is set: the plane of that field at the
+      vertex, or the error its evaluation raised;
+    - ``constraints`` (V,): the :class:`AffineFlat` a vertex must stay in,
+      or None;
+    - ``excluded`` (V,): a simplex touching one of these is in no star.
+
+    The stars, joins and slots of every vertex are one :class:`_Plan`,
+    built before the first wave; the vertices then run in the dependency
+    waves of :func:`_waves`.  A wave takes its slice of the plan and
+    gathers the images: its incumbent joins are one :func:`_join_margins`
+    pass and its moves one :func:`_perturb` pass, so each vertex sees
+    exactly the star the loop in ``order`` gives it, and every result is
+    the loop's bit for bit.  Each join's margin goes to its slot of one
+    array, and the certified margins are its per-simplex minimum.  On
+    failure the error is that of the first failing vertex in ``order``,
+    which may sit in a later wave than another failing vertex; the images
+    of vertices after it are put back as they were.
     """
     live = np.array([v for v in order if not frozen[v]], dtype=np.intp)
     rank = np.full(child.num_vertices, child.num_vertices, dtype=np.intp)
@@ -556,9 +532,9 @@ def _run_vertex_induction(child, images, *, frozen, order, planes_for,
         if rank[vid] < limit:
             limit, error = int(rank[vid]), exc
 
-    plan = _Plan(child, live, np.where(frozen, -1, rank), planes_for=planes_for,
-                 fol_indices_for=fol_indices_for, epsilon_for=epsilon_for,
-                 constraint_for=constraint_for, exclude_simplex=exclude_simplex, fail=fail)
+    plan = _Plan(child, live, np.where(frozen, -1, rank), foliations=foliations,
+                 planes=planes, constraints=constraints, excluded=excluded, fail=fail)
+    eps = budgets[live].tolist()
     margins = np.zeros(len(plan.simplex))
     achieved = np.full(len(live), np.nan)
     for members in _waves(child, frozen, order):
@@ -573,20 +549,16 @@ def _run_vertex_induction(child, images, *, frozen, order, planes_for,
         np.minimum.at(low, np.repeat(np.arange(len(jobs)), np.diff(wave.join_start)), got)
         movers = []
         for p, flat, worst in zip(jobs.tolist(), degenerate.tolist(), low.tolist()):
-            vid, eps, constraint = int(live[p]), plan.budgets[p], plan.constraints[p]
+            vid = int(live[p])
             if flat:
                 fail(vid, _join_error(2))
             elif not worst < threshold:
                 continue
-            elif isinstance(eps, Exception):
-                fail(vid, eps)
-            elif eps <= 0:
+            elif eps[p] <= 0:
                 fail(vid, BudgetViolation(
                     f"vertex {vid} needs a move but the per-vertex budget is "
-                    f"exhausted (eta = {eps:.3g})"
+                    f"exhausted (eta = {eps[p]:.3g})"
                 ))
-            elif isinstance(constraint, Exception):
-                fail(vid, constraint)
             else:
                 movers.append(p)
         if not movers:
@@ -595,9 +567,9 @@ def _run_vertex_induction(child, images, *, frozen, order, planes_for,
         moving = plan.stars.take(movers)
         vids = live[movers].tolist()
         errors, points, deltas, moved, certificate, _ = _perturb(
-            moving, images, images[live[movers]], [plan.budgets[p] for p in movers.tolist()],
+            moving, images, images[live[movers]], [eps[p] for p in movers.tolist()],
             [cfg.seed * SEED_STRIDE + vid for vid in vids], [cfg.samples] * len(vids),
-            [plan.constraints[p] for p in movers.tolist()])
+            [constraints[vid] for vid in vids])
         for i, (p, vid) in enumerate(zip(movers.tolist(), vids)):
             res = errors[i]
             if isinstance(res, StarNotTransverse):
@@ -632,13 +604,20 @@ def _run_vertex_induction(child, images, *, frozen, order, planes_for,
             plan.certified(margins), len(moved_from))
 
 
-def _verify(child: SimplicialComplex, images: np.ndarray, fields, certified,
-            cfg: JigglingConfig, ref):
-    """The jiggled map, its transversality report and its C0/C1 distances
-    to ``ref``; ``fields`` is what :func:`transversality_report` examines.
+def _induce_and_verify(child: SimplicialComplex, images: np.ndarray, cfg: JigglingConfig,
+                       *, check, fields, ref, subdivision, level, eta, margin_target,
+                       **induction) -> JigglingOutcome:
+    """The tail every pipeline shares: the vertex induction on ``images``
+    (``induction`` holds its per-vertex arrays), the pipeline's post-check
+    ``check(images)``, the transversality report on ``fields`` (what
+    :func:`transversality_report` examines), and the outcome with the C0/C1
+    distances to ``ref``.
 
     Raises PerturbationFailed when the report does not pass.
     """
+    achieved, certified, moved = _run_vertex_induction(
+        child, images, margin_target=margin_target, cfg=cfg, **induction)
+    check(images)
     g = PLMap(child, images)
     report = transversality_report(child, images, fields,
                                    sample_depth=cfg.sample_depth,
@@ -649,7 +628,22 @@ def _verify(child: SimplicialComplex, images: np.ndarray, fields, certified,
             "post-run verification rejected the jiggled map "
             f"(min eps margin {report.min_eps_margin:.3g})"
         )
-    return g, report, distance(ref, g, order=0), distance(ref, g, order=1)
+    return JigglingOutcome(
+        plmap=g, out_complex=child, subdivision=subdivision, report=report,
+        level=level, d_c0=float(distance(ref, g, order=0)),
+        d_c1=float(distance(ref, g, order=1)), eta=float(eta),
+        margin_target=float(margin_target), achieved=achieved,
+        moved_count=moved, config=cfg,
+    )
+
+
+def _with_neighbours(child: SimplicialComplex, mask: np.ndarray) -> np.ndarray:
+    """``mask`` and every vertex that an edge joins to one of it."""
+    edges = child._face_ids(1)
+    out = mask.copy()
+    out[edges[mask[edges[:, 1]], 0]] = True
+    out[edges[mask[edges[:, 0]], 1]] = True
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -688,13 +682,13 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
         from_b = np.array([c in b_faces for c in carriers], dtype=bool)
         if not from_b.any():
             break
-        b_pts = child.vertices[from_b]
-        near = np.array([
-            float(np.min(np.linalg.norm(b_pts - p, axis=1)))
-            for p in child.vertices
-        ])
-        if not any(max(near[v] for v in s) > v_radius
-                   for s in child.all_simplices() if any(from_b[v] for v in s)):
+        # each vertex's distance to the nearest vertex of B, one pass per
+        # vertex of B
+        near = np.full(child.num_vertices, np.inf)
+        for point in child.vertices[from_b]:
+            near = np.minimum(near, np.linalg.norm(child.vertices - point, axis=1))
+        # the vertices of the simplices touching B
+        if not (near[_with_neighbours(child, from_b)] > v_radius).any():
             break
         if cfg.level == "auto" and level < cfg.level_max:
             level += 1
@@ -719,9 +713,9 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
         terms.append(cfg.epsilon_vertex * 2.0 ** -level)
     eta = 0.9 * min(terms)
 
-    cap_a = np.inf
-    near_a = np.zeros(child.num_vertices, dtype=bool)
+    budgets = np.full(child.num_vertices, eta)
     if from_a.any():
+        cap_a = np.inf
         tops, rmins, _ = top_radii(child, flin.images)
         rmin_of = dict(zip(tops, rmins.tolist()))
         tops_a = [top for top in child.top_simplices if any(from_a[v] for v in top)]
@@ -730,65 +724,44 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
         for top, good, margin in zip(tops_a, ok.tolist(), margins.tolist()):
             if good and np.isfinite(margin):
                 cap_a = min(cap_a, 0.5 * margin * rmin_of[top])
-        for vid in range(child.num_vertices):
-            near_a[vid] = any(
-                from_a[o] for s in child._incident(vid) for o in s
-            )
-
-    def epsilon_for(vid):
-        if near_a[vid] and np.isfinite(cap_a):
-            return min(eta, cap_a)
-        return eta
-
-    def touches_b(s):
-        return any(from_b[v] for v in s)
+        if np.isfinite(cap_a):
+            budgets[_with_neighbours(child, from_a)] = min(eta, cap_a)
 
     images = np.array(flin.images)
-    unperturbed = images.copy()
-    planes = _field_planes(xi, unperturbed)
-
-    def planes_for(vid):
-        return [_or_raise(planes[vid])]
-
+    planes = _field_planes(xi, images)
     drift = _plane_drift(child, planes, xi)
     margin_target = max(
         cfg.margin_floor * 0.9 * cfg.gamma / (1.0 + amp),
         DRIFT_MARGIN_FACTOR * drift * rmax_img,
     )
 
-    has_b = bool(from_b.any())
-    achieved, certified, moved = _run_vertex_induction(
-        child, images, frozen=from_a | from_b, order=range(child.num_vertices),
-        planes_for=planes_for, fol_indices_for=lambda vid, s: (0,),
-        epsilon_for=epsilon_for, margin_target=margin_target,
-        constraint_for=lambda vid: None,
-        exclude_simplex=touches_b if has_b else None, cfg=cfg,
-    )
+    def embedded(images):
+        jiggled = PLMap(child, images)
+        if not is_piecewise_embedding(jiggled):
+            raise EmbeddingLost(
+                f"the jiggled map lost injectivity: {_embedding_failure(jiggled)}")
 
-    jiggled = PLMap(child, images)
-    if not is_piecewise_embedding(jiggled):
-        raise EmbeddingLost(
-            f"the jiggled map lost injectivity: {_embedding_failure(jiggled)}")
+    count = child.num_vertices
     # the certified region: tops touching A or leaving the collar of B
     fields = {top: xi for top in child.top_simplices
               if any(from_a[v] or near[v] > v_radius for v in top)} \
-        if has_b else xi
-    g, report, d0, d1 = _verify(child, images, fields, certified, cfg,
-                                flin if native else fmap)
+        if from_b.any() else xi
+    out = _induce_and_verify(
+        child, images, cfg, check=embedded, fields=fields, ref=flin if native else fmap,
+        subdivision=smap, level=level, eta=eta, margin_target=margin_target,
+        frozen=from_a | from_b, order=range(count), budgets=budgets,
+        foliations=np.ones((count, 1), dtype=bool),
+        planes=np.fromiter(planes, dtype=object, count=count)[:, None],
+        constraints=[None] * count, excluded=from_b)
     # a run that examines no top still reports whether its field varies
-    report.sampled = xi.kind != "constant"
-    within = d1 < cfg.gamma and d0 < cfg.gamma * 2.0 ** -level
-    if not within and not (moved == 0 and d0 == 0.0 and d1 == 0.0):
+    out.report.sampled = xi.kind != "constant"
+    within = out.d_c1 < cfg.gamma and out.d_c0 < cfg.gamma * 2.0 ** -level
+    if not within and not (out.moved_count == 0 and out.d_c0 == 0.0 and out.d_c1 == 0.0):
         raise BudgetViolation(
-            f"realized distances d0={d0:.3g}, d1={d1:.3g} exceed the budget "
+            f"realized distances d0={out.d_c0:.3g}, d1={out.d_c1:.3g} exceed the budget "
             f"gamma={cfg.gamma}, level={level}"
         )
-    return JigglingOutcome(
-        plmap=g, out_complex=child, subdivision=smap, report=report,
-        level=level, d_c0=float(d0), d_c1=float(d1), eta=float(eta),
-        margin_target=float(margin_target), achieved=achieved,
-        moved_count=moved, config=cfg,
-    )
+    return out
 
 
 def jiggle_euclidean(f, complex_: SimplicialComplex, xi: Distribution,
@@ -853,14 +826,15 @@ def _resolve_per_top(complex_: SimplicialComplex, distributions):
     return resolved
 
 
-def _locate_in_parent(complex_: SimplicialComplex, points) -> list[tuple[int, ...]]:
-    """Minimal face of the complex whose relative interior holds each point."""
-    faces = []
-    for point, (top, b, defect) in zip(points, complex_._locate(points)):
+def _carriers(complex_: SimplicialComplex, points) -> np.ndarray:
+    """The minimal face of the complex whose relative interior holds each
+    point, as a (points, vertices) mask of its vertices."""
+    mask = np.zeros((len(points), complex_.num_vertices), dtype=bool)
+    for i, (point, (top, b, defect)) in enumerate(zip(points, complex_._locate(points))):
         if defect > 1e-9:
             raise QueryNotInComplex(f"point {point} lies outside the complex")
-        faces.append(tuple(v for v, w in zip(top, b) if w > SKELETON_TOL))
-    return faces
+        mask[i, list(top)] = b > SKELETON_TOL
+    return mask
 
 
 def jiggle_subdivision(complex_: SimplicialComplex,
@@ -877,6 +851,18 @@ def jiggle_subdivision(complex_: SimplicialComplex,
     The returned map T sends |complex_| to itself; each cell is in general
     position against the field of its parent top, and a face of cells in
     several parent tops against each of their fields.
+
+    The carriers are one (vertex, parent vertex) mask, and everything else
+    per vertex or cell comes from it by array passes: the parent tops that
+    hold a vertex's carrier are its foliation columns; a vertex may move
+    0.9 times the least of its distance to the walls of its carrier, a
+    quarter of the smallest rmin of its cells and, if set,
+    ``epsilon_vertex * 2**-level``; a cell's parent is the first top that
+    holds all of its vertices' carriers.  After the induction every vertex
+    must still lie in its carrier face (one stacked barycentric pass per
+    carrier size, to ``SKELETON_TOL``), and the images of each parent top's
+    cells must tile it: their unsigned volumes sum to its volume, to
+    ``VOLUME_REL_TOL``, which a folded cell overshoots.
     """
     cfg = config
     per_top = _resolve_per_top(complex_, distributions)
@@ -894,130 +880,105 @@ def jiggle_subdivision(complex_: SimplicialComplex,
             "plane field"
         )
 
-    carrier_k = _locate_in_parent(complex_, refinement.vertices)
+    located = _carriers(complex_, refinement.vertices)
     level = 1 if cfg.level == "auto" else cfg.level
     mid, bmap = barycentric_subdivide(refinement)
     out, cmap = crystalline_subdivide(mid, level)
     sub = compose_subdivisions(bmap, cmap)
+    count = out.num_vertices
 
-    carriers = [tuple(sorted({g for mid in row if mid >= 0 for g in carrier_k[mid]}))
-                for row in sub.ids.tolist()]
-    frozen = np.array([len(c) == 1 for c in carriers])
-    order = sorted(range(out.num_vertices), key=lambda v: (len(carriers[v]), v))
-
-    tops_by_carrier: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-    def parent_tops(carrier: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if carrier not in tops_by_carrier:
-            cs = set(carrier)
-            tops_by_carrier[carrier] = [
-                t for t in complex_.top_simplices if cs <= set(t)
-            ]
-        return tops_by_carrier[carrier]
+    # a vertex's carrier spans the carriers of the refinement vertices it
+    # is a combination of; -1 pads a row of ids and picks the empty row
+    carrier = np.vstack([located, np.zeros((1, complex_.num_vertices), dtype=bool)])[
+        sub.ids].any(axis=1)
+    size = carrier.sum(axis=1)
+    frozen = size == 1
+    parents = complex_.top_simplices
+    outside = np.ones((len(parents), complex_.num_vertices), dtype=np.intp)
+    for t, top in enumerate(parents):
+        outside[t, list(top)] = 0
+    # the parent tops holding each vertex's carrier
+    foliations = carrier.astype(np.intp) @ outside.T == 0
 
     images = np.array(out.vertices)
-    unperturbed = images.copy()
-
     # each field's planes at the vertices whose carrier lies in one of its tops
-    fields_of = [[per_top[t] for t in parent_tops(carrier)] for carrier in carriers]
-    holders: dict = {}
-    for vid, fields in enumerate(fields_of):
-        for xi in dict.fromkeys(fields):
-            holders.setdefault(xi, []).append(vid)
-    plane_of = {}
-    for xi, vids in holders.items():
-        plane_of.update(zip(((xi, v) for v in vids), _field_planes(xi, unperturbed[vids])))
+    planes = np.empty(foliations.shape, dtype=object)
+    for xi in dict.fromkeys(per_top.values()):
+        columns = [t for t, top in enumerate(parents) if per_top[top] is xi]
+        vids = np.flatnonzero(foliations[:, columns].any(axis=1))
+        planes[vids[:, None], columns] = np.fromiter(
+            _field_planes(xi, images[vids]), dtype=object, count=len(vids))[:, None]
 
-    def planes_for(vid):
-        return [_or_raise(plane_of[xi, vid]) for xi in fields_of[vid]]
+    # per distinct carrier face of two or more vertices: the flat its
+    # vertices stay in (none for a full-dimensional face), and each vertex's
+    # distance to the nearest facet wall, one stack per facet
+    distinct, group = np.unique(carrier, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    flats, wall = [None] * len(distinct), np.full(count, np.inf)
+    for g, row in enumerate(distinct):
+        cpts = complex_.vertices[row]
+        if len(cpts) < 2:
+            continue
+        if len(cpts) - 1 < complex_.ambient_dim:
+            flats[g] = affine_span(cpts)
+        vids = np.flatnonzero(group == g)
+        for drop in range(len(cpts)):
+            wall[vids] = np.minimum(wall[vids], _span_distances(
+                images[vids], np.delete(cpts, drop, axis=0)))
+    room = np.full(count, np.inf)
+    spanned, rmins, _ = top_radii(out, out.vertices)
+    for k, rows, ids in size_groups(spanned):
+        np.minimum.at(room, ids.ravel(), np.repeat(rmins[rows], k))
+    terms = np.minimum(wall, 0.25 * room)
+    if cfg.epsilon_vertex is not None:
+        terms = np.minimum(terms, cfg.epsilon_vertex * 2.0 ** -level)
+    budgets = 0.9 * terms
+    eta = float(budgets[~frozen].min()) if (~frozen).any() else 0.0
 
-    def fol_indices_for(vid, s):
-        gids: set[int] = set()
-        for v in s:
-            gids.update(carriers[v])
-        tops = parent_tops(carriers[vid])
-        idx = tuple(i for i, t in enumerate(tops) if gids <= set(t))
-        return idx if idx else tuple(range(len(tops)))
+    cells = out.top_simplices
+    held = np.zeros((len(cells), len(parents)), dtype=bool)
+    for _, rows, ids in size_groups(cells):
+        held[rows] = foliations[ids].all(axis=1)
+    orphans = np.flatnonzero(~held.any(axis=1))
+    if orphans.size:
+        raise VolumeMismatch(f"cell {cells[orphans[0]]} has no parent top simplex")
+    cell_parent = held.argmax(axis=1)
+    target = np.zeros(len(parents))
+    for _, rows, ids in size_groups(parents):
+        target[rows] = _volumes(complex_.vertices[ids])
 
-    spans: dict[tuple[int, ...], object] = {}
-
-    def constraint_for(vid):
-        carrier = carriers[vid]
-        if len(carrier) - 1 >= complex_.ambient_dim:
-            return None
-        if carrier not in spans:
-            spans[carrier] = affine_span(complex_.vertices[list(carrier)])
-        return spans[carrier]
-
-    eps_cache: dict[int, float] = {}
-    tops, rmins, _ = top_radii(out, out.vertices)
-    rmin_of = dict(zip(tops, rmins.tolist()))
-    # each vertex's distance to the nearest facet wall of its carrier face,
-    # one stack per carrier facet
-    wall = np.full(out.num_vertices, np.inf)
-    by_carrier: dict[tuple[int, ...], list[int]] = {}
-    for vid, carrier in enumerate(carriers):
-        if len(carrier) >= 2:
-            by_carrier.setdefault(carrier, []).append(vid)
-    for carrier, vids in by_carrier.items():
-        cpts = complex_.vertices[list(carrier)]
-        for drop in range(len(carrier)):
-            facet = np.delete(cpts, drop, axis=0)
-            wall[vids] = np.minimum(wall[vids],
-                                    _span_distances(unperturbed[vids], facet))
-    wall = wall.tolist()
-
-    def epsilon_for(vid):
-        if vid not in eps_cache:
-            room = min((rmin_of[s] for s in out._incident(vid) if s in rmin_of),
-                       default=np.inf)
-            eps_cache[vid] = 0.9 * min(wall[vid], 0.25 * room)
-        return eps_cache[vid]
-
-    positive = [epsilon_for(v) for v in range(out.num_vertices) if not frozen[v]]
-    margin_target = cfg.margin_floor * (min(positive) if positive else 0.0)
-
-    achieved, certified, moved = _run_vertex_induction(
-        out, images, frozen=frozen, order=order, planes_for=planes_for,
-        fol_indices_for=fol_indices_for, epsilon_for=epsilon_for,
-        margin_target=margin_target, constraint_for=constraint_for,
-        exclude_simplex=None, cfg=cfg,
-    )
-
-    for vid in range(out.num_vertices):
-        cpts = complex_.vertices[list(carriers[vid])]
-        b, defect = barycentric_coordinates(cpts, images[vid])
-        if defect > SKELETON_TOL or float(np.min(b)) < -SKELETON_TOL:
+    def on_carriers_and_tiled(images):
+        off = []
+        for k in np.unique(size).tolist():
+            vids = np.flatnonzero(size == k)
+            corners = np.nonzero(carrier[vids])[1].reshape(-1, k)
+            b, defect = _barycentric(complex_.vertices[corners], images[vids])
+            bad = np.flatnonzero((defect > SKELETON_TOL) | (b.min(axis=1) < -SKELETON_TOL))
+            if bad.size:
+                off.append((int(vids[bad[0]]), float(defect[bad[0]])))
+        if off:
+            vid, defect = min(off)
             raise SkeletonViolation(
-                f"vertex {vid} left its carrier face {carriers[vid]} "
-                f"(defect {defect:.3g})"
+                f"vertex {vid} left its carrier face "
+                f"{tuple(np.flatnonzero(carrier[vid]).tolist())} (defect {defect:.3g})"
             )
-
-    cell_parent: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for cell in out.top_simplices:
-        gids = set()
-        for v in cell:
-            gids.update(carriers[v])
-        matches = parent_tops(tuple(sorted(gids)))
-        if not matches:
-            raise VolumeMismatch(f"cell {cell} has no parent top simplex")
-        cell_parent[cell] = matches[0]
-    for top in complex_.top_simplices:
-        target = simplex_volume(complex_.coords(top))
-        total = sum(simplex_volume(images[list(c)])
-                    for c, t in cell_parent.items() if t == top)
-        if target > 0 and abs(total - target) > VOLUME_REL_TOL * target:
+        total = np.zeros(len(parents))
+        for _, rows, ids in size_groups(cells):
+            total += np.bincount(cell_parent[rows], weights=_volumes(images[ids]),
+                                 minlength=len(parents))
+        bad = np.flatnonzero((target > 0) & (np.abs(total - target) > VOLUME_REL_TOL * target))
+        if bad.size:
+            t = bad[0]
             raise VolumeMismatch(
-                f"images of {top} tile {total:.12g}, expected {target:.12g}"
+                f"images of {parents[t]} tile {total[t]:.12g}, expected {target[t]:.12g}"
             )
 
-    t_map, report, d0, d1 = _verify(
-        out, images, {cell: per_top[t] for cell, t in cell_parent.items()},
-        certified, cfg, PLMap.identity(out))
-    return JigglingOutcome(
-        plmap=t_map, out_complex=out, subdivision=sub, report=report,
-        level=level, d_c0=float(d0), d_c1=float(d1),
-        eta=float(min(positive)) if positive else 0.0,
-        margin_target=float(margin_target), achieved=achieved,
-        moved_count=moved, config=cfg,
-    )
+    return _induce_and_verify(
+        out, images, cfg, check=on_carriers_and_tiled,
+        fields={cell: per_top[parents[t]] for cell, t in zip(cells, cell_parent.tolist())},
+        ref=PLMap.identity(out), subdivision=sub, level=level, eta=eta,
+        margin_target=cfg.margin_floor * eta, frozen=frozen,
+        order=np.argsort(size, kind="stable"), budgets=budgets, foliations=foliations,
+        planes=planes, constraints=np.fromiter(flats, dtype=object,
+                                               count=len(flats))[group],
+        excluded=np.zeros(count, dtype=bool))

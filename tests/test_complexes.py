@@ -734,6 +734,81 @@ def test_face_tables_equal_the_loops(n, tops):
         assert K._face_ids(d).tolist() == [list(s) for s in faces]
 
 
+def void_row_face_tables(simplices, num_vertices):
+    """``_face_tables`` as a loop over the faces, deduplicated by one
+    ``np.unique`` of big-endian void rows (size, then the ids padded with
+    0), whose byte order is the numeric one."""
+    by_size = {}
+    for i, s in enumerate(simplices):
+        if len(s):
+            by_size.setdefault(len(s), []).append(i)
+    width = max(by_size)
+    rows, owner, proper = [], [], []
+    for k in sorted(by_size):
+        for r in range(1, k + 1):
+            for i in by_size[k]:
+                for face in itertools.combinations(sorted(simplices[i]), r):
+                    rows.append([r, *face] + [0] * (width - r))
+                    owner.append(i)
+                    proper.append(r < k)
+    rows = np.array(rows, dtype=">i8")
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    covered = np.zeros(len(first), dtype=bool)
+    covered[inverse[np.array(proper)]] = True
+    unique = rows[first].astype(np.int64)
+    tables, tops = {}, []
+    for r in sorted(set(unique[:, 0].tolist()), reverse=True):
+        sel = unique[:, 0] == r
+        tables[r - 1] = unique[sel, 1:r + 1]
+        tops += map(tuple, tables[r - 1][~covered[sel]].tolist())
+    return dict(sorted(tables.items())), tuple(tops), (inverse, np.array(owner))
+
+
+# ids up to 10**6 in simplices of four: 10**24 > 2**63 takes Python-int keys
+WIDE = (10 ** 6, [(999_999, 3, 500_000, 7), (3, 7, 12), (999_999, 12), (41,)])
+
+
+@pytest.mark.parametrize("n, tops", [WIDE] + [
+    (n, tops) for n, tops in _table_cases() if any(tops)])
+def test_face_tables_equal_the_void_row_tables(n, tops):
+    """Integer row keys give the tables, tops, order and (face, owner) of
+    the void-row sort byte for byte, also where the keys outgrow int64."""
+    tables, top_list, (face, owner) = complexes._face_tables(tops, n)
+    want_tables, want_tops, (want_face, want_owner) = void_row_face_tables(tops, n)
+    assert list(tables) == list(want_tables)
+    for d, table in tables.items():
+        assert table.dtype == np.int64
+        assert table.tobytes() == want_tables[d].tobytes()
+    assert top_list == want_tops
+    assert face.astype(np.intp).tobytes() == want_face.astype(np.intp).tobytes()
+    assert owner.astype(np.intp).tobytes() == want_owner.astype(np.intp).tobytes()
+
+
+def test_row_keys_fall_back_to_python_ints_when_int64_would_overflow():
+    rows = np.array([[5, 0], [4, 9]])
+    small = complexes._row_keys(np.array([2, 2]), rows, 10)
+    assert small.dtype == np.int64 and small.tolist() == [250, 249]
+    sizes = np.array([4, 3])
+    wide = complexes._row_keys(sizes, np.array([[999_999] * 4, [3, 7, 12, 0]]), 10 ** 6)
+    assert wide.dtype == object
+    assert wide.tolist() == [4 * 10 ** 24 + 999_999 * (10 ** 18 + 10 ** 12 + 10 ** 6 + 1),
+                             3 * 10 ** 24 + 3 * 10 ** 18 + 7 * 10 ** 12 + 12 * 10 ** 6]
+
+
+@pytest.mark.parametrize("k, n", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3)])
+def test_stacked_barycentric_coordinates_match_the_scalar_ones(k, n):
+    rng = np.random.default_rng(10 * k + n)
+    coords = rng.normal(size=(20, k, n))
+    points = np.einsum("sk,skn->sn", rng.dirichlet(np.ones(k), size=20), coords)
+    points[::3] += rng.normal(size=(7, n))          # some off the simplex
+    b, defect = complexes._barycentric(coords, points)
+    for i in range(20):
+        want_b, want_defect = barycentric_coordinates(coords[i], points[i])
+        np.testing.assert_allclose(b[i], want_b, rtol=1e-9, atol=1e-9)
+        assert defect[i] == pytest.approx(want_defect, rel=1e-9, abs=1e-12)
+
+
 @pytest.mark.parametrize("tops", [
     [(0, 1), (2, 2, 3), (0, 9)], [(0, 1), (0, 9), (2, 2, 3)], [(1, -1)],
     [(0, 1, 2), (3, 4, 3)], [[0, 1, 1]],

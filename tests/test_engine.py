@@ -2,11 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from jigglekit import engine
+from jigglekit import complexes, engine, plmaps
 from jigglekit.cli import (
     box_grid,
     complex_from_dict,
@@ -42,6 +43,8 @@ from jigglekit.errors import (
     PerturbationFailed,
     PreconditionViolated,
     QueryNotInComplex,
+    SkeletonViolation,
+    VolumeMismatch,
 )
 from jigglekit.grassmann import Plane, d_proj
 from jigglekit.plmaps import PLMap, SampledMap
@@ -486,6 +489,110 @@ def test_subdivision_reports_a_face_of_two_tops_once(monkeypatch):
     assert report.min_semitrans_margin == min(p.min_semitrans_margin for p in parts)
     assert report.passed is all(p.passed for p in parts) is True
     assert report.sampled is any(p.sampled for p in parts) is False
+
+
+def _moved_after_induction(monkeypatch, move):
+    """Run the real induction, then ``move(child, images, frozen)``."""
+    real = engine._run_vertex_induction
+
+    def spy(child, images, **kwargs):
+        result = real(child, images, **kwargs)
+        move(child, images, kwargs["frozen"])
+        return result
+
+    monkeypatch.setattr(engine, "_run_vertex_induction", spy)
+
+
+def _off_the_bottom_edge(child, images, frozen):
+    """Lift the first live vertex of the edge (0, 0)-(4, 1) off its line,
+    into the triangle."""
+    edge = np.array([[0.0, 0.0], [4.0, 1.0]])
+    vid = next(v for v in range(child.num_vertices) if not frozen[v]
+               and point_to_affine_span(child.vertices[v], edge) < 1e-12)
+    images[vid] += (-0.01, 0.04)
+
+
+def _folded(child, images, frozen):
+    """Carry the interior vertex nearest (0, 0) deep into the triangle, out
+    of its own star, so that some of its cells flip."""
+    inside = [v for v in range(child.num_vertices) if not frozen[v] and all(
+        point_to_affine_span(child.vertices[v], child.vertices[list(e)]) > 1e-9
+        for e in ((0, 1), (1, 2), (0, 2)))]
+    vid = min(inside, key=lambda v: float(np.linalg.norm(child.vertices[v])))
+    images[vid] = (3.4, 1.1)
+
+
+SUBDIVISION_FAILURES = {
+    # three of the fan's four triangles leave the parent uncovered
+    "no-subdivision": (lambda parent, fan: build_complex(
+        2, fan.vertices, fan.top_simplices[:3]), None,
+        VolumeMismatch, r"does not subdivide"),
+    # the field runs along the edge (0, 0)-(4, 1)
+    "not-transverse": (None, Distribution.constant(
+        Plane(np.array([[4.0, 1.0]]) / math.sqrt(17.0))),
+        PreconditionViolated, r"top simplex \(0, 1, 2\) is not stratified transverse"),
+    "off-carrier": (None, _off_the_bottom_edge,
+                    SkeletonViolation, r"left its carrier face \(0, 2\)"),
+    "folded": (None, _folded, VolumeMismatch, r"images of \(0, 1, 2\) tile"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBDIVISION_FAILURES))
+def test_subdivision_failures_are_typed(case, monkeypatch):
+    refine, twist, error, message = SUBDIVISION_FAILURES[case]
+    parent, fan = wedge_pair()
+    xi = HORIZONTAL
+    if isinstance(twist, Distribution):
+        xi = twist
+    elif twist is not None:
+        _moved_after_induction(monkeypatch, twist)
+    refinement = refine(parent, fan) if refine else fan
+    with pytest.raises(error, match=message):
+        jiggle_subdivision(parent, refinement, xi, JigglingConfig(gamma=0.2, level=1))
+
+
+def test_subdivision_checks_make_no_call_per_vertex_or_cell(monkeypatch):
+    """The skeleton and tiling checks are stacked passes: a fan run makes
+    as many ``barycentric_coordinates`` and ``simplex_volume`` calls at
+    level 2 as at level 1, those of the checks on the refinement itself."""
+    counts = Counter()
+    for name in ("barycentric_coordinates", "simplex_volume"):
+        def counted(*args, _real=getattr(complexes, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        for module in (complexes, plmaps, engine):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    per_level = []
+    for level in (1, 2):
+        counts.clear()
+        jiggle_subdivision(*wedge_pair(), HORIZONTAL, JigglingConfig(gamma=0.2, level=level))
+        per_level.append(dict(counts))
+    assert per_level[0]["barycentric_coordinates"] > 0 and per_level[0]["simplex_volume"] > 0
+    assert per_level[0] == per_level[1]
+
+
+def test_subdivision_budgets_obey_epsilon_vertex():
+    """epsilon_vertex caps every subdivision budget at 0.9 * epsilon_vertex
+    * 2**-level, as it caps eta in the other pipelines; a cap above every
+    budget changes nothing."""
+    parent, fan = wedge_pair()
+    free = jiggle_subdivision(parent, fan, HORIZONTAL,
+                              JigglingConfig(gamma=0.2, level=2, seed=3))
+    capped = jiggle_subdivision(parent, fan, HORIZONTAL,
+                                JigglingConfig(gamma=0.2, level=2, seed=3,
+                                               epsilon_vertex=0.004))
+    cap = 0.9 * 0.004 * 2.0 ** -2
+    assert cap < free.eta and capped.eta == cap
+    assert capped.report.passed and capped.moved_count > 0
+    moves = np.linalg.norm(capped.plmap.images - capped.out_complex.vertices, axis=1)
+    assert moves.max() <= cap
+    assert np.linalg.norm(free.plmap.images - free.out_complex.vertices, axis=1).max() > cap
+    loose = jiggle_subdivision(parent, fan, HORIZONTAL,
+                               JigglingConfig(gamma=0.2, level=2, seed=3,
+                                              epsilon_vertex=1e6))
+    assert loose.eta == free.eta and loose.margin_target == free.margin_target
+    assert loose.plmap.images.tobytes() == free.plmap.images.tobytes()
 
 
 def test_subdivision_fields_key_every_top_and_only_tops():

@@ -20,7 +20,7 @@ from test_perturb import join_margins, only, reference_avoid_flats
 
 from jigglekit import engine
 from jigglekit.cli import box_grid, planar_rotor, strip, unit_square_grid
-from jigglekit.complexes import build_complex, crystalline_subdivide
+from jigglekit.complexes import SimplicialComplex, build_complex, crystalline_subdivide
 from jigglekit.engine import (
     INCUMBENT_FRACTION,
     SEED_STRIDE,
@@ -163,9 +163,8 @@ def reference_perturb_vertex(req):
                               reference_join_margins(current, stars, star_folis, folis))
 
 
-def reference_vertex_induction(child, images, *, frozen, order, planes_for,
-                               fol_indices_for, epsilon_for, margin_target,
-                               constraint_for, exclude_simplex, cfg):
+def reference_vertex_induction(child, images, *, frozen, order, budgets, foliations,
+                               planes, constraints, excluded, margin_target, cfg):
     """The induction as one loop over ``order``, a vertex at a time."""
     def by_join(vid, entries, joins):
         margins = {}
@@ -182,26 +181,33 @@ def reference_vertex_induction(child, images, *, frozen, order, planes_for,
             continue
         entries = []
         for s in child._incident(vid):
-            if len(s) < 2 or (exclude_simplex is not None and exclude_simplex(s)):
+            if len(s) < 2 or any(excluded[v] for v in s):
                 continue
             others = [o for o in s if o != vid]
             if all(processed[o] for o in others):
                 entries.append((s, others))
-        planes = planes_for(vid)
-        fol_indices = [fol_indices_for(vid, s) for s, _ in entries]
+        columns = [t for t in range(foliations.shape[1]) if foliations[vid, t]]
+        planes_here = [planes[vid, t] for t in columns]
+        for plane in planes_here:
+            if isinstance(plane, Exception):
+                raise plane
+        # the columns every vertex of the simplex shares, else all of them
+        fol_indices = [tuple(i for i, t in enumerate(columns)
+                             if all(foliations[v, t] for v in s))
+                       or tuple(range(len(columns))) for s, _ in entries]
         stars = [images[others] for _, others in entries]
         margins = by_join(vid, entries,
-                          reference_join_margins(images[vid], stars, fol_indices, planes))
+                          reference_join_margins(images[vid], stars, fol_indices, planes_here))
         if margins and min(margins.values()) < threshold:
-            eps = epsilon_for(vid)
+            eps = float(budgets[vid])
             if eps <= 0:
                 raise BudgetViolation(
                     f"vertex {vid} needs a move but the per-vertex budget is "
                     f"exhausted (eta = {eps:.3g})")
             req = PerturbationRequest(
                 point=images[vid], epsilon=eps, star_simplices=stars,
-                foliations=planes, star_foliations=fol_indices,
-                constraint_flat=constraint_for(vid),
+                foliations=planes_here, star_foliations=fol_indices,
+                constraint_flat=constraints[vid],
                 seed=cfg.seed * SEED_STRIDE + vid, samples=cfg.samples)
             try:
                 res = reference_perturb_vertex(req)
@@ -363,13 +369,13 @@ def test_scenes_cover_every_kind_of_star():
 
     def spy(child, images, **kw):
         seen["frozen"] = seen.get("frozen", False) or bool(kw["frozen"].any())
-        seen["excluded"] = seen.get("excluded", False) or kw["exclude_simplex"] is not None
+        seen["excluded"] = seen.get("excluded", False) or bool(kw["excluded"].any())
         for vid in range(child.num_vertices):
             if kw["frozen"][vid]:
                 continue
-            flat = kw["constraint_for"](vid)
+            flat = kw["constraints"][vid]
             seen.setdefault("constraints", set()).add(None if flat is None else flat.dim)
-            planes = kw["planes_for"](vid)
+            planes = kw["planes"][vid, kw["foliations"][vid]]
             seen["folis"] = max(seen.get("folis", 0), len(planes))
             seen["free"] = max(seen.get("free", 0),
                                max(p.ambient_dim - p.rank for p in planes))
@@ -390,9 +396,12 @@ def test_scenes_cover_every_kind_of_star():
 # failures: the first vertex in order raises, whatever its wave
 # ---------------------------------------------------------------------------
 
-def _grid():
-    """A level-2 square grid with its vertices as images."""
+def _grid(edges_only=False):
+    """A level-2 square grid, or its edges alone, with its vertices as
+    images."""
     child = crystalline_subdivide(unit_square_grid(1), 2)[0]
+    if edges_only:
+        child = SimplicialComplex(2, child.vertices, child.simplices_of_dim(1))
     return child, np.array(child.vertices)
 
 
@@ -408,24 +417,23 @@ def _failing_run(case, fail):
     field, which leaves each a horizontal neighbour at margin 0, and the
     others a field at 30 degrees, which clears all their joins; ``case``
     then makes every move fail."""
-    child, images = _grid()
-    frozen = np.ones(child.num_vertices, dtype=bool)
+    # without triangles every star simplex is a point, and transverse
+    child, images = _grid(edges_only=case != "star")
+    n = child.num_vertices
+    frozen = np.ones(n, dtype=bool)
     frozen[[FIRST, LATER_WAVE, EARLIER_WAVE]] = False
-    order = [FIRST, LATER_WAVE, EARLIER_WAVE] + \
-        [v for v in range(child.num_vertices) if frozen[v]]
+    order = [FIRST, LATER_WAVE, EARLIER_WAVE] + [v for v in range(n) if frozen[v]]
     assert [w.tolist() for w in _waves(child, frozen, order)] == \
         [[FIRST, EARLIER_WAVE], [LATER_WAVE]]
     horizontal = HORIZONTAL.plane_at(np.zeros(2))
     flat = AffineFlat(np.zeros(2), horizontal) if case == "constraint" else None
+    planes = [horizontal if v in fail else TILTED for v in range(n)]
     return child, images, dict(
         frozen=frozen, order=order,
-        planes_for=lambda v: [horizontal if v in fail else TILTED],
-        fol_indices_for=lambda v, s: (0,),
-        epsilon_for=lambda v: {"budget": 0.0, "target": 1e-9}.get(case, 0.05),
-        margin_target=1e-4,
-        constraint_for=lambda v: flat,
-        # without triangles every star simplex is a point, and transverse
-        exclude_simplex=None if case == "star" else (lambda s: len(s) > 2),
+        budgets=np.full(n, {"budget": 0.0, "target": 1e-9}.get(case, 0.05)),
+        foliations=np.ones((n, 1), dtype=bool),
+        planes=np.fromiter(planes, dtype=object, count=n)[:, None],
+        margin_target=1e-4, constraints=[flat] * n, excluded=np.zeros(n, dtype=bool),
         cfg=JigglingConfig(gamma=0.2, seed=3))
 
 
@@ -453,7 +461,7 @@ def test_a_later_wave_error_wins_when_it_comes_first_in_order():
     """18 comes before 9 in order but runs a wave later; both lack a
     budget, and the error names 18, as the loop's does."""
     child, images, kwargs = _failing_run("target", (LATER_WAVE, EARLIER_WAVE))
-    kwargs["epsilon_for"] = lambda v: 0.05 if v == EARLIER_WAVE else 0.0
+    kwargs["budgets"] = np.where(np.arange(len(images)) == EARLIER_WAVE, 0.05, 0.0)
     got = _outcome(lambda: INDUCTION(child, images, **kwargs))
     assert isinstance(got, BudgetViolation) and str(got).startswith(f"vertex {LATER_WAVE} ")
     # 9 moved in the first wave, and was put back
