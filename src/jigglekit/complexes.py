@@ -38,6 +38,9 @@ _INTERIOR_TOL = 1e-9
 # (point, top) pairs it takes per pass
 _LOCATE_SLACK = 1e-3
 _LOCATE_BLOCK = 65536
+# stacks of at least this many matrices are factorized once per distinct
+# matrix (:func:`_per_distinct`); a smaller stack is not worth its key
+_DISTINCT_MIN = 64
 # |float det - det| of an n x n edge matrix, n <= 3, stays below this times
 # the larger Hadamard product of its row and of its column norms
 _ORIENT_ERR = 2.0 ** -40
@@ -248,16 +251,67 @@ def _combinations(k: int, r: int) -> np.ndarray:
     return table
 
 
-def _row_keys(sizes: np.ndarray, rows: np.ndarray, base: int) -> np.ndarray:
-    """One integer per row of ids in [0, base), led by its size: the digits
-    (size, *row) in base ``base``.  Equal (size, row) pairs get equal keys,
-    and keys order as the pairs do, lexicographically.  int64 where that
-    cannot overflow, Python ints otherwise."""
-    wide = (int(sizes.max(initial=0)) + 1) * base ** rows.shape[1] > 2 ** 63
-    keys = sizes.astype(object if wide else np.int64)
-    for col in rows.T:
-        keys = keys * base + (col.astype(object) if wide else col)
-    return keys
+def _unique_rows(rows: np.ndarray):
+    """The distinct rows of a 2-D array: ``(first, inverse, counts)``, what
+    ``np.unique(words, axis=0, return_index=True, return_inverse=True,
+    return_counts=True)`` returns for ``words``, the rows as int64 words.
+    Integer and bool rows give their values; float64 rows give their bytes,
+    so -0.0 and 0.0 stay apart, and so does each NaN payload.  The rows
+    order lexicographically by their words, and ``first`` holds the first
+    appearance of each.
+
+    This is the one row dedupe.  Each row becomes one mixed-radix int64
+    key (each word less its column's least, a digit in base the column's
+    spread) with the row's index in the low bits, where that fits, and the
+    keys take one sort, which orders the rows as a stable sort would.
+    Rows whose keys would not fit (float rows, as a rule) take one stable
+    lexsort of their columns."""
+    rows = np.asarray(rows)
+    count = len(rows)
+    if rows.dtype.kind == "f":
+        rows = np.ascontiguousarray(rows, dtype=np.float64).view(np.int64)
+    cols = np.ascontiguousarray(rows.T, dtype=np.int64)   # a row per column: fast scans
+    head = np.ones(count, dtype=bool)
+    bits = count.bit_length()
+    key = None
+    if count:
+        low = cols.min(axis=1).tolist()
+        spread = [h - lo + 1 for lo, h in zip(low, cols.max(axis=1).tolist())]
+        if math.prod(spread) << bits < 2 ** 63:
+            key = np.zeros(count, dtype=np.int64)
+            for col, lo, base in zip(cols, low, spread):
+                key = key * base + (col - lo)
+    if key is not None:
+        ranked = np.sort(key << bits | np.arange(count))
+        order = ranked & ((1 << bits) - 1)
+        ranked >>= bits
+        head[1:] = ranked[1:] != ranked[:-1]
+    else:
+        order = np.lexsort(cols[::-1])
+        head[1:] = False
+        for col in cols:
+            ranked = col[order]
+            head[1:] |= ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(head)
+    inverse = np.empty(count, dtype=np.intp)
+    inverse[order] = np.cumsum(head, dtype=np.intp) - 1
+    counts = np.empty_like(starts)
+    counts[:-1] = starts[1:] - starts[:-1]
+    counts[-1:] = count - starts[-1:]
+    return order[starts], inverse, counts
+
+
+def _per_distinct(kernel, stack: np.ndarray) -> np.ndarray:
+    """``kernel(stack)`` on an (S, ...) float stack, run once per distinct
+    item (by its bytes) and scattered back when S is at least
+    ``_DISTINCT_MIN``.  On a crystalline lattice the cells are translates
+    of a few model simplices, so their edge matrices repeat byte for byte.
+    A stacked linalg kernel gives each item the bits of a stack of one, so
+    the result is the direct call's, bit for bit."""
+    if len(stack) < _DISTINCT_MIN:
+        return kernel(stack)
+    first, inverse, _ = _unique_rows(stack.reshape(len(stack), -1))
+    return kernel(stack[first])[inverse]
 
 
 def _face_tables(simplices: list, num_vertices: int):
@@ -270,8 +324,8 @@ def _face_tables(simplices: list, num_vertices: int):
 
     Raises for the first simplex (in order) with a repeated vertex or an id
     out of range.  The faces come from one combination table per (size,
-    face size) and are deduplicated, sizes first, by one ``np.unique`` of
-    their :func:`_row_keys`, whose order is that of the (size, ids) rows.
+    face size) and are deduplicated, sizes first, by one :func:`_unique_rows`
+    of the (size, ids) rows, padded with 0.
     """
     by_size: dict[int, list[int]] = {}
     for i, simplex in enumerate(simplices):
@@ -307,9 +361,7 @@ def _face_tables(simplices: list, num_vertices: int):
         rows[lo:lo + len(faces), 1:r + 1] = faces
         proper[lo:lo + len(faces)] = inner
         lo += len(faces)
-    _, first, inverse = np.unique(_row_keys(rows[:, 0], rows[:, 1:], num_vertices),
-                                  return_index=True, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    first, inverse, _ = _unique_rows(rows)
     covered = np.zeros(len(first), dtype=bool)
     covered[inverse[proper]] = True
     unique = rows[first]
@@ -782,7 +834,8 @@ def _sat_disjoint_many(first: np.ndarray, second: np.ndarray, ids: np.ndarray,
                                 vertex_coords[padded[second[chunk]]], tol, cheap=True)
     rest = np.flatnonzero(~out)
     ka, kb = sizes[first[rest]], sizes[second[rest]]
-    for a, b in np.unique(np.stack([ka, kb], axis=1), axis=0):
+    signatures = np.stack([ka, kb], axis=1)
+    for a, b in signatures[_unique_rows(signatures)[0]].tolist():
         ts = rest[(ka == a) & (kb == b)]
         for lo_t in range(0, len(ts), _SAT_CHUNK):
             chunk = ts[lo_t:lo_t + _SAT_CHUNK]
@@ -899,10 +952,9 @@ def _ridges(facets: np.ndarray):
     hold each, and the facets holding them, grouped face by face."""
     f, k = facets.shape
     rows = np.concatenate([np.delete(facets, i, axis=1) for i in range(k)])
-    faces, inverse, counts = np.unique(rows, axis=0, return_inverse=True,
-                                       return_counts=True)
-    owner = np.tile(np.arange(f), k)[np.argsort(inverse.ravel(), kind="stable")]
-    return faces, counts, owner
+    first, inverse, counts = _unique_rows(rows)
+    owner = np.tile(np.arange(f), k)[np.argsort(inverse, kind="stable")]
+    return rows[first], counts, owner
 
 
 def _is_sphere(facets: np.ndarray) -> bool:
@@ -1060,7 +1112,7 @@ def _interpolate(ids, weights, denominator: int, values: np.ndarray) -> np.ndarr
 
 def _refine(complex_: SimplicialComplex, cells, denominator: int):
     """Replace each top of k >= 2 vertices by the cells ``cells(k)``, k rows
-    of weights over ``denominator`` on its vertices each.  ``np.unique``
+    of weights over ``denominator`` on its vertices each.  :func:`_unique_rows`
     interns the rows of the parent vertices, then of the cell vertices in
     sorted top order: numbered by first appearance, as interned one by one."""
     if denominator > 2 ** 62:  # so that int64 weight products stay exact
@@ -1081,10 +1133,9 @@ def _refine(complex_: SimplicialComplex, cells, denominator: int):
             weights[at, :k] = np.take_along_axis(templates[k], left, axis=1)
             ids[at, :k] = np.where(weights[at, :k] > 0, top_ids[:, left], -1)
             blocks.append(at.reshape(-1, k))
-    _, first, inverse = np.unique(np.hstack([ids, weights]), axis=0,
-                                  return_index=True, return_inverse=True)
+    first, inverse, _ = _unique_rows(np.hstack([ids, weights]))
     order = np.argsort(first)
-    vid = np.argsort(order)[inverse.ravel()]
+    vid = np.argsort(order)[inverse]
     ids, weights = ids[first[order]], weights[first[order]]
     child_tops = [t for t in tops if len(t) < 2]
     for at in blocks:

@@ -35,8 +35,9 @@ from .complexes import (
     SimplicialComplex,
     SubdivisionMap,
     _barycentric,
-    _row_keys,
+    _per_distinct,
     _span_distances,
+    _unique_rows,
     _volumes,
     barycentric_subdivide,
     closure,
@@ -76,7 +77,6 @@ from .plmaps import (
 from .transversality import (
     Distribution,
     TransversalityReport,
-    _first_ids,
     _general_position_each,
     _join_error,
     transversality_report,
@@ -213,8 +213,7 @@ def _linearize_exactly(fmap, complex_: SimplicialComplex, level: int):
     _vertex_images(flin, child)
     if _is_native(fmap, complex_):
         return flin, child, smap, 0.0, 0.0
-    return (flin, child, smap, distance(fmap, flin, order=0),
-            distance(fmap, flin, order=1))
+    return (flin, child, smap, *distance(fmap, flin, order=(0, 1)))
 
 
 def _jacobian_amplification(child: SimplicialComplex) -> float:
@@ -223,14 +222,16 @@ def _jacobian_amplification(child: SimplicialComplex) -> float:
     For a cell with edge matrix E, perturbing every vertex image by at most
     eta changes the differential by at most eta * 2*sqrt(m)/sigma_min(E);
     the maximum of that factor over top cells converts per-vertex budgets
-    into C1 budgets.  One stacked SVD per cell size.
+    into C1 budgets.  One stacked SVD per cell size, of each distinct edge
+    matrix once (:func:`complexes._per_distinct`).
     """
     worst = 0.0
     for k, rows, ids in size_groups(child.top_simplices):
         if k < 2:
             continue
         pts = child.vertices[ids]
-        smin = np.linalg.svd(pts[:, 1:] - pts[:, :1], compute_uv=False)[:, -1]
+        smin = _per_distinct(lambda e: np.linalg.svd(e, compute_uv=False)[:, -1],
+                             pts[:, 1:] - pts[:, :1])
         flat = np.flatnonzero(smin <= 0)
         if flat.size:
             top = child.top_simplices[rows[flat[0]]]
@@ -255,7 +256,7 @@ def _field_planes(xi: Distribution, points: np.ndarray) -> list:
     out = [errors.get(i) for i in range(len(points))]
     good = [i for i in range(len(points)) if i not in errors]
     if good:
-        ids, first = _first_ids(bases[good].reshape(len(good), -1))
+        first, ids, _ = _unique_rows(bases[good].reshape(len(good), -1))
         distinct = [Plane(bases[good[i]]) for i in first.tolist()]
         for i, j in zip(good, ids.tolist()):
             out[i] = distinct[j]
@@ -408,7 +409,7 @@ class _Plan:
     star.
 
     Every join gets the id of its simplex (``simplex``), numbered in the
-    order of their :func:`_row_keys`, so per dimension in sorted order;
+    order of their :func:`_unique_rows`, so per dimension in sorted order;
     ``keys`` lists the simplices by id and ``first`` the first join of each.
     """
 
@@ -468,9 +469,7 @@ class _Plan:
         apex = live[np.repeat(np.arange(count), np.diff(stars.join_start))]
         # -1 pads the ids of a join; sorted, it leads the row
         rows = np.sort(np.column_stack([apex, stars.join_ids]), axis=1)
-        _, self.first, self.simplex = np.unique(
-            _row_keys(stars.join_d, rows + 1, child.num_vertices + 1),
-            return_index=True, return_inverse=True)
+        self.first, self.simplex, _ = _unique_rows(np.column_stack([stars.join_d, rows]))
         chosen, size = rows[self.first], stars.join_d[self.first]
         self.keys = [key for d in np.unique(size).tolist()
                      for key in map(tuple, chosen[size == d, -d - 1:].tolist())]
@@ -628,10 +627,10 @@ def _induce_and_verify(child: SimplicialComplex, images: np.ndarray, cfg: Jiggli
             "post-run verification rejected the jiggled map "
             f"(min eps margin {report.min_eps_margin:.3g})"
         )
+    d_c0, d_c1 = distance(ref, g, order=(0, 1))
     return JigglingOutcome(
         plmap=g, out_complex=child, subdivision=subdivision, report=report,
-        level=level, d_c0=float(distance(ref, g, order=0)),
-        d_c1=float(distance(ref, g, order=1)), eta=float(eta),
+        level=level, d_c0=d_c0, d_c1=d_c1, eta=float(eta),
         margin_target=float(margin_target), achieved=achieved,
         moved_count=moved, config=cfg,
     )
@@ -912,8 +911,8 @@ def jiggle_subdivision(complex_: SimplicialComplex,
     # per distinct carrier face of two or more vertices: the flat its
     # vertices stay in (none for a full-dimensional face), and each vertex's
     # distance to the nearest facet wall, one stack per facet
-    distinct, group = np.unique(carrier, axis=0, return_inverse=True)
-    group = group.reshape(-1)
+    first, group, _ = _unique_rows(carrier)
+    distinct = carrier[first]
     flats, wall = [None] * len(distinct), np.full(count, np.inf)
     for g, row in enumerate(distinct):
         cpts = complex_.vertices[row]

@@ -200,11 +200,12 @@ def _transverse(bases: np.ndarray, v, tol: float = RANK_REL_TOL,
         if d + k <= n:
             test = ~(sigma > SURELY_TRANSVERSE * max(tol, 1e-8))
     sel = np.flatnonzero(test)
-    both = np.empty((len(sel), d + k, n))
-    both[:, :d] = bases[sel]
-    both[:, d:] = rows if rows.ndim == 2 else rows[sel]
     transverse = ~test
-    transverse[sel] = _rank(np.linalg.svd(both, compute_uv=False), tol) == min(d + k, n)
+    if len(sel):
+        both = np.empty((len(sel), d + k, n))
+        both[:, :d] = bases[sel]
+        both[:, d:] = rows if rows.ndim == 2 else rows[sel]
+        transverse[sel] = _rank(np.linalg.svd(both, compute_uv=False), tol) == min(d + k, n)
     return (transverse, sigma) if margins else transverse
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import _combinations
+from .complexes import _combinations, _unique_rows
 from .errors import (
     DegenerateSimplex,
     InfeasibleDimensions,
@@ -107,9 +107,18 @@ def _one(results: list):
 # the ball search
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _identity(ambient: int) -> np.ndarray:
+    """The read-only identity of R^ambient, the basis of an unconstrained
+    search; built once per dimension."""
+    eye = np.eye(ambient)
+    eye.setflags(write=False)
+    return eye
+
+
 def _search_basis(ambient: int, constraint: AffineFlat | None) -> np.ndarray:
     if constraint is None:
-        return np.eye(ambient)
+        return _identity(ambient)
     if constraint.direction is None:
         return np.zeros((0, ambient))
     return constraint.direction.basis
@@ -224,9 +233,9 @@ def _avoid_flats(problems: list) -> list:
              for (_, _, c_order), items in spans.items()]
     owner, quot, quots = np.array(owner, dtype=np.intp), np.array(quot, dtype=np.intp), \
         _Planes(list(quots))
-    pairs, inverse = np.unique(np.column_stack([owner, quot]).reshape(-1, 2), axis=0,
-                               return_inverse=True)
-    room = _search_dims(bases, pairs, quots)[inverse.reshape(-1)]
+    pairs = np.column_stack([owner, quot]).reshape(-1, 2)
+    first, inverse, _ = _unique_rows(pairs)
+    room = _search_dims(bases, pairs[first], quots)[inverse]
     results = _clear(owner, quot, base, spans, quots, room, points, list(eps), list(seeds),
                      list(samples), list(bases))
     for j, res in zip(index, results):
@@ -305,7 +314,8 @@ def _search_dims(bases: list, pairs: np.ndarray, quots: _Planes) -> np.ndarray:
     c_order = np.array([b.flags.c_contiguous for b in bases])[search]
     ms = np.append(bases[0].shape[1] - quots.rank, -1)[quot]
     key = np.column_stack([ndof, ms, c_order])
-    for ndof_, m, c in np.unique(key[(ndof > 0) & (ms != 0)], axis=0).tolist():
+    kinds = key[(ndof > 0) & (ms != 0)]
+    for ndof_, m, c in kinds[_unique_rows(kinds)[0]].tolist():
         rows = np.flatnonzero((key == [ndof_, m, c]).all(axis=1))
         stack = _stack([bases[a] for a in search[rows].tolist()], bool(c))
         if m >= 0:
@@ -858,8 +868,7 @@ def _stage_faces(stars: _Stars, coords: np.ndarray, active: np.ndarray, d: int):
         rounded = rows[order].reshape(rounded.shape)
     key = np.concatenate([stars.pair_slot[pair].astype(np.int64)[:, None].view(float),
                           rounded.reshape(len(ids), d * n)], axis=1)
-    kept = np.sort(np.unique(key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0],
-                             return_index=True)[1])
+    kept = np.sort(_unique_rows(key)[0])
     faces, pair = faces[kept], pair[kept]
     spans = []
     if d > 1:

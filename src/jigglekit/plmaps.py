@@ -15,6 +15,7 @@ from .complexes import (
     SimplicialComplex,
     _interpolate,
     _orientations,
+    _per_distinct,
     barycentric_coordinates,
     crystalline_subdivide,
     find_interior_overlap,
@@ -231,32 +232,40 @@ def _jacobians(m, own: bool, ids: np.ndarray, pinv_a: np.ndarray,
         cells, count, -1, dim)
 
 
-def distance(f, g, order: int = 0) -> float:
+def distance(f, g, order=0):
     """C0 or C1 distance over a common refinement of the two domains.
 
     Order one returns the per-simplex maximum of (sup-distance + Jacobian
     operator-norm distance), maximized over simplices, per the sup-plus-
-    derivative convention.  The cells are taken one size group at a time:
-    a PLMap on the refinement itself is read off its vertex images as
-    stacked arrays, any other map is evaluated cell by cell.
+    derivative convention.  ``order`` may also be a tuple of orders, which
+    gives the tuple of their distances from one pass; order zero alone
+    does no C1 work.  The cells are taken one size group at a time: a
+    PLMap on the refinement itself is read off its vertex images as
+    stacked arrays, any other map is evaluated cell by cell.  The domain
+    edge matrices take one pseudo-inverse per distinct matrix
+    (:func:`complexes._per_distinct`).
     """
+    orders = order if isinstance(order, tuple) else (order,)
     fine = _common_refinement(f, g)
     f_own = isinstance(f, PLMap) and f.domain is fine
     g_own = isinstance(g, PLMap) and g.domain is fine
-    worst = 0.0
+    worst0 = worst1 = 0.0
     for k, _, ids in size_groups(fine.top_simplices):
         dom = fine.vertices[ids]
         b = barycentric_lattice(k, SAMPLE_DEPTH)
         pts = b @ dom
         diff = _values(f, f_own, ids, b, pts) - _values(g, g_own, ids, b, pts)
         val = np.sqrt(np.add.reduce(diff * diff, axis=2)).max(axis=1)
-        if order >= 1:
-            pinv_a = np.linalg.pinv(np.swapaxes(dom[:, 1:] - dom[:, :1], 1, 2))
+        worst0 = np.maximum(worst0, val.max())
+        if max(orders) >= 1:
+            pinv_a = _per_distinct(lambda e: np.linalg.pinv(np.swapaxes(e, 1, 2)),
+                                   dom[:, 1:] - dom[:, :1])
             gap = (_jacobians(f, f_own, ids, pinv_a, dom, pts)
                    - _jacobians(g, g_own, ids, pinv_a, dom, pts))
-            val = val + np.linalg.svd(gap, compute_uv=False).max(axis=(1, 2))
-        worst = np.maximum(worst, val.max())
-    return float(worst)
+            worst1 = np.maximum(worst1, (val + np.linalg.svd(gap, compute_uv=False)
+                                         .max(axis=(1, 2))).max())
+    out = tuple(float(worst1 if o >= 1 else worst0) for o in orders)
+    return out if isinstance(order, tuple) else out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import _combinations, _face_tables
+from .complexes import _combinations, _face_tables, _unique_rows
 from .errors import (
     DegenerateSimplex,
     PreconditionViolated,
@@ -409,7 +409,7 @@ def general_position(coords: np.ndarray, xi: Distribution,
     with xi(x)'s, where singular values at most ``tol`` times the largest
     count as lost rank.  For a constant field that test runs at a single
     probe, for a varying field at every sampled probe; neither is a proof
-    (ROADMAP item 7).
+    (ROADMAP items 5 and 6, for constant and for varying fields).
 
     This is a stack of one of the report's kernel
     (:func:`_general_positions`), which gives what a loop over probes in
@@ -425,21 +425,6 @@ def general_position(coords: np.ndarray, xi: Distribution,
     ok, margin = _general_positions([(np.zeros(1, dtype=int), pts[None], xi)],
                                     sample_depth, tol)
     return bool(ok[0]), float(margin[0])
-
-
-def _first_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of the distinct byte strings among the rows of a 2-D array of
-    8-byte items, and the row where each first appears: ``rows[first][ids]``
-    is ``rows`` byte for byte.  The rows are read as int64 words and take
-    one stable lexsort (np.unique on void rows is several times slower)."""
-    words = np.ascontiguousarray(rows).view(np.int64)
-    order = np.lexsort(words.T[::-1])
-    ranked = words[order]
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    ids = np.empty(len(order), dtype=np.intp)
-    ids[order] = np.cumsum(head) - 1
-    return ids, order[head]
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -472,7 +457,7 @@ class _FaceTable:
                 shapes.setdefault(k, []).append((g, pts[:, _combinations(pts.shape[1], k)]))
         for s, parts in sorted(shapes.items()):
             stack = np.concatenate([f.reshape(-1, s, f.shape[-1]) for _, f in parts])
-            ids, first = _first_ids(stack.reshape(len(stack), -1))
+            first, ids, _ = _unique_rows(stack.reshape(len(stack), -1))
             self.bases[s], ranks = _face_bases(stack[first])
             split = np.cumsum([f.shape[0] * f.shape[1] for _, f in parts])[:-1]
             for (g, f), part in zip(parts, np.split(ids + len(size), split)):
@@ -572,7 +557,7 @@ class _ProbePlanes:
             self.kinds.append(kind)
             self.tables.append(bases[:0])
         k = self.kinds.index(kind)
-        same, first = _first_ids(bases[rows].reshape(len(rows), -1))
+        first, same, _ = _unique_rows(bases[rows].reshape(len(rows), -1))
         ids, grow = [], []
         for i in rows[first].tolist():
             got = self.ids.setdefault((bases[i].shape, bases[i].tobytes()), len(self.kind))
@@ -637,7 +622,7 @@ def _general_positions(groups, sample_depth: int, tol: float, stop: bool = False
         np.column_stack([np.full(probes.shape[0] * probes.shape[1], fields.index(xi)),
                          probes.reshape(-1, probes.shape[-1])])
         for _, _, xi, probes, _ in live] or [np.zeros((0, 1))])
-    probe, first = _first_ids(table)
+    first, probe, _ = _unique_rows(table)
     planes = _ProbePlanes(fields, table[first, 0].astype(np.intp), table[first, 1:])
     split = np.cumsum([probes.shape[0] * probes.shape[1] for _, _, _, probes, _ in live])
     live = [(order, pids.reshape(probes.shape[:2]), ids) for (order, _, _, probes, _), pids, ids

@@ -785,15 +785,94 @@ def test_face_tables_equal_the_void_row_tables(n, tops):
     assert owner.astype(np.intp).tobytes() == want_owner.astype(np.intp).tobytes()
 
 
-def test_row_keys_fall_back_to_python_ints_when_int64_would_overflow():
-    rows = np.array([[5, 0], [4, 9]])
-    small = complexes._row_keys(np.array([2, 2]), rows, 10)
-    assert small.dtype == np.int64 and small.tolist() == [250, 249]
-    sizes = np.array([4, 3])
-    wide = complexes._row_keys(sizes, np.array([[999_999] * 4, [3, 7, 12, 0]]), 10 ** 6)
-    assert wide.dtype == object
-    assert wide.tolist() == [4 * 10 ** 24 + 999_999 * (10 ** 18 + 10 ** 12 + 10 ** 6 + 1),
-                             3 * 10 ** 24 + 3 * 10 ** 18 + 7 * 10 ** 12 + 12 * 10 ** 6]
+def unique_rows_reference(rows):
+    """``np.unique(axis=0)`` on the rows' int64 words: integer values, or
+    the bytes of float64 rows."""
+    rows = np.asarray(rows)
+    words = rows.view(np.int64) if rows.dtype.kind == "f" else rows.astype(np.int64)
+    _, first, inverse, counts = np.unique(words, axis=0, return_index=True,
+                                          return_inverse=True, return_counts=True)
+    return first, inverse.reshape(-1), counts
+
+
+def payload_nan(payload: int) -> float:
+    return float(np.array([0x7FF8_0000_0000_0000 | payload], dtype=np.int64).view(float)[0])
+
+
+def unique_rows_cases():
+    rng = np.random.default_rng(26)
+    ids = rng.integers(-1, 12, size=(400, 4))
+    ids[rng.random(ids.shape) < 0.3] = -1     # pads
+    big = rng.integers(-2 ** 40, 2 ** 40, size=(300, 3))
+    big[100:200] = big[:100]                  # repeats past int64 radix keys
+    floats = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [np.inf, -np.inf],
+                       [-np.inf, np.inf], [np.nan, 2.0], [payload_nan(1), 2.0],
+                       [payload_nan(1), 2.0], [np.nan, 2.0], [-0.0, 1.0], [1e-300, -5e300]])
+    return {
+        "pads": ids, "signed-wide": big, "empty": np.zeros((0, 3), dtype=np.int64),
+        "one": np.array([[7, -1, 3]]), "no-columns": np.zeros((5, 0), dtype=np.int64),
+        "no-float-columns": np.zeros((70, 0)),
+        "bool": rng.random((50, 6)) < 0.5, "floats": floats,
+        "float-lattice": np.round(rng.random((200, 6)) * 4) / 4,
+    }
+
+
+@pytest.mark.parametrize("name", list(unique_rows_cases()))
+def test_unique_rows_equal_the_numpy_reference(name):
+    rows = unique_rows_cases()[name]
+    got = complexes._unique_rows(rows)
+    want = unique_rows_reference(rows)
+    for a, b in zip(got, want):
+        assert a.dtype == np.intp
+        assert a.tolist() == b.tolist()
+
+
+def test_unique_rows_keep_float_bytes_apart():
+    """-0.0 and 0.0, and NaNs of two payloads, are four rows; equal bytes
+    are one."""
+    rows = np.array([[0.0], [-0.0], [np.nan], [payload_nan(3)], [-0.0], [np.nan]])
+    first, inverse, counts = complexes._unique_rows(rows)
+    assert len(first) == 4
+    assert sorted(counts.tolist()) == [1, 1, 2, 2]
+    assert inverse[1] == inverse[4] != inverse[0]
+    assert inverse[2] == inverse[5] != inverse[3]
+
+
+def test_unique_rows_fall_back_to_a_lexsort_when_radix_keys_would_overflow(monkeypatch):
+    """Small spreads take one int64 key per row; spreads whose product
+    passes 2**63 take the lexsort, with the same result."""
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    small = np.array([[5, 0], [4, 9], [5, 0]])
+    assert [a.tolist() for a in complexes._unique_rows(small)] == \
+        [a.tolist() for a in unique_rows_reference(small)]
+    assert not sorts
+    wide = np.array([[4, 999_999, 999_999, 999_999, 999_999], [3, 3, 7, 12, 0],
+                     [1, 0, 0, 0, 0], [4, 999_999, 999_999, 999_999, 999_999]])
+    assert [a.tolist() for a in complexes._unique_rows(wide)] == \
+        [a.tolist() for a in unique_rows_reference(wide)]
+    assert sorts == [1]
+
+
+def test_per_distinct_gives_the_direct_bits():
+    """A stack with repeated matrices, factorized once per distinct one,
+    gives the direct call's bits; below the threshold the call is direct."""
+    rng = np.random.default_rng(27)
+    stack = rng.standard_normal((5, 2, 3))[rng.integers(0, 5, size=200)]
+    stack[::7] = rng.standard_normal((len(stack[::7]), 2, 3))
+    distinct = len(np.unique(stack.reshape(len(stack), -1), axis=0))
+    calls = []
+
+    def pinv(e):
+        calls.append(len(e))
+        return np.linalg.pinv(np.swapaxes(e, 1, 2))
+
+    got = complexes._per_distinct(pinv, stack)
+    assert got.tobytes() == np.linalg.pinv(np.swapaxes(stack, 1, 2)).tobytes()
+    assert calls == [distinct] and distinct < 40
+    complexes._per_distinct(pinv, stack[:complexes._DISTINCT_MIN - 1])
+    assert calls[-1] == complexes._DISTINCT_MIN - 1
 
 
 @pytest.mark.parametrize("k, n", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3)])

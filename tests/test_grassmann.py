@@ -171,3 +171,19 @@ def test_stacked_flat_distances_match_the_scalar_call_bit_for_bit():
         got = _flat_distances(points, np.stack([f.base for f in flats]), dirs)
         want = [[point_flat_distance(p, f) for f in flats] for p in points]
         assert got.tolist() == want
+
+
+def test_wide_margins_make_no_rank_svd(monkeypatch):
+    """When every row's margin proves it transverse, the rank test has no
+    row left and runs no SVD; with one row in a plane it runs one."""
+    v = Plane(np.array([[1.0, 0.0, 0.0]]))
+    bases = np.array([[[0.0, 1.0, 0.0]], [[0.0, 0.6, 0.8]]])
+    sizes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: sizes.append(len(a))
+                        or svd(a, *args, **kw))
+    transverse, margin = _transverse(bases, v, margins=True)
+    assert transverse.tolist() == [True, True] and sizes == [2]
+    sizes.clear()
+    transverse, _ = _transverse(np.concatenate([bases, v.basis[None]]), v, margins=True)
+    assert transverse.tolist() == [True, True, False] and sizes == [3, 1]

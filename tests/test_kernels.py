@@ -4,8 +4,9 @@ Each span distance, flat distance, plane basis, rank test and face margin
 is computed by one private routine that works on stacks; the public scalar
 functions call it with a stack of one.  A stdlib ``ast`` pass keeps it that
 way: ``np.linalg.qr``, ``np.linalg.svd`` and ``np.linalg.det`` may be
-called only where ``ALLOWED`` says, and a ``Fraction`` may be built only
-where ``FRACTION_HOMES`` says.  The kernels themselves are compared with the same
+called only where ``ALLOWED`` says, a ``Fraction`` may be built only
+where ``FRACTION_HOMES`` says, and rows are deduplicated only in
+``DEDUPE_HOMES``.  The kernels themselves are compared with the same
 quantities computed in 50-digit ``mpmath`` arithmetic, on random and on
 nearly degenerate inputs.
 """
@@ -193,6 +194,58 @@ def test_every_allowed_home_still_factorizes():
              for fn, kind, _ in factorizations(path.read_text())}
     assert {(m, fn, kind) for (m, fn), kinds in ALLOWED.items()
             for kind in kinds} <= found
+
+
+# one row dedupe: ``np.unique(..., axis=...)`` and ``np.void`` views of rows
+# appear only in the (module, function) below
+DEDUPE_HOMES = {("complexes", "_unique_rows")}
+
+
+def _voids(node) -> bool:
+    """Whether ``np.void`` appears in an expression, not counting the
+    calls nested in it (they are visited on their own)."""
+    if isinstance(node, ast.Attribute) and node.attr == "void":
+        return True
+    return not isinstance(node, ast.Call) and any(
+        _voids(child) for child in ast.iter_child_nodes(node))
+
+
+def _row_dedupe(call: ast.Call):
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "unique" and any(
+            k.arg == "axis" for k in call.keywords):
+        return "unique(axis)"
+    if any(_voids(arg) for arg in [*call.args, *(k.value for k in call.keywords)]):
+        return "void"
+    return None
+
+
+def stray_dedupes(module: str, source: str, homes=DEDUPE_HOMES) -> list[str]:
+    return [f"line {line}: {kind} in {fn}" for fn, kind, line in calls(source, _row_dedupe)
+            if (module, fn) not in homes]
+
+
+def test_checker_flags_a_row_dedupe_outside_its_home():
+    source = ("import numpy as np\n"
+              "def _unique_rows(rows):\n"
+              "    return np.unique(rows, axis=0, return_index=True)\n"
+              "def faces(rows):\n"
+              "    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))\n"
+              "    return np.unique(keys[:, 0]), np.unique(rows)\n"
+              "def pairs(a):\n"
+              "    return np.unique(np.stack([a, a], axis=1), axis=0)\n"
+              "KEY = np.ones(3).view(np.void)\n")
+    assert calls(source, _row_dedupe) == [
+        ("_unique_rows", "unique(axis)", 3), ("faces", "void", 5),
+        ("pairs", "unique(axis)", 8), (None, "void", 9)]
+    assert stray_dedupes("complexes", source) == [
+        "line 5: void in faces", "line 8: unique(axis) in pairs", "line 9: void in None"]
+    assert stray_dedupes("engine", source)[0] == "line 3: unique(axis) in _unique_rows"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_rows_are_deduplicated_in_one_kernel(path):
+    assert stray_dedupes(path.stem, path.read_text()) == []
 
 
 # ---------------------------------------------------------------------------

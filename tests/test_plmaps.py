@@ -375,3 +375,37 @@ def test_evaluate_batch_takes_each_points_coordinates_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", counted)
     assert f.evaluate_batch(inside, hint=top).tobytes() == (b @ fine.coords(top)).tobytes()
     assert len(calls) == 1
+
+
+def test_each_distinct_domain_cell_is_factorized_once(monkeypatch):
+    """The 2,048 cells of a level-4 square grid have 11 distinct edge
+    matrices: the C1 distance takes a pseudo-inverse of each once, and the
+    Jacobian amplification an SVD of each once."""
+    child, _ = crystalline_subdivide(unit_square_grid(2), 4)
+    assert len(child.top_simplices) == 2048
+    rng = np.random.default_rng(26)
+    g = PLMap(child, child.vertices + 1e-3 * rng.standard_normal(child.vertices.shape))
+    rows = []
+
+    def counted(kernel):
+        def call(a, *args, **kwargs):
+            rows.append(len(a))
+            return kernel(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "pinv", counted(np.linalg.pinv))
+    distance(PLMap.identity(child), g, order=0)
+    assert rows == []
+    distance(PLMap.identity(child), g, order=1)
+    assert sum(rows) <= 11
+    rows.clear()
+    monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+    _jacobian_amplification(child)
+    assert sum(rows) <= 11
+
+
+def test_distance_takes_both_orders_from_one_pass(jiggled_meshes):
+    child, images = jiggled_meshes["tower-4"]
+    f, g = PLMap.identity(child), PLMap(child, images)
+    assert distance(f, g, order=(0, 1)) == (distance(f, g, 0), distance(f, g, 1))
+    assert distance(f, g, order=(1,)) == (distance(f, g, order=1),)

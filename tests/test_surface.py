@@ -21,7 +21,7 @@ ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 # name -> why it stays without a caller
 ALLOWED = {
     "transfer_margins": "margin arithmetic kept to turn sampled report margins "
-                        "into proved ones (ROADMAP item 7)",
+                        "into proved ones (ROADMAP items 5 and 6)",
 }
 
 
