@@ -38,9 +38,6 @@ _INTERIOR_TOL = 1e-9
 # (point, top) pairs it takes per pass
 _LOCATE_SLACK = 1e-3
 _LOCATE_BLOCK = 65536
-# stacks of at least this many matrices are factorized once per distinct
-# matrix (:func:`_per_distinct`); a smaller stack is not worth its key
-_DISTINCT_MIN = 64
 # |float det - det| of an n x n edge matrix, n <= 3, stays below this times
 # the larger Hadamard product of its row and of its column norms
 _ORIENT_ERR = 2.0 ** -40
@@ -303,13 +300,10 @@ def _unique_rows(rows: np.ndarray):
 
 def _per_distinct(kernel, stack: np.ndarray) -> np.ndarray:
     """``kernel(stack)`` on an (S, ...) float stack, run once per distinct
-    item (by its bytes) and scattered back when S is at least
-    ``_DISTINCT_MIN``.  On a crystalline lattice the cells are translates
-    of a few model simplices, so their edge matrices repeat byte for byte.
-    A stacked linalg kernel gives each item the bits of a stack of one, so
-    the result is the direct call's, bit for bit."""
-    if len(stack) < _DISTINCT_MIN:
-        return kernel(stack)
+    item (by its bytes) and scattered back.  On a crystalline lattice the
+    cells are translates of a few model simplices, so their edge matrices
+    repeat byte for byte.  A stacked linalg kernel gives each item the bits
+    of a stack of one, so the result is the direct call's, bit for bit."""
     first, inverse, _ = _unique_rows(stack.reshape(len(stack), -1))
     return kernel(stack[first])[inverse]
 

@@ -66,11 +66,11 @@ from .perturb import _join_margins, _perturb, _Planes, _Stars
 from .plmaps import (
     PLMap,
     SampledMap,
+    _distances,
     _embedding_failure,
     _is_native,
     _same_complex,
     complex_subdivides,
-    distance,
     is_piecewise_embedding,
     linearize,
 )
@@ -213,7 +213,7 @@ def _linearize_exactly(fmap, complex_: SimplicialComplex, level: int):
     _vertex_images(flin, child)
     if _is_native(fmap, complex_):
         return flin, child, smap, 0.0, 0.0
-    return (flin, child, smap, *distance(fmap, flin, order=(0, 1)))
+    return (flin, child, smap, *_distances(fmap, flin, c1=True))
 
 
 def _jacobian_amplification(child: SimplicialComplex) -> float:
@@ -627,7 +627,7 @@ def _induce_and_verify(child: SimplicialComplex, images: np.ndarray, cfg: Jiggli
             "post-run verification rejected the jiggled map "
             f"(min eps margin {report.min_eps_margin:.3g})"
         )
-    d_c0, d_c1 = distance(ref, g, order=(0, 1))
+    d_c0, d_c1 = _distances(ref, g, c1=True)
     return JigglingOutcome(
         plmap=g, out_complex=child, subdivision=subdivision, report=report,
         level=level, d_c0=d_c0, d_c1=d_c1, eta=float(eta),

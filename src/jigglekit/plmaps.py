@@ -232,20 +232,27 @@ def _jacobians(m, own: bool, ids: np.ndarray, pinv_a: np.ndarray,
         cells, count, -1, dim)
 
 
-def distance(f, g, order=0):
+def distance(f, g, order: int = 0) -> float:
     """C0 or C1 distance over a common refinement of the two domains.
 
     Order one returns the per-simplex maximum of (sup-distance + Jacobian
     operator-norm distance), maximized over simplices, per the sup-plus-
-    derivative convention.  ``order`` may also be a tuple of orders, which
-    gives the tuple of their distances from one pass; order zero alone
-    does no C1 work.  The cells are taken one size group at a time: a
-    PLMap on the refinement itself is read off its vertex images as
-    stacked arrays, any other map is evaluated cell by cell.  The domain
-    edge matrices take one pseudo-inverse per distinct matrix
-    (:func:`complexes._per_distinct`).
+    derivative convention.  One :func:`_distances` pass; order zero does
+    no C1 work.
     """
-    orders = order if isinstance(order, tuple) else (order,)
+    c0, c1 = _distances(f, g, c1=order >= 1)
+    return c1 if order >= 1 else c0
+
+
+def _distances(f, g, c1: bool) -> tuple[float, float]:
+    """The C0 distance and, when ``c1``, the C1 distance (else 0.0) from
+    one pass over the common refinement.
+
+    The cells are taken one size group at a time: a PLMap on the
+    refinement itself is read off its vertex images as stacked arrays, any
+    other map is evaluated cell by cell.  The domain edge matrices take one
+    pseudo-inverse per distinct matrix (:func:`complexes._per_distinct`).
+    """
     fine = _common_refinement(f, g)
     f_own = isinstance(f, PLMap) and f.domain is fine
     g_own = isinstance(g, PLMap) and g.domain is fine
@@ -257,15 +264,14 @@ def distance(f, g, order=0):
         diff = _values(f, f_own, ids, b, pts) - _values(g, g_own, ids, b, pts)
         val = np.sqrt(np.add.reduce(diff * diff, axis=2)).max(axis=1)
         worst0 = np.maximum(worst0, val.max())
-        if max(orders) >= 1:
+        if c1:
             pinv_a = _per_distinct(lambda e: np.linalg.pinv(np.swapaxes(e, 1, 2)),
                                    dom[:, 1:] - dom[:, :1])
             gap = (_jacobians(f, f_own, ids, pinv_a, dom, pts)
                    - _jacobians(g, g_own, ids, pinv_a, dom, pts))
             worst1 = np.maximum(worst1, (val + np.linalg.svd(gap, compute_uv=False)
                                          .max(axis=(1, 2))).max())
-    out = tuple(float(worst1 if o >= 1 else worst0) for o in orders)
-    return out if isinstance(order, tuple) else out[0]
+    return float(worst0), float(worst1)
 
 
 # ---------------------------------------------------------------------------

@@ -857,22 +857,23 @@ def test_unique_rows_fall_back_to_a_lexsort_when_radix_keys_would_overflow(monke
 
 def test_per_distinct_gives_the_direct_bits():
     """A stack with repeated matrices, factorized once per distinct one,
-    gives the direct call's bits; below the threshold the call is direct."""
+    gives the direct call's bits, at any stack size."""
     rng = np.random.default_rng(27)
     stack = rng.standard_normal((5, 2, 3))[rng.integers(0, 5, size=200)]
     stack[::7] = rng.standard_normal((len(stack[::7]), 2, 3))
-    distinct = len(np.unique(stack.reshape(len(stack), -1), axis=0))
     calls = []
 
     def pinv(e):
         calls.append(len(e))
         return np.linalg.pinv(np.swapaxes(e, 1, 2))
 
-    got = complexes._per_distinct(pinv, stack)
-    assert got.tobytes() == np.linalg.pinv(np.swapaxes(stack, 1, 2)).tobytes()
-    assert calls == [distinct] and distinct < 40
-    complexes._per_distinct(pinv, stack[:complexes._DISTINCT_MIN - 1])
-    assert calls[-1] == complexes._DISTINCT_MIN - 1
+    for size in (1, 48, 200):
+        part = stack[:size]
+        distinct = len(np.unique(part.reshape(size, 6), axis=0))
+        got = complexes._per_distinct(pinv, part)
+        assert got.tobytes() == np.linalg.pinv(np.swapaxes(part, 1, 2)).tobytes()
+        assert calls[-1] == distinct
+    assert distinct < 40
 
 
 @pytest.mark.parametrize("k, n", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3)])

@@ -40,7 +40,7 @@ ALLOWED = {
     ("grassmann", "_row_spaces"): {"svd"},
     ("grassmann", "_transverse"): {"svdvals"},
     ("engine", "_jacobian_amplification"): {"svdvals"},
-    ("plmaps", "distance"): {"svdvals"},
+    ("plmaps", "_distances"): {"svdvals"},
     ("perturb", "_search_dims"): {"svdvals"},
 }
 
