@@ -19,6 +19,7 @@ import operator
 import os
 import re
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +57,7 @@ from .plmaps import PLMap
 from .transversality import (
     DEFAULT_SAMPLE_DEPTH,
     Distribution,
+    TransversalityReport,
     _general_position_each,
     probe_points,
     simplex_transverse,
@@ -248,8 +250,65 @@ def sampled_distribution(points, planes, name: str = "samples") -> Distribution:
 # JSON formats
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Json:
+    """JSON text that :func:`canonical_json` writes as it stands (and that
+    ``json.dumps`` refuses, so it is never written as a string)."""
+
+    text: str
+
+
+def _chunks(obj):
+    """``obj`` in canonical JSON, in pieces, with its :class:`_Json` members
+    as they stand.  Dicts (whose keys are strings) and lists of dicts are
+    walked; any other value is one ``json.dumps`` call, so it holds no
+    :class:`_Json`."""
+    if isinstance(obj, _Json):
+        yield obj.text
+    elif isinstance(obj, dict):
+        yield "{"
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            yield ("," if i else "") + json.dumps(key) + ":"
+            yield from _chunks(value)
+        yield "}"
+    elif isinstance(obj, list) and obj and isinstance(obj[0], dict):
+        yield "["
+        for i, item in enumerate(obj):
+            if i:
+                yield ","
+            yield from _chunks(item)
+        yield "]"
+    else:
+        yield json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` and a
+    newline, for objects that may hold prebuilt :class:`_Json` text."""
+    return "".join([*_chunks(obj), "\n"])
+
+
+def _texts(column: np.ndarray) -> np.ndarray:
+    """Each item of a bool, int or float column as ``json.dumps`` writes it
+    (``true``, float ``repr``, ``NaN``, ``Infinity``), as an object array.
+    Each distinct bit pattern is formatted once, by one call of json's
+    encoder, so ``-0.0`` keeps its own text."""
+    column = np.ascontiguousarray(column)
+    bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+    texts = json.dumps(bits.view(column.dtype).tolist(), separators=(",", ":"))
+    return np.array(texts[1:-1].split(","), dtype=object)[inverse]
+
+
+def _rows_json(rows: np.ndarray) -> _Json:
+    """A float matrix as ``json.dumps`` writes its ``tolist()``."""
+    if not rows.size:
+        return _Json(json.dumps(rows.tolist(), separators=(",", ":")))
+    n, d = rows.shape
+    parts = [","] * (2 * rows.size)
+    parts[::2 * d] = ["],["] * n
+    parts[0] = "[["
+    parts[1::2] = _texts(rows.ravel()).tolist()
+    return _Json("".join([*parts, "]]"]))
 
 
 def save_json(path: str, obj) -> None:
@@ -343,15 +402,32 @@ def distribution_from_dict(obj: dict) -> Distribution:
 
 
 def subdivision_to_dict(smap: SubdivisionMap) -> dict:
+    """``vertex_support`` maps ``str(child id)``, in string order, to the
+    child's ``[parent id, [num, den]]`` terms in support order, each weight
+    in lowest terms.  It is written as text straight from the table; every
+    child has at least one term."""
     common = np.gcd(smap.weights, smap.denominator)
-    rows = zip(smap.ids.tolist(), (smap.weights // common).tolist(),
-               (smap.denominator // common).tolist())
-    support = {str(vid): [[gid, [num, den]] for gid, num, den in zip(*row) if gid >= 0]
-               for vid, row in enumerate(rows)}
+    order = np.array(sorted(range(len(smap.ids)), key=str), dtype=np.intp)
+    kept = smap.ids[order] >= 0
+    counts = kept.sum(axis=1)
+    m = int(counts.sum())
+    # term j is parts[7 j:7 j + 7]: its lead, then "gid,[num,den]]"; a row's
+    # first term leads with the row's key
+    leads = np.full(m, ",[", dtype=object)
+    leads[np.cumsum(counts) - counts] = [f'],"{vid}":[[' for vid in order.tolist()]
+    parts = ["]]"] * (7 * m)
+    parts[0::7] = leads.tolist()
+    parts[1::7] = _texts(smap.ids[order][kept]).tolist()
+    parts[2::7] = [",["] * m
+    parts[3::7] = _texts((smap.weights // common)[order][kept]).tolist()
+    parts[4::7] = [","] * m
+    parts[5::7] = _texts((smap.denominator // common)[order][kept]).tolist()
+    if m:
+        parts[0] = "{" + parts[0][2:]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "subdivision",
-        "vertex_support": support,
+        "vertex_support": _Json("".join([*parts, "]}"]) if m else "{}"),
     }
 
 
@@ -367,6 +443,50 @@ def config_from_dict(obj: dict) -> JigglingConfig:
         return JigglingConfig(**obj)
 
 
+# the keys of a report record in sorted order, each with the text before
+# its value
+_RECORD_KEYS = ('{"certified":', ',"dim":', ',"eps_margin":', ',"general_position":',
+                ',"semitrans_margin":', ',"simplex":[', '],"transverse":')
+
+
+def report_to_dict(report: TransversalityReport) -> dict:
+    """The report's JSON form.  Its records are written as text straight
+    from the columns: ``eps_margin`` is null where infinite,
+    ``semitrans_margin`` null where NaN (no certificate, so ``certified`` is
+    false), and ``general_position`` is ``transverse``, null for a vertex."""
+    records = report.records
+    n = len(records)
+    dims = np.array(list(map(len, records)), dtype=np.intp) - 1
+    eps, semi = report.eps_margin, report.semitrans_margin
+    certified = ~np.isnan(semi)
+    transverse = _texts(report.transverse)
+    eps_texts, semi_texts = _texts(eps), _texts(semi)
+    eps_texts[np.isinf(eps)] = "null"
+    semi_texts[~certified] = "null"
+    values = (_texts(certified).tolist(),
+              _texts(dims).tolist(),
+              eps_texts.tolist(),
+              np.where(dims > 0, transverse, "null").tolist(),
+              semi_texts.tolist(),
+              json.dumps(records, separators=(",", ":"))[2:-2].split("],[") if n else [],
+              transverse.tolist())
+    # record i is parts[15 i:15 i + 15]: each key's text and value, then "},"
+    parts = ["},"] * (15 * n)
+    for k, (key, value) in enumerate(zip(_RECORD_KEYS, values)):
+        parts[2 * k::15] = [key] * n
+        parts[2 * k + 1::15] = value
+    if n:
+        parts[0], parts[-1] = "[" + parts[0], "}]"
+    return {
+        "records": _Json("".join(parts) if n else "[]"),
+        "min_eps_margin": None if np.isinf(report.min_eps_margin) else report.min_eps_margin,
+        "min_semitrans_margin": report.min_semitrans_margin,
+        "margin_tol": report.margin_tol,
+        "sampled": report.sampled,
+        "pass": report.passed,
+    }
+
+
 def outcome_to_dict(out: JigglingOutcome, mode: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -379,10 +499,12 @@ def outcome_to_dict(out: JigglingOutcome, mode: str) -> dict:
         "margin_target": out.margin_target,
         "moved_count": out.moved_count,
         "config": out.config.to_json(),
-        "out_complex": complex_to_dict(out.out_complex),
-        "images": out.plmap.images.tolist(),
+        # the bundle's float matrices are written as text
+        "out_complex": {**complex_to_dict(out.out_complex),
+                        "vertices": _rows_json(out.out_complex.vertices)},
+        "images": _rows_json(out.plmap.images),
         "subdivision": subdivision_to_dict(out.subdivision),
-        "report": out.report.to_json(),
+        "report": report_to_dict(out.report),
     }
 
 
@@ -604,9 +726,8 @@ def cmd_verify(args) -> int:
     images = f.images
     if args.notion == "report":
         report = transversality_report(f.domain, images, xi)
-        payload = report.to_json()
-        payload["schema_version"] = SCHEMA_VERSION
-        payload["kind"] = "report"
+        payload = {**report_to_dict(report), "schema_version": SCHEMA_VERSION,
+                   "kind": "report"}
         ok = report.passed
     else:
         tops = f.domain.top_simplices

@@ -1099,8 +1099,11 @@ def _interpolate(ids, weights, denominator: int, values: np.ndarray) -> np.ndarr
     add exactly nothing, also beside an infinite value."""
     rows = np.vstack([values, np.zeros((1, values.shape[1]))])
     out = np.zeros((len(ids), rows.shape[1]))
-    for c in range(ids.shape[1]):
-        out = out + weights[:, c, None] / denominator * rows[ids[:, c]]
+    # an infinite value makes inf or NaN here quietly: callers that need
+    # finite rows check for them and raise a typed error
+    with np.errstate(invalid="ignore", over="ignore"):
+        for c in range(ids.shape[1]):
+            out = out + weights[:, c, None] / denominator * rows[ids[:, c]]
     return out
 
 

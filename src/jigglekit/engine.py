@@ -649,6 +649,14 @@ def _with_neighbours(child: SimplicialComplex, mask: np.ndarray) -> np.ndarray:
 # Euclidean and relative pipelines
 # ---------------------------------------------------------------------------
 
+def _carried_by(smap, faces: set) -> np.ndarray:
+    """Per child vertex: is its parent carrier face one of ``faces``?"""
+    if not faces:
+        return np.zeros(len(smap.ids), dtype=bool)
+    return np.array([tuple(g for g in row if g >= 0) in faces
+                     for row in smap.ids.tolist()], dtype=bool)
+
+
 def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
             cfg: JigglingConfig, a, b, v_radius: float) -> JigglingOutcome:
     """The pipeline behind :func:`jiggle_relative`; with A and B empty it is
@@ -676,9 +684,8 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
 
     while True:
         flin, child, smap, e0, e1 = _linearize_exactly(fmap, complex_, level)
-        carriers = [tuple(g for g in row if g >= 0) for row in smap.ids.tolist()]
-        from_a = np.array([c in a_faces for c in carriers], dtype=bool)
-        from_b = np.array([c in b_faces for c in carriers], dtype=bool)
+        from_a = _carried_by(smap, a_faces)
+        from_b = _carried_by(smap, b_faces)
         if not from_b.any():
             break
         # each vertex's distance to the nearest vertex of B, one pass per

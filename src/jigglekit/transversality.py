@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -757,26 +756,6 @@ class TransversalityReport:
     margin_tol: float = 0.0
     sampled: bool = True
     passed: bool = False
-
-    def to_json(self) -> dict:
-        rows = zip(self.records, self.transverse.tolist(), self.eps_margin.tolist(),
-                   self.semitrans_margin.tolist())
-        return {
-            "records": [{
-                "simplex": list(s),
-                "dim": len(s) - 1,
-                "transverse": ok,
-                "eps_margin": None if math.isinf(eps) else eps,
-                "semitrans_margin": None if math.isnan(semi) else semi,
-                "general_position": ok if len(s) > 1 else None,
-                "certified": not math.isnan(semi),
-            } for s, ok, eps, semi in rows],
-            "min_eps_margin": None if np.isinf(self.min_eps_margin) else self.min_eps_margin,
-            "min_semitrans_margin": self.min_semitrans_margin,
-            "margin_tol": self.margin_tol,
-            "sampled": self.sampled,
-            "pass": self.passed,
-        }
 
 
 def _record_pairs(complex_, xi):

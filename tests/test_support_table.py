@@ -10,6 +10,7 @@ bytes, top simplices and supports exactly.
 """
 
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -189,6 +190,10 @@ def test_native_linearize_reproduces_the_loop_and_its_error():
                 acc = acc + float(frac) * images[gid]
             want[vid] = acc
     assert flin.images.tobytes() == want.tobytes()
+    # linearize alone makes its NaNs quietly: the caller raises a typed error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert linearize(f, K, 2)[0].images.tobytes() == want.tobytes()
     bad = int(np.flatnonzero(~np.isfinite(want).all(axis=1))[0])
     with pytest.raises(PreconditionViolated,
                        match=f"non-finite value at vertex {bad}$"), \

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import types
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jigglekit import transversality
-from jigglekit.cli import box_grid, planar_rotor, unit_square_grid
+from jigglekit.cli import box_grid, canonical_json, planar_rotor, report_to_dict, unit_square_grid
 from jigglekit.complexes import _lam, cell_radii
 from jigglekit.errors import (
     DegenerateSimplex,
@@ -239,7 +240,7 @@ def test_report_covers_every_face_and_flags_failures():
     assert not report.passed  # the horizontal edges fail
     bad = [s for s, ok in zip(report.records, report.transverse) if not ok]
     assert bad and all(len(s) >= 2 for s in bad)
-    payload = report.to_json()
+    payload = json.loads(canonical_json(report_to_dict(report)))
     assert payload["pass"] is False
     assert {"records", "min_eps_margin", "min_semitrans_margin",
             "margin_tol", "sampled", "pass"} <= set(payload)
@@ -251,10 +252,11 @@ def test_report_certificates_mark_records():
         [[math.cos(0.3), math.sin(0.3)]])))
     certs = {(0, 1): 0.123}
     report = transversality_report(K, K.vertices, tilted, certificates=certs)
-    rec = next(r for r in report.to_json()["records"] if r["simplex"] == [0, 1])
+    records = json.loads(canonical_json(report_to_dict(report)))["records"]
+    rec = next(r for r in records if r["simplex"] == [0, 1])
     assert rec["certified"] and rec["semitrans_margin"] == pytest.approx(0.123)
     assert report.semitrans_margin[report.records.index((0, 1))] == rec["semitrans_margin"]
-    assert sum(r["certified"] for r in report.to_json()["records"]) == 1
+    assert sum(r["certified"] for r in records) == 1
     assert report.min_semitrans_margin == pytest.approx(0.123)
     assert report.passed
 
