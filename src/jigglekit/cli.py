@@ -408,7 +408,8 @@ def subdivision_to_dict(smap: SubdivisionMap) -> dict:
     child has at least one term."""
     common = np.gcd(smap.weights, smap.denominator)
     order = np.array(sorted(range(len(smap.ids)), key=str), dtype=np.intp)
-    kept = smap.ids[order] >= 0
+    ids = smap.ids[order]
+    kept = ids >= 0
     counts = kept.sum(axis=1)
     m = int(counts.sum())
     # term j is parts[7 j:7 j + 7]: its lead, then "gid,[num,den]]"; a row's
@@ -417,7 +418,7 @@ def subdivision_to_dict(smap: SubdivisionMap) -> dict:
     leads[np.cumsum(counts) - counts] = [f'],"{vid}":[[' for vid in order.tolist()]
     parts = ["]]"] * (7 * m)
     parts[0::7] = leads.tolist()
-    parts[1::7] = _texts(smap.ids[order][kept]).tolist()
+    parts[1::7] = _texts(ids[kept]).tolist()
     parts[2::7] = [",["] * m
     parts[3::7] = _texts((smap.weights // common)[order][kept]).tolist()
     parts[4::7] = [","] * m
