@@ -26,6 +26,7 @@ import numpy as np
 from .complexes import (
     SimplicialComplex,
     SubdivisionMap,
+    _per_distinct,
     barycentric_subdivide,
     build_complex,
     compose_subdivisions,
@@ -260,12 +261,12 @@ class _Json:
 
 def _chunks(obj):
     """``obj`` in canonical JSON, in pieces, with its :class:`_Json` members
-    as they stand.  Dicts (whose keys are strings) and lists of dicts are
-    walked; any other value is one ``json.dumps`` call, so it holds no
-    :class:`_Json`."""
+    as they stand.  Dicts whose keys are all strings, and lists of dicts,
+    are walked; any other value is one ``json.dumps`` call, which refuses a
+    :class:`_Json` inside it."""
     if isinstance(obj, _Json):
         yield obj.text
-    elif isinstance(obj, dict):
+    elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
         yield "{"
         for i, (key, value) in enumerate(sorted(obj.items())):
             yield ("," if i else "") + json.dumps(key) + ":"
@@ -288,27 +289,18 @@ def canonical_json(obj) -> str:
     return "".join([*_chunks(obj), "\n"])
 
 
+def _json_texts(items: np.ndarray) -> np.ndarray:
+    """One ``json.dumps`` call over the items, split into their texts."""
+    texts = json.dumps(items.ravel().tolist(), separators=(",", ":"))
+    return np.array(texts[1:-1].split(","), dtype=object)
+
+
 def _texts(column: np.ndarray) -> np.ndarray:
     """Each item of a bool, int or float column as ``json.dumps`` writes it
     (``true``, float ``repr``, ``NaN``, ``Infinity``), as an object array.
-    Each distinct bit pattern is formatted once, by one call of json's
-    encoder, so ``-0.0`` keeps its own text."""
-    column = np.ascontiguousarray(column)
-    bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
-    texts = json.dumps(bits.view(column.dtype).tolist(), separators=(",", ":"))
-    return np.array(texts[1:-1].split(","), dtype=object)[inverse]
-
-
-def _rows_json(rows: np.ndarray) -> _Json:
-    """A float matrix as ``json.dumps`` writes its ``tolist()``."""
-    if not rows.size:
-        return _Json(json.dumps(rows.tolist(), separators=(",", ":")))
-    n, d = rows.shape
-    parts = [","] * (2 * rows.size)
-    parts[::2 * d] = ["],["] * n
-    parts[0] = "[["
-    parts[1::2] = _texts(rows.ravel()).tolist()
-    return _Json("".join([*parts, "]]"]))
+    Each distinct item (by its bytes, so ``-0.0`` keeps its own text) is
+    formatted once."""
+    return _per_distinct(_json_texts, column)
 
 
 def save_json(path: str, obj) -> None:
@@ -500,10 +492,8 @@ def outcome_to_dict(out: JigglingOutcome, mode: str) -> dict:
         "margin_target": out.margin_target,
         "moved_count": out.moved_count,
         "config": out.config.to_json(),
-        # the bundle's float matrices are written as text
-        "out_complex": {**complex_to_dict(out.out_complex),
-                        "vertices": _rows_json(out.out_complex.vertices)},
-        "images": _rows_json(out.plmap.images),
+        "out_complex": complex_to_dict(out.out_complex),
+        "images": out.plmap.images.tolist(),
         "subdivision": subdivision_to_dict(out.subdivision),
         "report": report_to_dict(out.report),
     }

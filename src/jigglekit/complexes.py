@@ -299,12 +299,13 @@ def _unique_rows(rows: np.ndarray):
 
 
 def _per_distinct(kernel, stack: np.ndarray) -> np.ndarray:
-    """``kernel(stack)`` on an (S, ...) float stack, run once per distinct
-    item (by its bytes) and scattered back.  On a crystalline lattice the
+    """``kernel(stack)`` on an (S, ...) stack, run once per distinct item
+    (by its bytes, or its values for an integer or bool stack) and
+    scattered back; the stack may be empty.  On a crystalline lattice the
     cells are translates of a few model simplices, so their edge matrices
     repeat byte for byte.  A stacked linalg kernel gives each item the bits
     of a stack of one, so the result is the direct call's, bit for bit."""
-    first, inverse, _ = _unique_rows(stack.reshape(len(stack), -1))
+    first, inverse, _ = _unique_rows(stack.reshape(len(stack), math.prod(stack.shape[1:])))
     return kernel(stack[first])[inverse]
 
 

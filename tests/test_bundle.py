@@ -1,7 +1,7 @@
 """Byte oracle of the outcome-bundle writer.
 
-``cli.report_to_dict``, ``cli.subdivision_to_dict`` and the float-matrix
-members of a bundle are written as text straight from arrays.  The dict
+``cli.report_to_dict`` writes its records, and ``cli.subdivision_to_dict``
+its vertex supports, as text straight from arrays.  The dict
 forms below are what that text replaced (the report's was its
 ``to_json``); written by ``json.dumps(sort_keys=True, separators=(",",
 ":"))`` they must give the same bytes, on every benchmark scene and on
@@ -21,7 +21,6 @@ import pytest
 from jigglekit import cli
 from jigglekit.cli import (
     SCHEMA_VERSION,
-    _rows_json,
     canonical_json,
     main,
     outcome_to_dict,
@@ -242,7 +241,7 @@ def test_verify_report_writes_the_dict_form_bytes(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# subdivision supports and float matrices
+# subdivision supports and canonical_json
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("subdivide", [
@@ -259,17 +258,13 @@ def test_vertex_supports_are_keyed_in_string_order(subdivide):
     assert keys.index("10") < keys.index("2")
 
 
-@pytest.mark.parametrize("rows", [
-    np.zeros((0, 2)),
-    np.zeros((3, 0)),
-    np.array([[-0.0, 0.0, math.nan], [math.inf, -math.inf, 5e-324]]),
-    np.array([[0.1], [0.1], [1e16]]),
-    np.arange(12.0).reshape(4, 3)[:, ::2],  # not contiguous
-], ids=["no-rows", "no-columns", "specials", "one-column", "strided"])
-def test_float_matrices_match_tolist(rows):
-    assert canonical_json({"rows": _rows_json(rows)}).encode() == dumps({"rows": rows.tolist()})
-
-
 def test_prebuilt_text_is_never_written_as_a_string():
     with pytest.raises(TypeError):
         json.dumps(report_to_dict(hand_report([(0,)], [True], [1.0], [math.nan])))
+
+
+def test_keys_that_are_not_strings_are_written_as_json_writes_them():
+    obj = {10: 0.5, 2.5: [True], 2: {"b": 1, "a": -0.0}}
+    assert canonical_json({"a": obj}).encode() == dumps({"a": obj})
+    with pytest.raises(TypeError):
+        canonical_json({1: report_to_dict(hand_report([], [], [], []))})
