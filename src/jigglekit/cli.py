@@ -19,7 +19,7 @@ import operator
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -425,9 +425,7 @@ def subdivision_to_dict(smap: SubdivisionMap) -> dict:
 
 
 def config_from_dict(obj: dict) -> JigglingConfig:
-    allowed = {"gamma", "level", "seed", "margin_floor", "epsilon_vertex",
-               "samples", "sample_depth", "level_max"}
-    unknown = set(obj) - allowed
+    unknown = set(obj) - {f.name for f in fields(JigglingConfig)}
     if unknown:
         raise _Schema(f"unknown config fields {sorted(unknown)}")
     if "gamma" not in obj:

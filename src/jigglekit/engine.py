@@ -142,16 +142,7 @@ class JigglingConfig:
             raise PreconditionViolated("bad search budget in config")
 
     def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "level": self.level,
-            "seed": self.seed,
-            "margin_floor": self.margin_floor,
-            "epsilon_vertex": self.epsilon_vertex,
-            "samples": self.samples,
-            "sample_depth": self.sample_depth,
-            "level_max": self.level_max,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass

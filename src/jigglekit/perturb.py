@@ -14,9 +14,9 @@ what a loop over them gives.  The vertices come as :class:`_Stars`: their
 foliations, star simplices, pairs and joins as index arrays into a
 coordinate table that each kernel takes beside them.  The engine builds one
 for a whole vertex induction and hands every kernel a wave's slice of it
-(:meth:`_Stars.take`), so no plane, flat or request is built per vertex;
-:func:`_perturb_vertices` builds one from :class:`PerturbationRequest`
-objects, and ``avoid_flats`` and ``perturb_vertex`` are stacks of one.  A
+(:meth:`_Stars.take`), so no plane, flat or request is built per vertex.
+``perturb_vertex`` runs one :class:`PerturbationRequest` through the same
+kernels, and ``avoid_flats`` is a stack of one of :func:`_avoid_flats`.  A
 stacked kernel returns, in place of a result, the exception its vertex
 would raise, so a caller can raise the one that a loop would meet first.
 """
@@ -30,11 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import _combinations, _unique_rows
+from .complexes import _combinations, _distinct, _unique_rows
 from .errors import (
+    AmbientMismatch,
     DegenerateSimplex,
     InfeasibleDimensions,
-    JiggleKitError,
     PreconditionViolated,
     RankDeficient,
     StarNotTransverse,
@@ -42,17 +42,13 @@ from .errors import (
 from .grassmann import (
     LOST_DIRECTION,
     AffineFlat,
+    Plane,
     _rejection_norms,
     _row_spaces,
     _stack,
     _transverse,
 )
-from .transversality import (
-    _join_error,
-    _semitrans_margins,
-    _transverse_stack,
-    simplex_transverse,
-)
+from .transversality import _join_error, _semitrans_margins, _transverse_stack
 
 REFINE_ROUNDS = 3
 REFINE_STEPS = (0.25, 0.08, 0.02)
@@ -78,8 +74,17 @@ class PerturbationRequest:
         self.point = np.asarray(self.point, dtype=float)
         self.star_simplices = [np.atleast_2d(np.asarray(s, dtype=float))
                                for s in self.star_simplices]
-        error = _check_searches(self.point[None], [self.epsilon], [self.samples],
-                                [self.seed])[0]
+        self.foliations = list(self.foliations)
+        flats = [] if self.constraint_flat is None else [self.constraint_flat]
+        error = _geometry_error(self.point, self.foliations, flats, self.star_simplices) \
+            or _check_searches(self.point[None], [self.epsilon], [self.samples], [self.seed])[0]
+        star_folis = self.star_foliations
+        if error is None and star_folis is not None and (
+                len(star_folis) != len(self.star_simplices)
+                or not all(_is_count(u) and u < len(self.foliations)
+                           for us in star_folis for u in us)):
+            error = PreconditionViolated("star_foliations must parallel star_simplices, "
+                                         "each entry naming foliations by their index")
         if error is not None:
             raise error
         if self.epsilon == 0:
@@ -93,14 +98,6 @@ class PerturbationResult:
     moved: float
     per_dimension_margins: dict
     certificate: list
-
-
-def _one(results: list):
-    """The only entry of a stacked kernel's output, raised if it failed."""
-    (out,) = results
-    if isinstance(out, Exception):
-        raise out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +126,36 @@ def _is_count(value) -> bool:
         and value >= 0
 
 
+def _geometry_error(point: np.ndarray, planes: list, flats: list, simplices=()):
+    """The error of a search's geometry, or None: a point that is not a
+    vector, a plane that is not a :class:`Plane` or a flat that is not an
+    :class:`AffineFlat`, then a plane, flat or simplex in another R^m than
+    the point, in that order."""
+    if point.ndim != 1:
+        return PreconditionViolated(f"point must be a vector, got shape {point.shape}")
+    n = len(point)
+    for items, kind in ((planes, Plane), (flats, AffineFlat)):
+        for item in items:
+            if not isinstance(item, kind):
+                return PreconditionViolated(
+                    f"expected a {kind.__name__}, got a {type(item).__name__}")
+            if item.ambient_dim != n:
+                return AmbientMismatch(
+                    f"a {kind.__name__} in R^{item.ambient_dim} and a point in R^{n}")
+    for s in simplices:
+        if s.ndim != 2 or s.shape[1] != n:
+            return AmbientMismatch(f"a star simplex of shape {s.shape} and a point in R^{n}")
+    return None
+
+
 def _check_searches(points: np.ndarray, eps, samples, seeds) -> list:
     """The error of each search's inputs, or None, from one array pass over
     the (S, n) ``points`` and the budgets ``eps``: a point or budget that
-    is not finite, a negative budget, then a sample count or a seed that is
-    not a nonnegative integer, in that order."""
-    budgets = np.array(eps, dtype=float)
+    is not finite or a budget that is not a real number, a negative budget,
+    then a sample count or a seed that is not a nonnegative integer, in that
+    order."""
+    budgets = np.array([e if isinstance(e, numbers.Real) else np.nan for e in eps],
+                       dtype=float)
     bad_point = ~np.isfinite(points).all(axis=1)
     bad_budget = ~(np.isfinite(budgets) & (budgets >= 0))
     counted = np.array([_is_count(s) and _is_count(t) for s, t in zip(samples, seeds)],
@@ -153,19 +174,12 @@ def _check_searches(points: np.ndarray, eps, samples, seeds) -> list:
     return out
 
 
-def _present(values: np.ndarray) -> np.ndarray:
-    """The distinct values of an array of small nonnegative integers, in
-    increasing order."""
-    return np.flatnonzero(np.bincount(values))
-
-
 class _Planes:
     """Distinct :class:`Plane` objects of one ambient space, numbered in
     order, with their orthonormal bases and complements stacked per rank:
     ``bases[r]`` and ``comps[r]``, plane i at row ``at[i]`` of its rank's."""
 
     def __init__(self, planes: list):
-        self.planes = planes
         self.rank = np.array([p.rank for p in planes], dtype=np.intp)
         self.at = np.zeros(len(planes), dtype=np.intp)
         self.bases, self.comps = {}, {}
@@ -184,9 +198,12 @@ def avoid_flats(p, epsilon: float, flats, quotients=None,
                 constraint_flat: AffineFlat | None = None,
                 seed: int = 0, samples: int = 64):
     """Move p within an epsilon-ball to clear a list of affine flats: a
-    stack of one of :func:`_avoid_flats`, returning ``(p', delta)``."""
-    return _one(_avoid_flats([(p, epsilon, flats, quotients, constraint_flat,
-                               seed, samples)]))
+    stack of one of :func:`_avoid_flats`, returning ``(p', delta)`` or
+    raising its failure."""
+    (out,) = _avoid_flats([(p, epsilon, flats, quotients, constraint_flat, seed, samples)])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def _avoid_flats(problems: list) -> list:
@@ -206,8 +223,10 @@ def _avoid_flats(problems: list) -> list:
     for j, (p, epsilon, flats, quotients, constraint, seed, samples) in enumerate(problems):
         point = np.asarray(p, dtype=float)
         flats = list(flats)
-        quotients = [None] * len(flats) if quotients is None else quotients
-        error = _check_searches(point[None], [epsilon], [samples], [seed])[0]
+        quotients = [None] * len(flats) if quotients is None else list(quotients)
+        error = _geometry_error(point, [q for q in quotients if q is not None],
+                                flats if constraint is None else flats + [constraint]) \
+            or _check_searches(point[None], [epsilon], [samples], [seed])[0]
         if error is None and len(quotients) != len(flats):
             error = PreconditionViolated("flats and quotients must pair up")
         if error is not None:   # returned in place of the result
@@ -280,7 +299,7 @@ def _project_flats(quot: np.ndarray, base: np.ndarray, spans: list, quots: _Plan
         keep = np.linalg.norm(proj, axis=2) > LOST_DIRECTION
         kept = keep.sum(axis=1)
         point[rows[kept == 0]] = True
-        for c in _present(kept[kept > 0]).tolist():
+        for c in _distinct(kept[kept > 0]).tolist():
             sel = np.flatnonzero(kept == c)
             bases, ranks = _row_spaces(proj[sel][keep[sel]].reshape(len(sel), c, m))
             width = bases.shape[1]
@@ -644,7 +663,7 @@ class _Stars:
         size = sizes[pair_star]
         cap = n - self.planes.rank[slot_plane[pair_slot]]
         key = size * (n + 1) + cap
-        groups = [(k, np.flatnonzero(key == k)) for k in _present(key).tolist()]
+        groups = [(k, np.flatnonzero(key == k)) for k in _distinct(key).tolist()]
         counts = np.zeros(len(pair_star), dtype=np.intp)
         for k, rows in groups:
             counts[rows] = len(_join_faces(*divmod(k, n + 1))[0])
@@ -692,34 +711,29 @@ class _Stars:
         return new
 
 
-def _requested_stars(reqs: list, out: list):
-    """The :class:`_Stars` of the requests that name a foliation set per
-    star simplex (``out[j]`` gets the error of the others), over the table
-    of their star simplices' rows: ``(kept, stars, coords)``."""
-    kept, planes, rows = [], {}, []
+def _requested_stars(reqs: list):
+    """The :class:`_Stars` of some requests over the table of their star
+    simplices' rows: ``(stars, coords)``."""
+    planes, rows = {}, []
     slot_plane, slot_u, slot_job, ids, sizes, star_job, pairs = [], [], [], [], [], [], []
     for j, req in enumerate(reqs):
-        folis = list(req.foliations)
+        folis = req.foliations
         star_folis = req.star_foliations
         if star_folis is None:
             star_folis = [tuple(range(len(folis)))] * len(req.star_simplices)
-        if len(star_folis) != len(req.star_simplices):
-            out[j] = PreconditionViolated("star_foliations must parallel star_simplices")
-            continue
         slot0, star0 = len(slot_plane), len(sizes)
         for u, v in enumerate(folis):
             slot_plane.append(planes.setdefault(v, len(planes)))
             slot_u.append(u)
-            slot_job.append(len(kept))
+            slot_job.append(j)
         for s in req.star_simplices:
             ids.append(list(range(len(rows), len(rows) + len(s))))
             sizes.append(len(s))
-            star_job.append(len(kept))
+            star_job.append(j)
             rows += list(s)
         pairs += [(slot0 + u, star0 + si) for u in range(len(folis))
                   for si, us in enumerate(star_folis) if u in us]
-        kept.append(j)
-    n = reqs[kept[0]].point.shape[0] if kept else 0
+    n = reqs[0].point.shape[0]
     table = np.full((len(ids), max(sizes, default=0)), -1, dtype=np.intp)
     for i, row in enumerate(ids):
         table[i, :len(row)] = row
@@ -727,12 +741,12 @@ def _requested_stars(reqs: list, out: list):
                             for col in (zip(*pairs) if pairs else ([], [])))
     stars = _Stars(n, _Planes(list(planes)), np.array(slot_plane, dtype=np.intp),
                    np.array(slot_u, dtype=np.intp),
-                   _starts(np.array(slot_job, dtype=np.intp), len(kept)), table,
+                   _starts(np.array(slot_job, dtype=np.intp), len(reqs)), table,
                    np.array(sizes, dtype=np.intp),
-                   _starts(np.array(star_job, dtype=np.intp), len(kept)), pair_slot, pair_star,
-                   [reqs[j].constraint_flat for j in kept])
+                   _starts(np.array(star_job, dtype=np.intp), len(reqs)), pair_slot, pair_star,
+                   [req.constraint_flat for req in reqs])
     coords = np.array(rows, dtype=float).reshape(-1, n)
-    return kept, stars, coords
+    return stars, coords
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +768,7 @@ def _join_margins(stars: _Stars, coords: np.ndarray, points: np.ndarray):
     key = stars.join_d * (stars.n + 1) + stars.planes.rank[plane]
     margins = np.zeros(len(job))
     degenerate = np.zeros(stars.count, dtype=bool)
-    for k in _present(key).tolist():
+    for k in _distinct(key).tolist():
         sel = np.flatnonzero(key == k)
         d, r = divmod(k, stars.n + 1)
         at = stars.planes.at[plane[sel]]
@@ -772,33 +786,22 @@ def _star_errors(stars: _Stars, coords: np.ndarray, constraints: list) -> list:
     (:class:`StarNotTransverse`), then a constraint flat that is not
     transverse to it (:class:`PreconditionViolated`).
 
-    Simplices of dimension 1 to n-k take one :func:`_transverse_stack`
-    call per (size, foliation rank), the constraint directions one
-    :func:`_transverse` call per (dimension, rank), and larger simplices a
-    ``simplex_transverse`` call each.
+    The star simplices of dimension at least 1 take one
+    :func:`_transverse_stack` call per (size, foliation rank), and the
+    constraint directions one :func:`_transverse` call per (dimension,
+    rank).
     """
     n = stars.n
     plane = stars.slot_plane[stars.pair_slot]
-    rank = stars.planes.rank[plane]
     size = stars.sizes[stars.pair_star]
-    stacked = (size >= 2) & (size <= n - rank + 1)
-    code = np.zeros(len(plane), dtype=np.int8)   # 1 degenerate, 2 not transverse, 3 raised
-    key = size * (n + 1) + rank
-    for k in _present(key[stacked]).tolist():
-        sel = np.flatnonzero(stacked & (key == k))
+    code = np.zeros(len(plane), dtype=np.int8)   # 1 degenerate, 2 not transverse
+    key = size * (n + 1) + stars.planes.rank[plane]
+    for k in _distinct(key[size >= 2]).tolist():
+        sel = np.flatnonzero(key == k)
         s, r = divmod(k, n + 1)
         transverse, flat = _transverse_stack(coords[stars.ids[stars.pair_star[sel], :s]],
                                              stars.planes.bases[r][stars.planes.at[plane[sel]]])
         code[sel] = np.where(flat, 1, np.where(transverse, 0, 2))
-    raised = {}
-    for i in np.flatnonzero((size >= 2) & ~stacked).tolist():
-        try:
-            ok = simplex_transverse(coords[stars.ids[stars.pair_star[i], :size[i]]],
-                                    stars.planes.planes[plane[i]])
-        except JiggleKitError as exc:  # the job's error if it comes first
-            code[i], raised[i] = 3, exc
-            continue
-        code[i] = 0 if ok else 2
     blocked = np.zeros(len(stars.slot_plane), dtype=bool)
     groups: dict = {}
     for s, j in enumerate(stars.slot_job.tolist()):
@@ -820,10 +823,9 @@ def _star_errors(stars: _Stars, coords: np.ndarray, constraints: list) -> list:
             u = stars.slot_u[s]
             i = next((i for i in range(bounds[s], bounds[s + 1]) if code[i]), None)
             if i is not None:
-                out[j] = raised.get(i) or (
-                    DegenerateSimplex("simplex directions are dependent") if code[i] == 1 else
-                    StarNotTransverse(f"a star simplex of dim {size[i] - 1} is not "
-                                      f"transverse to foliation {u}"))
+                out[j] = DegenerateSimplex("simplex directions are dependent") \
+                    if code[i] == 1 else StarNotTransverse(
+                        f"a star simplex of dim {size[i] - 1} is not transverse to foliation {u}")
                 break
             if blocked[s]:
                 out[j] = PreconditionViolated(
@@ -840,41 +842,30 @@ def _stage_faces(stars: _Stars, coords: np.ndarray, active: np.ndarray, d: int):
     foliation u of the simplex with n - k >= d, once per job, u and set of
     coordinates rounded to 12 digits, in (u, simplex, face) order.
 
-    The spans of the faces of each size take one :func:`_row_spaces` call,
-    and each direction basis keeps the layout of a call of its own.
+    The faces are the joins of d vertices that ``stars`` tabulates, and
+    their spans take one :func:`_row_spaces` call, each direction basis in
+    the layout of a call of its own.
     """
     n = stars.n
-    plane = stars.slot_plane[stars.pair_slot]
-    size = stars.sizes[stars.pair_star]
     job = stars.slot_job[stars.pair_slot]
-    sel = np.flatnonzero(active[job] & (stars.planes.rank[plane] <= n - d) & (size >= d))
-    nfaces = np.array([len(_combinations(k, d)) for k in range(size.max(initial=0) + 1)],
-                      dtype=np.intp)[size[sel]]
-    first = np.cumsum(nfaces) - nfaces
-    ids = np.empty((int(nfaces.sum()), d), dtype=np.intp)
-    pair = np.empty(len(ids), dtype=np.intp)
-    for k in _present(size[sel]).tolist():
-        rows = np.flatnonzero(size[sel] == k)
-        combos = _combinations(k, d)
-        pos = first[rows][:, None] + np.arange(len(combos))
-        ids[pos] = stars.ids[stars.pair_star[sel[rows]]][:, combos]
-        pair[pos] = sel[rows][:, None]
-    faces = coords[ids]
+    sel = np.flatnonzero((stars.join_d == d) & active[job[stars.join_pair]])
+    pair = stars.join_pair[sel]
+    faces = coords[stars.join_ids[sel, :d].reshape(len(sel), d)]
     rounded = np.round(faces, 12)
     if d > 1:     # each face's rows in lexicographic order
         rows = rounded.reshape(-1, n)
         order = np.lexsort([rows[:, c] for c in range(n - 1, -1, -1)]
-                           + [np.repeat(np.arange(len(ids)), d)])
+                           + [np.repeat(np.arange(len(sel)), d)])
         rounded = rows[order].reshape(rounded.shape)
     key = np.concatenate([stars.pair_slot[pair].astype(np.int64)[:, None].view(float),
-                          rounded.reshape(len(ids), d * n)], axis=1)
+                          rounded.reshape(len(sel), d * n)], axis=1)
     kept = np.sort(_unique_rows(key)[0])
     faces, pair = faces[kept], pair[kept]
     spans = []
     if d > 1:
         bases, ranks = _row_spaces(faces[:, 1:] - faces[:, :1])
         u = bases.swapaxes(1, 2)
-        ms = n - stars.planes.rank[plane[pair]]
+        ms = n - stars.planes.rank[stars.slot_plane[stars.pair_slot[pair]]]
         for m, r in set(zip(ms.tolist(), ranks.tolist())):
             if r:
                 rows = np.flatnonzero((ms == m) & (ranks == r))
@@ -914,7 +905,7 @@ def _perturb(stars: _Stars, coords: np.ndarray, points: np.ndarray, eps: list,
     for d in range(1, per_dim.shape[1] + 1):
         active = np.array([e is None for e in errors], dtype=bool) & (d <= d_max)
         owner, slot, base, spans = _stage_faces(stars, coords, active, d)
-        jobs = _present(owner)
+        jobs = _distinct(owner)
         for j in np.flatnonzero(active).tolist():
             per_dim[j, d - 1] = delta[j]
         results = _clear(np.searchsorted(jobs, owner), stars.slot_plane[slot], base, spans,
@@ -953,34 +944,20 @@ def _certificates(stars: _Stars, margins: np.ndarray) -> list:
 
 
 def perturb_vertex(req: PerturbationRequest) -> PerturbationResult:
-    """Perturb one point so all joins with the star become semitransverse:
-    a stack of one of :func:`_perturb_vertices`."""
-    return _one(_perturb_vertices([req]))
-
-
-def _perturb_vertices(reqs: list) -> list:
-    """Perturb each request's point so all joins with its star become
-    semitransverse: per request its :class:`PerturbationResult`, or the
-    exception the request meets, bit for bit what it gets alone.  One
-    :func:`_perturb` call on the requests' stars; the certificate lists
-    ``(u, si, idx, margin)`` for every join in :func:`_join_faces` order
-    per (foliation u, star simplex si)."""
-    out: list = [None] * len(reqs)
-    kept, stars, coords = _requested_stars(reqs, out)
-    if not kept:
-        return out
-    asked = [reqs[j] for j in kept]
+    """Perturb one point so all joins with the star become semitransverse,
+    raising the error it meets: one :func:`_perturb` call on its stars.  The
+    certificate lists ``(u, si, idx, margin)`` for every join in
+    :func:`_join_faces` order per (foliation u, star simplex si)."""
+    stars, coords = _requested_stars([req])
     errors, points, achieved, moved, margins, per_dim = _perturb(
-        stars, coords, np.stack([r.point for r in asked]), [r.epsilon for r in asked],
-        [r.seed for r in asked], [r.samples for r in asked],
-        [r.constraint_flat for r in asked])
-    for i, (j, joins) in enumerate(zip(kept, _certificates(stars, margins))):
-        out[j] = errors[i] or PerturbationResult(
-            point=points[i],
-            achieved_delta=float(achieved[i]),
-            moved=moved[i],
-            per_dimension_margins={d: m for d, m in enumerate(per_dim[i].tolist(), 1)
-                                   if m == m},
-            certificate=joins,
-        )
-    return out
+        stars, coords, req.point[None], [req.epsilon], [req.seed], [req.samples],
+        [req.constraint_flat])
+    if errors[0] is not None:
+        raise errors[0]
+    return PerturbationResult(
+        point=points[0],
+        achieved_delta=float(achieved[0]),
+        moved=moved[0],
+        per_dimension_margins={d: m for d, m in enumerate(per_dim[0].tolist(), 1) if m == m},
+        certificate=_certificates(stars, margins)[0],
+    )

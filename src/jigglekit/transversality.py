@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import _combinations, _face_tables, _unique_rows
+from .complexes import _combinations, _distinct, _face_tables, _unique_rows
 from .errors import (
     DegenerateSimplex,
     PreconditionViolated,
@@ -233,44 +233,52 @@ def simplex_plane(coords: np.ndarray) -> Plane:
 
 def simplex_transverse(coords: np.ndarray, v: Plane,
                        tol: float = RANK_REL_TOL) -> bool:
-    """Transversality of a simplex to the constant foliation F(V).
-
-    Dimension at most n-k: the direction planes must be transverse.  Above
-    n-k it suffices that one (n-k)-dimensional face is transverse; the
-    faces are tested in order, and a degenerate one met before a transverse
-    one raises :class:`DegenerateSimplex`.
-    """
+    """Transversality of a simplex to the constant foliation F(V): a stack
+    of one of :func:`_transverse_stack`, raising
+    :class:`DegenerateSimplex` where the simplex is degenerate.  A vertex is
+    transverse to every foliation."""
     pts = np.asarray(coords, dtype=float)
-    dim = pts.shape[0] - 1
-    free = v.ambient_dim - v.rank
-    if dim == 0:
+    if pts.shape[0] == 1:
         return True
-    if free == 0:
-        return False
-    faces = pts[None] if dim <= free else pts[_combinations(pts.shape[0], free + 1)]
-    transverse, degenerate = _transverse_stack(faces, v, tol)
-    for ok, flat in zip(transverse.tolist(), degenerate.tolist()):
-        if flat:
-            raise DegenerateSimplex("simplex directions are dependent")
-        if ok:
-            return True
-    return False
+    transverse, degenerate = _transverse_stack(pts[None], v, tol)
+    if degenerate[0]:
+        raise DegenerateSimplex("simplex directions are dependent")
+    return bool(transverse[0])
 
 
 def _transverse_stack(stack: np.ndarray, v, tol: float = RANK_REL_TOL):
-    """``simplex_transverse`` of each simplex in an (S, d+1, n) stack with
-    1 <= d <= n-k, as boolean arrays ``(transverse, degenerate)``; ``v`` is
-    one :class:`Plane` or one per simplex, as :func:`_transverse` takes it.
+    """Transversality of each simplex in an (S, d+1, n) stack with d >= 1
+    to F(V), as boolean arrays ``(transverse, degenerate)``; ``v`` is one
+    :class:`Plane` or an (S, k, n) stack of orthonormal bases, one per
+    simplex.
 
-    A simplex is degenerate where :func:`simplex_plane` raises
-    :class:`DegenerateSimplex` (its edges are not finite or are dependent
-    at ``RANK_REL_TOL``), and otherwise transverse where its plane passes
-    the rank test at ``tol``.  Both SVDs run stacked, which gives every
-    matrix the bits of its own call, so each verdict is the scalar one.
+    Dimension at most n-k: a simplex is degenerate where
+    :func:`simplex_plane` raises :class:`DegenerateSimplex` (its edges are
+    not finite or are dependent at ``RANK_REL_TOL``), and otherwise
+    transverse where its plane passes the rank test at ``tol``.  Above n-k
+    it suffices that one (n-k)-dimensional face is transverse: the faces of
+    every simplex are judged so in one stack and read in order, and the
+    simplex is transverse at its first transverse face and degenerate where
+    a degenerate face comes first.  With n-k = 0 nothing is transverse.
+    Both SVDs run stacked, which gives every matrix the bits of its own
+    call, so each verdict is the one of a simplex alone.
     """
-    bases, ranks = _face_bases(stack)
-    degenerate = ranks < bases.shape[1]
-    return ~degenerate & _transverse(bases, v, tol), degenerate
+    rows = v.basis if isinstance(v, Plane) else v
+    count, size = stack.shape[:2]
+    free = rows.shape[-1] - rows.shape[-2]
+    if free == 0:
+        return np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    if size <= free + 1:
+        bases, ranks = _face_bases(stack)
+        degenerate = ranks < bases.shape[1]
+        return ~degenerate & _transverse(bases, v, tol), degenerate
+    combos = _combinations(size, free + 1)
+    faces = stack[:, combos].reshape(-1, free + 1, stack.shape[2])
+    each = v if isinstance(v, Plane) else np.repeat(v, len(combos), axis=0)
+    transverse, degenerate = (a.reshape(count, len(combos))
+                              for a in _transverse_stack(faces, each, tol))
+    at = np.arange(count), (transverse | degenerate).argmax(axis=1)
+    return transverse[at], degenerate[at]
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +432,6 @@ def general_position(coords: np.ndarray, xi: Distribution,
     ok, margin = _general_positions([(np.zeros(1, dtype=int), pts[None], xi)],
                                     sample_depth, tol)
     return bool(ok[0]), float(margin[0])
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of an int array, by one sort (numpy's
-    hashed ``np.unique`` is many times slower on these arrays)."""
-    keys = np.sort(keys)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
 
 
 class _FaceTable:

@@ -2,9 +2,9 @@
 module level, and its functions read every parameter they take.
 
 Stdlib ``ast`` passes: a name bound by an import must be read somewhere in
-the same module (``from __future__`` imports and the package ``__init__``,
-whose imports are its public re-exports, are exempt), no import under
-``src/jigglekit`` sits inside a function or class body, and every function
+the same module, and binding it again is no read (``from __future__``
+imports and the package ``__init__``, whose imports are its public
+re-exports, are exempt), no import under ``src/jigglekit`` sits inside a function or class body, and every function
 under ``src/jigglekit`` that is not a method reads each of its parameters.
 Methods are exempt because an override may ignore an argument to stay
 call-compatible: ``SampledMap`` takes the ``hint`` that ``PLMap`` uses.
@@ -37,7 +37,8 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return [f"line {line}: {name}" for name, line in sorted(bound.items())
             if name not in used]
 
@@ -46,6 +47,8 @@ def test_checker_flags_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.path)\n") == ["line 1: os"]
     assert unused_imports("from __future__ import annotations\n") == []
     assert unused_imports("import os.path as osp\nosp.join\n") == []
+    # a name that is only bound again is never read
+    assert unused_imports("from os import sep\nsep = '/'\ndel sep\n") == ["line 1: sep"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jigglekit.errors import (
+    AmbientMismatch,
     DegenerateSimplex,
     InfeasibleDimensions,
     PreconditionViolated,
@@ -27,7 +28,6 @@ from jigglekit.perturb import (
     _avoid_flats,
     _certificates,
     _join_margins,
-    _perturb_vertices,
     _requested_stars,
     avoid_flats,
     perturb_vertex,
@@ -54,7 +54,7 @@ def join_margins(jobs):
     reqs = [PerturbationRequest(point=point, epsilon=1.0, star_simplices=stars,
                                 foliations=folis, star_foliations=star_folis)
             for point, stars, star_folis, folis in jobs]
-    _, stars, coords = _requested_stars(reqs, [None] * len(reqs))
+    stars, coords = _requested_stars(reqs)
     margins, degenerate = _join_margins(stars, coords, np.stack([r.point for r in reqs]))
     return [_join_error(2) if flat else joins
             for flat, joins in zip(degenerate.tolist(), _certificates(stars, margins))]
@@ -116,7 +116,7 @@ def test_perturb_vertex_keeps_the_point_when_margins_hold():
     req = PerturbationRequest(point=np.array([0.0, 1.0]), epsilon=0.05,
                               star_simplices=star, foliations=[HORIZONTAL],
                               seed=3)
-    res = only(_perturb_vertices([req]))
+    res = perturb_vertex(req)
     assert isinstance(res, PerturbationResult)
     assert res.moved == 0.0
     np.testing.assert_array_equal(res.point, [0.0, 1.0])
@@ -130,7 +130,7 @@ def test_perturb_vertex_clears_a_join_through_the_apex():
     req = PerturbationRequest(point=np.array([0.0, 0.5]), epsilon=0.1,
                               star_simplices=star, foliations=[HORIZONTAL],
                               seed=12)
-    res = only(_perturb_vertices([req]))
+    res = perturb_vertex(req)
     assert res.moved > 0.0
     assert res.achieved_delta > 0.0
     assert min(m for *_, m in res.certificate) >= res.achieved_delta - 1e-9
@@ -143,7 +143,7 @@ def test_perturb_vertex_certificate_covers_all_faces():
     req = PerturbationRequest(point=np.array([0.1, 0.6]), epsilon=0.08,
                               star_simplices=star, foliations=[HORIZONTAL],
                               seed=7)
-    res = only(_perturb_vertices([req]))
+    res = perturb_vertex(req)
     # base faces of an edge: two vertices (d=1); the edge itself (d=2) is
     # skipped in R^2 against a rank-1 field since n - k = 1
     assert len(res.certificate) == 2
@@ -155,13 +155,13 @@ def test_perturb_vertex_determinism():
     star = [np.array([[1.0, 0.5]])]
     kw = dict(point=np.array([0.0, 0.5]), epsilon=0.1,
               star_simplices=star, foliations=[HORIZONTAL], seed=12)
-    a = only(_perturb_vertices([PerturbationRequest(**kw)]))
-    b = only(_perturb_vertices([PerturbationRequest(**kw)]))
+    a = perturb_vertex(PerturbationRequest(**kw))
+    b = perturb_vertex(PerturbationRequest(**kw))
     np.testing.assert_array_equal(a.point, b.point)
     assert a.achieved_delta == b.achieved_delta
 
 
-def test_avoid_flats_and_perturb_vertex_are_stacks_of_one():
+def test_avoid_flats_is_a_stack_of_one():
     flat = affine_span(np.array([[0.0, 0.0], [1.0, 0.0]]))
     problem = search(np.array([0.5, 0.0]), 0.1, [flat], seed=4)
     p, delta = avoid_flats(*problem)
@@ -170,13 +170,6 @@ def test_avoid_flats_and_perturb_vertex_are_stacks_of_one():
     assert delta == eps
     with pytest.raises(PreconditionViolated):
         avoid_flats(np.array([np.nan, 0.0]), 0.1, [flat])
-    req = PerturbationRequest(point=np.array([0.0, 0.5]), epsilon=0.1,
-                              star_simplices=[np.array([[1.0, 0.5]])],
-                              foliations=[HORIZONTAL], seed=12)
-    a, b = perturb_vertex(req), only(_perturb_vertices([req]))
-    np.testing.assert_array_equal(a.point, b.point)
-    assert (a.achieved_delta, a.moved, a.per_dimension_margins) == \
-        (b.achieved_delta, b.moved, b.per_dimension_margins)
 
 
 def test_perturb_vertex_rejects_nontransverse_star():
@@ -186,12 +179,13 @@ def test_perturb_vertex_rejects_nontransverse_star():
                               star_simplices=star, foliations=[HORIZONTAL],
                               seed=5)
     with pytest.raises(StarNotTransverse):
-        only(_perturb_vertices([req]))
+        perturb_vertex(req)
 
 
 def test_perturb_vertex_reports_the_first_bad_star_simplex():
     """Star simplices are checked in order: edges as one stack, a triangle
-    (above n-k) on its own, and the first failure decides the error."""
+    (above n-k) by its edges in a stack of its own, and the first failure
+    decides the error."""
     triangle = np.array([[1.0, 0.0], [2.0, 1.0], [1.0, 2.0]])
     along = np.array([[0.0, 0.0], [1.0, 0.0]])      # inside the foliation
     collapsed = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -200,7 +194,50 @@ def test_perturb_vertex_reports_the_first_bad_star_simplex():
         req = PerturbationRequest(point=np.array([0.5, 1.0]), epsilon=0.1,
                                   star_simplices=stars, foliations=[HORIZONTAL])
         with pytest.raises(error):
-            only(_perturb_vertices([req]))
+            perturb_vertex(req)
+
+
+IN_R3 = Plane(np.eye(3)[:1])
+MALFORMED = {
+    # an index out of range used to drop its star simplex from every check
+    "star index past the end": ("request", dict(star_foliations=[(5,)]), PreconditionViolated),
+    "negative star index": ("request", dict(star_foliations=[(0, -1)]), PreconditionViolated),
+    # the rest died with a bare TypeError or ValueError, or a misleading error
+    "2-D point": ("request", dict(point=[[0.0, 0.5]]), PreconditionViolated),
+    "foliation as an array": ("request", dict(foliations=[np.array([[1.0, 0.0]])]),
+                              PreconditionViolated),
+    "text budget": ("request", dict(epsilon="0.1"), PreconditionViolated),
+    "star simplex in R^3": ("request", dict(star_simplices=[np.ones((2, 3))]), AmbientMismatch),
+    "foliation in R^3": ("request", dict(foliations=[IN_R3]), AmbientMismatch),
+    "constraint in R^3": ("request", dict(constraint_flat=AffineFlat(np.zeros(3), IN_R3)),
+                          AmbientMismatch),
+    "search: 2-D point": ("search", dict(p=[[0.5, 0.0]]), PreconditionViolated),
+    "search: text budget": ("search", dict(epsilon="abc"), PreconditionViolated),
+    "search: quotient as an array": ("search", dict(quotients=[np.array([[1.0, 0.0]])]),
+                                     PreconditionViolated),
+    "search: flat in R^3": ("search", dict(flats=[AffineFlat(np.zeros(3), IN_R3)]),
+                            AmbientMismatch),
+    "search: quotient in R^3": ("search", dict(quotients=[IN_R3]), AmbientMismatch),
+    "search: constraint in R^3": ("search", dict(constraint_flat=AffineFlat(np.zeros(3), IN_R3)),
+                                  AmbientMismatch),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_perturbation_input_raises_a_typed_error(case):
+    """A request checks its input when it is built, and a search problem
+    when it is run; each case raises its typed error, never a bare numpy or
+    Python one, and never passes."""
+    kind, kw, error = MALFORMED[case]
+    with pytest.raises(error):
+        if kind == "request":
+            perturb_vertex(PerturbationRequest(**(dict(
+                point=[0.0, 0.5], epsilon=0.1, star_simplices=[[[1.0, 0.5], [2.0, 0.5]]],
+                foliations=[HORIZONTAL], star_foliations=[(0,)]) | kw)))
+        else:
+            flat = affine_span(np.array([[0.0, 0.0], [1.0, 0.0]]))
+            only(_avoid_flats([search(**(dict(p=[0.5, 0.0], epsilon=0.1, flats=[flat],
+                                                 samples=8) | kw))]))
 
 
 def test_perturb_vertex_constraint_flat_pins_the_search():
@@ -209,7 +246,7 @@ def test_perturb_vertex_constraint_flat_pins_the_search():
     req = PerturbationRequest(point=np.array([0.0, 0.5]), epsilon=0.1,
                               star_simplices=star, foliations=[HORIZONTAL],
                               constraint_flat=wall, seed=2)
-    res = only(_perturb_vertices([req]))
+    res = perturb_vertex(req)
     assert res.point[0] == pytest.approx(0.0, abs=1e-12)
     assert res.achieved_delta > 0.0
 
@@ -221,7 +258,7 @@ def test_perturb_vertex_rejects_constraint_inside_foliation():
                               foliations=[HORIZONTAL],
                               constraint_flat=flat, seed=2)
     with pytest.raises(PreconditionViolated):
-        only(_perturb_vertices([req]))
+        perturb_vertex(req)
 
 
 def test_two_foliations_are_cleared_simultaneously():
@@ -230,7 +267,7 @@ def test_two_foliations_are_cleared_simultaneously():
                               star_simplices=star,
                               foliations=[HORIZONTAL, VERTICAL],
                               star_foliations=[(0, 1)], seed=21)
-    res = only(_perturb_vertices([req]))
+    res = perturb_vertex(req)
     d = res.point - np.array([1.0, 0.5])
     assert abs(d[0]) > 1e-9 and abs(d[1]) > 1e-9
     assert all(m > 0 for *_, m in res.certificate)

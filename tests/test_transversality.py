@@ -21,6 +21,7 @@ from jigglekit.grassmann import (
     Plane,
     _rank,
     _row_spaces,
+    _stack,
     _transverse,
     plane_from_spanning,
     project_along,
@@ -542,6 +543,60 @@ def test_stacked_rank_test_gives_the_scalar_verdicts():
                 assert flat and not ok
                 continue
             assert not flat and ok == want
+
+
+def faces_in_order(s, v):
+    """A simplex above n-k judged by a loop over its (n-k)-faces in order,
+    each a stack of one: ``(transverse, degenerate)``."""
+    free = v.ambient_dim - v.rank
+    if free == 0:
+        return False, False
+    for idx in itertools.combinations(range(len(s)), free + 1):
+        try:
+            basis = simplex_plane(s[list(idx)]).basis
+        except DegenerateSimplex:
+            return False, True
+        if _transverse(basis[None], v)[0]:
+            return True, False
+    return False, False
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_transverse_stack_judges_a_large_simplex_by_its_faces(n):
+    """Simplices of n-k+2 to n+1 vertices against planes of every rank k,
+    in C and Fortran order, one plane for the stack and one per simplex:
+    generic ones, ones with an edge along the plane, with a flat face, inside
+    a translate of the plane, and with a flat face after an edge along it.
+    _transverse_stack gives the verdicts of a loop over each simplex's
+    (n-k)-faces, and with n-k = 0 nothing is transverse."""
+    rng = np.random.default_rng(40 + n)
+    verdicts = set()
+    for trial in range(24):
+        k = 1 + trial % n
+        c_order = trial % 4 < 2
+        planes = [random_plane(rng, n, k) for _ in range(int(rng.integers(1, 9)))]
+        if c_order:
+            planes = [Plane(np.ascontiguousarray(v.basis)) for v in planes]
+        v = planes[0].basis
+        stack = rng.normal(size=(len(planes), int(rng.integers(n - k + 2, n + 2)), n))
+        for s in stack[1::5]:
+            s[1] = s[0] + v[0]
+        for s in stack[2::5]:
+            s[-1] = 2 * s[1] - s[0] if trial % 3 else s[0]
+        for s in stack[3::5]:
+            s[1:] = s[0] + rng.normal(size=(len(s) - 1, k)) @ v
+        for s in stack[4::5]:
+            s[1], s[-1] = s[0] + v[0], s[0]
+        got = _transverse_stack(stack, planes[0])
+        want = [faces_in_order(s, planes[0]) for s in stack]
+        assert list(zip(*map(np.ndarray.tolist, got))) == want
+        verdicts.update((k == n, *w) for w in want)
+        got = _transverse_stack(stack, _stack([v.basis for v in planes], c_order))
+        want = [faces_in_order(s, v) for s, v in zip(stack, planes)]
+        assert list(zip(*map(np.ndarray.tolist, got))) == want
+    # every outcome occurs, and a full-rank plane passes nothing
+    assert verdicts == {(False, True, False), (False, False, False), (False, False, True),
+                        (True, False, False)}
 
 
 # ---------------------------------------------------------------------------
