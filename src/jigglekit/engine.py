@@ -554,7 +554,8 @@ def _run_vertex_induction(child, images, *, frozen, order, budgets, foliations, 
         if not movers:
             continue
         movers = np.array(movers, dtype=np.intp)
-        moving = plan.stars.take(movers)
+        # when every job moves, the wave's stack is the movers' own
+        moving = wave if len(movers) == len(jobs) else plan.stars.take(movers)
         vids = live[movers].tolist()
         errors, points, deltas, moved, certificate, _ = _perturb(
             moving, images, images[live[movers]], [eps[p] for p in movers.tolist()],
@@ -702,7 +703,9 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
         )
 
     amp = _jacobian_amplification(child)
-    rmin_img, rmax_img = _image_radii(child, flin.images)
+    # the pre-check's own top_radii pass
+    tops, rmins, rmaxs = flin._radii
+    rmin_img, rmax_img = float(rmins.min(initial=np.inf)), float(rmaxs.max(initial=0.0))
     terms = [(cfg.gamma - e1) / (1.0 + amp),
              cfg.gamma * 2.0 ** -level - e0,
              rmin_img / 4.0]
@@ -713,7 +716,6 @@ def _jiggle(f, complex_: SimplicialComplex, xi: Distribution,
     budgets = np.full(child.num_vertices, eta)
     if from_a.any():
         cap_a = np.inf
-        tops, rmins, _ = top_radii(child, flin.images)
         rmin_of = dict(zip(tops, rmins.tolist()))
         tops_a = [top for top in child.top_simplices if any(from_a[v] for v in top)]
         ok, margins = _general_position_each([flin.images[list(top)] for top in tops_a],

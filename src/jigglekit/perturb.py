@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
+from collections.abc import Iterable, Sized
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,18 +72,19 @@ class PerturbationRequest:
     samples: int = 64
 
     def __post_init__(self):
-        self.point = np.asarray(self.point, dtype=float)
-        self.star_simplices = [np.atleast_2d(np.asarray(s, dtype=float))
+        self.point = _floats(self.point, "point")
+        self.star_simplices = [np.atleast_2d(_floats(s, "star simplex"))
                                for s in self.star_simplices]
         self.foliations = list(self.foliations)
         flats = [] if self.constraint_flat is None else [self.constraint_flat]
         error = _geometry_error(self.point, self.foliations, flats, self.star_simplices) \
             or _check_searches(self.point[None], [self.epsilon], [self.samples], [self.seed])[0]
         star_folis = self.star_foliations
-        if error is None and star_folis is not None and (
-                len(star_folis) != len(self.star_simplices)
-                or not all(_is_count(u) and u < len(self.foliations)
-                           for us in star_folis for u in us)):
+        if error is None and star_folis is not None and not (
+                isinstance(star_folis, Sized) and len(star_folis) == len(self.star_simplices)
+                and all(isinstance(us, Iterable)
+                        and all(_is_count(u) and u < len(self.foliations) for u in us)
+                        for us in star_folis)):
             error = PreconditionViolated("star_foliations must parallel star_simplices, "
                                          "each entry naming foliations by their index")
         if error is not None:
@@ -119,6 +121,15 @@ def _search_basis(ambient: int, constraint: AffineFlat | None) -> np.ndarray:
     if constraint.direction is None:
         return np.zeros((0, ambient))
     return constraint.direction.basis
+
+
+def _floats(value, what: str) -> np.ndarray:
+    """``value`` as a float array; text or ragged nesting is a
+    :class:`PreconditionViolated`."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise PreconditionViolated(f"{what} is not an array of numbers: {exc}") from None
 
 
 def _is_count(value) -> bool:

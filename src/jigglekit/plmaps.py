@@ -9,6 +9,8 @@ zero, sup-distance plus Jacobian operator-norm distance for order one.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .complexes import (
@@ -41,6 +43,12 @@ class PLMap:
             raise DomainMismatch("one image point per domain vertex required")
         self.target_dim = self.images.shape[1]
         self._jac_cache: dict[tuple[int, ...], np.ndarray] = {}
+
+    @functools.cached_property
+    def _radii(self):
+        """``top_radii`` of the image cells, ``(tops, rmin, rmax)``, from one
+        pass per map: the embedding check and the engine's budgets share it."""
+        return top_radii(self.domain, self.images)
 
     @classmethod
     def identity(cls, domain: SimplicialComplex) -> "PLMap":
@@ -353,7 +361,7 @@ def _embedding_failure(f: PLMap, tol: float = 1e-9) -> str | None:
     if bad.size:
         return f"the image of vertex {bad[0]} is not finite"
     try:
-        tops, rmin, rmax = top_radii(f.domain, f.images)
+        tops, rmin, rmax = f._radii
     except DegenerateSimplex as exc:
         return f"an image cell is flat: {exc}"
     flat = np.flatnonzero(rmin <= tol * rmax)

@@ -48,6 +48,8 @@ from .grassmann import (
 )
 
 DEFAULT_SAMPLE_DEPTH = 3
+# the most (pair, probe, face) entries one pass of _general_positions judges
+PASS_ENTRIES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +424,9 @@ def general_position(coords: np.ndarray, xi: Distribution,
     (:func:`_general_positions`), which gives what a loop over probes in
     order, and faces in order within a probe, gives: it stops at the first
     face that is not transverse and raises :class:`DegenerateSimplex` when
-    a degenerate face comes first.  The kernel runs the probes in waves,
-    one per probe index, so a simplex that failed is probed no further.
+    a degenerate face comes first.  The kernel runs the probes in passes
+    of waves, one wave per probe index, and evaluates the field only at a
+    pass's first wave, so a simplex that failed is probed no further.
     The face bases, the SVDs and the rejection products are stacked, each
     operand in its own memory order, which gives each matrix the bits of
     its own call (see :func:`_transverse`).
@@ -501,9 +504,10 @@ def _grown(table: np.ndarray, rows: np.ndarray, c_order: bool) -> np.ndarray:
 
 class _ProbePlanes:
     """The planes of some fields at a table of distinct probes: probe ``p``
-    is field ``field[p]`` at point ``points[p]``.  :meth:`at` evaluates each
-    field once per wave, by :meth:`Distribution._bases`, at the probes met
-    for the first time.
+    is field ``field[p]`` at point ``points[p]``.  :meth:`evaluate` calls
+    each field once, by :meth:`Distribution._bases`, at the probes it meets
+    for the first time; ``basis[p]`` is then the basis id of probe ``p``,
+    or -1 where its field failed, with the error in ``errors[p]``.
 
     Distinct bases (by shape and bytes) get ids in order.  Basis i is row
     ``row[i]`` of ``tables[kind[i]]``: one stack per (rank, C order) whose
@@ -521,22 +525,12 @@ class _ProbePlanes:
         self.kind: list[int] = []
         self.row: list[int] = []
 
-    def at(self, probe: np.ndarray, pos: np.ndarray):
-        """The basis id of each pair: probe ``probe[w]`` for the pair at loop
-        position ``pos[w]``.  Returns ``(ids, at, error)``: where a field
-        fails, ``at`` is the position of the first pair in loop order that
-        meets a failure and ``error`` its error, and that pair and every
-        later one get id -1; otherwise ``error`` is None."""
+    def evaluate(self, probe: np.ndarray) -> None:
+        """Evaluate each field at those of the probes ``probe`` not met
+        before."""
         new = np.unique(probe[self.basis[probe] == -2])
         for f in np.unique(self.field[new]).tolist():
             self._evaluate(f, new[self.field[new] == f])
-        got = self.basis[probe]
-        failed = np.flatnonzero(got < 0)
-        if not len(failed):
-            return got, None, None
-        w = failed[np.argmin(pos[failed])]
-        got[pos >= pos[w]] = -1
-        return got, int(pos[w]), self.errors[int(probe[w])]
 
     def _evaluate(self, f: int, probes: np.ndarray) -> None:
         """Evaluate field ``f`` at some probes not met before."""
@@ -581,25 +575,34 @@ def _general_positions(groups, sample_depth: int, tol: float, stop: bool = False
       per face size and deduplicated by its coordinate bytes; each size
       takes one :func:`_face_bases` call.
     * The probes are ``barycentric_lattice @ pts`` per group
-      (:func:`probe_points`), numbered once by (field, point bytes).  They
-      run in waves, one per probe index, over the pairs that have not
-      failed yet, so each field is evaluated, once per distinct probe, at
-      exactly the probes the loop reaches: one :meth:`Distribution._bases`
-      call per field and wave, on the probes it meets first
-      (:class:`_ProbePlanes`).
-    * In a wave, the (face, field plane) pairs not met before, the plane
+      (:func:`probe_points`), numbered once by (field, point bytes).  Wave
+      j is the j-th probe of every pair that has not failed yet.
+    * The waves run in passes.  A pass starts at a wave and evaluates each
+      field at that wave's probes met for the first time, by one
+      :meth:`Distribution._bases` call per field (:class:`_ProbePlanes`).
+      It takes in every following wave whose probes, for the pairs alive
+      at its start, are all evaluated already, up to ``PASS_ENTRIES``
+      (pair, probe, face) entries.  So each field is evaluated, once per
+      distinct probe, at exactly the probes the loop reaches.
+    * In a pass, the (face, field plane) pairs not met before, the plane
       keyed by its basis shape and bytes, take one :func:`_transverse` call
       per face size and plane kind (rank and memory order), so every
-      margin has the bits of a stack of one.
-    * A wave's pairs are judged as one array, their face ids padded with -1
-      to the widest simplex.
+      margin has the bits of a stack of one.  One margin table, sorted by
+      key, serves every pass.
+    * A pass judges its (pair, probe) entries as one array, their face ids
+      padded with -1 to the widest simplex.  A pair is decided at its
+      first entry, in wave order, whose field fails or whose faces hold
+      one that is degenerate or not transverse: it fails there, with
+      margin 0, or raises.  Otherwise its margin is the smallest over all
+      its entries.
     * Errors come out in loop order: a field error at its probe, and
       :class:`DegenerateSimplex` at a pair's first probe when a degenerate
-      face comes before every face that is not transverse.  A wave records
-      the earliest pair that raises and drops every later pair; that error
-      is raised once every earlier pair is done.  With ``stop`` it is not
-      raised when an earlier pair fails, as a loop that stops at its first
-      failure never meets it; pairs after it are then left unjudged.
+      face comes before every face that is not transverse.  A pass records
+      the earliest pair that raises, and later passes drop every later
+      pair; that error is raised once every earlier pair is done.  With
+      ``stop`` it is not raised when an earlier pair fails, as a loop that
+      stops at its first failure never meets it; pairs after it are then
+      left unjudged.
     """
     count = sum(len(order) for order, _, _ in groups)
     ok = np.ones(count, dtype=bool)
@@ -622,41 +625,54 @@ def _general_positions(groups, sample_depth: int, tol: float, stop: bool = False
         for _, _, xi, probes, _ in live] or [np.zeros((0, 1))])
     first, probe, _ = _unique_rows(table)
     planes = _ProbePlanes(fields, table[first, 0].astype(np.intp), table[first, 1:])
-    split = np.cumsum([probes.shape[0] * probes.shape[1] for _, _, _, probes, _ in live])
-    live = [(order, pids.reshape(probes.shape[:2]), ids) for (order, _, _, probes, _), pids, ids
-            in zip(live, np.split(probe, split[:-1]), faces.ids)]
-    width = max([1] + [ids.shape[1] for *_, ids in live])
+    # each live pair, group after group: its loop position, and its probe
+    # and face ids, padded with -1 past its own
+    pos = np.concatenate([order for order, *_ in live] or [np.zeros(0, dtype=int)])
+    depth = max([0] + [probes.shape[1] for *_, probes, _ in live])
+    width = max([1] + [ids.shape[1] for ids in faces.ids])
+    probe_of = np.full((len(pos), depth), -1, dtype=np.int64)
+    face_of = np.full((len(pos), width), -1, dtype=np.int64)
+    split = np.cumsum([probes.shape[0] * probes.shape[1] for *_, probes, _ in live])[:-1]
+    lo = 0
+    for (order, _, _, probes, _), pids, ids in zip(live, np.split(probe, split), faces.ids):
+        probe_of[lo:lo + len(order), :probes.shape[1]] = pids.reshape(probes.shape[:2])
+        face_of[lo:lo + len(order), :ids.shape[1]] = ids
+        lo += len(order)
+    reach = (probe_of >= 0).sum(axis=1)
 
     # sorted face id << 32 | basis id, closed by a sentinel; NaN: not transverse
     known, known_margin = np.array([np.iinfo(np.int64).max]), np.array([np.nan])
     alive = ok.copy()
     limit, error = count, None
-    for j in itertools.count():
-        wave = [(group, np.flatnonzero(alive[group[0]] & (group[0] < limit)))
-                for group in live if j < group[1].shape[1]]
-        wave = [(group, rows) for group, rows in wave if len(rows)]
-        if not wave:
+    start = 0
+    while True:
+        rows = np.flatnonzero(alive[pos] & (pos < limit) & (reach > start))
+        if not len(rows):
             break
-        # every pair of the wave: its loop position, its j-th probe, and its
-        # face ids (-1 past its own)
-        pos = np.concatenate([order[rows] for (order, _, _), rows in wave])
-        fids = np.full((len(pos), width), -1, dtype=np.int64)
-        starts = np.cumsum([0] + [len(rows) for _, rows in wave]).tolist()
-        for ((_, _, ids), rows), lo in zip(wave, starts):
-            fids[lo:lo + len(rows), :ids.shape[1]] = ids[rows]
-        bid, failed_at, exc = planes.at(
-            np.concatenate([pids[rows, j] for (_, pids, _), rows in wave]), pos)
-        if exc is not None:
-            limit, error = failed_at, exc
-        # the pairs that got a plane
-        pos, fids, bid = pos[bid >= 0], fids[bid >= 0], bid[bid >= 0]
+        planes.evaluate(probe_of[rows, start])
+        # the pass: this wave, and each next one that evaluates nothing
+        waves = [rows]
+        while start + len(waves) < depth:
+            j = start + len(waves)
+            more = rows[reach[rows] > j]
+            if not len(more) or width * (len(more) + sum(map(len, waves))) > PASS_ENTRIES \
+                    or (planes.basis[probe_of[more, j]] == -2).any():
+                break
+            waves.append(more)
+        slot = np.concatenate(waves)
+        wave = np.repeat(np.arange(start, start + len(waves)), list(map(len, waves)))
+        start += len(waves)
+        loop = pos[slot]
+        bid = planes.basis[probe_of[slot, wave]]
+        fids = face_of[slot]
         face = fids >= 0
         flat = np.zeros_like(face)
         flat[face] = faces.flat[fids[face]]
-        use = face & ~flat
-        keys = fids << 32 | bid[:, None]
+        use = face & ~flat & (bid >= 0)[:, None]
+        keys = (fids << 32 | bid[:, None])[use]
         # the margins of the (face, plane) pairs met for the first time
-        met = _distinct(keys[use])
+        distinct, inverse, _ = _unique_rows(keys[:, None])
+        met = keys[distinct]
         fresh = met[known[np.searchsorted(known, met)] != met]
         if len(fresh):
             fid, b = fresh >> 32, fresh & 0xFFFFFFFF
@@ -671,24 +687,30 @@ def _general_positions(groups, sample_depth: int, tol: float, stop: bool = False
                 sigma[sel] = np.where(transverse, sig, np.nan)
             at = np.searchsorted(known, fresh)
             known, known_margin = np.insert(known, at, fresh), np.insert(known_margin, at, sigma)
-        # each pair's faces in loop order: it fails, or raises, at the first
-        # face that is degenerate or not transverse
+        # each entry's faces in loop order: it is decided at the first face
+        # that is degenerate or not transverse, or where its field fails
         vals = np.where(flat, np.nan, np.inf)
-        vals[use] = known_margin[np.searchsorted(known, met)][np.searchsorted(met, keys[use])]
+        vals[use] = known_margin[np.searchsorted(known, met)][inverse]
         bad = np.isnan(vals)
-        first = bad.argmax(axis=1)
-        failed = bad.any(axis=1)
-        raises = failed & flat[np.arange(len(pos)), first]
-        if raises.any():
-            r = np.flatnonzero(raises)[np.argmin(pos[raises])]
-            if pos[r] < limit:
-                f = int(fids[r, first[r]])
-                limit = int(pos[r])
-                error = _degenerate(faces.rank[f], int(faces.size[f]) - 1)
-        fail = pos[failed & ~raises]
+        worst = bad.argmax(axis=1)
+        np.minimum.at(margin, loop, np.fmin.reduce(vals, axis=1, initial=np.inf))
+        # each pair is decided at its first such entry, in wave order: it
+        # fails, and its margin is 0, or it raises, and its margin is moot
+        decided = np.flatnonzero((bid < 0) | bad.any(axis=1))
+        _, at = np.unique(slot[decided], return_index=True)
+        decided = decided[at]
+        raises = (bid[decided] < 0) | flat[decided, worst[decided]]
+        fail = loop[decided[~raises]]
         ok[fail], margin[fail], alive[fail] = False, 0.0, False
-        good = pos[~failed]
-        margin[good] = np.minimum(margin[good], vals[~failed].min(axis=1, initial=np.inf))
+        if raises.any():
+            r = decided[raises][np.argmin(loop[decided[raises]])]
+            if loop[r] < limit:
+                limit = int(loop[r])
+                if bid[r] < 0:
+                    error = planes.errors[int(probe_of[slot[r], wave[r]])]
+                else:
+                    f = int(fids[r, worst[r]])
+                    error = _degenerate(faces.rank[f], int(faces.size[f]) - 1)
     if error is not None and not (stop and not ok[:limit].all()):
         raise error
     return ok, margin

@@ -204,6 +204,10 @@ MALFORMED = {
     "negative star index": ("request", dict(star_foliations=[(0, -1)]), PreconditionViolated),
     # the rest died with a bare TypeError or ValueError, or a misleading error
     "2-D point": ("request", dict(point=[[0.0, 0.5]]), PreconditionViolated),
+    "text in the point": ("request", dict(point=["a", 0.0]), PreconditionViolated),
+    "ragged star simplex": ("request", dict(star_simplices=[[[0, 0], [1]]]),
+                            PreconditionViolated),
+    "bare star index": ("request", dict(star_foliations=[0]), PreconditionViolated),
     "foliation as an array": ("request", dict(foliations=[np.array([[1.0, 0.0]])]),
                               PreconditionViolated),
     "text budget": ("request", dict(epsilon="0.1"), PreconditionViolated),

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from jigglekit import transversality
 from jigglekit.cli import box_grid, canonical_json, planar_rotor, report_to_dict, unit_square_grid
-from jigglekit.complexes import _lam, cell_radii
+from jigglekit.complexes import SimplicialComplex, _lam, cell_radii
+from jigglekit.engine import JigglingConfig, jiggle_euclidean
 from jigglekit.errors import (
     DegenerateSimplex,
     PreconditionViolated,
@@ -26,9 +27,11 @@ from jigglekit.grassmann import (
     plane_from_spanning,
     project_along,
 )
+from jigglekit.plmaps import PLMap
 from jigglekit.transversality import (
     Distribution,
     _transverse_stack,
+    barycentric_lattice,
     general_position,
     join_transverse_by_projection,
     probe_points,
@@ -863,6 +866,123 @@ def test_general_position_each_is_the_loop_of_calls(stop):
         assert np.array(margin).tobytes() == got_margin[:len(margin)].tobytes()
         results.add("stopped" if len(ok) < len(coords) else "all")
     assert results == ({"raised", "stopped", "all"} if stop else {"raised", "all"})
+
+
+# ---------------------------------------------------------------------------
+# probe waves judged in passes
+# ---------------------------------------------------------------------------
+
+# A triangle in R^2 with a vertex at the origin, so that its probes on the
+# edges through v0 have the bytes of those edges' probes.  Its report's
+# waves meet new probes at 0 (the vertices), 1 and 2 (the edges' inner
+# probes) and 5 (the triangle's centre), so it judges them in the passes
+# {0}, {1}, {2, 3, 4} and {5, ..., 9}.  The triangle's probes 4 and 7 are
+# (v0 + 2 v2) / 3 and (2 v0 + v2) / 3, the inner probes of its edge (0, 2),
+# and its probe 8 is (2 v0 + v1) / 3, an inner probe of its edge (0, 1).
+PASS_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.25], [0.25, 1.0]])
+PASS_PROBES = barycentric_lattice(3, 3) @ PASS_TRIANGLE
+ALONG_01 = Plane(np.array([[1.0, 0.25]]) / math.hypot(1.0, 0.25))
+
+
+def pass_field(along=(), raising=()):
+    """A line field that turns slowly with the point, but runs along the
+    triangle's edge (0, 1) at the probes ``along`` and fails at the probes
+    ``raising``; it logs the bytes of every point it is evaluated at."""
+    along = {p.tobytes() for p in along}
+    raising = {p.tobytes() for p in raising}
+    calls = []
+
+    def planes(p):
+        calls.append(p.tobytes())
+        if p.tobytes() in raising:
+            raise ValueError(f"trap at {p.tolist()}")
+        if p.tobytes() in along:
+            return ALONG_01
+        angle = 0.1 * (p[0] + 2.0 * p[1])
+        return Plane(np.array([[math.cos(angle), math.sin(angle)]]))
+
+    return Distribution(2, 1, "builtin", planes, name="pass trap"), calls
+
+
+def counted_transverse(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return _transverse(*args, **kwargs)
+
+    monkeypatch.setattr(transversality, "_transverse", counted)
+    return calls
+
+
+@pytest.mark.parametrize("trap, passes", [(None, 4), (4, 3), (7, 4)])
+def test_a_record_decided_inside_a_pass_is_the_loops(monkeypatch, trap, passes):
+    """The triangle's record fails at its probe 4 (inside the pass {2, 3,
+    4}) or 7 (inside {5, ..., 9}), which its edge (0, 2) met first: the
+    report equals the loop's records, the field is evaluated at exactly the
+    probes the loop reaches (not at the centre when the triangle fails
+    before it), and each pass takes one _transverse call."""
+    for face, at in (((0, 2), [4, 7]), ((0, 1), [6, 8])):
+        edge = barycentric_lattice(2, 3) @ PASS_TRIANGLE[list(face)]
+        assert PASS_PROBES[at].tobytes() == edge[1:3].tobytes()
+    complex_ = SimplicialComplex(2, PASS_TRIANGLE, [(0, 1, 2)])
+    xi, calls = pass_field(along=PASS_PROBES[[] if trap is None else [trap]])
+    want = reference_report_records(complex_, PASS_TRIANGLE, {(0, 1, 2): xi}, 3)
+    reached = sorted(calls)
+    calls.clear()
+    kernel = counted_transverse(monkeypatch)
+    assert report_records(complex_, PASS_TRIANGLE, xi) == want
+    assert sorted(calls) == reached and len(calls) == len(set(calls))
+    assert len(kernel) == passes
+    assert want[-1][1] is (trap is None)
+    assert (PASS_PROBES[5].tobytes() in calls) is (trap != 4)
+
+
+@pytest.mark.parametrize("stop", [False, True])
+def test_a_field_error_inside_a_pass_is_the_loops(stop):
+    """Field errors met inside a pass, at probes an edge later in the loop
+    met first, in its wave 1 or 2:
+
+    * the triangle meets a failing probe at its wave 4, inside the pass
+      {2, 3, 4}, before an edge that fails at its first probe: the loop
+      raises at the triangle, even with ``stop``; without the triangle it
+      raises only without ``stop``;
+    * the triangle fails at its wave 7 and would meet a failing probe at
+      wave 8, in the same pass {5, ..., 9}: the loop stops at the
+      failure, and raises only at a later edge, and only without ``stop``.
+    """
+    fails_at_4, _ = pass_field(raising=PASS_PROBES[[4]])
+    fails_at_8, _ = pass_field(along=PASS_PROBES[[7]], raising=PASS_PROBES[[8]])
+    # along the field at its first probe, its second vertex
+    end = np.array([2.0, 0.0])
+    flat_edge = np.array([end - fails_at_4.plane_at(end).basis[0], end])
+    edge_02, edge_01 = PASS_TRIANGLE[[0, 2]], PASS_TRIANGLE[[0, 1]]
+    results = []
+    for xi, coords in ((fails_at_4, [PASS_TRIANGLE, flat_edge, edge_02]),
+                       (fails_at_4, [flat_edge, edge_02]),
+                       (fails_at_8, [PASS_TRIANGLE, edge_02, edge_01])):
+        want = outcome(lambda: loop_of_general_positions(coords, xi, 3, stop))
+        got = outcome(lambda: transversality._general_position_each(coords, xi, 3, stop))
+        if want[0] == "ok":
+            ok, margin = want[1]
+            assert got[1][0][:len(ok)].tolist() == ok
+            assert np.array(margin).tobytes() == got[1][1][:len(margin)].tobytes()
+        else:
+            assert got == want
+        results.append(want[0])
+    assert results == [ValueError] + (["ok", "ok"] if stop else [ValueError, ValueError])
+
+
+def test_rotor_report_judges_its_waves_in_few_passes(monkeypatch):
+    """The level-1 rotor outcome's report meets new probes in 4 of its 20
+    waves, so it takes at most 10 _transverse calls (39 with one pass per
+    wave)."""
+    rotor = planar_rotor(1e-4)
+    out = jiggle_euclidean(PLMap.identity(box_grid(1)), box_grid(1), rotor,
+                           JigglingConfig(gamma=0.2, level=1, seed=0))
+    calls = counted_transverse(monkeypatch)
+    assert transversality_report(out.out_complex, out.plmap.images, rotor).passed
+    assert 0 < len(calls) <= 10
 
 
 # ---------------------------------------------------------------------------
