@@ -50,23 +50,24 @@ _ORIENT_ERR = 2.0 ** -40
 def simplex_volume(coords: np.ndarray) -> float:
     """Unsigned m-volume of the simplex spanned by the rows of ``coords``:
     a stack of one of :func:`_volumes`."""
-    return float(_volumes(np.asarray(coords, dtype=float)[None])[0])
+    pts = np.asarray(coords, dtype=float)
+    return float(_volumes([range(len(pts))], pts)[0])
 
 
-def _volumes(stack: np.ndarray) -> np.ndarray:
-    """Unsigned m-volume of each simplex of an (S, m + 1, N) stack."""
-    m = stack.shape[1] - 1
-    if m == 0:
-        return np.zeros(len(stack))
-    edges = stack[:, 1:] - stack[:, :1]
-    if m == stack.shape[2]:
-        # |det(edges)| directly: the Gram determinant squares the condition
-        # number and loses half the digits of a thin simplex's volume.
-        vol = np.abs(np.linalg.det(edges))
-    else:
-        vol = np.sqrt(np.maximum(np.linalg.det(edges @ edges.swapaxes(1, 2)), 0.0))
-    for i in range(2, m + 1):
-        vol /= i
+def _volumes(simplices, coords: np.ndarray) -> np.ndarray:
+    """Unsigned m-volume of each simplex placed at ``coords``: one stacked
+    pass per simplex size."""
+    vol = np.zeros(len(simplices))
+    for k, rows, ids in size_groups(simplices):
+        edges = coords[ids[:, 1:]] - coords[ids[:, :1]]
+        if k - 1 == coords.shape[1]:
+            # |det(edges)| directly: the Gram determinant squares the condition
+            # number and loses half the digits of a thin simplex's volume.
+            vol[rows] = np.abs(np.linalg.det(edges))
+        elif k > 1:
+            vol[rows] = np.sqrt(np.maximum(np.linalg.det(edges @ edges.swapaxes(1, 2)), 0.0))
+        for i in range(2, k):
+            vol[rows] /= i
     return vol
 
 
@@ -490,27 +491,25 @@ class SimplicialComplex:
         top, and its bits, are the scan's over every top.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        bound = max(tol, 1e-6) + _LOCATE_SLACK
+        limit = max(tol, 1e-6)
         step = max(1, _LOCATE_BLOCK // max(1, len(self._tops)))
         out = []
         for lo in range(0, len(pts), step):
             chunk = pts[lo:lo + step]
-            for p, near in zip(chunk, self._near_tops(chunk, bound)):
-                found, best, best_defect = None, None, np.inf
+            for p, near in zip(chunk, self._near_tops(chunk, limit + _LOCATE_SLACK)):
+                # the first top within tol is also the best one so far
+                best, best_worst = None, np.inf
                 for t in np.flatnonzero(near).tolist():
                     s = self._tops[t]
                     b, defect = barycentric_coordinates(self.coords(s), p)
                     worst = max(defect, -min(float(np.min(b)), 0.0))
-                    if worst < best_defect:
-                        best, best_defect = (s, b, defect), worst
+                    if worst < best_worst:
+                        best, best_worst = (s, b, defect), worst
                     if worst <= tol:
-                        found = (s, b, defect)
                         break
-                if found is None and best_defect <= 1e-6:
-                    found = best
-                if found is None:
+                if best_worst > limit:
                     raise QueryNotInComplex(f"point {p.tolist()} is not in the complex")
-                out.append(found)
+                out.append(best)
         return out
 
     @cached_property
@@ -1180,6 +1179,44 @@ def compose_subdivisions(first: SubdivisionMap, second: SubdivisionMap) -> Subdi
     weights = np.zeros_like(ids)
     ids[rows, slot], weights[rows, slot] = keys % n, sums
     return SubdivisionMap(first.parent, second.child, ids, weights, denominator)
+
+
+def _carriers(complex_: SimplicialComplex, points, bound: float,
+              tol: float = _INTERIOR_TOL) -> np.ndarray:
+    """Each point's carrier face, a (points, vertices) mask: the vertices of
+    its top (one ``_locate`` pass) whose coordinate exceeds ``bound``.  A
+    point off the complex by more than ``tol`` raises QueryNotInComplex."""
+    mask = np.zeros((len(points), complex_.num_vertices), dtype=bool)
+    for i, (point, (top, b, defect)) in enumerate(zip(points, complex_._locate(points, tol))):
+        if defect > tol:
+            raise QueryNotInComplex(f"point {point} lies outside the complex")
+        mask[i, list(top)] = b > bound
+    return mask
+
+
+def _parents(complex_: SimplicialComplex, carriers: np.ndarray, cells):
+    """``(holders, parents)``: the (points, tops) mask of the tops that hold
+    each carrier, and each cell's parent, the first top (its position in
+    ``top_simplices``) that holds the carriers of all its vertices, or -1."""
+    outside = np.ones((len(complex_.top_simplices), complex_.num_vertices), dtype=np.intp)
+    for t, top in enumerate(complex_.top_simplices):
+        outside[t, list(top)] = 0
+    holders = carriers.astype(np.intp) @ outside.T == 0
+    held = np.zeros((len(cells), len(outside)), dtype=bool)
+    for _, rows, ids in size_groups(cells):
+        held[rows] = holders[ids].all(axis=1)
+    return holders, np.where(held.any(axis=1), held.argmax(axis=1), -1)
+
+
+def _untiled(complex_: SimplicialComplex, cells, parents: np.ndarray,
+             coords: np.ndarray, rel_tol: float):
+    """``(top position, sum, volume)`` of the first top of positive volume
+    whose cells (``parents``) at ``coords`` do not tile it: their unsigned
+    volumes sum to more than ``rel_tol`` times its volume away; or None."""
+    target = _volumes(complex_.top_simplices, complex_.vertices)
+    total = np.bincount(parents, weights=_volumes(cells, coords), minlength=len(target))
+    bad = np.flatnonzero((target > 0) & (np.abs(total - target) > rel_tol * target))
+    return (int(bad[0]), float(total[bad[0]]), float(target[bad[0]])) if bad.size else None
 
 
 # ---------------------------------------------------------------------------

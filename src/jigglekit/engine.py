@@ -35,10 +35,12 @@ from .complexes import (
     SimplicialComplex,
     SubdivisionMap,
     _barycentric,
+    _carriers,
+    _parents,
     _per_distinct,
     _span_distances,
     _unique_rows,
-    _volumes,
+    _untiled,
     barycentric_subdivide,
     closure,
     compose_subdivisions,
@@ -825,17 +827,6 @@ def _resolve_per_top(complex_: SimplicialComplex, distributions):
     return resolved
 
 
-def _carriers(complex_: SimplicialComplex, points) -> np.ndarray:
-    """The minimal face of the complex whose relative interior holds each
-    point, as a (points, vertices) mask of its vertices."""
-    mask = np.zeros((len(points), complex_.num_vertices), dtype=bool)
-    for i, (point, (top, b, defect)) in enumerate(zip(points, complex_._locate(points))):
-        if defect > 1e-9:
-            raise QueryNotInComplex(f"point {point} lies outside the complex")
-        mask[i, list(top)] = b > SKELETON_TOL
-    return mask
-
-
 def jiggle_subdivision(complex_: SimplicialComplex,
                        refinement: SimplicialComplex,
                        distributions,
@@ -879,7 +870,7 @@ def jiggle_subdivision(complex_: SimplicialComplex,
             "plane field"
         )
 
-    located = _carriers(complex_, refinement.vertices)
+    located = _carriers(complex_, refinement.vertices, SKELETON_TOL)
     level = 1 if cfg.level == "auto" else cfg.level
     mid, bmap = barycentric_subdivide(refinement)
     out, cmap = crystalline_subdivide(mid, level)
@@ -893,11 +884,11 @@ def jiggle_subdivision(complex_: SimplicialComplex,
     size = carrier.sum(axis=1)
     frozen = size == 1
     parents = complex_.top_simplices
-    outside = np.ones((len(parents), complex_.num_vertices), dtype=np.intp)
-    for t, top in enumerate(parents):
-        outside[t, list(top)] = 0
-    # the parent tops holding each vertex's carrier
-    foliations = carrier.astype(np.intp) @ outside.T == 0
+    cells = out.top_simplices
+    foliations, cell_parent = _parents(complex_, carrier, cells)
+    orphans = np.flatnonzero(cell_parent < 0)
+    if orphans.size:
+        raise VolumeMismatch(f"cell {cells[orphans[0]]} has no parent top simplex")
 
     images = np.array(out.vertices)
     # each field's planes at the vertices whose carrier lies in one of its tops
@@ -934,43 +925,24 @@ def jiggle_subdivision(complex_: SimplicialComplex,
     budgets = 0.9 * terms
     eta = float(budgets[~frozen].min()) if (~frozen).any() else 0.0
 
-    cells = out.top_simplices
-    held = np.zeros((len(cells), len(parents)), dtype=bool)
-    for _, rows, ids in size_groups(cells):
-        held[rows] = foliations[ids].all(axis=1)
-    orphans = np.flatnonzero(~held.any(axis=1))
-    if orphans.size:
-        raise VolumeMismatch(f"cell {cells[orphans[0]]} has no parent top simplex")
-    cell_parent = held.argmax(axis=1)
-    target = np.zeros(len(parents))
-    for _, rows, ids in size_groups(parents):
-        target[rows] = _volumes(complex_.vertices[ids])
-
     def on_carriers_and_tiled(images):
-        off = []
+        defect, low = np.zeros(count), np.zeros(count)
         for k in np.unique(size).tolist():
             vids = np.flatnonzero(size == k)
             corners = np.nonzero(carrier[vids])[1].reshape(-1, k)
-            b, defect = _barycentric(complex_.vertices[corners], images[vids])
-            bad = np.flatnonzero((defect > SKELETON_TOL) | (b.min(axis=1) < -SKELETON_TOL))
-            if bad.size:
-                off.append((int(vids[bad[0]]), float(defect[bad[0]])))
-        if off:
-            vid, defect = min(off)
+            b, defect[vids] = _barycentric(complex_.vertices[corners], images[vids])
+            low[vids] = b.min(axis=1)
+        off = np.flatnonzero((defect > SKELETON_TOL) | (low < -SKELETON_TOL))
+        if off.size:
+            vid = off[0]
             raise SkeletonViolation(
                 f"vertex {vid} left its carrier face "
-                f"{tuple(np.flatnonzero(carrier[vid]).tolist())} (defect {defect:.3g})"
-            )
-        total = np.zeros(len(parents))
-        for _, rows, ids in size_groups(cells):
-            total += np.bincount(cell_parent[rows], weights=_volumes(images[ids]),
-                                 minlength=len(parents))
-        bad = np.flatnonzero((target > 0) & (np.abs(total - target) > VOLUME_REL_TOL * target))
-        if bad.size:
-            t = bad[0]
+                f"{tuple(np.flatnonzero(carrier[vid]).tolist())} (defect {defect[vid]:.3g})")
+        untiled = _untiled(complex_, cells, cell_parent, images, VOLUME_REL_TOL)
+        if untiled is not None:
+            t, total, target = untiled
             raise VolumeMismatch(
-                f"images of {parents[t]} tile {total[t]:.12g}, expected {target[t]:.12g}"
-            )
+                f"images of {parents[t]} tile {total:.12g}, expected {target:.12g}")
 
     return _induce_and_verify(
         out, images, cfg, check=on_carriers_and_tiled,

@@ -74,8 +74,8 @@ class PerturbationRequest:
     def __post_init__(self):
         self.point = _floats(self.point, "point")
         self.star_simplices = [np.atleast_2d(_floats(s, "star simplex"))
-                               for s in self.star_simplices]
-        self.foliations = list(self.foliations)
+                               for s in _listed(self.star_simplices, "star_simplices")]
+        self.foliations = _listed(self.foliations, "foliations")
         flats = [] if self.constraint_flat is None else [self.constraint_flat]
         error = _geometry_error(self.point, self.foliations, flats, self.star_simplices) \
             or _check_searches(self.point[None], [self.epsilon], [self.samples], [self.seed])[0]
@@ -130,6 +130,13 @@ def _floats(value, what: str) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise PreconditionViolated(f"{what} is not an array of numbers: {exc}") from None
+
+
+def _listed(value, what: str) -> list:
+    """``value`` as a list, or a PreconditionViolated if it is no collection."""
+    if not isinstance(value, Iterable):
+        raise PreconditionViolated(f"{what} must be a collection, got {value!r}")
+    return list(value)
 
 
 def _is_count(value) -> bool:
@@ -233,8 +240,13 @@ def _avoid_flats(problems: list) -> list:
     searches, quots, owner, quot, base, spans = [], {}, [], [], [], {}
     for j, (p, epsilon, flats, quotients, constraint, seed, samples) in enumerate(problems):
         point = np.asarray(p, dtype=float)
-        flats = list(flats)
-        quotients = [None] * len(flats) if quotients is None else list(quotients)
+        try:
+            flats = _listed(flats, "flats")
+            quotients = [None] * len(flats) if quotients is None else \
+                _listed(quotients, "quotients")
+        except PreconditionViolated as exc:   # returned in place of the result
+            out[j] = exc
+            continue
         error = _geometry_error(point, [q for q in quotients if q is not None],
                                 flats if constraint is None else flats + [constraint]) \
             or _check_searches(point[None], [epsilon], [samples], [seed])[0]

@@ -15,17 +15,20 @@ import numpy as np
 
 from .complexes import (
     SimplicialComplex,
+    _carriers,
     _interpolate,
     _orientations,
+    _parents,
     _per_distinct,
+    _untiled,
+    _volumes,
     barycentric_coordinates,
     crystalline_subdivide,
     find_interior_overlap,
-    simplex_volume,
     size_groups,
     top_radii,
 )
-from .errors import DegenerateSimplex, DomainMismatch
+from .errors import DegenerateSimplex, DomainMismatch, QueryNotInComplex
 from .transversality import barycentric_lattice
 
 FD_STEP_FACTOR = 1e-6
@@ -202,8 +205,7 @@ def _common_refinement(f, g) -> SimplicialComplex:
         raise DomainMismatch("neither map carries a domain complex")
     fine = max(domains, key=lambda d: d.num_vertices)
     if len(domains) == 2 and domains[0] is not domains[1]:
-        vols = [sum(simplex_volume(d.coords(s)) for s in d.top_simplices)
-                for d in domains]
+        vols = [float(_volumes(d.top_simplices, d.vertices).sum()) for d in domains]
         if abs(vols[0] - vols[1]) > 1e-6 * max(vols[0], vols[1], 1e-300):
             raise DomainMismatch(
                 f"domains cover different volume: {vols[0]:.6g} vs {vols[1]:.6g}"
@@ -288,34 +290,20 @@ def _distances(f, g, c1: bool) -> tuple[float, float]:
 
 def complex_subdivides(parent: SimplicialComplex, child: SimplicialComplex,
                        tol: float = 1e-9) -> bool:
-    """Geometric carrier check: child simplices tile parent simplices."""
+    """Whether the child's top simplices tile the parent's: every child
+    vertex lies within ``tol`` of |parent| (its carrier keeps the parent
+    vertices whose coordinate exceeds ``tol``), every cell has a parent
+    top, and each parent top's cells sum to its volume to 1e-6 of it."""
     if parent.ambient_dim != child.ambient_dim:
         return False
-    parent_vols = {s: simplex_volume(parent.coords(s)) for s in parent.top_simplices}
-    sums = {s: 0.0 for s in parent.top_simplices}
-    for cell in child.top_simplices:
-        pts = child.coords(cell)
-        center = pts.mean(axis=0)
-        carrier = None
-        for s in parent.top_simplices:
-            b, defect = barycentric_coordinates(parent.coords(s), center)
-            if defect <= tol and float(np.min(b)) >= -tol:
-                contained = True
-                for p in pts:
-                    bb, dd = barycentric_coordinates(parent.coords(s), p)
-                    if dd > tol or float(np.min(bb)) < -1e-7:
-                        contained = False
-                        break
-                if contained:
-                    carrier = s
-                    break
-        if carrier is None:
-            return False
-        sums[carrier] += simplex_volume(pts)
-    for s, vol in parent_vols.items():
-        if vol > 0 and abs(sums[s] - vol) > 1e-6 * vol:
-            return False
-    return True
+    try:
+        carriers = _carriers(parent, child.vertices, tol, tol)
+    except QueryNotInComplex:
+        return False
+    cells = child.top_simplices
+    _, owners = _parents(parent, carriers, cells)
+    return bool((owners >= 0).all()) and \
+        _untiled(parent, cells, owners, child.vertices, 1e-6) is None
 
 
 def is_piecewise_embedding(f: PLMap, tol: float = 1e-9) -> bool:

@@ -211,12 +211,17 @@ MALFORMED = {
     "foliation as an array": ("request", dict(foliations=[np.array([[1.0, 0.0]])]),
                               PreconditionViolated),
     "text budget": ("request", dict(epsilon="0.1"), PreconditionViolated),
+    "star simplices not a collection": ("request", dict(star_simplices=5),
+                                        PreconditionViolated),
+    "foliations not a collection": ("request", dict(foliations=5), PreconditionViolated),
     "star simplex in R^3": ("request", dict(star_simplices=[np.ones((2, 3))]), AmbientMismatch),
     "foliation in R^3": ("request", dict(foliations=[IN_R3]), AmbientMismatch),
     "constraint in R^3": ("request", dict(constraint_flat=AffineFlat(np.zeros(3), IN_R3)),
                           AmbientMismatch),
     "search: 2-D point": ("search", dict(p=[[0.5, 0.0]]), PreconditionViolated),
     "search: text budget": ("search", dict(epsilon="abc"), PreconditionViolated),
+    "search: flats not a collection": ("search", dict(flats=5), PreconditionViolated),
+    "search: quotients not a collection": ("search", dict(quotients=5), PreconditionViolated),
     "search: quotient as an array": ("search", dict(quotients=[np.array([[1.0, 0.0]])]),
                                      PreconditionViolated),
     "search: flat in R^3": ("search", dict(flats=[AffineFlat(np.zeros(3), IN_R3)]),

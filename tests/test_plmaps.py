@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from jigglekit import complexes
 from jigglekit.cli import box_grid, unit_square_grid
 from jigglekit.complexes import (
     barycentric_coordinates,
+    barycentric_subdivide,
     build_complex,
     crystalline_subdivide,
     point_to_affine_span,
+    simplex_volume,
 )
 from jigglekit.engine import _image_radii, _jacobian_amplification
 from jigglekit.errors import DegenerateSimplex, DomainMismatch
@@ -26,6 +29,7 @@ from jigglekit.plmaps import (
 )
 from jigglekit.transversality import barycentric_lattice
 from test_complexes import reference_containing_top_simplex
+from test_engine import TETRAHEDRON, wedge_pair
 
 
 def square():
@@ -152,6 +156,115 @@ def test_complex_subdivides_accepts_refinements_only():
 # ---------------------------------------------------------------------------
 # the stacked passes against the per-cell loops they replaced
 # ---------------------------------------------------------------------------
+
+def reference_complex_subdivides(parent, child, tol=1e-9):
+    """``complex_subdivides`` as a scan over (cell, parent top) pairs: a
+    cell's carrier is the first top that holds its centroid (to ``tol``)
+    and each of its vertices (defect ``tol``, coordinates down to -1e-7),
+    and each top of positive volume must equal its cells' volume sum to
+    1e-6 of it."""
+    if parent.ambient_dim != child.ambient_dim:
+        return False
+    sums = {s: 0.0 for s in parent.top_simplices}
+    for cell in child.top_simplices:
+        pts = child.coords(cell)
+        carrier = None
+        for s in parent.top_simplices:
+            b, defect = barycentric_coordinates(parent.coords(s), pts.mean(axis=0))
+            if defect <= tol and float(np.min(b)) >= -tol and all(
+                    dd <= tol and float(np.min(bb)) >= -1e-7
+                    for bb, dd in (barycentric_coordinates(parent.coords(s), p)
+                                   for p in pts)):
+                carrier = s
+                break
+        if carrier is None:
+            return False
+        sums[carrier] += simplex_volume(pts)
+    return all(abs(sums[s] - vol) <= 1e-6 * vol
+               for s in parent.top_simplices
+               if (vol := simplex_volume(parent.coords(s))) > 0)
+
+
+def _square_diagonals():
+    """The unit square cut along one diagonal, and along the other."""
+    corners = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    return (build_complex(2, corners, [(0, 1, 3), (0, 2, 3)]),
+            build_complex(2, corners, [(0, 1, 2), (1, 2, 3)]))
+
+
+def _crystalline(parent, level, drop=0):
+    """``parent`` and its level-``level`` crystalline refinement, less its
+    first ``drop`` cells."""
+    child, _ = crystalline_subdivide(parent, level)
+    return parent, build_complex(child.ambient_dim, child.vertices,
+                                 child.top_simplices[drop:], validate=False)
+
+
+def _pushed_out(parent, level):
+    """``parent`` and its level-``level`` crystalline refinement with one
+    vertex of the bottom edge (not a corner) pushed below the parent."""
+    child, _ = crystalline_subdivide(parent, level)
+    images = child.vertices.copy()
+    vid = next(v for v, (x, y) in enumerate(images) if y == 0.0 and 0.0 < x < 1.0)
+    images[vid, 1] = -0.05
+    return parent, build_complex(2, images, child.top_simplices, validate=False)
+
+
+def _in_r3(parent):
+    """``parent`` and a copy of it in the plane z = 0 of R^3."""
+    return parent, build_complex(
+        3, np.column_stack([parent.vertices, np.zeros(parent.num_vertices)]),
+        parent.top_simplices)
+
+
+R3_TRIANGLE = build_complex(3, [(0, 0, 0), (2, 0, 1), (0, 3, 1)], [(0, 1, 2)])
+TET = build_complex(3, TETRAHEDRON, [(0, 1, 2, 3)])
+
+SUBDIVISION_CASES = {   # name: (parent and child, verdict)
+    "crystalline 1": (lambda: _crystalline(unit_square_grid(2), 1), True),
+    "crystalline 2": (lambda: _crystalline(unit_square_grid(2), 2), True),
+    "crystalline 3": (lambda: _crystalline(unit_square_grid(2), 3), True),
+    "barycentric": (lambda: (unit_square_grid(2), barycentric_subdivide(unit_square_grid(2))[0]),
+                    True),
+    "barycentric tetrahedron": (lambda: (TET, barycentric_subdivide(TET)[0]), True),
+    "fan": (wedge_pair, True),
+    "missing cell": (lambda: _crystalline(square(), 1, drop=1), False),
+    "vertex outside": (lambda: _pushed_out(square(), 2), False),
+    "cell across two tops": (_square_diagonals, False),
+    "other ambient dimension": (lambda: _in_r3(square()), False),
+    "triangle in R^3": (lambda: _crystalline(R3_TRIANGLE, 2), True),
+    "triangle in R^3, off its plane": (lambda: (R3_TRIANGLE, build_complex(
+        3, R3_TRIANGLE.vertices + [0.0, 0.0, 0.1], [(0, 1, 2)])), False),
+    # off by more than tol, but close enough for the point location to
+    # name a top
+    "triangle in R^3, 1e-7 off its plane": (lambda: (R3_TRIANGLE, build_complex(
+        3, R3_TRIANGLE.vertices + [0.0, 0.0, 1e-7], [(0, 1, 2)])), False),
+}
+
+
+@pytest.mark.parametrize("case", SUBDIVISION_CASES)
+def test_complex_subdivides_agrees_with_the_pair_scan(case):
+    make, verdict = SUBDIVISION_CASES[case]
+    parent, child = make()
+    assert complex_subdivides(parent, child) is reference_complex_subdivides(parent, child) \
+        is verdict
+
+
+def test_complex_subdivides_locates_each_child_vertex_once(monkeypatch):
+    """At level 3 the check makes at most one ``barycentric_coordinates``
+    call per child vertex (289); the pair scan made 3,840."""
+    calls = []
+
+    def counted(*args, _real=complexes.barycentric_coordinates):
+        calls.append(1)
+        return _real(*args)
+
+    monkeypatch.setattr(complexes, "barycentric_coordinates", counted)
+    grid = unit_square_grid(2)
+    child, _ = crystalline_subdivide(grid, 3)
+    assert complex_subdivides(grid, child)
+    assert 0 < len(calls) <= child.num_vertices == 289
+
 
 def reference_distance(f, g, order=0):
     """``distance`` as it ran before the size groups: one top at a time,
