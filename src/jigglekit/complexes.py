@@ -472,14 +472,10 @@ class SimplicialComplex:
         see :func:`_ball_of`.  Computed on first use."""
         return _ball_of(self)
 
-    def containing_top_simplex(self, point, tol: float = 1e-9):
-        """Locate a top simplex containing ``point`` (barycentric test)."""
-        return self._locate(np.asarray(point, dtype=float)[None], tol)[0][0]
-
     def _locate(self, points, tol: float = 1e-9) -> list[tuple]:
-        """:meth:`containing_top_simplex` of each row of ``points``, as
-        ``(top, b, defect)``: the top and the :func:`barycentric_coordinates`
-        of the point in it, computed once.
+        """A top simplex containing each row of ``points``, as ``(top, b,
+        defect)``: the top and the :func:`barycentric_coordinates` of the
+        point in it, computed once.
 
         The rule is the scalar one: in top order, the first top where the
         worse of the :func:`barycentric_coordinates` defect and the most

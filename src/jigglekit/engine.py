@@ -118,11 +118,13 @@ class JigglingConfig:
     level_max: int = 8
 
     def __post_init__(self):
-        self.gamma = float(self.gamma)
         for name in ("gamma", "margin_floor", "epsilon_vertex"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise PreconditionViolated(f"{name} must be finite, got {value}")
+            if (value is not None or name != "epsilon_vertex") and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise PreconditionViolated(f"{name} must be a finite real number, got {value!r}")
+        self.gamma = float(self.gamma)
         if self.gamma < 0:
             raise PreconditionViolated("gamma must be nonnegative")
         if self.margin_floor <= 0:
@@ -388,12 +390,13 @@ _NONE = np.zeros(0, dtype=np.intp)
 class _Plan:
     """The bookkeeping of one vertex induction, built once before its first
     wave: the processed star of every live vertex as one
-    :class:`perturb._Stars` over the image table, in ``live`` order.
+    :class:`perturb._Stars` over the image table, in ``live`` order (that
+    of the waves, so each wave is a run of it).
 
     A simplex of at least two vertices is in the processed star of the
-    vertex with the largest ``key`` (its place in ``live``; -1 when it is
-    frozen, the vertex count when it is never processed), if that key is a
-    place and none of its vertices is ``excluded``; a star keeps
+    vertex with the largest ``key`` (its place in the loop's order; -1 when
+    it is frozen, the vertex count when it is never processed), if that key
+    is a place and none of its vertices is ``excluded``; a star keeps
     ``all_simplices`` order.  A vertex's foliations are the ``planes`` of
     its row of ``foliations``, in column order.  A star simplex is checked
     against the columns that all of its vertices' rows share, or against
@@ -403,12 +406,15 @@ class _Plan:
 
     Every join gets the id of its simplex (``simplex``), numbered in the
     order of their :func:`_unique_rows`, so per dimension in sorted order;
-    ``keys`` lists the simplices by id and ``first`` the first join of each.
+    ``keys`` lists the simplices by id, and ``first`` orders them by their
+    first join in the loop's order.
     """
 
     def __init__(self, child, live, key, *, foliations, planes, constraints, excluded,
                  fail):
         count, width = len(live), max(child.dim, 0)
+        job = np.empty(count, dtype=np.intp)    # the job of each place
+        job[key[live]] = np.arange(count)
         owner, others, sizes = [_NONE], [np.zeros((0, width), dtype=np.intp)], [_NONE]
         shared = [np.zeros((0, foliations.shape[1]), dtype=bool)]
         for d in range(1, child.dim + 1):
@@ -420,7 +426,7 @@ class _Plan:
                                   & ~excluded[table].any(axis=1))
             ids = np.full((len(rows), width), -1, dtype=np.intp)
             ids[:, :d] = table[rows][np.arange(d + 1) != last[rows, None]].reshape(-1, d)
-            owner.append(place[rows])
+            owner.append(job[place[rows]])
             others.append(ids)
             sizes.append(np.full(len(rows), d, dtype=np.intp))
             shared.append(foliations[table[rows]].all(axis=1))
@@ -459,11 +465,13 @@ class _Plan:
                             [constraints[v] for v in live.tolist()])
 
         stars = self.stars
-        apex = live[np.repeat(np.arange(count), np.diff(stars.join_start))]
         # -1 pads the ids of a join; sorted, it leads the row
-        rows = np.sort(np.column_stack([apex, stars.join_ids]), axis=1)
-        self.first, self.simplex, _ = _unique_rows(np.column_stack([stars.join_d, rows]))
-        chosen, size = rows[self.first], stars.join_d[self.first]
+        rows = np.sort(np.column_stack([live[stars.join_job], stars.join_ids]), axis=1)
+        loop = np.argsort(key[live][stars.join_job], kind="stable")
+        self.first, simplex, _ = _unique_rows(np.column_stack([stars.join_d, rows])[loop])
+        self.simplex = np.empty_like(simplex)
+        self.simplex[loop] = simplex
+        chosen, size = rows[loop[self.first]], stars.join_d[loop[self.first]]
         self.keys = [key for d in np.unique(size).tolist()
                      for key in map(tuple, chosen[size == d, -d - 1:].tolist())]
 
@@ -501,16 +509,17 @@ def _run_vertex_induction(child, images, *, frozen, order, budgets, foliations, 
     - ``excluded`` (V,): a simplex touching one of these is in no star.
 
     The stars, joins and slots of every vertex are one :class:`_Plan`,
-    built before the first wave; the vertices then run in the dependency
-    waves of :func:`_waves`.  A wave takes its slice of the plan and
-    gathers the images: its incumbent joins are one :func:`_join_margins`
-    pass and its moves one :func:`_perturb` pass, so each vertex sees
+    built before the first wave with the vertices in the order of the
+    dependency waves of :func:`_waves`.  A wave takes its run of the plan
+    (:meth:`_Stars.slice`, no gather) and the images: its incumbent joins
+    are one :func:`_join_margins` pass and its moves one :func:`_perturb`
+    pass on the same stack, for the vertices that move, so each vertex sees
     exactly the star the loop in ``order`` gives it, and every result is
     the loop's bit for bit.  Each join's margin goes to its slot of one
     array, and the certified margins are its per-simplex minimum.  On
     failure the error is that of the first failing vertex in ``order``,
-    which may sit in a later wave than another failing vertex; the images
-    of vertices after it are put back as they were.
+    which may sit in a later wave than another failing vertex; a wave of
+    later vertices alone is skipped, and their images are put back.
     """
     live = np.array([v for v in order if not frozen[v]], dtype=np.intp)
     rank = np.full(child.num_vertices, child.num_vertices, dtype=np.intp)
@@ -524,47 +533,46 @@ def _run_vertex_induction(child, images, *, frozen, order, budgets, foliations, 
         if rank[vid] < limit:
             limit, error = int(rank[vid]), exc
 
-    plan = _Plan(child, live, np.where(frozen, -1, rank), foliations=foliations,
+    waves = _waves(child, frozen, order)
+    jobs = np.concatenate(waves) if waves else live
+    plan = _Plan(child, jobs, np.where(frozen, -1, rank), foliations=foliations,
                  planes=planes, constraints=constraints, excluded=excluded, fail=fail)
-    eps = budgets[live].tolist()
+    eps = budgets[jobs].tolist()
+    seeds = [cfg.seed * SEED_STRIDE + vid for vid in jobs.tolist()]
+    flats = [constraints[vid] for vid in jobs.tolist()]
     margins = np.zeros(len(plan.simplex))
     achieved = np.full(len(live), np.nan)
-    for members in _waves(child, frozen, order):
-        jobs = rank[members]
-        jobs = jobs[jobs < limit]
-        if not len(jobs):
+    end = 0
+    for members in waves:
+        start, end = end, end + len(members)
+        if (rank[members] > limit).all():
             continue
-        wave = plan.stars.take(jobs)
-        got, degenerate = _join_margins(wave, images, images[live[jobs]])
-        margins[wave.rows] = got
-        low = np.full(len(jobs), np.inf)
-        np.minimum.at(low, np.repeat(np.arange(len(jobs)), np.diff(wave.join_start)), got)
-        movers = []
-        for p, flat, worst in zip(jobs.tolist(), degenerate.tolist(), low.tolist()):
-            vid = int(live[p])
+        wave = plan.stars.slice(start, end)
+        got, degenerate = _join_margins(wave, images, images[members])
+        margins[wave.joins:wave.joins + len(got)] = got
+        low = np.full(len(members), np.inf)
+        np.minimum.at(low, wave.join_job, got)
+        movers = np.zeros(len(members), dtype=bool)
+        for i, (vid, flat, worst) in enumerate(zip(members.tolist(), degenerate.tolist(),
+                                                   low.tolist())):
+            if not (flat or worst < threshold):
+                continue
             if flat:
                 fail(vid, _join_error(2))
-            elif not worst < threshold:
-                continue
-            elif eps[p] <= 0:
+            elif eps[start + i] <= 0:
                 fail(vid, BudgetViolation(
                     f"vertex {vid} needs a move but the per-vertex budget is "
-                    f"exhausted (eta = {eps[p]:.3g})"
+                    f"exhausted (eta = {eps[start + i]:.3g})"
                 ))
             else:
-                movers.append(p)
-        if not movers:
+                movers[i] = True
+        if not movers.any():
             continue
-        movers = np.array(movers, dtype=np.intp)
-        # when every job moves, the wave's stack is the movers' own
-        moving = wave if len(movers) == len(jobs) else plan.stars.take(movers)
-        vids = live[movers].tolist()
         errors, points, deltas, moved, certificate, _ = _perturb(
-            moving, images, images[live[movers]], [eps[p] for p in movers.tolist()],
-            [cfg.seed * SEED_STRIDE + vid for vid in vids], [cfg.samples] * len(vids),
-            [constraints[vid] for vid in vids])
-        for i, (p, vid) in enumerate(zip(movers.tolist(), vids)):
-            res = errors[i]
+            wave, images, images[members], eps[start:end], seeds[start:end],
+            [cfg.samples] * len(members), flats[start:end], movers)
+        for i in np.flatnonzero(movers).tolist():
+            vid, res = int(members[i]), errors[i]
             if isinstance(res, StarNotTransverse):
                 failure = PerturbationFailed(
                     f"vertex {vid}: a processed star simplex lost transversality "
@@ -584,9 +592,9 @@ def _run_vertex_induction(child, images, *, frozen, order, budgets, foliations, 
                 if moved[i] > 0:
                     moved_from[vid] = images[vid].copy()
                     images[vid] = points[i]
-                joins = slice(moving.join_start[i], moving.join_start[i + 1])
-                margins[moving.rows[joins]] = certificate[joins]
-                achieved[p] = deltas[i]
+                achieved[rank[vid]] = deltas[i]
+                lo, hi = wave.join_start[i:i + 2].tolist()
+                margins[wave.joins + lo:wave.joins + hi] = certificate[lo:hi]
     if error is not None:
         for vid, point in moved_from.items():
             if rank[vid] > limit:

@@ -33,8 +33,8 @@ def _stack(arrays: list, c_order: bool) -> np.ndarray:
     memory order, C or Fortran: a product rounds by the order of its
     operands, so a stacked product must see each one as its own call does."""
     if c_order:
-        return np.stack(arrays)
-    return np.stack([a.T for a in arrays]).swapaxes(1, 2)
+        return np.array(arrays)
+    return np.array([a.T for a in arrays]).swapaxes(1, 2)
 
 
 class Plane:

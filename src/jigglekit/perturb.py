@@ -13,8 +13,8 @@ Each step works on a stack of independent vertices at once, bit for bit
 what a loop over them gives.  The vertices come as :class:`_Stars`: their
 foliations, star simplices, pairs and joins as index arrays into a
 coordinate table that each kernel takes beside them.  The engine builds one
-for a whole vertex induction and hands every kernel a wave's slice of it
-(:meth:`_Stars.take`), so no plane, flat or request is built per vertex.
+for a whole vertex induction and hands every kernel a wave's run of it
+(:meth:`_Stars.slice`), so no plane, flat or request is built per vertex.
 ``perturb_vertex`` runs one :class:`PerturbationRequest` through the same
 kernels, and ``avoid_flats`` is a stack of one of :func:`_avoid_flats`.  A
 stacked kernel returns, in place of a result, the exception its vertex
@@ -171,23 +171,25 @@ def _check_searches(points: np.ndarray, eps, samples, seeds) -> list:
     the (S, n) ``points`` and the budgets ``eps``: a point or budget that
     is not finite or a budget that is not a real number, a negative budget,
     then a sample count or a seed that is not a nonnegative integer, in that
-    order."""
-    budgets = np.array([e if isinstance(e, numbers.Real) else np.nan for e in eps],
-                       dtype=float)
+    order.  Lists of plain floats and ints skip the per-item type tests."""
+    budgets = np.array(eps if set(map(type, eps)) <= {float, int} else
+                       [e if isinstance(e, numbers.Real) else np.nan for e in eps], dtype=float)
     bad_point = ~np.isfinite(points).all(axis=1)
     bad_budget = ~(np.isfinite(budgets) & (budgets >= 0))
-    counted = np.array([_is_count(s) and _is_count(t) for s, t in zip(samples, seeds)],
-                       dtype=bool)
+    counted = set(map(type, itertools.chain(samples, seeds))) <= {int} \
+        and min(samples, default=0) >= 0 and min(seeds, default=0) >= 0
     out: list = [None] * len(points)
-    for j in np.flatnonzero(bad_point | bad_budget | ~counted).tolist():
+    for j in np.flatnonzero(bad_point | bad_budget).tolist() if counted else range(len(points)):
         if bad_point[j]:
             message = f"point must be finite, got {points[j]}"
         elif bad_budget[j]:
             message = f"budget must be finite and nonnegative, got {eps[j]!r}"
         elif not _is_count(samples[j]):
             message = f"samples must be a nonnegative integer, got {samples[j]!r}"
-        else:
+        elif not _is_count(seeds[j]):
             message = f"seed must be a nonnegative integer, got {seeds[j]!r}"
+        else:
+            continue
         out[j] = PreconditionViolated(message)
     return out
 
@@ -275,9 +277,7 @@ def _avoid_flats(problems: list) -> list:
              for (_, _, c_order), items in spans.items()]
     owner, quot, quots = np.array(owner, dtype=np.intp), np.array(quot, dtype=np.intp), \
         _Planes(list(quots))
-    pairs = np.column_stack([owner, quot]).reshape(-1, 2)
-    first, inverse, _ = _unique_rows(pairs)
-    room = _search_dims(bases, pairs[first], quots)[inverse]
+    room = _search_dims(bases, np.column_stack([owner, quot]), quots)
     results = _clear(owner, quot, base, spans, quots, room, points, list(eps), list(seeds),
                      list(samples), list(bases))
     for j, res in zip(index, results):
@@ -346,12 +346,14 @@ def _project_flats(quot: np.ndarray, base: np.ndarray, spans: list, quots: _Plan
 def _search_dims(bases: list, pairs: np.ndarray, quots: _Planes) -> np.ndarray:
     """The projected search dimension of each ``(search, quotient id)`` row
     of ``pairs`` (-1: the ambient space): the rank of the search basis
-    projected into the quotient, from one stacked SVD per (search
-    dimension, quotient dimension, basis memory order)."""
-    dims = np.zeros(len(pairs), dtype=np.intp)
+    projected into the quotient, once per distinct row, from one stacked
+    SVD per (search dimension, quotient dimension, basis memory order)."""
+    pairs = pairs.reshape(-1, 2)
+    first, inverse, _ = _unique_rows(pairs)
+    dims = np.zeros(len(first), dtype=np.intp)
     if not len(pairs):
         return dims
-    search, quot = pairs[:, 0], pairs[:, 1]
+    search, quot = pairs[first, 0], pairs[first, 1]
     ndof = np.array([b.shape[0] for b in bases])[search]
     c_order = np.array([b.flags.c_contiguous for b in bases])[search]
     ms = np.append(bases[0].shape[1] - quots.rank, -1)[quot]
@@ -364,7 +366,7 @@ def _search_dims(bases: list, pairs: np.ndarray, quots: _Planes) -> np.ndarray:
             stack = stack @ quots.complements(quot[rows]).swapaxes(1, 2)
         sv = np.linalg.svd(stack, compute_uv=False)
         dims[rows] = (sv > 1e-9 * np.maximum(sv[:, :1], 1.0)).sum(axis=1)
-    return dims
+    return dims[inverse]
 
 
 def _clear(owner, quot, base, spans, quots, room, points, eps, seeds, samples,
@@ -393,12 +395,10 @@ def _clear(owner, quot, base, spans, quots, room, points, eps, seeds, samples,
     flat_kinds = []
     for (m, _), (rows, pbases, pdirs) in kinds.items():
         live = alive[owner[rows]]
-        if not live.any():
-            continue
-        flat_kinds.append(_FlatKind(renumber[owner[rows[live]]], quot[rows[live]],
-                                    None if m < 0 else quots,
-                                    pbases[live], None if pdirs is None else pdirs[live],
-                                    int(alive.sum())))
+        if live.any():
+            flat_kinds.append((renumber[owner[rows[live]]], quot[rows[live]],
+                               None if m < 0 else quots, pbases[live],
+                               None if pdirs is None else pdirs[live]))
     who = np.flatnonzero(alive)
     if not len(who):
         return out
@@ -413,83 +413,85 @@ def _clear(owner, quot, base, spans, quots, room, points, eps, seeds, samples,
     return out
 
 
-class _FlatKind:
-    """The projected flats of one kind (quotient dimension m, or None for
-    the ambient space; flat dimension k) of a stack of searches, padded per
-    group of one search and one quotient: ``bases`` (G, T, m), ``dirs``
-    (G, T, k, m) or None and ``valid`` (G, T); the quotient complements
-    ``comps`` (G, m, n) or None.  The groups of search a are ``first[a]``
-    to ``first[a] + count[a]``.  Built from the search ``owner`` and the
-    quotient ``quot`` (a plane of ``quots``, or None for the ambient space)
-    of each flat."""
-
-    def __init__(self, owner, quot, quots, bases, dirs, searches: int):
-        order = np.lexsort((quot, owner))
-        owner, quot = owner[order], quot[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (owner[1:] != owner[:-1]) | (quot[1:] != quot[:-1])
-        heads = np.flatnonzero(new)
-        gid = np.cumsum(new) - 1
-        pos = np.arange(len(order)) - heads[gid]
-        self.count = np.bincount(owner[heads], minlength=searches)
-        self.first = np.cumsum(self.count) - self.count
-        self.comps = None if quots is None else quots.complements(quot[heads])
-        shape = (len(heads), int(pos.max()) + 1)
-        self.bases = np.zeros(shape + bases.shape[1:])
-        self.bases[gid, pos] = bases[order]
-        self.dirs = None
-        if dirs is not None:
-            self.dirs = np.zeros(shape + dirs.shape[1:])
-            self.dirs[gid, pos] = dirs[order]
-        self.valid = np.zeros(shape, dtype=bool)
-        self.valid[gid, pos] = True
-
-
 class _Scorer:
-    """|q - p| and min(epsilon - |q - p|, clearance of q) of candidate rows
-    whose searches are ``owner``, scored against the flats of their
-    searches.  What depends only on the owners is gathered once; each call
-    scores one (len(owner), n) stack of candidates.
+    """min(epsilon - |q - p|, clearance of q) of candidate rows whose
+    searches are ``owner``, scored against the flats of their searches.
+    What depends only on the owners is gathered once, for every row a
+    search will score; :meth:`rows` takes a run of them without a new
+    gather, and each call scores one (rows, n) stack of candidates.
 
-    Per kind, each (candidate, group) pair is projected by its own stacked
-    product and measured against the group's flats by
-    :func:`_rejection_norms`, as one search's candidates are measured
-    against one group, so every value has the point-by-point bits.
+    A kind of flats (quotient dimension m, or None for the ambient space;
+    flat dimension k) is ``(search, quot, quots, bases, dirs)``: per flat
+    its search, its quotient (a plane of ``quots``, or None for the ambient
+    space), its projected base (m) and direction basis (k, m) or None.  Its
+    flats are padded per group of one search and one quotient, and each
+    (candidate, group) pair is projected by its own stacked product and
+    measured against the group's flats by :func:`_rejection_norms`, as one
+    search's candidates are measured against one group, so every value has
+    the point-by-point bits.  Points pad their bases with +inf, so a
+    padding cell measures +inf and never wins a minimum; lines and planes
+    pad with zeros and mask the padding, because 0 * inf would be NaN.
+    The least over a group is one ``np.minimum`` per column.
     """
 
     def __init__(self, owner: np.ndarray, points: np.ndarray, eps: np.ndarray,
                  kinds: list):
         self.points, self.eps = points[owner], eps[owner]
         self.parts = []
-        for kind in kinds:
-            count = kind.count[owner]
+        for search, quot, quots, bases, dirs in kinds:
+            order = np.lexsort((quot, search))
+            search, quot = search[order], quot[order]
+            new = np.ones(len(order), dtype=bool)
+            new[1:] = (search[1:] != search[:-1]) | (quot[1:] != quot[:-1])
+            heads, gid = np.flatnonzero(new), np.cumsum(new) - 1
+            cell = (gid, np.arange(len(order)) - heads[gid])
+            shape = (len(heads), int(cell[1].max()) + 1)
+            padded = np.full(shape + bases.shape[1:], np.inf if dirs is None else 0.0)
+            padded[cell] = bases[order]
+            # the groups of each row
+            groups = np.bincount(search[heads], minlength=len(points))
+            count = groups[owner]
+            ends = np.cumsum(count)
             rows = np.repeat(np.arange(len(owner)), count)
-            g = kind.first[owner[rows]] + np.arange(len(rows)) \
-                - np.repeat(np.cumsum(count) - count, count)
-            if not len(g):
-                continue
-            pad = ~kind.valid[g]
-            self.parts.append((None if (count == 1).all() else rows,   # None: one group each
-                               None if kind.comps is None else kind.comps[g].swapaxes(1, 2),
-                               kind.bases[g], None if kind.dirs is None else kind.dirs[g],
-                               pad if pad.any() else None))
+            g = (np.cumsum(groups) - groups)[owner[rows]] + np.arange(len(rows)) \
+                - np.repeat(ends - count, count)
+            pad = None
+            if dirs is not None:
+                pdirs, pad = np.zeros(shape + dirs.shape[1:]), np.ones(shape, dtype=bool)
+                pdirs[cell], pad[cell] = dirs[order], False
+                dirs, pad = pdirs[g], pad[g]
+            self.parts.append((np.append(0, ends), None if (count == 1).all() else rows,
+                               None if quots is None else
+                               quots.complements(quot[heads][g]).swapaxes(1, 2),
+                               padded[g], dirs, pad))
 
-    def __call__(self, qs: np.ndarray):
+    def rows(self, a: int, b: int) -> "_Scorer":
+        """The scorer of rows ``a`` to ``b``, from views of this one's gathers."""
+        new = object.__new__(_Scorer)
+        new.points, new.eps = self.points[a:b], self.eps[a:b]
+        new.parts = []
+        for bounds, rows, *arrays in self.parts:
+            lo, hi = bounds[[a, b]].tolist()
+            new.parts.append((None if rows is None else rows[lo:hi] - a,
+                              *(None if x is None else x[lo:hi] for x in arrays)))
+        return new
+
+    def __call__(self, qs: np.ndarray) -> np.ndarray:
         rel = qs - self.points
-        dist = np.sqrt(np.vecdot(rel, rel))
-        val = self.eps - dist
+        val = self.eps - np.sqrt(np.vecdot(rel, rel))
         for rows, comps_t, bases, dirs, pad in self.parts:
-            x = qs if rows is None else qs[rows]
+            x = qs if rows is None else qs[rows]     # None: one group each
             if comps_t is not None:
                 x = (x[:, None, :] @ comps_t)[:, 0]
             d = _rejection_norms(x[:, None, :] - bases, dirs)
             if pad is not None:
                 d[pad] = np.inf
-            if rows is None:
-                np.minimum(val, d.min(axis=1), out=val)
-            else:
-                np.minimum.at(val, rows, d.min(axis=1))
-        return dist, val
+            low = val if rows is None else d[:, 0]
+            for t in range(rows is not None, d.shape[1]):
+                np.minimum(low, d[:, t], out=low)
+            if rows is not None:
+                np.minimum.at(val, rows, low)
+        return val
 
 
 def _search(points, eps, seeds, samples, bases, kinds, searching) -> list:
@@ -500,114 +502,112 @@ def _search(points, eps, seeds, samples, bases, kinds, searching) -> list:
     shrinking steps, taking the first improving move of each sweep, as it
     does run alone.
 
-    The seeded samples are one stack per search dimension and basis memory
-    order, each search keeping its own first best sample.  Each refinement
-    round of every search is a state (step, round, next move); one pass
-    scores the remaining moves of every live search as one stack, and each
-    search takes its own first improving move, so each follows the sweep it
-    would follow alone.
+    One :class:`_Scorer` gathers the flats of every row the search scores.
+    The start points and the samples are one call, the samples drawn as one
+    stack per search dimension and basis memory order.  Each refinement
+    pass scores the whole padded sweep of every refining search as one
+    stack, and each takes its own first improving move among those that
+    still count, so it follows the sweep it would follow alone; the few
+    whose sweep ended go on to their next round or step in Python.  No pass
+    tests whether a move leaves the ball: the start value min(epsilon,
+    clearances) is at least 0 and values only grow, while a move to
+    distance d > epsilon scores at most fl(epsilon - d) < 0, as rounding
+    keeps the sign of a difference.
     """
-    count = len(points)
+    count, n = points.shape
     budgets = np.array(eps, dtype=float)
-    best_q = points.copy()
-    best_val = _Scorer(np.arange(count), points, budgets, kinds)(points)[1]
 
-    # seeded samples, one stack per (search dimension, basis memory order)
+    # each search's start point, then its seeded samples, padded with copies
+    # of the start point: the first best of a row is the start point unless
+    # a sample does strictly better.  The samples are one stack per (search
+    # dimension, basis memory order).
     draws: dict = {}
-    for a in np.flatnonzero(searching).tolist():
+    searchers = searching.nonzero()[0].tolist()
+    for a in searchers:
         if samples[a]:
             ndof = bases[a].shape[0]
             rng = np.random.default_rng([seeds[a], 2026])
             dirs = rng.normal(size=(samples[a], ndof))
             draws.setdefault((ndof, bool(bases[a].flags.c_contiguous)), []).append(
                 (a, dirs, rng.uniform(0.0, 1.0, size=samples[a])))
+    grid = np.repeat(points[:, None, :], 1 + max((samples[a] for a in searchers), default=0), 1)
     for (ndof, c_order), rows in draws.items():
-        who = np.array([a for a, _, _ in rows])
-        sizes = np.array([len(u) for _, _, u in rows])
-        owner = np.repeat(who, sizes)
-        dirs = np.concatenate([d for _, d, _ in rows])
+        group, dirs, us = zip(*rows)
+        size = [len(u) for u in us]
+        local = np.repeat(np.arange(len(rows)), size)
+        owner = np.array(group)[local]
+        dirs = np.concatenate(dirs)
         norms = np.linalg.norm(dirs, axis=1)
         norms[norms == 0] = 1.0
-        radii = budgets[owner] * np.concatenate([u for _, _, u in rows]) \
-            ** (1.0 / max(ndof, 1))
+        radii = budgets[owner] * np.concatenate(us) ** (1.0 / max(ndof, 1))
         offsets = (dirs / norms[:, None]) * radii[:, None]
-        basis = _stack([bases[a] for a in who.tolist()], c_order)
-        local = np.repeat(np.arange(len(rows)), sizes)
-        qs = points[owner] + (offsets[:, None, :] @ basis[local])[:, 0, :]
-        vals = _Scorer(owner, points, budgets, kinds)(qs)[1]
-        # each search's first best sample: its row of samples padded with
-        # -inf after the last, so padding never comes first
-        starts = np.cumsum(sizes) - sizes
-        padded = np.full((len(rows), int(sizes.max())), -np.inf)
-        padded[local, np.arange(len(owner)) - starts[local]] = vals
-        picks = starts + padded.argmax(axis=1)
-        keep = vals[picks] > best_val[who]
-        best_q[who[keep]] = qs[picks[keep]]
-        best_val[who[keep]] = vals[picks[keep]]
+        basis = _stack([bases[a] for a in group], c_order)
+        grid[owner, np.arange(1, len(owner) + 1) - np.repeat(np.cumsum(size) - size, size)] = \
+            points[owner] + (offsets[:, None, :] @ basis[local])[:, 0, :]
 
     # the moves of one sweep in order: +axis, -axis for each search axis,
-    # per search and step, padded to the longest sweep
+    # per refining search and step, padded to the longest sweep
     nmoves = np.array([2 * b.shape[0] for b in bases])
-    moves = np.zeros((count, len(REFINE_STEPS), max(int(nmoves.max()), 1),
-                      points.shape[1]))
-    by_ndof: dict = {}
-    for a, b in enumerate(bases):
-        by_ndof.setdefault(b.shape[0], []).append(a)
-    for ndof, who in by_ndof.items():
-        axes = np.repeat(np.stack([bases[a] for a in who]), 2, axis=1)
-        signs = np.tile([1.0, -1.0], ndof)
-        for t, step in enumerate(REFINE_STEPS):
-            moves[who, t, :2 * ndof] = (signs * step * budgets[who][:, None])[..., None] * axes
-    # the state of every refining search: the step, the round at that
-    # step, the first move of the sweep that still counts and whether the
-    # sweep improved; a finished search stays in place, masked
-    live = np.flatnonzero(searching & (nmoves > 0))
-    width = np.arange(moves.shape[2])
-    ar = np.arange(len(live))
-    q, val, moves, nmoves, budget = best_q[live], best_val[live], moves[live], \
-        nmoves[live], budgets[live]
-    movable = width < nmoves[:, None]
-    step, rounds, start = (np.zeros(len(live), dtype=np.intp) for _ in range(3))
-    improved = np.zeros(len(live), dtype=bool)
-    going = np.ones(len(live), dtype=bool)
-    score = _Scorer(np.repeat(live, len(width)), points, budgets, kinds)
-    while going.any():
+    live = (searching & (nmoves > 0)).nonzero()[0]
+    limit = nmoves[live]
+    width = int(limit.max(initial=2))
+    axes = np.zeros((len(live), width, n))
+    for size in set(limit.tolist()):
+        at = (limit == size).nonzero()[0]
+        axes[at, :size] = np.repeat(np.array([bases[a] for a in live[at].tolist()]), 2, axis=1)
+    moves = (np.multiply.outer(REFINE_STEPS, np.tile([1.0, -1.0], width // 2))
+             * budgets[live][:, None, None])[..., None] * axes[:, None]
+
+    scored = grid.shape[0] * grid.shape[1]
+    score = _Scorer(np.concatenate([np.repeat(np.arange(count), grid.shape[1]),
+                                    np.repeat(live, width)]), points, budgets, kinds)
+    vals = score.rows(0, scored)(grid.reshape(-1, n)).reshape(count, -1)
+    pick = vals.argmax(axis=1)
+    best_q, best_val = grid[np.arange(count), pick], vals[np.arange(count), pick]
+
+    # the state of every refining search: the step, the round at that step,
+    # the first move of the sweep that still counts and whether the sweep
+    # improved; a finished search keeps a move limit of 0
+    score = score.rows(scored, scored + len(live) * width)
+    ar, cols = np.arange(len(live)), np.arange(width)
+    window = (cols >= np.arange(width + 1)[:, None, None]) \
+        & (cols < np.arange(width + 1)[:, None])    # [start, limit): the moves that count
+    q, val, sweep = best_q[live], best_val[live], moves[:, 0].copy()
+    start = np.zeros(len(live), dtype=np.intp)
+    step, rounds, improved = [0] * len(live), [0] * len(live), np.zeros(len(live), dtype=bool)
+    going = len(live)
+    while going:
         # every move starts at the latest best point, so after an accepted
-        # move only the later ones of the sweep count; each search scores
-        # its whole padded sweep and takes its first counting move that
-        # stays in the ball and improves
-        qs = (q[:, None, :] + moves[ar, np.minimum(step, len(REFINE_STEPS) - 1)]) \
-            .reshape(-1, points.shape[1])
-        dist, vals = score(qs)
-        vals = vals.reshape(len(live), -1)
-        better = (going[:, None] & movable) & (width >= start[:, None]) \
-            & ~(dist.reshape(len(live), -1) > budget[:, None]) & (vals > val[:, None])
+        # move only the later ones of the sweep count
+        qs = (q[:, None, :] + sweep).reshape(-1, n)
+        vals = score(qs).reshape(len(live), width)
+        better = (vals > val[:, None]) & window[start, limit]
         first = better.argmax(axis=1)
         hit = better[ar, first]
-        took = np.flatnonzero(hit)
-        q[took] = qs[took * len(width) + first[took]]
-        val[took] = vals[took, first[took]]
-        improved |= hit
-        start[took] = first[took] + 1
+        took = hit.nonzero()[0]
+        at = first[took]
+        q[took] = qs[took * width + at]
+        val[took] = vals[took, at]
+        start[took], improved[took] = at + 1, True
         # a sweep ends when no move improves or none is left; then the next
         # round follows an improving sweep, and the next step any other
-        ended = ~hit | (start >= nmoves)
-        again = ended & improved & (rounds + 1 < REFINE_ROUNDS)
-        rounds[ended] = np.where(again, rounds + 1, 0)[ended]
-        step += ended & ~again
-        start[ended], improved[ended] = 0, False
-        going = step < len(REFINE_STEPS)
+        for i in (~hit | (start >= limit)).nonzero()[0].tolist():
+            if not limit[i]:
+                continue
+            if improved[i] and rounds[i] + 1 < REFINE_ROUNDS:
+                rounds[i] += 1
+            elif step[i] + 1 < len(REFINE_STEPS):
+                rounds[i], step[i] = 0, step[i] + 1
+                sweep[i] = moves[i, step[i]]
+            else:
+                limit[i], going = 0, going - 1
+            start[i], improved[i] = 0, False
     best_q[live], best_val[live] = q, val
 
     # |q - p| as np.linalg.norm takes it: the root of the same dot product
     rel = best_q - points
-    moved = np.sqrt(np.vecdot(rel, rel)).tolist()
-    out = []
-    for a in range(count):
-        delta = max(float(best_val[a]), 0.0)
-        delta = min(delta, eps[a] - moved[a])
-        out.append((best_q[a], max(delta, 0.0)))
-    return out
+    return [(q, max(min(max(v, 0.0), e - m), 0.0)) for q, v, e, m in
+            zip(best_q, best_val.tolist(), eps, np.sqrt(np.vecdot(rel, rel)).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -628,18 +628,6 @@ def _join_faces(size: int, cap: int):
     return tuple(faces), tuple(parts)
 
 
-def _ranges(start: np.ndarray, jobs: np.ndarray):
-    """The rows ``start[j]`` to ``start[j + 1]`` of each job j of ``jobs``,
-    concatenated; the place in ``jobs`` of each row's job; and where each
-    job's rows start among them, with their count at the end."""
-    lo = start[jobs]
-    lengths = start[jobs + 1] - lo
-    ends = np.cumsum(lengths)
-    job = np.repeat(np.arange(len(jobs)), lengths)
-    rows = np.arange(len(job)) + np.repeat(lo - ends + lengths, lengths)
-    return rows, job, np.concatenate([[0], ends])
-
-
 def _starts(job: np.ndarray, count: int) -> np.ndarray:
     """Where each of ``count`` jobs starts in a table whose rows belong to
     the jobs ``job`` (nondecreasing), and the row count at the end."""
@@ -654,8 +642,8 @@ class _Stars:
     ``*_start[j + 1]``:
 
     - slots, a job's foliations in order: ``slot_plane`` indexes the
-      distinct :class:`Plane` objects ``planes``, and ``slot_u`` is the
-      foliation's place in its job's list;
+      distinct :class:`Plane` objects ``planes``, ``slot_u`` is the
+      foliation's place in its job's list and ``slot_job`` its job;
     - stars, a job's star simplices in order: their coordinate ids ``ids``
       (S, w), padded with -1, and ``sizes``;
     - pairs, each foliation and star simplex checked against it, in
@@ -663,11 +651,13 @@ class _Stars:
     - joins, per pair the faces of :func:`_join_faces` in order, whose
       joins with the vertex must be semitransverse to the foliation: their
       coordinate ids ``join_ids`` (padded), sizes ``join_d``, pairs
-      ``join_pair`` and places ``join_face`` in the ``_join_faces`` list.
+      ``join_pair``, jobs ``join_job`` and places ``join_face`` in the
+      ``_join_faces`` list.
 
     ``planes`` is a :class:`_Planes`, and ``room`` holds each slot's
     projected search dimension (:func:`_search_dims`) for the search basis
-    that the job's constraint flat leaves, ``constraints[j]``.
+    that the job's constraint flat leaves, ``constraints[j]``, once per
+    distinct (flat, plane).
     """
 
     def __init__(self, n, planes, slot_plane, slot_u, slot_start, ids, sizes,
@@ -679,9 +669,11 @@ class _Stars:
         count = len(slot_start) - 1
         self.slot_job = np.repeat(np.arange(count), np.diff(slot_start))
         self.pair_start = np.searchsorted(self.slot_job[pair_slot], np.arange(count + 1))
-        self.room = _search_dims([_search_basis(n, c) for c in constraints],
-                                 np.column_stack([self.slot_job, slot_plane]), planes)
-        self.rows = None
+        flats: dict = {}
+        flat = np.array([flats.setdefault(c, len(flats)) for c in constraints], dtype=np.intp)
+        self.room = _search_dims([_search_basis(n, c) for c in flats],
+                                 np.column_stack([flat[self.slot_job], slot_plane]), planes)
+        self.joins = 0
 
         size = sizes[pair_star]
         cap = n - self.planes.rank[slot_plane[pair_slot]]
@@ -704,33 +696,34 @@ class _Stars:
                 self.join_d[pos], self.join_face[pos] = d, place
                 self.join_pair[pos] = rows[:, None]
         self.join_start = np.append(first, total)[self.pair_start]
+        self.join_job = np.repeat(np.arange(count), np.diff(self.join_start))
 
     @property
     def count(self) -> int:
         return len(self.slot_start) - 1
 
-    def take(self, jobs: np.ndarray) -> "_Stars":
-        """The stars of ``jobs`` as a stack of their own; its ``rows`` are
-        the places of its joins among this stack's."""
+    def slice(self, a: int, b: int) -> "_Stars":
+        """The stars of jobs ``a`` to ``b`` as a stack of their own, from
+        views of this one's tables; its ``joins`` is where its joins start
+        among this stack's."""
         new = object.__new__(_Stars)
         new.n, new.planes = self.n, self.planes
-        slots, new.slot_job, new.slot_start = _ranges(self.slot_start, jobs)
-        stars, _, new.star_start = _ranges(self.star_start, jobs)
-        pairs, pair_job, new.pair_start = _ranges(self.pair_start, jobs)
-        joins, join_job, new.join_start = _ranges(self.join_start, jobs)
-        new.slot_plane, new.slot_u, new.room = self.slot_plane[slots], self.slot_u[slots], \
-            self.room[slots]
-        new.ids, new.sizes = self.ids[stars], self.sizes[stars]
-        # an id into another table moves with its job's rows there
-        new.pair_slot = self.pair_slot[pairs] \
-            + (new.slot_start[:-1] - self.slot_start[jobs])[pair_job]
-        new.pair_star = self.pair_star[pairs] \
-            + (new.star_start[:-1] - self.star_start[jobs])[pair_job]
-        new.join_pair = self.join_pair[joins] \
-            + (new.pair_start[:-1] - self.pair_start[jobs])[join_job]
-        new.join_ids, new.join_d = self.join_ids[joins], self.join_d[joins]
-        new.join_face = self.join_face[joins]
-        new.rows = joins
+        (s0, s1), (t0, t1), (p0, p1), (j0, j1) = (
+            start[[a, b]].tolist() for start in
+            (self.slot_start, self.star_start, self.pair_start, self.join_start))
+        new.slot_start, new.star_start, new.pair_start, new.join_start = (
+            start[a:b + 1] - start[a] for start in
+            (self.slot_start, self.star_start, self.pair_start, self.join_start))
+        new.slot_plane, new.slot_u, new.room = \
+            self.slot_plane[s0:s1], self.slot_u[s0:s1], self.room[s0:s1]
+        new.ids, new.sizes = self.ids[t0:t1], self.sizes[t0:t1]
+        # an id into another table moves with that table's rows
+        new.slot_job, new.join_job = self.slot_job[s0:s1] - a, self.join_job[j0:j1] - a
+        new.pair_slot, new.pair_star = self.pair_slot[p0:p1] - s0, self.pair_star[p0:p1] - t0
+        new.join_pair = self.join_pair[j0:j1] - p0
+        new.join_ids, new.join_d = self.join_ids[j0:j1], self.join_d[j0:j1]
+        new.join_face = self.join_face[j0:j1]
+        new.joins = self.joins + j0
         return new
 
 
@@ -776,22 +769,26 @@ def _requested_stars(reqs: list):
 # the dimension induction
 # ---------------------------------------------------------------------------
 
-def _join_margins(stars: _Stars, coords: np.ndarray, points: np.ndarray):
+def _join_margins(stars: _Stars, coords: np.ndarray, points: np.ndarray,
+                  active: np.ndarray | None = None):
     """The semitransversality margin of each join of ``stars`` with apex
     ``points[j]`` for job j (zero where the base face is not transverse),
     and per job whether a base is degenerate (the
-    :class:`DegenerateSimplex` its vertex raises).
+    :class:`DegenerateSimplex` its vertex raises); only the joins of the
+    ``active`` jobs (all if None) are measured, the others read zero.
 
     The joins take one :func:`_semitrans_margins` call per (base size,
     foliation rank), so a join has the bits of its own
     :func:`semitrans_margin`.
     """
-    job = np.repeat(np.arange(stars.count), np.diff(stars.join_start))
+    job = stars.join_job
     plane = stars.slot_plane[stars.pair_slot[stars.join_pair]]
     key = stars.join_d * (stars.n + 1) + stars.planes.rank[plane]
+    if active is not None:
+        key[~active[job]] = -1
     margins = np.zeros(len(job))
     degenerate = np.zeros(stars.count, dtype=bool)
-    for k in _distinct(key).tolist():
+    for k in _distinct(key[key >= 0]).tolist():
         sel = np.flatnonzero(key == k)
         d, r = divmod(k, stars.n + 1)
         at = stars.planes.at[plane[sel]]
@@ -802,11 +799,12 @@ def _join_margins(stars: _Stars, coords: np.ndarray, points: np.ndarray):
     return margins, degenerate
 
 
-def _star_errors(stars: _Stars, coords: np.ndarray, constraints: list) -> list:
-    """The error each job of :func:`_perturb` meets before its search, or
-    None: for each foliation u in turn, the first star simplex of u that
-    is degenerate (:class:`DegenerateSimplex`) or not transverse to it
-    (:class:`StarNotTransverse`), then a constraint flat that is not
+def _star_errors(stars: _Stars, coords: np.ndarray, constraints: list,
+                 active: np.ndarray) -> list:
+    """The error each ``active`` job of :func:`_perturb` meets before its
+    search, or None: for each foliation u in turn, the first star simplex
+    of u that is degenerate (:class:`DegenerateSimplex`) or not transverse
+    to it (:class:`StarNotTransverse`), then a constraint flat that is not
     transverse to it (:class:`PreconditionViolated`).
 
     The star simplices of dimension at least 1 take one
@@ -814,37 +812,37 @@ def _star_errors(stars: _Stars, coords: np.ndarray, constraints: list) -> list:
     constraint directions one :func:`_transverse` call per (dimension,
     rank).
     """
-    n = stars.n
+    n, rank = stars.n, stars.planes.rank
     plane = stars.slot_plane[stars.pair_slot]
     size = stars.sizes[stars.pair_star]
     code = np.zeros(len(plane), dtype=np.int8)   # 1 degenerate, 2 not transverse
-    key = size * (n + 1) + stars.planes.rank[plane]
-    for k in _distinct(key[size >= 2]).tolist():
+    key = size * (n + 1) + rank[plane]
+    key[(size < 2) | ~active[stars.slot_job[stars.pair_slot]]] = -1
+    for k in _distinct(key[key >= 0]).tolist():
         sel = np.flatnonzero(key == k)
         s, r = divmod(k, n + 1)
         transverse, flat = _transverse_stack(coords[stars.ids[stars.pair_star[sel], :s]],
                                              stars.planes.bases[r][stars.planes.at[plane[sel]]])
         code[sel] = np.where(flat, 1, np.where(transverse, 0, 2))
-    blocked = np.zeros(len(stars.slot_plane), dtype=bool)
-    groups: dict = {}
-    for s, j in enumerate(stars.slot_job.tolist()):
-        c = constraints[j]
-        if c is not None and c.direction is not None:
-            groups.setdefault((c.dim, stars.planes.rank[stars.slot_plane[s]]), []).append(s)
-    for (_, r), slots in groups.items():
+    dims = np.array([0 if c is None or c.direction is None else c.dim for c in constraints],
+                    dtype=np.intp)[stars.slot_job]
+    key = dims * (n + 1) + rank[stars.slot_plane]
+    key[(dims == 0) | ~active[stars.slot_job]] = -1
+    blocked = np.zeros(len(key), dtype=bool)
+    for k in _distinct(key[key >= 0]).tolist():
+        slots = np.flatnonzero(key == k)
         dirs = np.stack([constraints[j].direction.basis for j in stars.slot_job[slots].tolist()])
         at = stars.planes.at[stars.slot_plane[slots]]
-        blocked[slots] = ~_transverse(dirs, stars.planes.bases[r][at])
+        blocked[slots] = ~_transverse(dirs, stars.planes.bases[k % (n + 1)][at])
     bad = np.zeros(stars.count, dtype=bool)
     bad[stars.slot_job[stars.pair_slot[code > 0]]] = True
     bad[stars.slot_job[blocked]] = True
-    bounds = np.searchsorted(stars.pair_slot, np.arange(len(blocked) + 1)).tolist()
     out: list = [None] * stars.count
     for j in np.flatnonzero(bad).tolist():
         # the checks of a job in order: each slot's pairs, then its constraint
         for s in range(stars.slot_start[j], stars.slot_start[j + 1]):
             u = stars.slot_u[s]
-            i = next((i for i in range(bounds[s], bounds[s + 1]) if code[i]), None)
+            i = next((i for i in np.flatnonzero(stars.pair_slot == s).tolist() if code[i]), None)
             if i is not None:
                 out[j] = DegenerateSimplex("simplex directions are dependent") \
                     if code[i] == 1 else StarNotTransverse(
@@ -870,8 +868,7 @@ def _stage_faces(stars: _Stars, coords: np.ndarray, active: np.ndarray, d: int):
     the layout of a call of its own.
     """
     n = stars.n
-    job = stars.slot_job[stars.pair_slot]
-    sel = np.flatnonzero((stars.join_d == d) & active[job[stars.join_pair]])
+    sel = np.flatnonzero((stars.join_d == d) & active[stars.join_job])
     pair = stars.join_pair[sel]
     faces = coords[stars.join_ids[sel, :d].reshape(len(sel), d)]
     rounded = np.round(faces, 12)
@@ -883,7 +880,7 @@ def _stage_faces(stars: _Stars, coords: np.ndarray, active: np.ndarray, d: int):
     key = np.concatenate([stars.pair_slot[pair].astype(np.int64)[:, None].view(float),
                           rounded.reshape(len(sel), d * n)], axis=1)
     kept = np.sort(_unique_rows(key)[0])
-    faces, pair = faces[kept], pair[kept]
+    faces, pair, sel = faces[kept], pair[kept], sel[kept]
     spans = []
     if d > 1:
         bases, ranks = _row_spaces(faces[:, 1:] - faces[:, :1])
@@ -893,15 +890,16 @@ def _stage_faces(stars: _Stars, coords: np.ndarray, active: np.ndarray, d: int):
             if r:
                 rows = np.flatnonzero((ms == m) & (ranks == r))
                 spans.append((rows, u[rows].swapaxes(1, 2)[:, :r]))
-    return job[pair], stars.pair_slot[pair], faces[:, 0], spans
+    return stars.join_job[sel], stars.pair_slot[pair], faces[:, 0], spans
 
 
 def _perturb(stars: _Stars, coords: np.ndarray, points: np.ndarray, eps: list,
-             seeds: list, samples: list, constraints: list):
-    """Move each job's point so all joins with its star become
-    semitransverse, bit for bit what each gets alone.  Job j starts at
-    ``points[j]`` with budget ``eps[j]``, pinned to ``constraints[j]`` (an
-    :class:`AffineFlat` or None), its star rows in ``coords``.
+             seeds: list, samples: list, constraints: list, active: np.ndarray | None = None):
+    """Move each ``active`` job's point (every job's if None) so all joins
+    with its star become semitransverse, bit for bit what each gets alone.
+    Job j starts at ``points[j]`` with budget ``eps[j]``, pinned to
+    ``constraints[j]`` (an :class:`AffineFlat` or None), its star rows in
+    ``coords``.
 
     Stage d of the induction clears the projected affine spans of the
     (d-1)-dimensional star faces inside the ball left by stage d-1, so the
@@ -912,11 +910,13 @@ def _perturb(stars: _Stars, coords: np.ndarray, points: np.ndarray, eps: list,
     :func:`_join_margins` call.  Returns ``(errors, points, achieved,
     moved, margins, per_dim)``: per job its error or None, its point, its
     achieved delta and move length, per join its certified margin, and per
-    job and stage the margin left (NaN past its last stage).
+    job and stage the margin left (NaN past its last stage); what a job
+    that is not active gets is unspecified.
     """
     count, n = len(points), stars.n
+    active = np.ones(count, dtype=bool) if active is None else active
     errors = _check_searches(points, eps, samples, seeds)
-    for j, error in enumerate(_star_errors(stars, coords, constraints)):
+    for j, error in enumerate(_star_errors(stars, coords, constraints, active)):
         errors[j] = errors[j] or error
     bases = [_search_basis(n, c) for c in constraints]
     cap = np.zeros(count, dtype=np.intp)
@@ -926,10 +926,10 @@ def _perturb(stars: _Stars, coords: np.ndarray, points: np.ndarray, eps: list,
     delta = list(eps)
     per_dim = np.full((count, int(d_max.max(initial=0))), np.nan)
     for d in range(1, per_dim.shape[1] + 1):
-        active = np.array([e is None for e in errors], dtype=bool) & (d <= d_max)
-        owner, slot, base, spans = _stage_faces(stars, coords, active, d)
+        live = active & np.array([e is None for e in errors], dtype=bool) & (d <= d_max)
+        owner, slot, base, spans = _stage_faces(stars, coords, live, d)
         jobs = _distinct(owner)
-        for j in np.flatnonzero(active).tolist():
+        for j in np.flatnonzero(live).tolist():
             per_dim[j, d - 1] = delta[j]
         results = _clear(np.searchsorted(jobs, owner), stars.slot_plane[slot], base, spans,
                          stars.planes, stars.room[slot], current[jobs],
@@ -942,7 +942,7 @@ def _perturb(stars: _Stars, coords: np.ndarray, points: np.ndarray, eps: list,
             else:
                 current[j], delta[j] = res
                 per_dim[j, d - 1] = delta[j]
-    margins, degenerate = _join_margins(stars, coords, current)
+    margins, degenerate = _join_margins(stars, coords, current, active)
     rel = current - points     # as in _search
     moved = np.sqrt(np.vecdot(rel, rel)).tolist()
     achieved = [max(min(delta[j], eps[j] - moved[j]), 0.0) for j in range(count)]

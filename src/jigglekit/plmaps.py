@@ -88,10 +88,6 @@ class PLMap:
             located[i] = s, b
         return np.array([b @ self.image_coords(s) for s, b in located])
 
-    def derivative_at(self, point, hint=None) -> np.ndarray:
-        simplex = hint if hint is not None else self.domain.containing_top_simplex(point)
-        return self.jacobian(simplex)
-
 
 def _same_complex(a: SimplicialComplex, b: SimplicialComplex) -> bool:
     if a is b:

@@ -665,9 +665,9 @@ def test_locate_picks_the_scans_top(name, K, points):
     for i, w in enumerate(want):
         if w is None:
             with pytest.raises(QueryNotInComplex, match="is not in the complex"):
-                K.containing_top_simplex(points[i])
+                K._locate(points[i])
         else:
-            assert K.containing_top_simplex(points[i]) == w
+            assert K._locate(points[i])[0][0] == w
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,18 @@ def test_config_rejects_non_finite_values(field, value):
         JigglingConfig(**kw)
 
 
+@pytest.mark.parametrize("kw", [
+    # each used to raise a bare ValueError or TypeError, or was accepted
+    dict(gamma="abc"), dict(gamma=None), dict(gamma=[0.2]), dict(gamma=True),
+    dict(margin_floor="abc"), dict(margin_floor=None), dict(margin_floor=True),
+    dict(epsilon_vertex="abc"), dict(epsilon_vertex=[0.1]), dict(epsilon_vertex=False),
+], ids=repr)
+def test_config_rejects_values_that_are_not_real_numbers(kw):
+    field = next(iter(kw))
+    with pytest.raises(PreconditionViolated, match=f"{field} must be a finite real number"):
+        JigglingConfig(**({"gamma": 0.2} | kw))
+
+
 def test_config_rejects_a_negative_vertex_budget():
     # epsilon_vertex=-1 used to give eta = -0.9 at level 0, and a misleading
     # BudgetViolation at level 1
@@ -449,7 +461,7 @@ def reference_subdivision_report(out, parent, fields, certificates):
     parts = []
     for top, xi in fields.items():
         cells = {cell: xi for cell in child.top_simplices
-                 if parent.containing_top_simplex(child.coords(cell).mean(axis=0)) == top}
+                 if parent._locate(child.coords(cell).mean(axis=0))[0][0] == top}
         parts.append(transversality_report(
             child, out.plmap.images, cells, sample_depth=out.config.sample_depth,
             margin_tol=REPORT_MARGIN_TOL, certificates=certificates))

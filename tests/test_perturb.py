@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from jigglekit import perturb
 from jigglekit.errors import (
     AmbientMismatch,
     DegenerateSimplex,
@@ -444,6 +445,81 @@ def test_avoid_flats_stacks_match_the_point_by_point_search(n):
         want_q, want_delta = reference_avoid_flats(*problem)
         assert got[0].tobytes() == want_q.tobytes() and got[1] == want_delta
     assert sum(isinstance(got, Exception) for got in _avoid_flats(problems)) == 3
+
+
+def test_padded_groups_match_the_point_by_point_search(monkeypatch):
+    """One stack in R^3 whose searches hold 1, 2 and 5 point flats, and 1
+    and 3 lines, alone or mixed, in the ambient space and in a quotient:
+    the scorer pads every kind to its largest group (points with +inf
+    bases, lines with a mask), and each search gets the point-by-point
+    result.  The points lie near the origin, where a padding cell at 0
+    would come close."""
+    rng = np.random.default_rng(11)
+    problems = []
+    for seed, (points, lines, quotient) in enumerate(
+            [(1, 0, False), (2, 0, False), (5, 0, False), (0, 1, False), (0, 3, False),
+             (2, 3, False), (5, 1, True), (1, 0, True), (0, 3, True)]):
+        point = rng.normal(size=3) * 1e-3
+        flats = [AffineFlat(point + rng.normal(size=3) * 10.0 ** rng.uniform(-3, -1),
+                            _random_plane(rng, 3, 1) if i < lines else None)
+                 for i in range(points + lines)]
+        quots = [_random_plane(rng, 3, 1)] * len(flats) if quotient else None
+        problems.append((point, 1e-2, flats, quots, None, seed, 16))
+    groups = []
+    real = perturb._Scorer.__init__
+
+    def spy(self, owner, points, eps, kinds):
+        for search, quot, _, _, dirs in kinds:
+            counts = np.unique(np.column_stack([search, quot]), axis=0, return_counts=True)[1]
+            groups.append((dirs is None, set(counts.tolist())))
+        real(self, owner, points, eps, kinds)
+
+    monkeypatch.setattr(perturb._Scorer, "__init__", spy)
+    for problem, got in zip(problems, _avoid_flats(problems)):
+        want_q, want_delta = reference_avoid_flats(*problem)
+        assert got[0].tobytes() == want_q.tobytes() and got[1] == want_delta
+    assert (True, {1, 2, 5}) in groups and (False, {1, 3}) in groups
+
+
+def test_a_refinement_that_steps_out_of_its_ball_matches_the_point_by_point_search():
+    """A flat through the start point and one sample at 0.99 of the
+    radius: the sample wins, so the first sweep from it tries moves outside
+    the ball, which must score below the held value and never be taken."""
+    point, eps = np.array([0.3, -0.2]), 0.01
+    rng = np.random.default_rng([26, 2026])
+    rng.normal(size=(1, 2))
+    assert rng.uniform(0.0, 1.0, size=1)[0] ** 0.5 > 0.98
+    for flats in ([AffineFlat(point, None)], [AffineFlat(point, VERTICAL)]):
+        got = only(_avoid_flats([search(point, eps, flats, seed=26, samples=1)]))
+        want = reference_avoid_flats(point, eps, flats, seed=26, samples=1)
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+        assert 0.0 < np.linalg.norm(got[0] - point) < eps
+
+
+def test_one_scorer_per_search(monkeypatch):
+    """The start points, the samples and every refinement pass of a search
+    share the gathers of one _Scorer."""
+    counts = {"_search": 0, "_Scorer": 0}
+    real_search, real_init = perturb._search, perturb._Scorer.__init__
+
+    def searched(*args):
+        counts["_search"] += 1
+        return real_search(*args)
+
+    def built(self, *args):
+        counts["_Scorer"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(perturb, "_search", searched)
+    monkeypatch.setattr(perturb._Scorer, "__init__", built)
+    problems = [search(point, 1e-3, flats, seed=seed) for seed in range(4)
+                for point, flats, _, _ in [_search_case(3, False, None, seed)]]
+    assert all(not isinstance(got, Exception) for got in _avoid_flats(problems))
+    req = PerturbationRequest(point=np.array([0.1, 0.6]), epsilon=0.08,
+                              star_simplices=[np.array([[1.0, 0.3], [0.8, 1.1]])],
+                              foliations=[HORIZONTAL], seed=7)
+    perturb_vertex(req)
+    assert counts == {"_search": 2, "_Scorer": 2}
 
 
 @pytest.mark.parametrize("samples", [7, 64])

@@ -280,7 +280,7 @@ def reference_distance(f, g, order=0):
         if isinstance(m, PLMap):
             if own:
                 return [m.jacobian(simplex)]
-            return [m.jacobian(m.domain.containing_top_simplex(pts.mean(axis=0)))]
+            return [m.jacobian(m.domain._locate(pts.mean(axis=0))[0][0])]
         return [m.derivative_at(p, scale=scale) for p in pts]
 
     worst = 0.0
