@@ -448,7 +448,6 @@ class _Scorer:
             shape = (len(heads), int(cell[1].max()) + 1)
             padded = np.full(shape + bases.shape[1:], np.inf if dirs is None else 0.0)
             padded[cell] = bases[order]
-            # the groups of each row
             groups = np.bincount(search[heads], minlength=len(points))
             count = groups[owner]
             ends = np.cumsum(count)
