@@ -533,6 +533,8 @@ def load_scenario(obj: dict) -> dict:
     if "levels" in obj:
         with _parsing("levels"):
             out["levels"] = [operator.index(lv) for lv in obj["levels"]]
+        if any(isinstance(lv, bool) for lv in obj["levels"]):
+            raise _Schema("bad levels: a level must be an integer, not a boolean")
     return out
 
 

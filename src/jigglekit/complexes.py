@@ -647,7 +647,7 @@ def _bboxes(ids: np.ndarray, sizes: np.ndarray, vertex_coords: np.ndarray):
 
 
 def _sat_group(pa: np.ndarray, pb: np.ndarray, tol: float,
-               cheap: bool = False) -> np.ndarray:
+               cheap: bool = False, sizes=None) -> np.ndarray:
     """Vectorized separating-axis test over a batch of simplex pairs.
 
     ``pa`` has shape (m, ka, n) and ``pb`` shape (m, kb, n).  The relative
@@ -668,6 +668,16 @@ def _sat_group(pa: np.ndarray, pb: np.ndarray, tol: float,
     ``_sat_disjoint_many``, a subset of the full axes with the same value
     on each, so it certifies no pair the full set does not.
 
+    ``sizes``, when given, is two arrays: each pair's own vertex counts,
+    its simplices padded to ka and kb vertices by repeating their last
+    vertex.  Padding leaves every extent and the scale as they are, and the
+    full axes of a pair are those of its own counts (:func:`_full_axes`
+    gathers them from the padded edges by a table row per vertex-count
+    signature), and the slots a pair leaves over hold zero vectors, which
+    no axis keeps.  So pairs of several signatures run as
+    one batch, each with the axes, and the verdict, of a batch of its own.
+    The projections are one batched product per side.
+
     Strict separation along any axis keeps even the closures apart.  Weak
     separation certifies too, provided one simplex has positive extent
     along the axis: a linear functional attaining its extremum at a
@@ -677,33 +687,26 @@ def _sat_group(pa: np.ndarray, pb: np.ndarray, tol: float,
     """
     m, ka, n = pa.shape
     kb = pb.shape[1]
-    scale = np.maximum(1.0, np.maximum(np.abs(pa).reshape(m, ka * n).max(axis=1),
-                                       np.abs(pb).reshape(m, kb * n).max(axis=1)))
+    # the largest of 1 and each |coordinate|, a column at a time (faster
+    # than a reduce over the short last axes)
+    scale = np.ones(m)
+    for p in (pa, pb):
+        scale = functools.reduce(np.maximum, np.abs(p).reshape(m, -1).T, scale)
     gap = (tol * scale)[:, None]
     ra, sa = _pairs_of(ka)
     rb, sb = _pairs_of(kb)
-    base = pa[:, :1] - pb[:, :1]
-    edges = np.concatenate([pa[:, sa] - pa[:, ra], pb[:, sb] - pb[:, rb]],
-                           axis=1)
-    if cheap:
-        normals = edges[:, :0]
-    elif n == 2:
-        normals = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
-    else:
-        flat = max(ka, kb) <= n
-        dirs = np.concatenate([base, edges], axis=1) if flat else edges
-        i, j = np.triu_indices(dirs.shape[1], 1)
-        normals = np.cross(dirs[:, i], dirs[:, j])
-        if flat and i.size:
-            w = np.linalg.norm(normals, axis=2).argmax(axis=1)
-            widest = normals[np.arange(m), w][:, None]
-            normals = np.concatenate([normals, np.cross(widest, dirs)], axis=1)
-    axes = np.concatenate([base, edges, normals], axis=1)
+    # the directions: base difference, A's edges, B's edges
+    axes = np.concatenate([pa[:, :1] - pb[:, :1], pa[:, sa] - pa[:, ra],
+                           pb[:, sb] - pb[:, rb]], axis=1)
+    if not cheap:
+        counts = sizes if sizes is not None else (np.full(m, ka), np.full(m, kb))
+        axes = _full_axes(axes, counts, ka, kb)
     norms = _norms(axes)
     keep = norms > 1e-14 * scale[:, None]
-    axes = axes / np.where(keep, norms, 1.0)[..., None]
-    a0, a1 = _span(np.einsum("mkn,man->mka", pa, axes))
-    b0, b1 = _span(np.einsum("mkn,man->mka", pb, axes))
+    # C order: a batched product is several times faster on it than on a view
+    axes = np.divide(axes.swapaxes(1, 2), np.where(keep, norms, 1.0)[:, None], order="C")
+    a0, a1 = _span(pa @ axes)
+    b0, b1 = _span(pb @ axes)
     strict = (a1 <= b0 - gap) | (b1 <= a0 - gap)
     extent = (a1 - a0 > gap) | (b1 - b0 > gap)
     weak = (a1 <= b0 + gap) | (b1 <= a0 + gap)
@@ -716,10 +719,76 @@ def _pairs_of(k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(k, 1)
 
 
+def _full_axes(dirs: np.ndarray, counts, ka: int, kb: int) -> np.ndarray:
+    """The full candidate axes of :func:`_sat_group`, unnormalized, from the
+    (m, D, n) directions of pairs padded to (ka, kb) vertices (base
+    difference, A's edges, B's edges) and each pair's own vertex counts:
+    its base difference and edges, then its edge normals (2D) or its
+    cross products and their crosses with its widest one (3D), as a batch
+    of its signature alone builds them, padded with zero vectors."""
+    m, _, n = dirs.shape
+    dirs = np.concatenate([dirs, np.zeros((m, 1, n))], axis=1)   # the zero slot
+    code = counts[0] * (kb + 1) + counts[1]
+    present = _distinct(code)
+    table, cuts = _axis_tables(tuple(divmod(c, kb + 1) for c in present.tolist()), ka, kb, n)
+    slots = np.arange(0, m * dirs.shape[1], dirs.shape[1])[:, None] + \
+        table[np.searchsorted(present, code)]
+    direct, *parts = np.split(np.take(dirs.reshape(-1, n), slots, axis=0), cuts, axis=1)
+    if n == 2:
+        normals = np.stack([-parts[0][..., 1], parts[0][..., 0]], axis=-1)
+    else:
+        normals = _cross(parts[0], parts[1])
+        if parts[2].shape[1]:
+            widest = normals[np.arange(m), _norms(normals).argmax(axis=1)][:, None]
+            normals = np.concatenate([normals, _cross(widest, parts[2])], axis=1)
+    return np.concatenate([direct, normals], axis=1)
+
+
+@functools.cache
+def _axis_tables(kinds: tuple, ka: int, kb: int, n: int) -> tuple:
+    """The full axes of pairs of each (ka', kb') signature of ``kinds``,
+    padded to (ka, kb) vertices, as slots of :func:`_sat_group`'s
+    directions: base difference 0, A's edges 1.. in ``_pairs_of(ka)``
+    order, then B's, then the zero slot.  A row per signature holds its
+    parts side by side, each padded with the zero slot to the widest of
+    the kinds: the base difference and the edges; then the edges to turn
+    (2D), or the first and second factors of each cross product and the
+    directions to cross with the widest (3D), all in the order of a batch
+    of that signature alone.  Returns the table and the cuts between the
+    parts."""
+    edges_a, edges_b = _pairs_of(ka)[1].tolist(), _pairs_of(kb)[1].tolist()
+    zero = 1 + len(edges_a) + len(edges_b)
+    plans = []
+    for a, b in kinds:
+        edges = [1 + t for t, s in enumerate(edges_a) if s < a] + \
+                [1 + len(edges_a) + t for t, s in enumerate(edges_b) if s < b]
+        if n == 2:
+            plans.append(([0] + edges, edges))
+            continue
+        flat = max(a, b) <= n
+        dirs = [0] + edges if flat else edges
+        crosses = list(itertools.combinations(dirs, 2))
+        plans.append(([0] + edges, [i for i, _ in crosses], [j for _, j in crosses],
+                      dirs if flat and crosses else []))
+    widths = [max(map(len, part)) for part in zip(*plans)]
+    table = np.array([sum((p + [zero] * (w - len(p)) for p, w in zip(plan, widths)), [])
+                      for plan in plans], dtype=np.intp).reshape(len(plans), sum(widths))
+    table.setflags(write=False)
+    return table, np.cumsum(widths)[:-1].tolist()
+
+
 def _norms(vectors: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(vectors, axis=-1)`` bit for bit: the squares summed
     in order, without a reduce over the short last axis."""
     return np.sqrt(functools.reduce(np.add, [x * x for x in np.moveaxis(vectors, -1, 0)]))
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.cross(u, v)`` of two broadcast stacks of 3-vectors, bit for bit:
+    the same products and differences, without its axis handling."""
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=-1)
 
 
 def _span(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -816,30 +885,37 @@ def _sat_disjoint_many(first: np.ndarray, second: np.ndarray, ids: np.ndarray,
       adds only repeated edges and zero edges, which no axis keeps, and
       leaves every extent and the scale as they are.
     * The full axis set on the pairs the first stage leaves uncertified,
-      grouped by their vertex-count signature so each group runs as one
-      batch.
+      in one batch per largest simplex size max(ka, kb), padded the same
+      way.  Each pair takes the axes of its own vertex counts (``sizes`` of
+      :func:`_sat_group`); a batch pads them with zero axes to the most
+      any of its signatures has.  Rotor's jiggled boundary takes two
+      batches instead of five; one batch of every flat pair would be
+      slower there, as its edge pairs have 9 axes and its triangle pairs
+      35.
 
     Each axis has the same value in both stages, so every verdict is the
     full set's.
     """
     out = np.zeros(len(first), dtype=bool)
-    if not len(first) or vertex_coords.shape[1] not in (2, 3):
+    n = vertex_coords.shape[1]
+    if not len(first) or n not in (2, 3):
         return out
     last = ids[np.arange(len(ids)), sizes - 1]
     padded = np.where(ids >= 0, ids, last[:, None])
-    for lo_t in range(0, len(first), _SAT_CHUNK):
-        chunk = slice(lo_t, lo_t + _SAT_CHUNK)
-        out[chunk] = _sat_group(vertex_coords[padded[first[chunk]]],
-                                vertex_coords[padded[second[chunk]]], tol, cheap=True)
+
+    def batch(ts: np.ndarray, cheap: bool) -> None:
+        for lo in range(0, len(ts), _SAT_CHUNK):
+            t = ts[lo:lo + _SAT_CHUNK]
+            ka, kb = sizes[first[t]], sizes[second[t]]
+            out[t] = _sat_group(np.take(vertex_coords, padded[first[t], :ka.max()], axis=0),
+                                np.take(vertex_coords, padded[second[t], :kb.max()], axis=0),
+                                tol, cheap, sizes=None if cheap else (ka, kb))
+
+    batch(np.arange(len(first)), True)
     rest = np.flatnonzero(~out)
-    ka, kb = sizes[first[rest]], sizes[second[rest]]
-    signatures = np.stack([ka, kb], axis=1)
-    for a, b in signatures[_unique_rows(signatures)[0]].tolist():
-        ts = rest[(ka == a) & (kb == b)]
-        for lo_t in range(0, len(ts), _SAT_CHUNK):
-            chunk = ts[lo_t:lo_t + _SAT_CHUNK]
-            out[chunk] = _sat_group(vertex_coords[ids[first[chunk], :a]],
-                                    vertex_coords[ids[second[chunk], :b]], tol)
+    widest = np.maximum(sizes[first[rest]], sizes[second[rest]])
+    for k in _distinct(widest).tolist():
+        batch(rest[widest == k], False)
     return out
 
 

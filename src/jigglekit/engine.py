@@ -799,6 +799,10 @@ def jiggle_relative(f, complex_: SimplicialComplex, xi: Distribution,
     overrides ``config.gamma``; without a config every other knob keeps its
     default.
     """
+    if isinstance(v_radius, bool) or not isinstance(v_radius, numbers.Real) \
+            or not math.isfinite(v_radius) or v_radius < 0:
+        raise PreconditionViolated(
+            f"v_radius must be a finite nonnegative real number, got {v_radius!r}")
     cfg = dataclasses.replace(config, gamma=float(gamma)) if config else \
         JigglingConfig(gamma=float(gamma))
     return _jiggle(f, complex_, xi, cfg, a, b, v_radius)
@@ -806,12 +810,15 @@ def jiggle_relative(f, complex_: SimplicialComplex, xi: Distribution,
 
 def jiggle_tower(f, complex_: SimplicialComplex, xi: Distribution,
                  config: JigglingConfig, levels) -> list[JigglingOutcome]:
-    """One jiggling outcome per requested subdivision depth."""
-    outcomes = []
-    for level in levels:
-        cfg = dataclasses.replace(config, level=int(level))
-        outcomes.append(jiggle_euclidean(f, complex_, xi, cfg))
-    return outcomes
+    """One jiggling outcome per requested subdivision depth.  Every level is
+    checked, as a config's ``level`` is, before the first runs."""
+    try:
+        levels = list(levels)
+    except TypeError:
+        raise PreconditionViolated(
+            f"levels must be an iterable of levels, got {levels!r}") from None
+    configs = [dataclasses.replace(config, level=level) for level in levels]
+    return [jiggle_euclidean(f, complex_, xi, cfg) for cfg in configs]
 
 
 # ---------------------------------------------------------------------------

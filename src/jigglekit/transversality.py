@@ -450,28 +450,30 @@ class _FaceTable:
     """
 
     def __init__(self, groups):
-        self.ids = [[] for _ in groups]
-        self.bases, size, rank = {}, [], []
         shapes = {}
         for g, (pts, top_dim) in enumerate(groups):
             for k in range(2, top_dim + 2):
                 shapes.setdefault(k, []).append((g, pts[:, _combinations(pts.shape[1], k)]))
+        self.ids = [[] for _ in groups]
+        self.bases, local, ranks = {}, [], []
         for s, parts in sorted(shapes.items()):
             stack = np.concatenate([f.reshape(-1, s, f.shape[-1]) for _, f in parts])
             first, ids, _ = _unique_rows(stack.reshape(len(stack), -1))
-            self.bases[s], ranks = _face_bases(stack[first])
-            split = np.cumsum([f.shape[0] * f.shape[1] for _, f in parts])[:-1]
-            for (g, f), part in zip(parts, np.split(ids + len(size), split)):
-                self.ids[g].append(part.reshape(f.shape[:2]))
-            size += [s] * len(first)
-            rank += ranks.tolist()
+            self.bases[s], rank = _face_bases(stack[first])
+            ids += sum(map(len, local))
+            lo = 0
+            for g, f in parts:
+                self.ids[g].append(ids[lo:lo + f.shape[0] * f.shape[1]].reshape(f.shape[:2]))
+                lo += f.shape[0] * f.shape[1]
+            local.append(np.arange(len(first)))
+            ranks.append(rank)
         self.ids = [np.concatenate(cols, axis=1) if cols else
                     np.zeros((len(pts), 0), dtype=int)
                     for cols, (pts, _) in zip(self.ids, groups)]
-        self.size = np.array(size, dtype=int)
-        self.local = np.arange(len(size)) - np.searchsorted(self.size, self.size)
-        self.rank = rank
-        self.flat = np.array(rank, dtype=int) < self.size - 1
+        self.size = np.repeat(sorted(shapes), list(map(len, local))).astype(int)
+        self.local = np.concatenate(local or [np.zeros(0, dtype=int)])
+        self.rank = np.concatenate(ranks or [np.zeros(0, dtype=int)])
+        self.flat = self.rank < self.size - 1
 
 
 def _general_position_each(coords: list, fields, sample_depth: int,
@@ -550,9 +552,12 @@ class _ProbePlanes:
             self.tables.append(bases[:0])
         k = self.kinds.index(kind)
         first, same, _ = _unique_rows(bases[rows].reshape(len(rows), -1))
+        # what each basis's tobytes() gives: its slice of one C-order copy
+        shape, size = bases.shape[1:], bases[0].nbytes
+        blob = np.ascontiguousarray(bases[rows[first]]).tobytes()
         ids, grow = [], []
-        for i in rows[first].tolist():
-            got = self.ids.setdefault((bases[i].shape, bases[i].tobytes()), len(self.kind))
+        for j, i in enumerate(rows[first].tolist()):
+            got = self.ids.setdefault((shape, blob[j * size:(j + 1) * size]), len(self.kind))
             if got == len(self.kind):
                 self.kind.append(k)
                 self.row.append(len(self.tables[k]) + len(grow))
@@ -639,6 +644,7 @@ def _general_positions(groups, sample_depth: int, tol: float, stop: bool = False
         face_of[lo:lo + len(order), :ids.shape[1]] = ids
         lo += len(order)
     reach = (probe_of >= 0).sum(axis=1)
+    pad_flat = np.append(faces.flat, False)   # face id -1, a pad, reads False
 
     # sorted face id << 32 | basis id, closed by a sentinel; NaN: not transverse
     known, known_margin = np.array([np.iinfo(np.int64).max]), np.array([np.nan])
@@ -666,8 +672,7 @@ def _general_positions(groups, sample_depth: int, tol: float, stop: bool = False
         bid = planes.basis[probe_of[slot, wave]]
         fids = face_of[slot]
         face = fids >= 0
-        flat = np.zeros_like(face)
-        flat[face] = faces.flat[fids[face]]
+        flat = pad_flat[fids]
         use = face & ~flat & (bid >= 0)[:, None]
         keys = (fids << 32 | bid[:, None])[use]
         # the margins of the (face, plane) pairs met for the first time
@@ -685,8 +690,10 @@ def _general_positions(groups, sample_depth: int, tol: float, stop: bool = False
                 transverse, sig = _transverse(faces.bases[s][faces.local[fid[sel]]],
                                               planes.tables[k][row[sel]], tol, margins=True)
                 sigma[sel] = np.where(transverse, sig, np.nan)
-            at = np.searchsorted(known, fresh)
-            known, known_margin = np.insert(known, at, fresh), np.insert(known_margin, at, sigma)
+            # two sorted runs, merged by one stable sort
+            merged = np.argsort(np.concatenate([known, fresh]), kind="stable")
+            known = np.concatenate([known, fresh])[merged]
+            known_margin = np.concatenate([known_margin, sigma])[merged]
         # each entry's faces in loop order: it is decided at the first face
         # that is degenerate or not transverse, or where its field fails
         vals = np.where(flat, np.nan, np.inf)
@@ -710,7 +717,7 @@ def _general_positions(groups, sample_depth: int, tol: float, stop: bool = False
                     error = planes.errors[int(probe_of[slot[r], wave[r]])]
                 else:
                     f = int(fids[r, worst[r]])
-                    error = _degenerate(faces.rank[f], int(faces.size[f]) - 1)
+                    error = _degenerate(int(faces.rank[f]), int(faces.size[f]) - 1)
     if error is not None and not (stop and not ok[:limit].all()):
         raise error
     return ok, margin

@@ -453,6 +453,22 @@ def test_malformed_input_still_exits_with_validation(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, extra", [
+    ("tower", {"levels": [True]}),
+    ("tower", {"levels": [1, False]}),
+    ("relative", {"complex": "strip(3)", "b": [[3, 7]], "v_radius": math.nan}),
+    ("relative", {"complex": "strip(3)", "b": [[3, 7]], "v_radius": "nan"}),
+    ("relative", {"complex": "strip(3)", "b": [[3, 7]], "v_radius": -1}),
+], ids=["level-true", "level-false", "radius-nan", "radius-nan-text", "radius-negative"])
+def test_levels_and_collar_radius_exit_with_validation(tmp_path, mode, extra):
+    """A boolean level and a collar radius that is not a finite nonnegative
+    number are bad input, as a boolean config level is."""
+    scen, out = tmp_path / "scen.json", tmp_path / "out.json"
+    scen.write_text(json.dumps(scenario_dict(**extra)))
+    assert main(["jiggle", str(scen), "--mode", mode, str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+
+
 def test_program_errors_are_not_reported_as_bad_input(tmp_path, monkeypatch):
     # only outside input is turned into exit 3; a TypeError raised inside
     # the pipeline is a bug and must surface as one

@@ -1005,3 +1005,38 @@ def test_axis_norms_are_the_bits_of_linalg_norm():
         vectors[0, 0] = 0.0
         assert complexes._norms(vectors).tobytes() == \
             np.linalg.norm(vectors, axis=-1).tobytes(), shape
+
+
+def test_axis_crosses_are_the_bits_of_numpy_cross():
+    """The cross products the full axes build: of factor pairs gathered from
+    the directions, and of the widest normal with each direction."""
+    rng = np.random.default_rng(2026)
+    for pairs, dirs in [((1, 1), 2), ((6, 3), 3), ((102, 21), 7), ((416, 66), 12)]:
+        scale = 10.0 ** rng.uniform(-8, 8, size=pairs + (1,))
+        u, v = rng.standard_normal(pairs + (3,)) * scale, rng.standard_normal(pairs + (3,))
+        u[0, 0], v[-1, -1] = 0.0, -0.0
+        assert complexes._cross(u, v).tobytes() == np.cross(u, v).tobytes(), pairs
+        widest = u[:, :1]
+        d = rng.standard_normal((pairs[0], dirs, 3))
+        assert complexes._cross(widest, d).tobytes() == np.cross(widest, d).tobytes(), pairs
+
+
+def test_full_axes_run_one_batch_per_largest_simplex(monkeypatch):
+    """On rotor's jiggled boundary the cheap axes leave pairs of five
+    vertex-count signatures; the full axis set takes them in two batches,
+    one per largest simplex size, not one per signature."""
+    _, sims, verts = next(case for case in _sat_cases() if case[0] == "rotor-boundary-after")
+    calls, sat_group = [], complexes._sat_group
+
+    def counted(pa, pb, tol, cheap=False, **sizes):
+        ka, kb = sizes.get("sizes") or ([pa.shape[1]] * len(pa), [pb.shape[1]] * len(pb))
+        calls.append((cheap, set(zip(np.asarray(ka).tolist(), np.asarray(kb).tolist()))))
+        return sat_group(pa, pb, tol, cheap, **sizes)
+
+    monkeypatch.setattr(complexes, "_sat_group", counted)
+    assert find_interior_overlap(sims, verts) is None
+    full = [kinds for cheap, kinds in calls if not cheap]
+    signatures = set().union(*full)
+    assert sum(cheap for cheap, _ in calls) == 1
+    assert len(signatures) == 5
+    assert len(full) == 2

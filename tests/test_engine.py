@@ -263,6 +263,20 @@ def test_tower_outcomes_frozen_margins():
     assert outs[1].d_c0 < outs[0].d_c0
 
 
+@pytest.mark.parametrize("levels", [[2.5], [True], ["x"], [1, None], 3, None],
+                         ids=["float", "bool", "text", "none-level", "int", "none"])
+def test_tower_levels_are_checked_like_a_config_level(levels):
+    """A level that is not an integer, or levels that are not a collection,
+    raise PreconditionViolated before any level runs."""
+    grid, f = grid_setup()
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "jiggle_euclidean", lambda *args: calls.append(args))
+        with pytest.raises(PreconditionViolated):
+            jiggle_tower(f, grid, HORIZONTAL, JigglingConfig(gamma=0.2), levels)
+    assert not calls
+
+
 def test_box_complex_against_axis_field():
     box = box_grid(1)
     f = PLMap.identity(box)
@@ -712,6 +726,15 @@ def test_relative_collar_raises_at_fixed_level():
     with pytest.raises(CollarTooSmall):
         jiggle_relative(f, S, DIAGONAL, 0.2, a=[], b=[(3, 7)], v_radius=0.3,
                         config=JigglingConfig(gamma=0.2, seed=5, level=0))
+
+
+@pytest.mark.parametrize("v_radius", [math.nan, "x", -1.0, math.inf, True],
+                         ids=["nan", "text", "negative", "inf", "bool"])
+def test_relative_collar_radius_must_be_a_finite_nonnegative_real(v_radius):
+    S = strip(3)
+    with pytest.raises(PreconditionViolated, match="v_radius must be a finite nonnegative"):
+        jiggle_relative(PLMap.identity(S), S, DIAGONAL, 0.2, a=[], b=[(3, 7)],
+                        v_radius=v_radius, config=JigglingConfig(gamma=0.2, level=1))
 
 
 def test_relative_collar_auto_raises_level_and_freezes_b():
