@@ -973,6 +973,8 @@ def find_interior_overlap(simplices: list[tuple[int, ...]],
     first, second = _candidate_pairs(ids, sizes, vertex_coords, tol)
     certified = _sat_disjoint_many(first, second, ids, sizes, vertex_coords, tol)
     first, second = first[~certified], second[~certified]
+    if not len(first):
+        return None
     apart = _in_one_simplex(first, second, sims, vertex_coords, tol)
     for i, j in zip(first[~apart].tolist(), second[~apart].tolist()):
         if relative_interiors_intersect(vertex_coords[list(sims[i])],

@@ -24,7 +24,6 @@ gathers the current images and runs the stacked kernels of
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -293,29 +292,35 @@ def _edge_oscillation(fmap, complex_: SimplicialComplex, images0: np.ndarray,
     Estimated along the image of the longest edge of each top simplex, with
     probe spacing at most ``radius`` (capped at OSC_PROBE_CAP probes per
     edge); the estimate is the largest d_proj between consecutive probes.
+    All probes, in top order, take one pass; a map on the complex itself
+    is affine on each top, so its probe images lie on the image edges.
     """
     if xi.kind == "constant":
         return 0.0
-    worst = 0.0
-    for top in complex_.top_simplices:
-        if len(top) < 2:
-            continue
-        dom = complex_.coords(top)
-        img = images0[list(top)]
-        i, j = max(itertools.combinations(range(len(top)), 2),
-                   key=lambda ij: np.linalg.norm(img[ij[0]] - img[ij[1]]))
-        length = float(np.linalg.norm(img[i] - img[j]))
-        if length == 0.0:
-            continue
-        steps = min(OSC_PROBE_CAP, max(1, math.ceil(length / radius)))
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        pts = dom[i] + np.outer(ts, dom[j] - dom[i])
-        ipts = fmap.evaluate_batch(pts, hint=tuple(top))
-        bases = xi.bases_at(ipts)
-        proj = bases.swapaxes(1, 2) @ bases
-        gaps = np.linalg.norm(proj[1:] - proj[:-1], 2, axis=(1, 2))
-        worst = max(worst, float(gaps.max()))
-    return worst
+    tops = complex_.top_simplices
+    ends, length = np.zeros((len(tops), 2), dtype=np.intp), np.zeros(len(tops))
+    for k, rows, ids in size_groups(tops):
+        if k > 1:
+            edges = ids[:, np.array(np.triu_indices(k, 1)).T]  # in combinations order
+            d = images0[edges[..., 0]] - images0[edges[..., 1]]
+            norms = np.sqrt(np.vecdot(d, d))    # the bits of np.linalg.norm per edge
+            ends[rows] = edges[np.arange(len(rows)), norms.argmax(axis=1)]
+            length[rows] = norms.max(axis=1)
+    ends, length = ends[length > 0.0], length[length > 0.0]
+    if not len(ends):
+        return 0.0
+    steps = np.minimum(OSC_PROBE_CAP, np.maximum(1, np.ceil(length / radius))).astype(int)
+    params = {s: np.linspace(0.0, 1.0, s + 1) for s in set(steps.tolist())}
+    ts = np.concatenate([params[s] for s in steps.tolist()])[:, None]
+    owner = np.repeat(np.arange(len(ends)), steps + 1)
+    i, j = ends[owner].T
+    native = _is_native(fmap, complex_)
+    at = images0 if native else complex_.vertices
+    pts = at[i] + ts * (at[j] - at[i])
+    bases = xi.bases_at(pts if native else fmap.evaluate_batch(pts))
+    proj = bases.swapaxes(1, 2) @ bases
+    same = np.flatnonzero(owner[1:] == owner[:-1])
+    return float(np.linalg.norm(proj[same + 1] - proj[same], 2, axis=(1, 2)).max())
 
 
 def auto_level(f, complex_: SimplicialComplex, xi: Distribution, gamma: float,

@@ -150,20 +150,18 @@ def _transverse(bases: np.ndarray, v, tol: float = RANK_REL_TOL,
                 margins: bool = False):
     """Whether each plane W of an (S, d, n) stack of orthonormal bases has
     dim(W + V) = min(d + k, n), by the :func:`_rank` of W's basis stacked
-    over V's.  ``v`` is one :class:`Plane` for every row, or one per row:
-    a sequence of S planes of one rank or an (S, k, n) stack of their
-    orthonormal bases.  With ``margins``, also sigma_min of W's basis with
-    its V component removed: the sine of the smallest principal angle, a
-    transverse face's eps margin.
+    over V's.  ``v`` is one :class:`Plane` for every row, or an (S, k, n)
+    stack of orthonormal bases, one per row.  With ``margins``, also
+    sigma_min of W's basis with its V component removed: the sine of the
+    smallest principal angle, a transverse face's eps margin.
 
     The SVDs run stacked, each matrix with the bits of a stack of one.  The
-    rejection ``b - (b @ V.T) @ V`` is one stacked product, each item on
-    its row as it lies in ``bases`` and on its V basis in that basis's own
-    memory order, which gives every row the bits of its own 2-D product: a
-    copy of either operand into another order may round differently in the
-    last bits.  So an (S, k, n) stack must hold each basis in the order of
-    its plane's array, and a sequence of planes takes one product per
-    order (:func:`_stack`).  Rank-1 bases round alike in either order.
+    rejection ``b - (b @ V.T) @ V`` is one stacked product, which gives
+    each row the bits of its own 2-D product as long as every operand keeps
+    its memory order: a copy into another order may round differently in
+    the last bits.  So a stack must hold each basis in the order of its
+    plane's array, one call per order (:func:`_stack`); rank-1 bases
+    round alike in either order.
 
     With ``margins`` and d + k <= n, a row whose margin sigma exceeds
     ``SURELY_TRANSVERSE * max(tol, 1e-8)`` skips its rank SVD, as it
@@ -175,27 +173,13 @@ def _transverse(bases: np.ndarray, v, tol: float = RANK_REL_TOL,
     smallest stays above 6e-5 where sigma > 1e-4, four orders of magnitude
     over the rank bar tol * sqrt(2).  Every verdict is the rank test's."""
     s, d, n = bases.shape
-    if isinstance(v, Plane):
-        rows = v.basis
-    elif isinstance(v, np.ndarray):
-        rows = v
-    else:
-        each = [p.basis for p in v]
-        rows = np.array(each)
+    rows = v.basis if isinstance(v, Plane) else v
     k = rows.shape[-2]
     if n != rows.shape[-1]:
         raise AmbientMismatch(f"planes live in R^{n} and R^{rows.shape[-1]}")
     test = np.ones(s, dtype=bool)
     if margins:
-        if isinstance(v, (Plane, np.ndarray)):
-            inside = (bases @ np.swapaxes(rows, -1, -2)) @ rows
-        else:
-            inside = np.empty((s, d, n))
-            c_order = np.array([w.flags.c_contiguous for w in each], dtype=bool)
-            for c in np.unique(c_order).tolist():
-                sel = np.flatnonzero(c_order == c)
-                w = _stack([each[i] for i in sel.tolist()], c)
-                inside[sel] = (bases[sel] @ w.swapaxes(1, 2)) @ w
+        inside = (bases @ np.swapaxes(rows, -1, -2)) @ rows
         sigma = np.linalg.svd(bases - inside, compute_uv=False)[:, -1]
         if d + k <= n:
             test = ~(sigma > SURELY_TRANSVERSE * max(tol, 1e-8))
@@ -256,31 +240,16 @@ def _project_flat(v: Plane | None, flat: AffineFlat,
 
 def point_flat_distance(p, flat: AffineFlat) -> float:
     """Euclidean distance from a point to an affine flat."""
-    dirs = None if flat.direction is None else flat.direction.basis[None]
-    return float(_flat_distances(np.asarray(p, dtype=float)[None],
-                                 flat.base[None], dirs)[0, 0])
-
-
-def _flat_distances(points: np.ndarray, bases: np.ndarray,
-                    dirs: np.ndarray | None) -> np.ndarray:
-    """(S, T) distances from S points to T affine flats of one dimension.
-
-    ``points`` is (S, n), ``bases`` (T, n) and ``dirs`` the (T, k, n)
-    orthonormal direction bases, or None for points.  Each pair goes
-    through its own stacked products ``B @ rel[..., None]`` and its norm is
-    ``sqrt(vecdot)``, so a pair gets the same bits in a stack of any size;
-    :func:`point_flat_distance` is a stack of one.  The plain 2-D product
-    ``rel @ B.T`` would round differently in the last bits.
-    """
-    return _rejection_norms(points[:, None, :] - bases, dirs)
+    dirs = None if flat.direction is None else flat.direction.basis
+    return float(_rejection_norms(np.asarray(p, dtype=float) - flat.base, dirs))
 
 
 def _rejection_norms(rel: np.ndarray, dirs: np.ndarray | None) -> np.ndarray:
     """Norms of the offsets ``rel`` (..., n) with their components along
     the orthonormal rows of ``dirs`` (..., k, n) removed (None: nothing to
-    remove), each through its own stacked products; the one home of the
-    arithmetic of :func:`_flat_distances`, which pairs every point with
-    every flat, for callers that pair them row by row."""
+    remove).  Each goes through its own stacked products and ``sqrt(vecdot)``,
+    so it has the bits of :func:`point_flat_distance` in a stack of any
+    size; the plain 2-D product ``rel @ B.T`` would round differently."""
     if dirs is not None:
         rel = rel - (np.swapaxes(dirs, -1, -2) @ (dirs @ rel[..., None]))[..., 0]
     return np.sqrt(np.vecdot(rel, rel))

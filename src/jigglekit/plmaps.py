@@ -22,7 +22,6 @@ from .complexes import (
     _per_distinct,
     _untiled,
     _volumes,
-    barycentric_coordinates,
     crystalline_subdivide,
     find_interior_overlap,
     size_groups,
@@ -45,7 +44,6 @@ class PLMap:
         if self.images.shape[0] != domain.num_vertices:
             raise DomainMismatch("one image point per domain vertex required")
         self.target_dim = self.images.shape[1]
-        self._jac_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     @functools.cached_property
     def _radii(self):
@@ -60,33 +58,10 @@ class PLMap:
     def image_coords(self, simplex) -> np.ndarray:
         return self.images[list(simplex)]
 
-    def jacobian(self, simplex) -> np.ndarray:
-        """The constant derivative matrix on one simplex (zero off its span)."""
-        key = tuple(simplex)
-        jac = self._jac_cache.get(key)
-        if jac is None:
-            dom = self.domain.coords(simplex)
-            img = self.image_coords(simplex)
-            a = (dom[1:] - dom[0]).T
-            y = (img[1:] - img[0]).T
-            jac = y @ np.linalg.pinv(a)
-            self._jac_cache[key] = jac
-        return jac
-
-    def evaluate_batch(self, points, hint=None) -> np.ndarray:
-        """Images of the rows of ``points``, trying top simplex ``hint``
-        first; the other points are located in one batch."""
+    def evaluate_batch(self, points) -> np.ndarray:
+        """Images of the rows of ``points``, located in one batch."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        located = [None] * len(pts)
-        if hint is not None:
-            for i, p in enumerate(pts):
-                b, defect = barycentric_coordinates(self.domain.coords(hint), p)
-                if defect <= 1e-9 and float(np.min(b)) >= -1e-9:
-                    located[i] = hint, b
-        todo = [i for i, s in enumerate(located) if s is None]
-        for i, (s, b, _) in zip(todo, self.domain._locate(pts[todo])):
-            located[i] = s, b
-        return np.array([b @ self.image_coords(s) for s, b in located])
+        return np.array([b @ self.image_coords(s) for s, b, _ in self.domain._locate(pts)])
 
 
 def _same_complex(a: SimplicialComplex, b: SimplicialComplex) -> bool:
@@ -144,14 +119,14 @@ class SampledMap:
         return rows.shape != batch.shape or \
             np.allclose(rows, batch, rtol=1e-9, atol=1e-12)
 
-    def evaluate_batch(self, points, hint=None) -> np.ndarray:
-        """Images of the rows of ``points``; ``hint`` is ignored."""
+    def evaluate_batch(self, points) -> np.ndarray:
+        """Images of the rows of ``points``."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self._vectorized:
             return np.asarray(self._eval(pts), dtype=float)
         return np.array([np.atleast_1d(self._eval(p)) for p in pts], dtype=float)
 
-    def derivative_at(self, point, hint=None, scale: float = 1.0) -> np.ndarray:
+    def derivative_at(self, point, scale: float = 1.0) -> np.ndarray:
         p = np.asarray(point, dtype=float)
         if self._jac is not None:
             return np.asarray(self._jac(p), dtype=float)
@@ -218,18 +193,30 @@ def _values(m, own: bool, ids: np.ndarray, b: np.ndarray,
     return m.evaluate_batch(pts.reshape(-1, pts.shape[2])).reshape(pts.shape[:2] + (-1,))
 
 
+def _pinv_edges(dom: np.ndarray) -> np.ndarray:
+    """Pseudo-inverses of the edge matrices of an (S, k, N) stack of cells."""
+    return _per_distinct(lambda e: np.linalg.pinv(np.swapaxes(e, 1, 2)),
+                         dom[:, 1:] - dom[:, :1])
+
+
 def _jacobians(m, own: bool, ids: np.ndarray, pinv_a: np.ndarray,
                dom: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Derivatives of m on one size group, shape (S, P, n, N): one matrix
     per cell for a PLMap, one per lattice point for a SampledMap, whose
     finite differences take one ``evaluate_batch`` call; a Jacobian the
-    user gave is called point by point."""
+    user gave is called point by point.  A PLMap on another complex takes
+    the matrix of the top holding each cell's centroid."""
     if own:
         img = m.images[ids]
         return (np.swapaxes(img[:, 1:] - img[:, :1], 1, 2) @ pinv_a)[:, None]
     if isinstance(m, PLMap):
-        located = m.domain._locate(np.array([p.mean(axis=0) for p in pts]))
-        return np.array([[m.jacobian(t)] for t, _, _ in located])
+        tops = [t for t, _, _ in m.domain._locate(pts.mean(axis=1))]
+        jac = np.empty((len(tops), m.target_dim, pts.shape[2]))
+        for _, rows, at in size_groups(tops):
+            img = m.images[at]
+            jac[rows] = np.swapaxes(img[:, 1:] - img[:, :1], 1, 2) @ \
+                _pinv_edges(m.domain.vertices[at])
+        return jac[:, None]
     if m._jac is not None:
         return np.array([[m.derivative_at(q) for q in p] for p in pts])
     scales = np.max(np.linalg.norm(dom - dom[:, :1], axis=2), axis=1)
@@ -271,8 +258,7 @@ def _distances(f, g, c1: bool) -> tuple[float, float]:
         val = np.sqrt(np.add.reduce(diff * diff, axis=2)).max(axis=1)
         worst0 = np.maximum(worst0, val.max())
         if c1:
-            pinv_a = _per_distinct(lambda e: np.linalg.pinv(np.swapaxes(e, 1, 2)),
-                                   dom[:, 1:] - dom[:, :1])
+            pinv_a = _pinv_edges(dom)
             gap = (_jacobians(f, f_own, ids, pinv_a, dom, pts)
                    - _jacobians(g, g_own, ids, pinv_a, dom, pts))
             worst1 = np.maximum(worst1, (val + np.linalg.svd(gap, compute_uv=False)

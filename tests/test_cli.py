@@ -11,6 +11,7 @@ from jigglekit.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
     EXIT_PARSE,
+    EXIT_PERTURBATION,
     EXIT_VALIDATION,
     box_grid,
     builtin_complex,
@@ -355,6 +356,48 @@ def test_cmd_render_rejects_a_field_of_another_dimension(tmp_path, capsys):
                  "planar_rotor(0.1)", "--svg", str(svg)]) == EXIT_VALIDATION
     assert "R^3" in capsys.readouterr().err
     assert not svg.exists()
+
+
+def test_cmd_render_marks_the_failing_simplices_of_a_report(tmp_path):
+    """The complex and the map come from JSON files, the map by its domain;
+    a report record that fails either notion marks its triangle."""
+    grid = unit_square_grid(2)
+    images = grid.vertices + 0.01 * np.sin(7.0 * grid.vertices[:, ::-1])
+    complex_file, map_file = tmp_path / "grid.json", tmp_path / "map.json"
+    complex_file.write_text(json.dumps(complex_to_dict(grid)))
+    map_file.write_text(json.dumps({"domain": complex_to_dict(grid), "images": images.tolist()}))
+    tops = grid.top_simplices
+    records = [{"simplex": list(tops[1]), "transverse": False, "general_position": False},
+               {"simplex": list(tops[4]), "transverse": True, "general_position": False},
+               {"simplex": list(tops[5]), "transverse": True, "general_position": True}]
+    report = tmp_path / "rep.json"
+    report.write_text(json.dumps({"records": records}))
+    svg = tmp_path / "pic.svg"
+    assert main(["render", str(complex_file), "--map", str(map_file),
+                 "--report", str(report), "--svg", str(svg)]) == 0
+    want = render_svg(grid, images=images, failing=[tops[1], tops[4]])
+    assert svg.read_text() == want
+    assert want.count("#f2b8b5") == 2
+
+
+@pytest.mark.parametrize("mode, extra, message", [
+    ("euclidean", {"complex": "box_grid(1)",
+                   "distribution": {"type": "builtin", "name": "planar_rotor(100.0)"},
+                   "config": {"gamma": 0.2, "level_max": 0}}, "no level <= 0 works"),
+    ("relative", {"complex": "strip(3)", "b": [[0, 4]], "v_radius": 1e-6,
+                  "config": {"gamma": 0.2, "level": 1, "seed": 7}},
+     "leaves the radius-1e-06 neighborhood"),
+], ids=["level-exhausted", "collar-too-small"])
+def test_cmd_jiggle_exits_4_when_jiggling_fails(tmp_path, capsys, mode, extra, message):
+    """No level up to ``level_max`` fits a fast rotor (LevelExhausted), and
+    a collar of radius 1e-6 is too small for ``strip(3)``'s level-1 cells
+    (CollarTooSmall)."""
+    scen, out = tmp_path / "scen.json", tmp_path / "out.json"
+    scen.write_text(json.dumps(scenario_dict(**extra)))
+    assert main(["jiggle", str(scen), "--mode", mode, str(out)]) == EXIT_PERTURBATION
+    err = capsys.readouterr().err
+    assert err.startswith("jiggling failed: ") and message in err
+    assert not out.exists()
 
 
 def test_outcome_bundle_feeds_verify_and_render(tmp_path):

@@ -1021,6 +1021,24 @@ def test_axis_crosses_are_the_bits_of_numpy_cross():
         assert complexes._cross(widest, d).tobytes() == np.cross(widest, d).tobytes(), pairs
 
 
+def test_no_pair_left_by_the_axes_skips_the_simplex_index(monkeypatch):
+    """The rotor boundary after its run leaves no pair to the LP, so
+    ``_in_one_simplex`` is not built; two crossing segments leave one."""
+    _, sims, verts = next(case for case in _sat_cases() if case[0] == "rotor-boundary-after")
+    calls, in_one = [], complexes._in_one_simplex
+
+    def counted(first, *args):
+        calls.append(len(first))
+        return in_one(first, *args)
+
+    monkeypatch.setattr(complexes, "_in_one_simplex", counted)
+    assert find_interior_overlap(sims, verts) is None
+    assert calls == []
+    cross = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    assert find_interior_overlap([(0, 1), (2, 3)], cross) == ((0, 1), (2, 3))
+    assert calls == [1]
+
+
 def test_full_axes_run_one_batch_per_largest_simplex(monkeypatch):
     """On rotor's jiggled boundary the cheap axes leave pairs of five
     vertex-count signatures; the full axis set takes them in two batches,

@@ -578,6 +578,29 @@ def test_subdivision_failures_are_typed(case, monkeypatch):
         jiggle_subdivision(parent, refinement, xi, JigglingConfig(gamma=0.2, level=1))
 
 
+def test_subdivision_raises_the_field_error_of_the_first_vertex_in_order():
+    """A field that raises at two child vertices' images, an interior one
+    and a later one on an edge of the parent: the induction takes vertices
+    by carrier size, so the run raises the edge vertex's error."""
+    parent, fan = wedge_pair()
+    mid, _ = barycentric_subdivide(fan)
+    out, _ = crystalline_subdivide(mid, 1)
+    size = complexes._carriers(parent, out.vertices, engine.SKELETON_TOL).sum(axis=1)
+    inner, edge = int(np.flatnonzero(size == 3)[0]), int(np.flatnonzero(size == 2)[-1])
+    assert inner < edge
+    traps = {inner: "inner", edge: "edge"}
+
+    def at(p):
+        for v, name in traps.items():
+            if p.tobytes() == out.vertices[v].tobytes():
+                raise ValueError(f"trap at the {name} vertex")
+        return Plane(np.array([[1.0, 0.0]]))
+
+    xi = Distribution(2, 1, "sampled", at)
+    with pytest.raises(ValueError, match="trap at the edge vertex"):
+        jiggle_subdivision(parent, fan, xi, JigglingConfig(gamma=0.2, level=1))
+
+
 def test_subdivision_checks_make_no_call_per_vertex_or_cell(monkeypatch):
     """The skeleton and tiling checks are stacked passes: a fan run makes
     as many ``barycentric_coordinates`` calls at level 2 as at level 1,
@@ -818,7 +841,9 @@ def reference_plane_drift(child, images, xi):
 
 
 def reference_edge_oscillation(fmap, complex_, images0, xi, radius):
-    """The per-probe loop ``_edge_oscillation`` replaced."""
+    """The per-probe loop ``_edge_oscillation`` replaced, one top at a
+    time: a PLMap on the complex takes its probe images on the image edge,
+    any other map is evaluated at the probes."""
     if xi.kind == "constant":
         return 0.0
     worst = 0.0
@@ -828,8 +853,12 @@ def reference_edge_oscillation(fmap, complex_, images0, xi, radius):
                    key=lambda ij: np.linalg.norm(img[ij[0]] - img[ij[1]]))
         length = float(np.linalg.norm(img[i] - img[j]))
         steps = min(engine.OSC_PROBE_CAP, max(1, math.ceil(length / radius)))
-        pts = dom[i] + np.outer(np.linspace(0.0, 1.0, steps + 1), dom[j] - dom[i])
-        planes = [xi.plane_at(q) for q in fmap.evaluate_batch(pts, hint=tuple(top))]
+        ts = np.linspace(0.0, 1.0, steps + 1)
+        if isinstance(fmap, PLMap):
+            ipts = img[i] + np.outer(ts, img[j] - img[i])
+        else:
+            ipts = fmap.evaluate_batch(dom[i] + np.outer(ts, dom[j] - dom[i]))
+        planes = [xi.plane_at(q) for q in ipts]
         for a, b in zip(planes, planes[1:]):
             worst = max(worst, d_proj(a, b))
     return worst
@@ -849,10 +878,12 @@ def test_stacked_drift_and_oscillation_equal_the_loops(case):
     drift = engine._plane_drift(child, engine._field_planes(xi, images), xi)
     assert drift == reference_plane_drift(child, images, xi)
     assert (drift > 0) == (case != "constant")
-    fmap = PLMap(child, images)
-    for radius in (0.5, 0.01):
-        assert engine._edge_oscillation(fmap, child, images, xi, radius) == \
-            reference_edge_oscillation(fmap, child, images, xi, radius)
+    bent = SampledMap(child, lambda p: p + 0.05 * np.sin(3.0 * p[:, ::-1]))
+    for fmap in (PLMap(child, images), bent):
+        images0 = engine._vertex_images(fmap, child)
+        for radius in (0.5, 0.01):
+            assert engine._edge_oscillation(fmap, child, images0, xi, radius) == \
+                reference_edge_oscillation(fmap, child, images0, xi, radius)
 
 
 def test_plane_drift_raises_the_error_of_the_first_failing_end():

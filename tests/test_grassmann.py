@@ -11,7 +11,7 @@ from jigglekit.grassmann import (
     ORTHONORMAL_TOL,
     AffineFlat,
     Plane,
-    _flat_distances,
+    _rejection_norms,
     _transverse,
     affine_span,
     d_proj,
@@ -112,7 +112,8 @@ def test_transverse_planes_in_r3():
     # a plane and a line inside it span only the plane
     assert not is_transverse_planes(exy, e1)
     # one plane per row: each row against its own
-    assert _transverse(np.stack([exy.basis, exy.basis]), [ez, e1]).tolist() == [True, False]
+    assert _transverse(np.stack([exy.basis, exy.basis]), np.stack([ez.basis, e1.basis])
+                       ).tolist() == [True, False]
 
 
 def test_is_transverse_planes_is_a_stack_of_one():
@@ -151,7 +152,7 @@ def test_point_flat_distance_to_a_line():
 
 
 def test_stacked_flat_distances_match_the_scalar_call_bit_for_bit():
-    """point_flat_distance is _flat_distances of a stack of one, so this
+    """point_flat_distance is _rejection_norms of one offset, so this
     checks that a pair gets the same bits alone as in a stack of up to 70
     points and 4 flats.  The vertex search scores its candidates in stacks
     whose size depends on the workload; if a numpy upgrade makes the
@@ -168,7 +169,7 @@ def test_stacked_flat_distances_match_the_scalar_call_bit_for_bit():
                             plane_from_spanning(rng.normal(size=(k, n))) if k else None)
                  for _ in range(t)]
         dirs = np.stack([f.direction.basis for f in flats]) if k else None
-        got = _flat_distances(points, np.stack([f.base for f in flats]), dirs)
+        got = _rejection_norms(points[:, None] - np.stack([f.base for f in flats]), dirs)
         want = [[point_flat_distance(p, f) for f in flats] for p in points]
         assert got.tolist() == want
 

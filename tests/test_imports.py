@@ -5,10 +5,8 @@ Stdlib ``ast`` passes: a name bound by an import must be read somewhere in
 the same module, and binding it again is no read (``from __future__``
 imports and the package ``__init__``, whose imports are its public
 re-exports, are exempt), no import under ``src/jigglekit`` sits inside a function or class body, and every function
-under ``src/jigglekit`` that is not a method reads each of its parameters.
-Methods are exempt because an override may ignore an argument to stay
-call-compatible: ``SampledMap`` takes the ``hint`` that ``PLMap`` uses.
-The package needs numpy only: a fresh interpreter that imports it and its
+and method under ``src/jigglekit`` reads each of its parameters, ``self``
+and ``cls`` included.  The package needs numpy only: a fresh interpreter that imports it and its
 command line loads no scipy module.
 """
 
@@ -84,15 +82,12 @@ def test_package_imports_only_at_module_level(path):
 
 
 def unread_parameters(source: str) -> list[str]:
-    """Parameters that a function other than a method never reads, as
-    ``line N: name``; a read inside a nested function counts."""
+    """Parameters that a function or method never reads, as ``line N:
+    name``; a read inside a nested function counts."""
     tree = ast.parse(source)
-    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-               for node in cls.body}
     out = []
     for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                or id(fn) in methods:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         a = fn.args
         params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
@@ -113,7 +108,8 @@ def test_checker_flags_an_unread_parameter():
               "    def m(self, hint=None):\n"
               "        return lambda x: 0\n")
     assert unread_parameters(source) == [
-        "line 1: b", "line 1: args", "line 1: kw", "line 2: d"]
+        "line 1: b", "line 1: args", "line 1: kw", "line 2: d", "line 7: self",
+        "line 7: hint"]
     assert unread_parameters("def f(x, *, y):\n    return x(y=y)\n") == []
 
 

@@ -21,8 +21,9 @@ import pytest
 from jigglekit.complexes import _span_distances
 from jigglekit.grassmann import (
     Plane,
-    _flat_distances,
+    _rejection_norms,
     _row_spaces,
+    _stack,
     _transverse,
     plane_from_spanning,
 )
@@ -326,7 +327,7 @@ def test_flat_distances_match_the_exact_distance():
         if k:   # a point 1e-9 (relative) from the first flat
             points[0] = bases[0] + scale * (rng.normal(size=k) @ dirs[0]
                                             + 1e-9 * rng.normal(size=n))
-        got = _flat_distances(points, bases, dirs)
+        got = _rejection_norms(points[:, None] - bases, dirs)
         for i, p in enumerate(points):
             for j in range(3):
                 want = exact_span_distance(p, bases[j], dirs[j] if k else [])
@@ -367,13 +368,29 @@ def random_basis(rng, k, n, order):
     return np.ascontiguousarray(basis) if order == "C" else basis
 
 
+def transverse_per_order(bases, planes, margins=False):
+    """``_transverse`` of each row of ``bases`` against its own plane, one
+    call per memory order of the planes' bases on a ``_stack`` of that
+    order: the groups ``transversality._ProbePlanes`` keeps."""
+    c_order = np.array([plane.basis.flags.c_contiguous for plane in planes])
+    transverse, margin = np.zeros(len(planes), dtype=bool), np.zeros(len(planes))
+    for c in np.unique(c_order).tolist():
+        sel = np.flatnonzero(c_order == c)
+        stack = _stack([planes[i].basis for i in sel], c)
+        if margins:
+            transverse[sel], margin[sel] = _transverse(bases[sel], stack, margins=True)
+        else:
+            transverse[sel] = _transverse(bases[sel], stack)
+    return (transverse, margin) if margins else transverse
+
+
 @pytest.mark.parametrize("order", ["C", "F", "mixed"])
 def test_one_plane_per_row_gives_each_row_its_own_bits(order):
     """Every n = 2..4, plane rank k and face dimension d <= n - k, with
     face bases laid out as ``_row_spaces`` returns them (F-like), planes in
-    C order, F order or both in one stack, and some faces lying in their
-    plane.  A stacked rejection product over a C-ordered copy of the
-    planes' bases fails the mixed stacks."""
+    C order, F order or both, one stack per order, and some faces lying in
+    their plane.  A stacked rejection product over a C-ordered copy of
+    F-ordered bases fails the F and mixed cases."""
     rng = np.random.default_rng(19)
     for n in (2, 3, 4):
         for k in range(1, n + 1):
@@ -385,7 +402,7 @@ def test_one_plane_per_row_gives_each_row_its_own_bits(order):
                     for i in range(0, size, 3):   # inside the plane: not transverse
                         edges[i] = rng.normal(size=(d, k)) @ planes[i].basis
                     bases, _ = _row_spaces(edges)
-                    transverse, margin = _transverse(bases, planes, margins=True)
+                    transverse, margin = transverse_per_order(bases, planes, margins=True)
                     for i, plane in enumerate(planes):
                         one, sigma = _transverse(bases[i:i + 1], plane, margins=True)
                         assert transverse[i] == one[0]
@@ -409,7 +426,7 @@ def test_one_plane_per_row_margins_are_the_smallest_principal_sines():
         edges[0, 0] = rng.normal(size=k) @ planes[0].basis + 1e-7 * rng.normal(size=n)
         bases, ranks = _row_spaces(edges)
         assert (ranks == d).all()
-        transverse, margin = _transverse(bases, planes, margins=True)
+        transverse, margin = transverse_per_order(bases, planes, margins=True)
         assert transverse.all()
         for b, plane, m in zip(bases, planes, margin):
             assert abs(m - exact_principal_sines(b, plane.basis)[0]) <= 1e-13
@@ -435,7 +452,7 @@ def test_margins_keep_the_rank_test_verdicts(tilt):
                     normal = np.linalg.svd(np.vstack([plane.basis, edges[i, 1:]]))[2][-1]
                     edges[i, 0] = rng.normal(size=k) @ plane.basis + tilt * normal
                 bases, ranks = _row_spaces(edges)
-                transverse, margin = _transverse(bases, planes, margins=True)
-                assert transverse.tolist() == _transverse(bases, planes).tolist()
+                transverse, margin = transverse_per_order(bases, planes, margins=True)
+                assert transverse.tolist() == transverse_per_order(bases, planes).tolist()
                 assert transverse.tolist() == [
                     bool(_transverse(bases[i:i + 1], plane)[0]) for i, plane in enumerate(planes)]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -57,6 +58,16 @@ def test_plmap_rejects_wrong_image_count():
     sq = square()
     with pytest.raises(DomainMismatch):
         PLMap(sq, np.zeros((3, 2)))
+
+
+def test_distance_needs_a_domain_and_one_volume():
+    nowhere = types.SimpleNamespace(domain=None)
+    with pytest.raises(DomainMismatch, match="neither map carries a domain complex"):
+        distance(nowhere, nowhere)
+    small = build_complex(2, [(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    large = build_complex(2, [(0, 0), (2, 0), (0, 2)], [(0, 1, 2)])
+    with pytest.raises(DomainMismatch, match="domains cover different volume: 0.5 vs 2$"):
+        distance(PLMap.identity(small), PLMap.identity(large))
 
 
 def test_affine_maps_linearize_exactly():
@@ -268,8 +279,12 @@ def test_complex_subdivides_locates_each_child_vertex_once(monkeypatch):
 
 def reference_distance(f, g, order=0):
     """``distance`` as it ran before the size groups: one top at a time,
-    own PLMaps through their per-simplex ``jacobian`` (a pinv each)."""
+    PLMaps through the slope of one simplex (a pinv each)."""
     fine = _common_refinement(f, g)
+
+    def slope(m, simplex):
+        dom, img = m.domain.coords(simplex), m.image_coords(simplex)
+        return (img[1:] - img[0]).T @ np.linalg.pinv((dom[1:] - dom[0]).T)
 
     def values(m, pts, simplex, own):
         if own:
@@ -279,8 +294,8 @@ def reference_distance(f, g, order=0):
     def derivatives(m, pts, simplex, own, scale):
         if isinstance(m, PLMap):
             if own:
-                return [m.jacobian(simplex)]
-            return [m.jacobian(m.domain._locate(pts.mean(axis=0))[0][0])]
+                return [slope(m, simplex)]
+            return [slope(m, m.domain._locate(pts.mean(axis=0))[0][0])]
         return [m.derivative_at(p, scale=scale) for p in pts]
 
     worst = 0.0
@@ -431,17 +446,11 @@ def test_tops_of_mixed_sizes_reject_flat_and_non_finite_images():
             assert is_piecewise_embedding(PLMap(K, images)) is False
 
 
-def reference_evaluate(f, point, hint=None):
-    """``PLMap.evaluate`` before batched location: the hint, else the scan
-    of every top, then one more lstsq for the coordinates."""
+def reference_evaluate(f, point):
+    """``PLMap.evaluate`` before batched location: the scan of every top,
+    then one more lstsq for the coordinates."""
     p = np.asarray(point, dtype=float)
-    simplex = None
-    if hint is not None:
-        b, defect = barycentric_coordinates(f.domain.coords(hint), p)
-        if defect <= 1e-9 and float(np.min(b)) >= -1e-9:
-            simplex = hint
-    if simplex is None:
-        simplex = reference_containing_top_simplex(f.domain, p)
+    simplex = reference_containing_top_simplex(f.domain, p)
     b, _ = barycentric_coordinates(f.domain.coords(simplex), p)
     return b @ f.image_coords(simplex)
 
@@ -452,9 +461,8 @@ def test_evaluate_batch_equals_the_per_point_scan_bit_for_bit():
     f = PLMap(fine, rng.standard_normal((fine.num_vertices, 3)))
     lo, hi = fine.vertices.min(axis=0), fine.vertices.max(axis=0)
     points = np.vstack([fine.vertices, rng.uniform(lo, hi, size=(200, 2))])
-    for hint in (None, fine.top_simplices[5]):
-        want = np.array([reference_evaluate(f, p, hint) for p in points])
-        assert f.evaluate_batch(points, hint).tobytes() == want.tobytes()
+    want = np.array([reference_evaluate(f, p) for p in points])
+    assert f.evaluate_batch(points).tobytes() == want.tobytes()
     coarse = unit_square_grid(2)
     g, _, _ = linearize(PLMap.identity(fine), coarse, 1)
     want = np.array([reference_evaluate(PLMap.identity(fine), p) for p in g.domain.vertices])
@@ -481,14 +489,6 @@ def test_evaluate_batch_takes_each_points_coordinates_once(monkeypatch):
     monkeypatch.undo()
     want = np.array([reference_evaluate(f, p) for p in child.vertices])
     assert g.images.tobytes() == want.tobytes()
-    # on the hint path, the hint's coordinates are the ones used
-    top = fine.top_simplices[7]
-    inside = fine.coords(top).mean(axis=0, keepdims=True)
-    b, _ = barycentric_coordinates(fine.coords(top), inside[0])
-    calls.clear()
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-    assert f.evaluate_batch(inside, hint=top).tobytes() == (b @ fine.coords(top)).tobytes()
-    assert len(calls) == 1
 
 
 def test_each_distinct_domain_cell_is_factorized_once(monkeypatch):

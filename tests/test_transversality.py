@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jigglekit import transversality
-from jigglekit.cli import box_grid, canonical_json, planar_rotor, report_to_dict, unit_square_grid
+from jigglekit.cli import (
+    box_grid,
+    canonical_json,
+    contact_like,
+    planar_rotor,
+    report_to_dict,
+    unit_square_grid,
+)
 from jigglekit.complexes import SimplicialComplex, _lam, cell_radii
 from jigglekit.engine import JigglingConfig, jiggle_euclidean
 from jigglekit.errors import (
@@ -1091,3 +1098,30 @@ def test_a_stacked_evaluator_is_checked_as_a_plane_is():
     bases, errors = rotor._bases(points)
     assert list(errors) == [1]
     assert bases[[0, 2]].tobytes() == rotor.bases_at(points[[0, 2]]).tobytes()
+
+
+def test_a_stacked_evaluator_that_raises_is_retried_point_by_point():
+    """When a stacked evaluator raises, each point is evaluated on its own:
+    the errors are keyed at exactly the failing points, and every other
+    basis has the bytes of a call at its point alone."""
+    contact = contact_like()
+
+    def trapped(pts):
+        low = pts[:, 2] < 0.0
+        if low.any():
+            raise ValueError(f"below at {pts[low][0].tolist()}")
+        return contact._eval(pts)
+
+    xi = Distribution(3, 2, "builtin", trapped, stacked=True)
+    points = np.random.default_rng(41).uniform(0.1, 1.0, size=(12, 3))
+    points[[0, 5, 6], 2] *= -1.0
+    bases, errors = xi._bases(points)
+    assert list(errors) == [0, 5, 6]
+    for i, exc in errors.items():
+        assert str(exc) == f"below at {points[i].tolist()}"
+    for i in np.flatnonzero(points[:, 2] >= 0.0).tolist():
+        assert bases[i].tobytes() == xi.bases_at(points[i:i + 1])[0].tobytes()
+        assert bases[i].tobytes() == contact.bases_at(points[i:i + 1])[0].tobytes()
+    with pytest.raises(ValueError) as caught:
+        xi.bases_at(points)
+    assert str(caught.value) == f"below at {points[0].tolist()}"
